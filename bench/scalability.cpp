@@ -83,8 +83,8 @@ int run_datacenter() {
           cell.peak_resident = c.stream_peak_resident_records();
         }
         {
-          // Same NPF modeling as run_pf_npf_stream: no prefetch plan
-          // means no marked sleep points, so power management is off.
+          // Same NPF modeling as run_pf_npf: no prefetch plan means no
+          // marked sleep points, so power management is off.
           core::ClusterConfig npf = cfg;
           npf.enable_prefetch = false;
           npf.power_policy = core::PowerPolicy::kNone;

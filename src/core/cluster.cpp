@@ -67,14 +67,12 @@ void Cluster::build_infra() {
     params.power.policy = config_.power_policy;
     params.power.idle_threshold = seconds_to_ticks(config_.idle_threshold_sec);
     params.power.sleep_margin = config_.sleep_margin;
-    params.power.wake_marking = config_.wake_marking;
     params.cache_policy = config_.enable_prefetch
                               ? config_.cache_policy
                               : (config_.cache_policy == CachePolicy::kPrefetch
                                      ? CachePolicy::kNone
                                      : config_.cache_policy);
     params.write_buffering = config_.write_buffering;
-    params.buffer_capacity = config_.buffer_capacity_bytes;
     params.prebud_gate = config_.prebud_gate;
     params.disk_placement = config_.disk_placement;
     params.stripe_width = config_.stripe_width;
@@ -82,16 +80,8 @@ void Cluster::build_infra() {
     params.io_retry_backoff = milliseconds_to_ticks(config_.disk_io_backoff_ms);
     params.io_deadline = seconds_to_ticks(config_.disk_io_deadline_sec);
     params.journal.mode = config_.journal_mode;
-    params.journal.header_bytes =
-        static_cast<Bytes>(config_.journal_header_kb * 1024.0);
-    params.journal.checkpoint_every = config_.journal_checkpoint_every;
     params.ram_cache_bytes = config_.ram_cache_bytes;
     params.ram_cache_policy = config_.ram_cache_policy;
-    params.ram_bytes_per_sec =
-        config_.ram_read_mbps * static_cast<double>(kMB);
-    params.ram_pin_fraction = config_.ram_pin_fraction;
-    params.ram_flush_interval =
-        seconds_to_ticks(config_.ram_flush_interval_sec);
     nodes_.push_back(
         std::make_unique<StorageNode>(*sim_, *net_, ep, params));
     nodes_.back()->set_observer(tracer_.get(), hist_queue_wait_);
@@ -211,8 +201,8 @@ void Cluster::arm_faults() {
     std::vector<StorageNode*> node_ptrs;
     node_ptrs.reserve(nodes_.size());
     for (auto& n : nodes_) node_ptrs.push_back(n.get());
-    recovery_ = std::make_unique<RecoveryManager>(
-        *sim_, *server_, std::move(node_ptrs), config_.recovery_rewarm);
+    recovery_ = std::make_unique<RecoveryManager>(*sim_, *server_,
+                                                  std::move(node_ptrs));
     recovery_->set_observer(tracer_.get(), recovery_hists_);
     fault::FaultInjector::Targets targets;
     targets.disk_of = [this](std::size_t node, bool buffer_disk,
@@ -757,27 +747,6 @@ PfNpfComparison run_pf_npf(const ClusterConfig& config,
     npf.power_policy = PowerPolicy::kNone;
     Cluster cluster(npf);
     out.npf = cluster.run(workload);
-  }
-  return out;
-}
-
-PfNpfComparison run_pf_npf_stream(const ClusterConfig& config,
-                                  const workload::StreamingWorkload& workload) {
-  PfNpfComparison out;
-  {
-    ClusterConfig pf = config;
-    pf.enable_prefetch = true;
-    Cluster cluster(pf);
-    out.pf = cluster.run_stream(workload);
-  }
-  {
-    // Same NPF modeling as run_pf_npf: no prefetch plan means no marked
-    // sleep points, so power management is off entirely.
-    ClusterConfig npf = config;
-    npf.enable_prefetch = false;
-    npf.power_policy = PowerPolicy::kNone;
-    Cluster cluster(npf);
-    out.npf = cluster.run_stream(workload);
   }
   return out;
 }

@@ -176,8 +176,5 @@ struct PfNpfComparison {
 };
 PfNpfComparison run_pf_npf(const ClusterConfig& config,
                            const workload::Workload& workload);
-/// Streaming twin of run_pf_npf (datacenter-scale cells).
-PfNpfComparison run_pf_npf_stream(const ClusterConfig& config,
-                                  const workload::StreamingWorkload& workload);
 
 }  // namespace eevfs::core

@@ -136,28 +136,6 @@ void ClusterConfig::validate() const {
           "ClusterConfig: ec_hedge_ms must be >= 0 and ec_decode_mbps > 0");
     }
   }
-  if (ram_cache_bytes > 0) {
-    if (ram_pin_fraction < 0.0 || ram_pin_fraction > 1.0) {
-      throw std::invalid_argument(
-          "ClusterConfig: ram_pin_fraction must be in [0, 1]");
-    }
-    if (ram_read_mbps <= 0.0) {
-      throw std::invalid_argument(
-          "ClusterConfig: ram_read_mbps must be positive");
-    }
-    if (ram_flush_interval_sec <= 0.0) {
-      throw std::invalid_argument(
-          "ClusterConfig: ram_flush_interval_sec must be positive");
-    }
-  }
-  if (journal_header_kb <= 0.0) {
-    throw std::invalid_argument(
-        "ClusterConfig: journal_header_kb must be positive");
-  }
-  if (journal_checkpoint_every == 0) {
-    throw std::invalid_argument(
-        "ClusterConfig: journal_checkpoint_every must be >= 1");
-  }
 }
 
 }  // namespace eevfs::core

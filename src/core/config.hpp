@@ -81,9 +81,6 @@ struct ClusterConfig {
   /// NIC, PSU loss).  Calibrated so that the modelled cluster lands in
   /// the paper's 4-8e5 J band with a ~17 % ceiling on disk savings.
   Watts node_base_watts = 50.0;
-  /// Meter the storage server and clients too?  The paper measured only
-  /// the storage nodes, so this defaults to off.
-  bool meter_server_and_clients = false;
 
   // --- EEVFS policies ------------------------------------------------
   bool enable_prefetch = true;           // PF vs NPF
@@ -93,9 +90,6 @@ struct ClusterConfig {
   /// kPredictive sleeps only when the predicted idle gap exceeds
   /// `sleep_margin` x break-even time (profit gate).
   double sleep_margin = 1.0;
-  /// kPredictive: also schedule proactive wake-ups at the predicted next
-  /// arrival (off by default — see PowerManager::Params::wake_marking).
-  bool wake_marking = false;
   CachePolicy cache_policy = CachePolicy::kPrefetch;
   PlacementPolicy placement = PlacementPolicy::kPopularityRoundRobin;
   DiskPlacement disk_placement = DiskPlacement::kRoundRobin;
@@ -104,9 +98,6 @@ struct ClusterConfig {
   bool prebud_gate = true;
   /// Buffer-disk free space doubles as a write buffer (§III-C).
   bool write_buffering = true;
-  /// Cap on buffered file bytes per node (both prefetch area and write
-  /// buffer); 0 = limited only by the buffer disk capacity.
-  Bytes buffer_capacity_bytes = 0;
   /// Online mode (extension): the server gets NO workload foreknowledge.
   /// Placement is popularity-blind, nothing is prefetched up front, and
   /// every `refresh_interval_sec` the server re-ranks its append-only
@@ -177,17 +168,6 @@ struct ClusterConfig {
   Bytes ram_cache_bytes = 0;
   /// Admission/eviction policy for the RAM tier.
   RamCachePolicy ram_cache_policy = RamCachePolicy::kLru;
-  /// Share of the RAM capacity tier-aware prefetch may pin with the hot
-  /// set; the rest serves admission-cached reads and write-back staging.
-  double ram_pin_fraction = 0.5;
-  /// Modeled RAM copy bandwidth (decimal MB/s) — the service time of a
-  /// RAM hit and of staging a write in memory.
-  double ram_read_mbps = 2000.0;
-  /// Cadence for flushing staged write-backs toward the buffer disk;
-  /// pressure flushes fire regardless once staged bytes exceed half the
-  /// RAM capacity.  Unflushed staged writes are LOST on a crash-stop —
-  /// the journal only covers bytes that reached the buffer-disk log.
-  double ram_flush_interval_sec = 1.0;
 
   // --- durability / crash recovery (robustness extension) --------------
   /// Write-ahead journal for the buffer-disk write buffer: a commit
@@ -196,17 +176,9 @@ struct ClusterConfig {
   /// queue on restart.  kOff reproduces the lossy pre-journal behaviour
   /// (acked buffered writes die with the node's RAM index); kCommit
   /// truncates the log only when it drains; kCheckpoint adds a durable
-  /// checkpoint record every `journal_checkpoint_every` destages, paying
+  /// checkpoint record every few destages (disk::JournalParams), paying
   /// steady-state I/O for a shorter replay.
   disk::JournalMode journal_mode = disk::JournalMode::kCommit;
-  /// Size of one journal commit-header append, in KB.
-  double journal_header_kb = 4.0;
-  /// Destages between durable checkpoints (kCheckpoint only).
-  std::size_t journal_checkpoint_every = 8;
-  /// Recovery pipeline: after journal replay + replica resync, re-copy
-  /// the node's prefetch slice back onto the buffer disk (the crash wiped
-  /// the RAM index, so every buffered file was lost to the cache).
-  bool recovery_rewarm = true;
 
   /// Structured event tracing (src/obs).  Disabled by default; enabling
   /// it never changes RunMetrics — tests/test_obs.cpp enforces that.

@@ -185,24 +185,10 @@ void PowerManager::arm_timer_sleep(std::size_t disk) {
         }
         if (params_.policy == PowerPolicy::kPredictive) {
           const auto remaining = predicted_remaining(disk);
+          // Without a prediction, fall back to classic DPM and sleep.
           if (remaining && *remaining < model_.min_profitable_gap()) {
             return;  // predicted window too short to profit — stay up
           }
-          // No prediction available: fall back to classic DPM and sleep.
-          if (try_sleep(disk) && params_.wake_marking && remaining &&
-              *remaining != kNever) {
-            // §III-C: the node also *marks the wake point* — schedule a
-            // proactive spin-up just before the predicted next arrival.
-            // The prediction is an estimate, so early arrivals still
-            // stall (for part of a spin-up) and late ones waste some
-            // idle time; this is the source of the paper's partial (not
-            // 2 s x every miss) response penalties.
-            const Tick wake_at =
-                std::max(sim_.now() + d.profile().spin_down_time,
-                         sim_.now() + *remaining - d.profile().spin_up_time);
-            mark_wake(disk, wake_at);
-          }
-          return;
         }
         try_sleep(disk);
       });

@@ -40,11 +40,6 @@ class PowerManager {
     Tick idle_threshold = seconds_to_ticks(5.0);
     double sleep_margin = 1.0;
     double ewma_alpha = 0.3;
-    /// kPredictive only: also mark a proactive wake at the predicted next
-    /// arrival (§III-C "marks points in time").  Off by default: with
-    /// noisy gap estimates the phantom wake-ups cost more energy than the
-    /// avoided stalls save — bench/ablation_hints quantifies this.
-    bool wake_marking = false;
   };
 
   /// `disks` are the node's data disks; the manager installs itself as
@@ -70,9 +65,9 @@ class PowerManager {
   bool started() const { return started_; }
 
   /// Disables the policies and cancels all pending sleep/wake timers.
-  /// Call when the measured run ends — otherwise the predictive policy's
-  /// sleep/wake marking would cycle disks forever and the simulation
-  /// would never drain.
+  /// Call when the measured run ends — otherwise the policies' sleep
+  /// timers and hint wake marks would cycle disks forever and the
+  /// simulation would never drain.
   void stop();
 
   /// Notes a request arriving at `disk` (EWMA update, cancels any armed
@@ -95,7 +90,7 @@ class PowerManager {
 
   const EnergyPredictionModel& model() const { return model_; }
   std::uint64_t sleeps_initiated() const { return sleeps_initiated_; }
-  /// Proactive wake timers armed (predictive wake-marking or hints).
+  /// Proactive wake timers armed (hints/oracle policies).
   std::uint64_t wake_marks() const { return wake_marks_; }
 
  private:

@@ -5,12 +5,8 @@
 namespace eevfs::core {
 
 RecoveryManager::RecoveryManager(sim::Simulator& sim, StorageServer& server,
-                                 std::vector<StorageNode*> nodes,
-                                 bool rewarm_enabled)
-    : sim_(sim),
-      server_(server),
-      nodes_(std::move(nodes)),
-      rewarm_enabled_(rewarm_enabled) {
+                                 std::vector<StorageNode*> nodes)
+    : sim_(sim), server_(server), nodes_(std::move(nodes)) {
   crash_time_.assign(nodes_.size(), 0);
   generation_.assign(nodes_.size(), 0);
   recovering_.assign(nodes_.size(), 0);
@@ -235,10 +231,6 @@ void RecoveryManager::ec_repair_read(NodeId n, std::uint64_t gen,
 
 void RecoveryManager::begin_rewarm(NodeId n, std::uint64_t gen,
                                    Tick rewarm_start) {
-  if (!rewarm_enabled_) {
-    finish_episode(n, gen, 0, rewarm_start);
-    return;
-  }
   nodes_[n]->rewarm_prefetch(
       rewarm_candidates_[n],
       [this, n, gen, rewarm_start](std::size_t rewarmed) {

@@ -55,7 +55,7 @@ class RecoveryManager {
   };
 
   RecoveryManager(sim::Simulator& sim, StorageServer& server,
-                  std::vector<StorageNode*> nodes, bool rewarm_enabled);
+                  std::vector<StorageNode*> nodes);
 
   /// The per-node prefetch slices (rank order) phase 3 restores; empty
   /// when prefetching is off.
@@ -99,7 +99,6 @@ class RecoveryManager {
   sim::Simulator& sim_;
   StorageServer& server_;
   std::vector<StorageNode*> nodes_;
-  bool rewarm_enabled_ = true;
   std::vector<std::vector<trace::FileId>> rewarm_candidates_;
   // Per-node episode state, struct-of-arrays (indexed by NodeId).  Every
   // pipeline continuation re-checks its node's generation stamp; keeping

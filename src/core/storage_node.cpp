@@ -8,6 +8,19 @@
 #include "util/string_util.hpp"
 
 namespace eevfs::core {
+namespace {
+
+/// Modeled RAM copy bandwidth: the service time of a RAM hit and of
+/// staging a write in memory.
+constexpr double kRamBytesPerSec = 2000.0 * static_cast<double>(kMB);
+/// Share of the RAM capacity tier-aware prefetch pins with the hot set;
+/// the rest serves admission-cached reads and write-back staging.
+constexpr double kRamPinFraction = 0.5;
+/// Cadence for flushing staged write-backs toward the buffer disk;
+/// pressure flushes fire regardless once staged bytes pass half the RAM.
+constexpr Tick kRamFlushInterval = seconds_to_ticks(1.0);
+
+}  // namespace
 
 StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
                          net::EndpointId self, NodeParams params)
@@ -26,14 +39,10 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
         format("node%zu/buffer%zu", params_.id, i)));
   }
 
-  Bytes capacity = params_.buffer_capacity;
-  if (capacity == 0 && !buffer_disks_.empty()) {
-    capacity = params_.disk_profile.capacity *
-               static_cast<Bytes>(buffer_disks_.size());
-  }
   if (!buffer_disks_.empty()) {
-    buffer_capacity_ = capacity;
-    buffer_ = std::make_unique<BufferManager>(capacity);
+    buffer_ = std::make_unique<BufferManager>(
+        params_.disk_profile.capacity *
+        static_cast<Bytes>(buffer_disks_.size()));
     std::vector<disk::DiskModel*> media;
     media.reserve(buffer_disks_.size());
     for (auto& b : buffer_disks_) media.push_back(b.get());
@@ -190,7 +199,7 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
   const Bytes ram_budget =
       ram_prefetch ? static_cast<Bytes>(
                          static_cast<double>(ram_->capacity()) *
-                         params_.ram_pin_fraction)
+                         kRamPinFraction)
                    : 0;
   const Prefetcher prefetcher(
       EnergyPredictionModel(params_.disk_profile, params_.power.idle_threshold,
@@ -217,27 +226,47 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
     }
   }
 
-  const std::size_t total_copies =
-      plan_.accepted.size() + plan_.ram_pinned.size();
-  if (total_copies == 0) {
-    (void)sim_.schedule_after(0, std::move(done));
+  std::vector<trace::FileId> hot;
+  std::vector<trace::FileId> warm;
+  for (const PrefetchCandidate& c : plan_.ram_pinned) hot.push_back(c.file);
+  for (const PrefetchCandidate& c : plan_.accepted) warm.push_back(c.file);
+  warm_tiers(hot, warm, [this, done = std::move(done)](std::size_t) {
+    EEVFS_DEBUG() << "node " << params_.id << ": prefetch done at t="
+                  << ticks_to_seconds(sim_.now());
+    done();
+  });
+}
+
+void StorageNode::warm_tiers(const std::vector<trace::FileId>& hot,
+                             const std::vector<trace::FileId>& warm,
+                             std::function<void(std::size_t)> done) {
+  if (hot.empty() && warm.empty()) {
+    (void)sim_.schedule_after(0, [done = std::move(done)] { done(0); });
     return;
   }
-  // One barrier over both tiers: done fires when the warm set is on the
-  // buffer disk AND the hot set is pinned in RAM.
-  auto outstanding = std::make_shared<std::size_t>(total_copies);
-  auto arrive = [this, outstanding, done] {
-    if (--*outstanding == 0) {
-      EEVFS_DEBUG() << "node " << params_.id << ": prefetch done at t="
-                    << ticks_to_seconds(sim_.now());
-      done();
-    }
+  // Every pin and copy reports, even across a crash (the barrier is
+  // control flow); only what landed under the current epoch counts.
+  const std::uint64_t ep = epoch_;
+  auto outstanding = std::make_shared<std::size_t>(hot.size() + warm.size());
+  auto landed = std::make_shared<std::size_t>(0);
+  auto shared_done =
+      std::make_shared<std::function<void(std::size_t)>>(std::move(done));
+  auto arrive = [outstanding, landed, shared_done](bool ok) {
+    if (ok) ++*landed;
+    if (--*outstanding == 0) (*shared_done)(*landed);
   };
-  for (const PrefetchCandidate& c : plan_.ram_pinned) {
-    pin_into_ram(c.file, arrive);
+  for (const trace::FileId f : hot) {
+    pin_into_ram(f, [this, f, ep, arrive] {
+      arrive(ep == epoch_ && ram_->contains(f));
+    });
   }
-  for (const PrefetchCandidate& c : plan_.accepted) {
-    copy_into_buffer(c.file, arrive);
+  for (const trace::FileId f : warm) {
+    copies_in_flight_.insert(f);
+    copy_into_buffer(f, [this, f, ep, arrive] {
+      const bool current = ep == epoch_;
+      if (current) copies_in_flight_.erase(f);
+      arrive(current && meta_.at(f).buffered);
+    });
   }
 }
 
@@ -339,43 +368,56 @@ void StorageNode::copy_into_buffer(trace::FileId f,
   const std::uint64_t ep = epoch_;
   stripe_io(lf, bytes, /*is_write=*/false, /*notify_power_manager=*/false,
             [this, f, bytes, ep, done = std::move(done)](
-                Tick, disk::IoStatus read_st) {
+                Tick, disk::IoStatus read_st) mutable {
               if (ep != epoch_) {
                 done();
                 return;
               }
-              const auto bd =
-                  healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
-              if (read_st != disk::IoStatus::kOk || !bd) {
+              if (read_st != disk::IoStatus::kOk) {
                 // A faulted copy just leaves the file unbuffered.
                 buffer_->erase(f);
                 done();
                 return;
               }
-              disk::DiskRequest write;
-              write.bytes = bytes;
-              write.sequential = true;  // buffer disks are log-structured
-              write.is_write = true;
-              write.on_complete = [this, f, bytes, ep, bd = *bd,
-                                   done](Tick, disk::IoStatus write_st) {
-                if (ep != epoch_) {
-                  done();
-                  return;
-                }
-                if (write_st != disk::IoStatus::kOk) {
-                  buffer_->erase(f);
-                  done();
-                  return;
-                }
-                LocalFileMeta& meta = meta_.at(f);
-                meta.buffered = true;
-                meta.buffer_disk = bd;
-                bytes_prefetched_ += bytes;
-                done();
-              };
-              ++buffered_count_;
-              buffer_disks_[*bd]->submit(std::move(write));
+              write_buffer_copy(
+                  f, [this, bytes, done = std::move(done)](bool landed) {
+                    if (landed) bytes_prefetched_ += bytes;
+                    done();
+                  });
             });
+}
+
+template <typename Done>
+void StorageNode::write_buffer_copy(trace::FileId f, Done done) {
+  const auto bd = healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
+  if (!bd) {
+    buffer_->erase(f);  // no live buffer disk to hold the copy
+    done(false);
+    return;
+  }
+  const std::uint64_t ep = epoch_;
+  disk::DiskRequest write;
+  write.bytes = meta_.at(f).size;
+  write.sequential = true;  // buffer disks are log-structured
+  write.is_write = true;
+  write.on_complete = [this, f, ep, bd = *bd, done = std::move(done)](
+                          Tick, disk::IoStatus st) {
+    if (ep != epoch_) {
+      done(false);
+      return;
+    }
+    if (st != disk::IoStatus::kOk) {
+      buffer_->erase(f);
+      done(false);
+      return;
+    }
+    LocalFileMeta& meta = meta_.at(f);
+    meta.buffered = true;
+    meta.buffer_disk = bd;
+    done(true);
+  };
+  ++buffered_count_;
+  buffer_disks_[*bd]->submit(std::move(write));
 }
 
 void StorageNode::pin_into_ram(trace::FileId f, std::function<void()> done) {
@@ -480,12 +522,7 @@ bool StorageNode::stripe_set_alive(const LocalFileMeta& file) const {
 void StorageNode::on_data_disk_failed(std::size_t d) {
   auto dropped = std::move(pending_writes_[d]);
   pending_writes_[d].clear();
-  for (const PendingWrite& w : dropped) {
-    if (buffer_) buffer_->release_write(w.bytes);
-    ++writes_stranded_;
-    retire_destage(w);
-    backlog_sub(w.bytes);
-  }
+  for (const PendingWrite& w : dropped) retire_destage(w, /*landed=*/false);
   if (!dropped.empty()) {
     EEVFS_DEBUG() << "node " << params_.id << ": disk " << d << " failed, "
                   << dropped.size() << " destages stranded";
@@ -524,10 +561,7 @@ void StorageNode::crash() {
   auto open = std::move(open_serves_);
   open_serves_.clear();
   for (auto& [id, cb] : open) {
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, cb = std::move(cb)] {
-      cb(sim_.now(), RequestStatus::kNodeUnavailable);
-    });
+    refuse(std::move(cb), RequestStatus::kNodeUnavailable);
   }
   // Acked writes still parked on the buffer disk: without a journal the
   // RAM index was the only map of the parking lot — they are lost.
@@ -546,7 +580,7 @@ void StorageNode::crash() {
   // buffered flag.  The platter bytes survive but are unreachable
   // without the index — re-warm re-copies what matters.
   if (buffer_) {
-    buffer_ = std::make_unique<BufferManager>(buffer_capacity_);
+    buffer_ = std::make_unique<BufferManager>(buffer_->capacity());
     for (auto& [f, m] : meta_) m.buffered = false;
   }
   // The RAM tier dies wholesale.  Clean cached bytes are re-fetchable,
@@ -600,26 +634,20 @@ void StorageNode::replay_journal(std::function<void(std::size_t)> done) {
     std::size_t replayed = 0;
     for (const disk::JournalRecord& rec : records) {
       if (live_lsns_.contains(rec.lsn)) continue;  // idempotent re-replay
-      const trace::FileId f = rec.file;
-      if (meta_.find(f) == nullptr) continue;
+      if (meta_.find(rec.file) == nullptr) continue;
       if (!buffer_->reserve_write(rec.bytes)) {
         // No room to re-stage (cannot happen on a fresh index); leave
         // the record durable rather than dropping it silently.
         continue;
       }
-      live_lsns_.insert(rec.lsn);
-      pending_writes_[rec.data_disk].push_back(
-          PendingWrite{f, rec.bytes, rec.buffer_disk, rec.lsn});
-      backlog_add(rec.bytes);
-      ++undestaged_acked_;
+      book_destage(PendingWrite{rec.file, rec.bytes, rec.buffer_disk, rec.lsn},
+                   rec.data_disk);
       ++replayed;
     }
     journal_replayed_ += replayed;
     // Spinning disks can start destaging right away; sleeping ones pick
     // the queue up on their next wake (or the end-of-run drain).
-    for (std::size_t d = 0; d < data_disks_.size(); ++d) {
-      if (disk::is_spun_up(data_disks_[d]->state())) maybe_flush(d);
-    }
+    for (std::size_t d = 0; d < data_disks_.size(); ++d) start_destage(d);
     done(replayed);
   });
 }
@@ -646,57 +674,28 @@ void StorageNode::rewarm_prefetch(
     const std::vector<trace::FileId>& candidates,
     std::function<void(std::size_t)> done) {
   if (!done) done = [](std::size_t) {};
-  if (!alive_ || !buffer_ ||
-      params_.cache_policy != CachePolicy::kPrefetch) {
-    (void)sim_.schedule_after(0, [done = std::move(done)] { done(0); });
-    return;
-  }
-  std::vector<trace::FileId> todo;
-  for (const trace::FileId f : candidates) {
-    const LocalFileMeta* m = meta_.find(f);
-    if (m != nullptr && !m->buffered && !copies_in_flight_.contains(f) &&
-        stripe_set_alive(*m)) {
-      todo.push_back(f);
+  std::vector<trace::FileId> hot;
+  std::vector<trace::FileId> warm;
+  if (alive_ && buffer_ && params_.cache_policy == CachePolicy::kPrefetch) {
+    for (const trace::FileId f : candidates) {
+      const LocalFileMeta* m = meta_.find(f);
+      if (m != nullptr && !m->buffered && !copies_in_flight_.contains(f) &&
+          stripe_set_alive(*m)) {
+        warm.push_back(f);
+      }
     }
-  }
-  // The crash wiped the RAM tier too: re-pin the planned hot set so
-  // post-recovery serving returns to three-tier behaviour.
-  std::vector<trace::FileId> ram_todo;
-  if (ram_) {
-    for (const PrefetchCandidate& c : plan_.ram_pinned) {
-      const LocalFileMeta* m = meta_.find(c.file);
-      if (m != nullptr && !ram_->contains(c.file) && stripe_set_alive(*m)) {
-        ram_todo.push_back(c.file);
+    // The crash wiped the RAM tier too: re-pin the planned hot set so
+    // post-recovery serving returns to three-tier behaviour.
+    if (ram_) {
+      for (const PrefetchCandidate& c : plan_.ram_pinned) {
+        const LocalFileMeta* m = meta_.find(c.file);
+        if (m != nullptr && !ram_->contains(c.file) && stripe_set_alive(*m)) {
+          hot.push_back(c.file);
+        }
       }
     }
   }
-  if (todo.empty() && ram_todo.empty()) {
-    (void)sim_.schedule_after(0, [done = std::move(done)] { done(0); });
-    return;
-  }
-  const std::uint64_t ep = epoch_;
-  auto outstanding =
-      std::make_shared<std::size_t>(todo.size() + ram_todo.size());
-  auto copied = std::make_shared<std::size_t>(0);
-  auto shared_done =
-      std::make_shared<std::function<void(std::size_t)>>(std::move(done));
-  for (const trace::FileId f : ram_todo) {
-    pin_into_ram(f, [this, f, ep, outstanding, copied, shared_done] {
-      if (ep == epoch_ && ram_ && ram_->contains(f)) ++*copied;
-      if (--*outstanding == 0) (*shared_done)(*copied);
-    });
-  }
-  for (const trace::FileId f : todo) {
-    copies_in_flight_.insert(f);
-    copy_into_buffer(f, [this, f, ep, outstanding, copied, shared_done] {
-      if (ep == epoch_) {
-        copies_in_flight_.erase(f);
-        const LocalFileMeta* m = meta_.find(f);
-        if (m != nullptr && m->buffered) ++*copied;
-      }
-      if (--*outstanding == 0) (*shared_done)(*copied);
-    });
-  }
+  warm_tiers(hot, warm, std::move(done));
 }
 
 void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
@@ -707,10 +706,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
                           std::move(on_result));
   if (!alive_) {
     // Connection refused: fail fast on the next tick, no disk touched.
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, cb = std::move(on_result)] {
-      cb(sim_.now(), RequestStatus::kNodeUnavailable);
-    });
+    refuse(std::move(on_result), RequestStatus::kNodeUnavailable);
     return;
   }
   LocalFileMeta* found = meta_.find(f);
@@ -750,7 +746,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
     if (ram_->lookup(f)) {
       ++ram_hits_;
       if (hist_ram_hit_bytes_) hist_ram_hit_bytes_->record(bytes);
-      const Tick service = transfer_ticks(bytes, params_.ram_bytes_per_sec);
+      const Tick service = transfer_ticks(bytes, kRamBytesPerSec);
       (void)sim_.schedule_after(
           service, [this, ep, client, bytes, shared_result] {
             if (ep != epoch_) return;
@@ -814,10 +810,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   if (!stripe_set_alive(meta)) {
     // No live copy anywhere on this node: fail upward so the server can
     // re-route to a replica node.
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, shared_result] {
-      (*shared_result)(sim_.now(), RequestStatus::kDiskUnavailable);
-    });
+    refuse(*shared_result, RequestStatus::kDiskUnavailable);
     return;
   }
 
@@ -846,27 +839,8 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
         if (vmeta != nullptr) vmeta->buffered = false;
         ++evictions_;
       }
-      const auto bd =
-          healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
-      if (res.inserted && !meta_.at(f).buffered && bd) {
-        ++buffered_count_;
-        disk::DiskRequest copy;
-        copy.bytes = meta_.at(f).size;
-        copy.sequential = true;
-        copy.is_write = true;
-        copy.on_complete = [this, f, ep, bd = *bd](Tick, disk::IoStatus cst) {
-          if (ep != epoch_) return;
-          if (cst != disk::IoStatus::kOk) {
-            buffer_->erase(f);
-            return;
-          }
-          LocalFileMeta& m = meta_.at(f);
-          m.buffered = true;
-          m.buffer_disk = bd;
-        };
-        buffer_disks_[*bd]->submit(std::move(copy));
-      } else if (res.inserted && !meta_.at(f).buffered) {
-        buffer_->erase(f);  // no live buffer disk to hold the copy
+      if (res.inserted && !meta_.at(f).buffered) {
+        write_buffer_copy(f, [](bool) {});
       }
     }
   });
@@ -878,13 +852,10 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
   if (!on_result) on_result = [](Tick, RequestStatus) {};
   on_result = trace_serve(ev_write_, f, bytes, std::move(on_result));
   if (!alive_) {
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, cb = std::move(on_result)] {
-      cb(sim_.now(), RequestStatus::kNodeUnavailable);
-    });
+    refuse(std::move(on_result), RequestStatus::kNodeUnavailable);
     return;
   }
-  LocalFileMeta* wmeta = meta_.find(f);
+  const LocalFileMeta* wmeta = meta_.find(f);
   if (wmeta == nullptr) {
     throw std::logic_error("StorageNode: write for unknown file " +
                            std::to_string(f));
@@ -894,16 +865,19 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
   const std::uint64_t ep = epoch_;
   auto shared_result =
       std::make_shared<ServeCallback>(std::move(on_result));
-  auto ack = [this, ep, client, shared_result](Tick) {
+  // Acks the client once the write landed (RAM staging, buffer log or
+  // stripe set), or fails it typed.
+  auto done = [this, ep, client, shared_result](Tick t, bool ok) {
     if (ep != epoch_) return;
-    net_.send(self_, client, net::kControlMessageBytes, [shared_result](Tick t) {
-      (*shared_result)(t, RequestStatus::kOk);
-    });
-  };
-  auto fail = [this, ep, shared_result](Tick t) {
-    if (ep != epoch_) return;
-    ++failed_serves_;
-    (*shared_result)(t, RequestStatus::kDiskUnavailable);
+    if (!ok) {
+      ++failed_serves_;
+      (*shared_result)(t, RequestStatus::kDiskUnavailable);
+      return;
+    }
+    net_.send(self_, client, net::kControlMessageBytes,
+              [shared_result](Tick t2) {
+                (*shared_result)(t2, RequestStatus::kOk);
+              });
   };
 
   // RAM write-back tier: absorb the burst in memory and ack at RAM
@@ -916,74 +890,19 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
     ++ram_writes_absorbed_;
     ram_staged_.push_back(RamStagedWrite{f, bytes, d});
     schedule_ram_flush();
-    const Tick service = transfer_ticks(bytes, params_.ram_bytes_per_sec);
-    (void)sim_.schedule_after(service,
-                              [this, ack] { ack(sim_.now()); });
+    (void)sim_.schedule_after(transfer_ticks(bytes, kRamBytesPerSec),
+                              [this, done] { done(sim_.now(), true); });
     if (ram_->pending_write_bytes() * 2 > ram_->capacity()) {
       flush_ram_writes();  // pressure flush: staged bytes passed half RAM
     }
     return;
   }
-
-  const auto bd =
-      buffer_ ? healthy_buffer_disk(d % buffer_disks_.size()) : std::nullopt;
-  if (params_.write_buffering && bd && buffer_->reserve_write(bytes)) {
-    submit_with_retry(
-        buffer_disks_[*bd].get(), bytes, /*sequential=*/true,
-        /*is_write=*/true, sim_.now(), 0,
-        [this, f, bytes, d, ep, bd = *bd, ack, fail](Tick t,
-                                                     disk::IoStatus st) {
-          if (ep != epoch_) return;
-          if (st == disk::IoStatus::kOk) {
-            if (journal_ && journal_->enabled()) {
-              // Append-before-ack: the client hears nothing until the
-              // commit header is durable on the buffer-disk log.
-              journal_->append(
-                  f, bytes, bd, d,
-                  [this, f, bytes, d, ep, bd, ack, fail](
-                      Tick t2, disk::IoStatus jst, std::uint64_t lsn) {
-                    if (ep != epoch_) return;
-                    if (jst == disk::IoStatus::kOk) {
-                      finish_buffered_write(f, bytes, d, bd, lsn, t2, ack);
-                      return;
-                    }
-                    // Commit header failed: the payload is on the log but
-                    // not provably recoverable — don't ack a write the
-                    // journal can't replay; go direct instead.
-                    buffer_->release_write(bytes);
-                    direct_write_fallback(f, bytes, ack, fail);
-                  });
-              return;
-            }
-            // journal=off ablation: legacy lossy behaviour, ack as soon
-            // as the payload lands.
-            finish_buffered_write(f, bytes, d, bd, /*lsn=*/0, t, ack);
-            return;
-          }
-          // The buffer-log append failed: release the reservation and
-          // fall back to a direct stripe write.
-          buffer_->release_write(bytes);
-          direct_write_fallback(f, bytes, ack, fail);
-        },
-        kNotPowerManaged);
-    return;
-  }
-
+  if (stage_write(f, bytes, d, done)) return;
   if (!stripe_set_alive(*wmeta)) {
-    ++failed_serves_;
-    (void)sim_.schedule_after(1, [this, shared_result] {
-      (*shared_result)(sim_.now(), RequestStatus::kDiskUnavailable);
-    });
+    refuse(*shared_result, RequestStatus::kDiskUnavailable);
     return;
   }
-
-  ++writes_direct_;
-  stripe_io(*wmeta, bytes, /*is_write=*/true,
-            /*notify_power_manager=*/true,
-            [ack, fail](Tick t, disk::IoStatus st) {
-              if (st == disk::IoStatus::kOk) ack(t);
-              else fail(t);
-            });
+  write_through(f, bytes, std::move(done));
 }
 
 StorageNode::ServeCallback StorageNode::guard_serve(ServeCallback cb) {
@@ -998,145 +917,128 @@ StorageNode::ServeCallback StorageNode::guard_serve(ServeCallback cb) {
   };
 }
 
-void StorageNode::finish_buffered_write(trace::FileId f, Bytes bytes,
-                                        std::size_t d, std::size_t bd,
-                                        std::uint64_t lsn, Tick t,
-                                        const std::function<void(Tick)>& ack) {
-  ++writes_buffered_;
-  ++undestaged_acked_;
-  backlog_add(bytes);
-  if (lsn != 0) live_lsns_.insert(lsn);
-  pending_writes_[d].push_back(PendingWrite{f, bytes, bd, lsn});
-  ack(t);
-  // If the target data disk happens to be spinning and unloaded, the
-  // destage can start right away.
-  if (disk::is_spun_up(data_disks_[d]->state())) maybe_flush(d);
+void StorageNode::refuse(ServeCallback cb, RequestStatus status) {
+  ++failed_serves_;
+  (void)sim_.schedule_after(1, [this, cb = std::move(cb), status] {
+    cb(sim_.now(), status);
+  });
 }
 
-void StorageNode::direct_write_fallback(trace::FileId f, Bytes bytes,
-                                        const std::function<void(Tick)>& ack,
-                                        const std::function<void(Tick)>& fail) {
-  LocalFileMeta& m = meta_.at(f);
+template <typename Done>
+bool StorageNode::stage_write(trace::FileId f, Bytes bytes, std::size_t d,
+                              const Done& done) {
+  const auto bd =
+      buffer_ ? healthy_buffer_disk(d % buffer_disks_.size()) : std::nullopt;
+  if (!params_.write_buffering || !bd || !buffer_->reserve_write(bytes)) {
+    return false;
+  }
+  const std::uint64_t ep = epoch_;
+  // Runs once the payload (journal off) or the commit header (journal on)
+  // settled.  A failed log I/O leaves the write not provably recoverable
+  // from the log, so it is never acked from there: the reservation is
+  // released and the write goes through to the stripe set.
+  auto logged = [this, f, bytes, d, ep, bd = *bd, done](
+                    Tick t, disk::IoStatus st, std::uint64_t lsn) mutable {
+    if (ep != epoch_) return;
+    if (st != disk::IoStatus::kOk) {
+      buffer_->release_write(bytes);
+      write_through(f, bytes, std::move(done));
+      return;
+    }
+    ++writes_buffered_;
+    book_destage(PendingWrite{f, bytes, bd, lsn}, d);
+    // Booked before `done` runs, so an end-of-run waiter cannot fire
+    // between the two.
+    done(t, true);
+    start_destage(d);
+  };
+  submit_with_retry(
+      buffer_disks_[*bd].get(), bytes, /*sequential=*/true,
+      /*is_write=*/true, sim_.now(), 0,
+      [this, f, bytes, d, ep, bd = *bd, logged = std::move(logged)](
+          Tick t, disk::IoStatus st) mutable {
+        if (ep != epoch_) return;
+        if (st == disk::IoStatus::kOk && journal_ && journal_->enabled()) {
+          // Append-before-ack: nothing is acked until the commit header
+          // is durable on the buffer-disk log.
+          journal_->append(f, bytes, bd, d, std::move(logged));
+          return;
+        }
+        // journal=off ablation: legacy lossy behaviour, booked as soon as
+        // the payload lands.
+        logged(t, st, /*lsn=*/0);
+      },
+      kNotPowerManaged);
+  return true;
+}
+
+template <typename Done>
+void StorageNode::write_through(trace::FileId f, Bytes bytes, Done done) {
+  const LocalFileMeta& m = meta_.at(f);
   if (!stripe_set_alive(m)) {
-    fail(sim_.now());
+    done(sim_.now(), false);
     return;
   }
   ++writes_direct_;
   stripe_io(m, bytes, /*is_write=*/true, /*notify_power_manager=*/true,
-            [ack, fail](Tick t2, disk::IoStatus st2) {
-              if (st2 == disk::IoStatus::kOk) ack(t2);
-              else fail(t2);
+            [done = std::move(done)](Tick t, disk::IoStatus st) {
+              done(t, st == disk::IoStatus::kOk);
             });
 }
 
+void StorageNode::book_destage(const PendingWrite& w, std::size_t d) {
+  ++undestaged_acked_;
+  backlog_add(w.bytes);
+  if (w.lsn != 0) live_lsns_.insert(w.lsn);
+  pending_writes_[d].push_back(w);
+}
+
+void StorageNode::start_destage(std::size_t d) {
+  if (!flush_waiters_.empty()) {
+    force_destage(d);
+  } else if (disk::is_spun_up(data_disks_[d]->state())) {
+    maybe_flush(d);
+  }
+}
+
+void StorageNode::force_destage(std::size_t d) {
+  auto batch = std::move(pending_writes_[d]);
+  pending_writes_[d].clear();
+  for (const PendingWrite& w : batch) flush_one(w, [] {});
+}
+
 void StorageNode::schedule_ram_flush() {
-  if (ram_flush_scheduled_ || params_.ram_flush_interval <= 0) return;
+  if (ram_flush_scheduled_) return;
   ram_flush_scheduled_ = true;
-  ram_flush_timer_ =
-      sim_.schedule_after(params_.ram_flush_interval, [this] {
-        ram_flush_scheduled_ = false;
-        flush_ram_writes();
-        // Writes staged while this flush dispatched re-arm the timer.
-        if (!ram_staged_.empty()) schedule_ram_flush();
-      });
+  ram_flush_timer_ = sim_.schedule_after(kRamFlushInterval, [this] {
+    ram_flush_scheduled_ = false;
+    flush_ram_writes();
+    // Writes staged while this flush dispatched re-arm the timer.
+    if (!ram_staged_.empty()) schedule_ram_flush();
+  });
 }
 
 void StorageNode::flush_ram_writes() {
   if (!alive_ || ram_staged_.empty()) return;
   auto staged = std::move(ram_staged_);
   ram_staged_.clear();
-  for (const RamStagedWrite& w : staged) flush_one_ram_write(w);
-}
-
-void StorageNode::flush_one_ram_write(const RamStagedWrite& w) {
-  ++ram_flushes_in_flight_;
-  const std::uint64_t ep = epoch_;
-  // Terminal bookkeeping: the staged bytes left RAM — landed downstream
-  // (buffer log or stripe) or were written off as stranded.
-  auto settle = [this, w, ep](bool landed) {
-    if (ep != epoch_) return;  // the crash already wrote the loss off
-    ram_->release_write(w.bytes);
-    if (landed) ++ram_writebacks_;
-    else ++writes_stranded_;
-    --ram_flushes_in_flight_;
-    notify_flush_waiters();
-  };
-  const auto bd = buffer_
-                      ? healthy_buffer_disk(w.data_disk % buffer_disks_.size())
-                      : std::nullopt;
-  if (params_.write_buffering && bd && buffer_->reserve_write(w.bytes)) {
-    submit_with_retry(
-        buffer_disks_[*bd].get(), w.bytes, /*sequential=*/true,
-        /*is_write=*/true, sim_.now(), 0,
-        [this, w, ep, bd = *bd, settle](Tick, disk::IoStatus st) {
-          if (ep != epoch_) return;
-          if (st == disk::IoStatus::kOk) {
-            if (journal_ && journal_->enabled()) {
-              journal_->append(
-                  w.file, w.bytes, bd, w.data_disk,
-                  [this, w, ep, bd, settle](Tick, disk::IoStatus jst,
-                                            std::uint64_t lsn) {
-                    if (ep != epoch_) return;
-                    if (jst == disk::IoStatus::kOk) {
-                      book_ram_writeback(w, bd, lsn, settle);
-                      return;
-                    }
-                    buffer_->release_write(w.bytes);
-                    direct_ram_writeback(w, settle);
-                  });
-              return;
-            }
-            book_ram_writeback(w, bd, /*lsn=*/0, settle);
-            return;
-          }
-          buffer_->release_write(w.bytes);
-          direct_ram_writeback(w, settle);
-        },
-        kNotPowerManaged);
-    return;
-  }
-  direct_ram_writeback(w, settle);
-}
-
-void StorageNode::book_ram_writeback(const RamStagedWrite& w, std::size_t bd,
-                                     std::uint64_t lsn,
-                                     const std::function<void(bool)>& settle) {
-  ++writes_buffered_;
-  ++undestaged_acked_;
-  backlog_add(w.bytes);
-  if (lsn != 0) live_lsns_.insert(lsn);
-  pending_writes_[w.data_disk].push_back(
-      PendingWrite{w.file, w.bytes, bd, lsn});
-  // The pending entry must be queued before settle decrements the
-  // in-flight count, or an end-of-run waiter could fire between the two.
-  settle(true);
-  if (!flush_waiters_.empty()) {
-    // End-of-run drain in progress: push the destage through now instead
-    // of waiting for the data disk's next natural wake.
-    auto batch = std::move(pending_writes_[w.data_disk]);
-    pending_writes_[w.data_disk].clear();
-    for (const PendingWrite& pw : batch) {
-      flush_one(w.data_disk, pw, [] {});
+  for (const RamStagedWrite& w : staged) {
+    ++ram_flushes_in_flight_;
+    const std::uint64_t ep = epoch_;
+    // Terminal bookkeeping: the staged bytes left RAM — landed downstream
+    // (buffer log or stripe) or were written off as stranded.
+    auto settle = [this, bytes = w.bytes, ep](Tick, bool landed) {
+      if (ep != epoch_) return;  // the crash already wrote the loss off
+      ram_->release_write(bytes);
+      if (landed) ++ram_writebacks_;
+      else ++writes_stranded_;
+      --ram_flushes_in_flight_;
+      notify_flush_waiters();
+    };
+    if (!stage_write(w.file, w.bytes, w.data_disk, settle)) {
+      write_through(w.file, w.bytes, std::move(settle));
     }
-  } else if (disk::is_spun_up(data_disks_[w.data_disk]->state())) {
-    maybe_flush(w.data_disk);
   }
-}
-
-void StorageNode::direct_ram_writeback(
-    const RamStagedWrite& w, const std::function<void(bool)>& settle) {
-  const LocalFileMeta* m = meta_.find(w.file);
-  if (m == nullptr || !stripe_set_alive(*m)) {
-    settle(false);
-    return;
-  }
-  const std::uint64_t ep = epoch_;
-  ++writes_direct_;
-  stripe_io(*m, w.bytes, /*is_write=*/true, /*notify_power_manager=*/true,
-            [ep, this, settle](Tick, disk::IoStatus st) {
-              if (ep != epoch_) return;
-              settle(st == disk::IoStatus::kOk);
-            });
 }
 
 void StorageNode::maybe_flush(std::size_t d) {
@@ -1148,7 +1050,7 @@ void StorageNode::maybe_flush(std::size_t d) {
   pending_writes_[d].clear();
   auto remaining = std::make_shared<std::size_t>(batch->size());
   for (const PendingWrite& w : *batch) {
-    flush_one(d, w, [this, d, remaining] {
+    flush_one(w, [this, d, remaining] {
       if (--*remaining == 0) {
         flush_in_progress_[d] = false;
         maybe_flush(d);  // new writes may have queued meanwhile
@@ -1157,10 +1059,8 @@ void StorageNode::maybe_flush(std::size_t d) {
   }
 }
 
-void StorageNode::flush_one(std::size_t d, PendingWrite w,
+void StorageNode::flush_one(const PendingWrite& w,
                             std::function<void()> done) {
-  // Destage = sequential read from the buffer-disk log + random write to
-  // the data disk.
   ++destages_in_flight_;
   if (tracer_ && tracer_->wants(obs::kCatBuffer)) {
     const Tick start = sim_.now();
@@ -1173,12 +1073,17 @@ void StorageNode::flush_one(std::size_t d, PendingWrite w,
     };
   }
   const std::uint64_t ep = epoch_;
+  auto finish = [this, w, done = std::move(done)](bool landed) {
+    retire_destage(w, landed);
+    --destages_in_flight_;
+    done();
+    notify_flush_waiters();
+  };
   disk::DiskRequest read;
   read.bytes = w.bytes;
   read.sequential = true;
-  (void)d;  // destination disks come from the file's stripe set
-  read.on_complete = [this, w, ep, done = std::move(done)](Tick,
-                                                           disk::IoStatus rst) {
+  read.on_complete = [this, w, ep, finish = std::move(finish)](
+                         Tick, disk::IoStatus rst) mutable {
     // A crash reset the flush machinery; this destage belongs to the dead
     // process (the journal still holds its record for replay).
     if (ep != epoch_) return;
@@ -1186,15 +1091,7 @@ void StorageNode::flush_one(std::size_t d, PendingWrite w,
     if (rst != disk::IoStatus::kOk || !stripe_set_alive(m)) {
       // The staged copy is unreadable or its home disks are gone: drop
       // the destage (counted as data loss) so the drain cannot wedge.
-      // The journal record is retired too — replaying a write whose home
-      // disks are dead would strand it again forever.
-      ++writes_stranded_;
-      retire_destage(w);
-      backlog_sub(w.bytes);
-      buffer_->release_write(w.bytes);
-      --destages_in_flight_;
-      done();
-      notify_flush_waiters();
+      finish(false);
       return;
     }
     // Destages ride along with foreground traffic; they do not count as
@@ -1202,27 +1099,25 @@ void StorageNode::flush_one(std::size_t d, PendingWrite w,
     // awake for a read in the common path) but do keep it busy.
     stripe_io(m, w.bytes, /*is_write=*/true,
               /*notify_power_manager=*/false,
-              [this, w, ep, done](Tick, disk::IoStatus wst) {
+              [this, ep, finish = std::move(finish)](Tick,
+                                                     disk::IoStatus wst) {
                 if (ep != epoch_) return;
-                if (wst != disk::IoStatus::kOk) ++writes_stranded_;
-                else ++destages_;
-                retire_destage(w);
-                backlog_sub(w.bytes);
-                buffer_->release_write(w.bytes);
-                --destages_in_flight_;
-                done();
-                notify_flush_waiters();
+                finish(wst == disk::IoStatus::kOk);
               });
   };
   buffer_disks_[w.buffer_disk]->submit(std::move(read));
 }
 
-void StorageNode::retire_destage(const PendingWrite& w) {
+void StorageNode::retire_destage(const PendingWrite& w, bool landed) {
+  if (landed) ++destages_;
+  else ++writes_stranded_;
   if (w.lsn != 0 && journal_) {
     journal_->mark_destaged(w.lsn);
     live_lsns_.erase(w.lsn);
   }
   if (undestaged_acked_ > 0) --undestaged_acked_;
+  backlog_sub(w.bytes);
+  buffer_->release_write(w.bytes);
 }
 
 void StorageNode::notify_flush_waiters() {
@@ -1243,19 +1138,13 @@ bool StorageNode::has_pending_writes() const {
 
 void StorageNode::flush_pending_writes(std::function<void()> done) {
   // RAM-staged write-backs first: dispatching them may add entries to
-  // the per-disk queues below (their completions force those through —
-  // see book_ram_writeback — once a waiter is registered).
+  // the per-disk queues below (their bookings force those through once a
+  // waiter is registered — see start_destage).
   flush_ram_writes();
   // Destage everything still queued, then wait for all in-flight
   // destages (including ones started by opportunistic maybe_flush calls)
   // to land.
-  for (std::size_t d = 0; d < data_disks_.size(); ++d) {
-    auto batch = std::move(pending_writes_[d]);
-    pending_writes_[d].clear();
-    for (const PendingWrite& w : batch) {
-      flush_one(d, w, [] {});
-    }
-  }
+  for (std::size_t d = 0; d < data_disks_.size(); ++d) force_destage(d);
   if (!has_pending_writes()) {
     (void)sim_.schedule_after(0, std::move(done));
     return;

@@ -61,8 +61,6 @@ struct NodeParams {
   PowerManager::Params power;
   CachePolicy cache_policy = CachePolicy::kPrefetch;
   bool write_buffering = true;
-  /// 0 = use the full buffer-disk capacity.
-  Bytes buffer_capacity = 0;
   bool prebud_gate = true;
   DiskPlacement disk_placement = DiskPlacement::kRoundRobin;
   /// Intra-node striping width (clamped to the data-disk count).
@@ -79,12 +77,6 @@ struct NodeParams {
   /// behaviour bit-identical to the pre-RAM node).
   Bytes ram_cache_bytes = 0;
   RamCachePolicy ram_cache_policy = RamCachePolicy::kLru;
-  /// Modeled RAM copy bandwidth — service time of a RAM hit / stage.
-  double ram_bytes_per_sec = 2000.0 * static_cast<double>(kMB);
-  /// Hot-set share of the RAM capacity pinned at prefetch time.
-  double ram_pin_fraction = 0.5;
-  /// Staged write-back flush cadence (pressure flushes fire regardless).
-  Tick ram_flush_interval = seconds_to_ticks(1.0);
 };
 
 class StorageNode {
@@ -188,7 +180,8 @@ class StorageNode {
 
   bool has_pending_writes() const;
   /// Destages everything still in the write buffer to the data disks;
-  /// `done` fires when the last destage completes.  Destages whose data
+  /// `done` fires when the last destage completes.  Writes booked while
+  /// the drain waits are forced through as well.  Destages whose data
   /// disk has failed are dropped (counted as stranded writes) so a dead
   /// disk cannot wedge the drain.
   void flush_pending_writes(std::function<void()> done);
@@ -256,8 +249,6 @@ class StorageNode {
   std::uint64_t journal_replayed() const { return journal_replayed_; }
   /// Null when the node has no buffer disks.
   const disk::WriteJournal* journal() const { return journal_.get(); }
-  /// Bytes queued or in flight toward data disks right now.
-  Bytes destage_backlog() const { return destage_backlog_; }
   /// Buffered files dropped (online re-ranking or MAID pressure).
   std::uint64_t evictions() const { return evictions_; }
   /// Destages that completed (staged write re-written to a data disk).
@@ -309,10 +300,22 @@ class StorageNode {
                  bool notify_power_manager,
                  std::function<void(Tick, disk::IoStatus)> done);
 
-  /// Copies one file into the buffer disk area (used by prefetch and the
-  /// MAID-style copy-on-access policy).  Faults abort the copy (the file
-  /// just stays unbuffered); `done` always fires.
+  /// Reads one file off its stripe set and copies it into the buffer disk
+  /// area (prefetch, online re-ranking, re-warm).  Faults abort the copy
+  /// (the file just stays unbuffered); `done` always fires.
   void copy_into_buffer(trace::FileId f, std::function<void()> done);
+  /// Writes `f`'s copy onto a healthy buffer disk and marks it buffered.
+  /// The caller has already inserted `f` into the buffer index; the entry
+  /// is dropped again when no disk can hold the copy or the write fails.
+  /// `done(landed)` always fires, with false under a stale epoch.
+  template <typename Done>
+  void write_buffer_copy(trace::FileId f, Done done);
+  /// Pins `hot` into RAM and copies `warm` onto the buffer disk (prefetch
+  /// and re-warm).  `done` fires once every pin and copy settled, with the
+  /// number that landed before any crash.
+  void warm_tiers(const std::vector<trace::FileId>& hot,
+                  const std::vector<trace::FileId>& warm,
+                  std::function<void(std::size_t landed)> done);
 
   /// First buffer disk that is still spinning, or nullopt.
   std::optional<std::size_t> healthy_buffer_disk(std::size_t preferred) const;
@@ -330,29 +333,46 @@ class StorageNode {
   /// more) — the meterable price of one degraded read.
   Joules degraded_read_energy_estimate(Bytes bytes) const;
 
+  // --- write path (§III-C: the buffer disk absorbs writes) -------------
+  /// Stages a write bound for data disk `d` on the buffer-disk log: the
+  /// payload (with retry), then the journal commit header, then the
+  /// destage is booked and `done(t, true)` fires.  If either log I/O
+  /// fails, the reservation is released and the write goes through to
+  /// the stripe set instead.  Returns false, having issued nothing, when
+  /// no healthy log disk can reserve the bytes.
+  template <typename Done>
+  bool stage_write(trace::FileId f, Bytes bytes, std::size_t d,
+                   const Done& done);
+  /// Writes `bytes` of `f` straight to its stripe set; `done(t, ok)`, at
+  /// once with ok = false when a stripe disk is dead.
+  template <typename Done>
+  void write_through(trace::FileId f, Bytes bytes, Done done);
+  /// Queues a log-resident write for destage to data disk `d`; it counts
+  /// as acked-but-undestaged until retire_destage.
+  void book_destage(const PendingWrite& w, std::size_t d);
+  /// Starts destaging `d`'s queue if the disk is spinning; during the
+  /// end-of-run drain, forces it instead of waiting for the next wake.
+  void start_destage(std::size_t d);
+  /// Issues every write queued for `d` now, whatever the disk's state.
+  void force_destage(std::size_t d);
   /// Destages queued writes for data disk `d` while it is spinning.
   void maybe_flush(std::size_t d);
-  void flush_one(std::size_t d, PendingWrite w, std::function<void()> done);
+  /// Destages one write: sequential read off the buffer-disk log, random
+  /// write to the file's stripe set.
+  void flush_one(const PendingWrite& w, std::function<void()> done);
+  /// Retires a destage that landed or was stranded: counters, journal
+  /// truncation mark, backlog and the buffer reservation.  Stranded
+  /// writes retire too — replaying a write whose home disks are dead
+  /// would strand it again forever.
+  void retire_destage(const PendingWrite& w, bool landed);
   /// Fires flush waiters once nothing is queued or in flight.
   void notify_flush_waiters();
 
   /// Registers a serve so crash() can settle it with kNodeUnavailable;
   /// the returned wrapper no-ops if the serve was already settled.
   ServeCallback guard_serve(ServeCallback cb);
-  /// Books one acked buffered write: queue the destage, ack the client,
-  /// opportunistically flush.  `lsn` 0 = unjournaled.
-  void finish_buffered_write(trace::FileId f, Bytes bytes, std::size_t d,
-                             std::size_t bd, std::uint64_t lsn, Tick t,
-                             const std::function<void(Tick)>& ack);
-  /// Direct stripe-write fallback when the buffered path cannot be used.
-  void direct_write_fallback(trace::FileId f, Bytes bytes,
-                             const std::function<void(Tick)>& ack,
-                             const std::function<void(Tick)>& fail);
-  /// Retires one pending write's durability bookkeeping after its destage
-  /// resolved (landed or stranded): journal truncation mark + at-risk
-  /// counter.  Stranded writes retire too — replaying a write whose home
-  /// disks are dead would strand it again forever.
-  void retire_destage(const PendingWrite& w);
+  /// Counts a failed serve and settles it with `status` on the next tick.
+  void refuse(ServeCallback cb, RequestStatus status);
 
   // --- RAM cache tier ---------------------------------------------------
   struct RamStagedWrite {
@@ -371,15 +391,6 @@ class StorageNode {
   void schedule_ram_flush();
   /// Dispatches every staged write-back toward the buffer-disk path.
   void flush_ram_writes();
-  void flush_one_ram_write(const RamStagedWrite& w);
-  /// Books one RAM write-back that reached the buffer log: destage queue
-  /// + journal accounting, like finish_buffered_write without the ack.
-  void book_ram_writeback(const RamStagedWrite& w, std::size_t bd,
-                          std::uint64_t lsn,
-                          const std::function<void(bool)>& settle);
-  /// Stripe-write fallback when the buffer path cannot take a write-back.
-  void direct_ram_writeback(const RamStagedWrite& w,
-                            const std::function<void(bool)>& settle);
 
   sim::Simulator& sim_;
   net::NetworkFabric& net_;
@@ -389,7 +400,6 @@ class StorageNode {
   std::vector<std::unique_ptr<disk::DiskModel>> data_disks_;
   std::vector<std::unique_ptr<disk::DiskModel>> buffer_disks_;
   std::unique_ptr<BufferManager> buffer_;
-  Bytes buffer_capacity_ = 0;  // kept for the post-crash index rebuild
   std::unique_ptr<PowerManager> power_;
   std::unique_ptr<disk::WriteJournal> journal_;
 

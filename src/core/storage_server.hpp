@@ -46,6 +46,7 @@
 #include "core/placement.hpp"
 #include "core/storage_node.hpp"
 #include "net/network.hpp"
+#include "obs/counters.hpp"
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "trace/access_log.hpp"
@@ -209,10 +210,6 @@ class StorageServer {
   /// the files in ascending id order and clears the list (the caller owns
   /// the resync from here).
   std::vector<trace::FileId> take_stale_files(NodeId n);
-  /// Stale files currently recorded for `n` (introspection).
-  std::size_t stale_file_count(NodeId n) const {
-    return stale_files_.at(n).size();
-  }
   /// Total node-dead time as of now (unrecovered nodes included).
   Tick degraded_ticks() const;
   std::uint64_t recovery_episodes() const { return recovery_episodes_; }

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "util/rng.hpp"
@@ -78,32 +77,6 @@ double PercentileTracker::percentile(double q) const {
       std::ceil(q * static_cast<double>(samples_.size())));
   const std::size_t idx = rank == 0 ? 0 : rank - 1;
   return samples_[std::min(idx, samples_.size() - 1)];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const auto i = static_cast<std::size_t>((x - lo_) / width_);
-    ++counts_[std::min(i, counts_.size() - 1)];
-  }
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_high(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 }  // namespace eevfs

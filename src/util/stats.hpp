@@ -53,24 +53,4 @@ class PercentileTracker {
   mutable bool sorted_ = true;
 };
 
-/// Fixed-width histogram for diagnostics (e.g. idle-window lengths).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-  std::size_t total() const { return total_; }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 }  // namespace eevfs

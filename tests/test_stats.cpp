@@ -100,23 +100,5 @@ TEST(PercentileTracker, ClampsQuantileArgument) {
   EXPECT_DOUBLE_EQ(t.percentile(2.0), 2.0);
 }
 
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bin 0
-  h.add(1.99);  // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(10.0);  // overflow (hi is exclusive)
-  h.add(-0.1);  // underflow
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
 }  // namespace
 }  // namespace eevfs

@@ -255,6 +255,31 @@ TEST_F(StorageNodeTest, WritesToSleepingDisksStayPendingUntilFlushed) {
   EXPECT_EQ(node->data_disk(1).requests_completed(), 1u);
 }
 
+TEST_F(StorageNodeTest, WriteBookedDuringTheDrainIsForcedToItsSleepingDisk) {
+  auto node = make_node(params());
+  setup_files(*node, 4, 10 * kMB, seconds_to_ticks(600));
+  node->start_prefetch({}, [] {});
+  sim.run();
+  for (std::size_t d = 0; d < node->num_data_disks(); ++d) {
+    node->mutable_data_disk(d).request_spin_down();
+  }
+  sim.run();
+  ASSERT_EQ(node->data_disk(1).state(), disk::PowerState::kStandby);
+  node->serve_write(0, 10 * kMB, client_ep, nullptr);
+  sim.run();
+  ASSERT_TRUE(node->has_pending_writes());
+  // File 1 lives on disk 1.  Its log write is still in flight when the
+  // drain registers its waiter, so it books onto the queue of a disk
+  // that nothing else will wake.
+  node->serve_write(1, 10 * kMB, client_ep, nullptr);
+  bool flushed = false;
+  node->flush_pending_writes([&] { flushed = true; });
+  sim.run();
+  EXPECT_TRUE(flushed);
+  EXPECT_FALSE(node->has_pending_writes());
+  EXPECT_EQ(node->data_disk(1).requests_completed(), 1u);
+}
+
 TEST_F(StorageNodeTest, MetricsAddUp) {
   auto node = make_node(params());
   setup_files(*node, 4, 10 * kMB, seconds_to_ticks(600));

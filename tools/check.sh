@@ -14,6 +14,12 @@
 #                               #     BENCH_perf.json baseline exists, runs
 #                               #     tools/perf_compare.py (warn-only;
 #                               #     see docs/perf.md)
+#   tools/check.sh --digest-vs REF  # ... plus tools/digest_diff.py
+#                               #     --require-equal against git ref
+#                               #     REF, checked out in a temporary
+#                               #     worktree: every perfbench digest
+#                               #     must match (behaviour-preserving
+#                               #     refactors; see docs/perf.md)
 #   tools/check.sh --build-type Debug   # configure with another build type
 #   tools/check.sh --no-tidy    # skip clang-tidy even if installed
 #   tools/check.sh --label-timing   # split ctest by label, time each
@@ -35,6 +41,7 @@ RUN_PERF=0
 LABEL_TIMING=0
 LABEL_BUDGET_S="${LABEL_BUDGET_S:-600}"
 BUILD_TYPE=Release
+DIGEST_REF=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --asan) RUN_ASAN=1 ;;
@@ -42,6 +49,11 @@ while [ $# -gt 0 ]; do
     --perf) RUN_PERF=1 ;;
     --no-tidy) RUN_TIDY=0 ;;
     --label-timing) LABEL_TIMING=1 ;;
+    --digest-vs)
+      shift
+      [ $# -gt 0 ] || { echo "--digest-vs needs a git ref" >&2; exit 2; }
+      DIGEST_REF="$1"
+      ;;
     --build-type)
       shift
       [ $# -gt 0 ] || { echo "--build-type needs a value" >&2; exit 2; }
@@ -49,7 +61,8 @@ while [ $# -gt 0 ]; do
       ;;
     *)
       echo "usage: tools/check.sh [--asan] [--tsan] [--perf]" \
-           "[--build-type TYPE] [--no-tidy] [--label-timing]" >&2
+           "[--digest-vs REF] [--build-type TYPE] [--no-tidy]" \
+           "[--label-timing]" >&2
       exit 2
       ;;
   esac
@@ -154,6 +167,14 @@ if [ "$RUN_PERF" = 1 ]; then
   # hard failure even though the baseline comparison is warn-only
   # (tests/shell/test_perf_guard.sh pins this).
   tools/perf_step.sh
+fi
+
+if [ -n "$DIGEST_REF" ]; then
+  step "perfbench digests vs $DIGEST_REF (tools/digest_diff.py)"
+  DIGEST_TREE="$(mktemp -d "${TMPDIR:-/tmp}/eevfs-digest-XXXXXX")"
+  git worktree add --detach "$DIGEST_TREE" "$DIGEST_REF" > /dev/null
+  trap 'git worktree remove --force "$DIGEST_TREE"' EXIT
+  python3 tools/digest_diff.py --base "$DIGEST_TREE" --require-equal
 fi
 
 step "all checks passed"
