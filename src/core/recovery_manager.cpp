@@ -6,7 +6,9 @@ namespace eevfs::core {
 
 RecoveryManager::RecoveryManager(sim::Simulator& sim, StorageServer& server,
                                  std::vector<StorageNode*> nodes)
-    : sim_(sim), server_(server), nodes_(std::move(nodes)) {
+    : sim_(sim),
+      server_(server),
+      nodes_(std::move(nodes)) {
   crash_time_.assign(nodes_.size(), 0);
   generation_.assign(nodes_.size(), 0);
   recovering_.assign(nodes_.size(), 0);

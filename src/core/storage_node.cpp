@@ -1010,12 +1010,13 @@ void StorageNode::force_destage(std::size_t d) {
 void StorageNode::schedule_ram_flush() {
   if (ram_flush_scheduled_) return;
   ram_flush_scheduled_ = true;
-  ram_flush_timer_ = sim_.schedule_after(kRamFlushInterval, [this] {
-    ram_flush_scheduled_ = false;
-    flush_ram_writes();
-    // Writes staged while this flush dispatched re-arm the timer.
-    if (!ram_staged_.empty()) schedule_ram_flush();
-  });
+  ram_flush_timer_ =
+      sim_.schedule_after(kRamFlushInterval, [this] {
+        ram_flush_scheduled_ = false;
+        flush_ram_writes();
+        // Writes staged while this flush dispatched re-arm the timer.
+        if (!ram_staged_.empty()) schedule_ram_flush();
+      });
 }
 
 void StorageNode::flush_ram_writes() {

@@ -338,8 +338,8 @@ class StorageNode {
   /// payload (with retry), then the journal commit header, then the
   /// destage is booked and `done(t, true)` fires.  If either log I/O
   /// fails, the reservation is released and the write goes through to
-  /// the stripe set instead.  Returns false, having issued nothing, when
-  /// no healthy log disk can reserve the bytes.
+  /// the stripe set instead.  Returns false, having started nothing,
+  /// when no healthy log disk can reserve the bytes.
   template <typename Done>
   bool stage_write(trace::FileId f, Bytes bytes, std::size_t d,
                    const Done& done);
@@ -353,7 +353,7 @@ class StorageNode {
   /// Starts destaging `d`'s queue if the disk is spinning; during the
   /// end-of-run drain, forces it instead of waiting for the next wake.
   void start_destage(std::size_t d);
-  /// Issues every write queued for `d` now, whatever the disk's state.
+  /// Destages every write queued for `d` now, whatever the disk's state.
   void force_destage(std::size_t d);
   /// Destages queued writes for data disk `d` while it is spinning.
   void maybe_flush(std::size_t d);
