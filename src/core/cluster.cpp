@@ -1,5 +1,6 @@
 #include "core/cluster.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -98,6 +99,7 @@ void Cluster::build_infra() {
             config_.nic_efficiency);
     clients_.emplace_back(ep, c);
   }
+  client_tracks_.assign(clients_.size(), 0);
 
   // Steps 1-4.
   server_->set_observer(tracer_.get());
@@ -146,8 +148,7 @@ void Cluster::build(const workload::Workload& workload) {
 void Cluster::build_stream(const workload::StreamingWorkload& workload) {
   if (config_.online_popularity) {
     throw std::invalid_argument(
-        "Cluster: run_stream uses offline popularity (the request log is "
-        "disabled at streaming scale)");
+        "Cluster: run_stream supports offline popularity only");
   }
   build_infra();
 
@@ -187,7 +188,6 @@ void Cluster::build_stream(const workload::StreamingWorkload& workload) {
   server_->ingest_popularity(std::move(pop), total);
   server_->place_and_create(workload.file_sizes);
   server_->distribute_pattern_summaries(counts, horizon);
-  server_->set_request_log_enabled(false);
   arm_faults();
 }
 
@@ -308,7 +308,11 @@ RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
 
 void Cluster::start_replay(const workload::Workload& workload,
                            Tick replay_start) {
-  responses_outstanding_ = workload.requests.size();
+  const trace::Trace& trace = workload.requests;
+  if (trace.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Cluster: trace exceeds 2^32 records");
+  }
+  responses_outstanding_ = trace.size();
   all_issued_ = true;  // per-client chains below cover every record
 
   // Closed loop per client, like the paper's replayer: a client issues
@@ -316,13 +320,27 @@ void Cluster::start_replay(const workload::Workload& workload,
   // previous request completed.  This bounds queues at zero inter-arrival
   // delay and stretches the run when service times exceed the spacing
   // (the paper's 50 MB "test ran longer than the original trace time").
-  replay_queues_.assign(clients_.size(), {});
-  for (const trace::TraceRecord& r : workload.requests.records()) {
-    replay_queues_[r.client % clients_.size()].push_back(r);
+  // Records stay in the caller's trace; each client gets the indices of
+  // its records (a counting sort by client), read at issue time.
+  const std::size_t nc = clients_.size();
+  replay_trace_ = &trace;
+  replay_cursor_.assign(nc, {});
+  for (const trace::TraceRecord& r : trace.records()) {
+    ++replay_cursor_[r.client % nc].end;
   }
-  for (std::size_t c = 0; c < clients_.size(); ++c) {
-    if (!replay_queues_[c].empty()) {
-      (void)sim_->schedule_at(replay_start + replay_queues_[c].front().arrival,
+  std::uint32_t offset = 0;
+  for (ReplayCursor& cur : replay_cursor_) {
+    const std::uint32_t count = cur.end;
+    cur.next = cur.end = offset;
+    offset += count;
+  }
+  replay_order_.resize(trace.size());
+  for (std::uint32_t i = 0; i < trace.size(); ++i) {
+    replay_order_[replay_cursor_[trace[i].client % nc].end++] = i;
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (const trace::TraceRecord* first = next_record(c)) {
+      (void)sim_->schedule_at(replay_start + first->arrival,
                         [this, c, replay_start] { issue_next(c, replay_start); });
     }
   }
@@ -331,7 +349,7 @@ void Cluster::start_replay(const workload::Workload& workload,
 
 void Cluster::start_stream_replay(Tick replay_start) {
   all_issued_ = true;  // the pump + per-client chains cover every record
-  replay_queues_.assign(clients_.size(), {});
+  stream_queues_.assign(clients_.size(), {});
   // Every client starts idle; the pump wakes each one as its first
   // record enters the look-ahead window.
   client_waiting_.assign(clients_.size(), true);
@@ -364,7 +382,7 @@ void Cluster::pump_stream(Tick replay_start) {
       return;
     }
     const std::size_t c = stream_pending_.client % clients_.size();
-    replay_queues_[c].push_back(stream_pending_);
+    stream_queues_[c].push_back(stream_pending_);
     stream_has_pending_ = false;
     ++stream_resident_;
     if (stream_resident_ > stream_peak_resident_) {
@@ -380,11 +398,24 @@ void Cluster::pump_stream(Tick replay_start) {
   }
 }
 
+const trace::TraceRecord* Cluster::next_record(std::size_t client_idx) const {
+  if (stream_mode_) {
+    const auto& queue = stream_queues_[client_idx];
+    return queue.empty() ? nullptr : &queue.front();
+  }
+  const ReplayCursor& cur = replay_cursor_[client_idx];
+  return cur.next == cur.end ? nullptr
+                             : &(*replay_trace_)[replay_order_[cur.next]];
+}
+
 void Cluster::issue_next(std::size_t client_idx, Tick replay_start) {
-  auto& queue = replay_queues_[client_idx];
-  const trace::TraceRecord r = queue.front();
-  queue.pop_front();
-  if (stream_mode_) --stream_resident_;
+  const trace::TraceRecord r = *next_record(client_idx);
+  if (stream_mode_) {
+    stream_queues_[client_idx].pop_front();
+    --stream_resident_;
+  } else {
+    ++replay_cursor_[client_idx].next;
+  }
   start_attempt(client_idx, r, replay_start, 0);
 }
 
@@ -407,9 +438,8 @@ void Cluster::start_attempt(std::size_t client_idx,
     if (tracer_->wants(obs::kCatClient)) {
       tracer_->complete(
           issued, t - issued, obs::kCatClient, obs::TraceLevel::kInfo,
-          ev_client_request_,
-          tracer_->intern(format("client%zu", client_idx)),
-          tracer_->intern(to_string(st)), static_cast<std::int64_t>(r.file),
+          ev_client_request_, client_track(client_idx), status_name(st),
+          static_cast<std::int64_t>(r.file),
           static_cast<std::int64_t>(attempt));
     }
     if (request_ok(st)) {
@@ -447,9 +477,8 @@ void Cluster::start_attempt(std::size_t client_idx,
 }
 
 void Cluster::complete_request(std::size_t client_idx, Tick replay_start) {
-  auto& pending = replay_queues_[client_idx];
-  if (!pending.empty()) {
-    const Tick due = replay_start + pending.front().arrival;
+  if (const trace::TraceRecord* next = next_record(client_idx)) {
+    const Tick due = replay_start + next->arrival;
     (void)sim_->schedule_at(std::max(due, sim_->now()),
                       [this, client_idx, replay_start] {
                         issue_next(client_idx, replay_start);
@@ -460,6 +489,18 @@ void Cluster::complete_request(std::size_t client_idx, Tick replay_start) {
     client_waiting_[client_idx] = true;
   }
   if (--responses_outstanding_ == 0) finish_run();
+}
+
+obs::StringId Cluster::client_track(std::size_t client_idx) {
+  obs::StringId& id = client_tracks_[client_idx];
+  if (id == 0) id = tracer_->intern(format("client%zu", client_idx));
+  return id;
+}
+
+obs::StringId Cluster::status_name(RequestStatus st) {
+  obs::StringId& id = status_names_.at(static_cast<std::size_t>(st));
+  if (id == 0) id = tracer_->intern(to_string(st));
+  return id;
 }
 
 void Cluster::finish_run() {

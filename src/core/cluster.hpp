@@ -18,6 +18,8 @@
 // A Cluster object is single-use: construct, run(), inspect.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "trace/record.hpp"
+#include "trace/trace.hpp"
 #include "util/units.hpp"
 #include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
@@ -58,9 +61,8 @@ class Cluster {
   /// folds one pass into exact popularity aggregates; replay pulls a
   /// bounded look-ahead window from a second pass.  Differences from
   /// run(): nodes get per-file access COUNT summaries instead of exact
-  /// arrival timelines (power hints are modeled as evenly spaced), the
-  /// server's request log is disabled, and online popularity mode is
-  /// not supported.
+  /// arrival timelines (power hints are modeled as evenly spaced), and
+  /// online popularity mode is not supported.
   RunMetrics run_stream(const workload::StreamingWorkload& workload);
 
   /// High-water mark of replay records resident at once during
@@ -114,12 +116,18 @@ class Cluster {
   /// per-client queues, waking idle clients; re-arms itself at the next
   /// record's window entry.
   void pump_stream(Tick replay_start);
+  /// The client's next unissued record, or null when it has none queued.
+  const trace::TraceRecord* next_record(std::size_t client_idx) const;
   void issue_next(std::size_t client_idx, Tick replay_start);
   /// One attempt of one request: deadline-guarded, typed completion.
   void start_attempt(std::size_t client_idx, const trace::TraceRecord& r,
                      Tick replay_start, std::size_t attempt);
   /// Advances the client's replay chain and the run-completion count.
   void complete_request(std::size_t client_idx, Tick replay_start);
+  /// Trace-string ids of a client's track and of a status, interned on
+  /// first use so the tracer's string table keeps its first-seen order.
+  obs::StringId client_track(std::size_t client_idx);
+  obs::StringId status_name(RequestStatus st);
   void finish_run();
   /// Registers every counter name (zero-valued ones included) and fills
   /// metrics_.counters with the registry snapshot.
@@ -133,6 +141,11 @@ class Cluster {
   obs::Histogram* hist_ram_hit_bytes_ = nullptr;
   obs::Histogram* hist_ram_miss_bytes_ = nullptr;
   obs::StringId ev_client_request_ = 0;
+  std::vector<obs::StringId> client_tracks_;
+  /// Indexed by RequestStatus; kTimedOut is the last status.
+  std::array<obs::StringId,
+             static_cast<std::size_t>(RequestStatus::kTimedOut) + 1>
+      status_names_{};
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::NetworkFabric> net_;
   std::unique_ptr<StorageServer> server_;
@@ -144,11 +157,23 @@ class Cluster {
 
   std::size_t responses_outstanding_ = 0;
   bool all_issued_ = false;
-  std::vector<std::deque<trace::TraceRecord>> replay_queues_;
   bool finished_ = false;
   RunMetrics metrics_;
 
+  // materialized replay state (run only).  Records are read in place
+  // from the caller's trace, which outlives run(); client c replays
+  // trace[replay_order_[i]] for i in [replay_cursor_[c].next,
+  // replay_cursor_[c].end), in trace order.
+  struct ReplayCursor {
+    std::uint32_t next = 0;
+    std::uint32_t end = 0;
+  };
+  const trace::Trace* replay_trace_ = nullptr;
+  std::vector<std::uint32_t> replay_order_;
+  std::vector<ReplayCursor> replay_cursor_;
+
   // streaming replay state (run_stream only)
+  std::vector<std::deque<trace::TraceRecord>> stream_queues_;
   std::unique_ptr<workload::RequestStream> stream_;
   trace::TraceRecord stream_pending_{};
   bool stream_has_pending_ = false;

@@ -100,9 +100,10 @@ struct ClusterConfig {
   bool write_buffering = true;
   /// Online mode (extension): the server gets NO workload foreknowledge.
   /// Placement is popularity-blind, nothing is prefetched up front, and
-  /// every `refresh_interval_sec` the server re-ranks its append-only
-  /// request log (§IV) and tells each node to update its buffered set —
-  /// the adaptive system the paper's log-based design implies.
+  /// every `refresh_interval_sec` the server re-ranks the per-file
+  /// request counts it logged (§IV) and tells each node to update its
+  /// buffered set — the adaptive system the paper's log-based design
+  /// implies.
   bool online_popularity = false;
   double refresh_interval_sec = 60.0;
   /// Intra-node striping width (paper §VII future work): each file is

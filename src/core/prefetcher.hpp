@@ -35,7 +35,8 @@ struct PrefetchPlan {
   Bytes total_bytes = 0;
   Joules predicted_benefit = 0.0;
   /// Per-data-disk access times with the accepted files removed — what
-  /// the power manager should expect to reach each disk.
+  /// the power manager should expect to reach each disk.  StorageNode
+  /// releases them when replay starts.
   std::vector<std::vector<Tick>> residual_disk_accesses;
   /// Tier-aware split (RAM tier enabled): the hottest candidates that
   /// fit the RAM pin budget, taken off the top before the buffer-disk

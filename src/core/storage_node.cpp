@@ -211,6 +211,12 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
                           pattern_, std::move(disk_accesses), horizon_,
                           capacity, ram_budget);
   plan_ready_ = true;
+  hint_counts_.clear();
+  hint_counts_.reserve(pattern_.size());
+  for (const auto& [file, offsets] : pattern_) {
+    hint_counts_.emplace_back(file, offsets.size());
+  }
+  pattern_.clear();
 
   // Static expectation per disk for the predictive power policy: the mean
   // gap between residual accesses over the horizon.
@@ -441,9 +447,12 @@ void StorageNode::pin_into_ram(trace::FileId f, std::function<void()> done) {
 }
 
 std::uint64_t StorageNode::ram_weight(trace::FileId f) const {
-  const auto it = pattern_.find(f);
-  return it == pattern_.end() ? 0
-                              : static_cast<std::uint64_t>(it->second.size());
+  const auto it = std::lower_bound(
+      hint_counts_.begin(), hint_counts_.end(), f,
+      [](const auto& entry, trace::FileId key) { return entry.first < key; });
+  return it == hint_counts_.end() || it->first != f
+             ? 0
+             : static_cast<std::uint64_t>(it->second);
 }
 
 void StorageNode::ram_admit(trace::FileId f, Bytes bytes) {
@@ -459,11 +468,12 @@ void StorageNode::begin_replay(Tick replay_start) {
   if (params_.power.policy == PowerPolicy::kHints ||
       params_.power.policy == PowerPolicy::kOracle) {
     for (std::size_t d = 0; d < data_disks_.size(); ++d) {
-      std::vector<Tick> absolute = plan_.residual_disk_accesses[d];
+      std::vector<Tick>& absolute = plan_.residual_disk_accesses[d];
       for (Tick& t : absolute) t += replay_start;
       power_->set_future_accesses(d, std::move(absolute));
     }
   }
+  plan_.residual_disk_accesses.clear();
   power_->start();
 }
 

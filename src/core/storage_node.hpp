@@ -31,6 +31,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/buffer_manager.hpp"
@@ -121,11 +122,14 @@ class StorageNode {
   /// when all copies hit the buffer disk.  Also derives the residual
   /// per-disk pattern the power manager should expect.  Call with an
   /// empty list for NPF runs — the pattern derivation still happens.
+  /// Planning consumes the received pattern: only each file's access
+  /// count is kept, as its RAM admission weight.
   void start_prefetch(const std::vector<trace::FileId>& candidates,
                       std::function<void()> done);
 
-  /// Marks the start of trace replay (absolute sim time): finalises the
-  /// hint timeline and arms the power manager.
+  /// Marks the start of trace replay (absolute sim time): hands the
+  /// residual timelines to the power manager (hint/oracle policies),
+  /// releases them, and arms the power manager.
   void begin_replay(Tick replay_start);
 
   /// Online mode: reconciles the buffered set against `wanted` (this
@@ -381,7 +385,7 @@ class StorageNode {
     std::size_t data_disk = 0;
   };
   /// Popularity weight for RAM admission: the file's access count in the
-  /// node's pattern slice.
+  /// node's pattern slice (0 before start_prefetch).
   std::uint64_t ram_weight(trace::FileId f) const;
   /// Offers a freshly read file to the RAM tier (no-op when disabled).
   void ram_admit(trace::FileId f, Bytes bytes);
@@ -408,7 +412,10 @@ class StorageNode {
   std::size_t expected_files_ = 0;
   std::size_t buffered_count_ = 0;  // round-robins files over buffer disks
 
+  /// The received hint timelines, until start_prefetch plans from them.
   std::map<trace::FileId, std::vector<Tick>> pattern_;
+  /// (file, hinted access count) sorted by file, kept from planning on.
+  std::vector<std::pair<trace::FileId, std::size_t>> hint_counts_;
   std::set<trace::FileId> copies_in_flight_;
   Tick horizon_ = 0;
   PrefetchPlan plan_;

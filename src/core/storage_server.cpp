@@ -299,7 +299,8 @@ void StorageServer::route(const trace::TraceRecord& r,
     throw std::logic_error("StorageServer: request for unknown file " +
                            std::to_string(r.file));
   }
-  if (log_enabled_) log_.append(r.file, sim_.now(), r.bytes);
+  // Only online refresh reads the log back.
+  if (refresh_timer_.pending()) log_.append(r.file, sim_.now());
   ++requests_routed_;
   // Pay the metadata probe, then walk the candidate list (or fork the
   // erasure fan-out).  Candidate order is decided after the probe, from

@@ -1,8 +1,9 @@
 // The storage server (paper §III-A): the metadata/routing front end.  It
 // knows only which *node* holds each file — never which disk (§IV-D) —
-// derives popularity from its append-only request log, performs the
-// popularity round-robin placement, splits the access pattern per node,
-// and forwards client requests to the owning node.
+// derives popularity from a history trace (or, online, from per-file
+// request counts), performs the popularity round-robin placement, splits
+// the access pattern per node, and forwards client requests to the owning
+// node.
 //
 // Robustness extension: the server is also the failover point.  Files can
 // be placed on `replication_degree` nodes; when a node fails a request
@@ -149,20 +150,16 @@ class StorageServer {
   void distribute_pattern_summaries(const std::vector<std::size_t>& counts,
                                     Tick horizon);
 
-  /// The append-only request log grows with every routed request; the
-  /// datacenter-scale streaming path disables it (offline popularity
-  /// does not read it back; online refresh requires it enabled).
-  void set_request_log_enabled(bool enabled) { log_enabled_ = enabled; }
-
   /// This node-indexed slice of the globally top-`k` files, each slice in
   /// global rank order — the prefetch instruction of step 3.  Primary
   /// replicas only.
   std::vector<std::vector<trace::FileId>> prefetch_candidates(
       std::size_t k) const;
 
-  /// Online mode (extension): every `interval`, re-rank the append-only
-  /// request log, take the global top-`k`, and tell each node to update
-  /// its buffered set.  Runs until stop_online_refresh().
+  /// Online mode (extension): while the refresh runs, the request log
+  /// counts every routed request per file; every `interval` the server
+  /// re-ranks those counts, takes the global top-`k`, and tells each node
+  /// to update its buffered set.  Runs until stop_online_refresh().
   void begin_online_refresh(std::size_t k, Tick interval);
   void stop_online_refresh();
   std::uint64_t refreshes_performed() const { return refreshes_; }
@@ -191,6 +188,8 @@ class StorageServer {
   /// Counting lookups mutate the store's probe statistics; the recovery
   /// manager resolves replica sources through this.
   ServerMetadata& mutable_metadata() { return metadata_; }
+  /// Per-file counts of the requests routed while online refresh ran
+  /// (empty on offline runs).
   const trace::AccessLog& request_log() const { return log_; }
   const trace::PopularityAnalyzer* popularity() const {
     return analyzer_ ? &*analyzer_ : nullptr;
@@ -280,7 +279,6 @@ class StorageServer {
   PlacementMap placement_;
   ServerMetadata metadata_;
   trace::AccessLog log_;
-  bool log_enabled_ = true;
   std::size_t replication_degree_ = 1;
   std::uint64_t requests_routed_ = 0;
   sim::EventHandle refresh_timer_;

@@ -1,6 +1,8 @@
 #include "obs/tracer.hpp"
 
+#include <algorithm>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -50,13 +52,14 @@ std::uint32_t parse_category_mask(std::string_view spec) {
 
 StringId Tracer::intern(std::string_view s) {
   if (s.empty()) return 0;
-  // Linear scan: the string universe is tiny (event names + one track
-  // per component instance) and interning happens mostly at setup.
-  for (std::size_t i = 0; i < strings_.size(); ++i) {
-    if (strings_[i] == s) return static_cast<StringId>(i);
-  }
+  const auto pos = std::lower_bound(
+      by_string_.begin(), by_string_.end(), s,
+      [this](StringId id, std::string_view key) { return strings_[id] < key; });
+  if (pos != by_string_.end() && strings_[*pos] == s) return *pos;
+  const auto id = static_cast<StringId>(strings_.size());
   strings_.emplace_back(s);
-  return static_cast<StringId>(strings_.size() - 1);
+  by_string_.insert(pos, id);
+  return id;
 }
 
 void Tracer::push(TraceEvent ev) {
@@ -279,6 +282,12 @@ bool Tracer::read_binary(std::istream& in) {
     ring.push_back(ev);
   }
   strings_ = std::move(strings);
+  by_string_.resize(strings_.size() - 1);
+  std::iota(by_string_.begin(), by_string_.end(), StringId{1});
+  std::stable_sort(by_string_.begin(), by_string_.end(),
+                   [this](StringId a, StringId b) {
+                     return strings_[a] < strings_[b];
+                   });
   ring_ = std::move(ring);
   recorded_ = ring_.size();
   dropped_ = 0;

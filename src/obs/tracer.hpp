@@ -95,7 +95,8 @@ class Tracer {
   }
 
   /// Interns `s`, returning a stable id.  Works even when disabled so
-  /// components can cache track ids at setup time.
+  /// components can cache track ids at setup time.  Ids are dense, in
+  /// first-seen order; finding an interned string is a binary search.
   StringId intern(std::string_view s);
   const std::string& lookup(StringId id) const { return strings_.at(id); }
 
@@ -133,6 +134,9 @@ class Tracer {
   TracerConfig cfg_;
   std::deque<TraceEvent> ring_;
   std::vector<std::string> strings_{std::string{}};  // id 0 = ""
+  /// Ids 1.. sorted by their string: intern's search index.  It holds
+  /// ids, not views, so growth of strings_ cannot invalidate it.
+  std::vector<StringId> by_string_;
   std::size_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
 };

@@ -5,58 +5,31 @@
 
 namespace eevfs::trace {
 
-AccessLog::AccessLog(double ewma_alpha) : alpha_(ewma_alpha) {
-  if (alpha_ <= 0.0 || alpha_ > 1.0) {
-    throw std::invalid_argument("AccessLog: alpha must be in (0, 1]");
-  }
-}
-
-void AccessLog::append(FileId file, Tick at, Bytes bytes) {
-  if (!entries_.empty() && at < entries_.back().arrival) {
+void AccessLog::append(FileId file, Tick at) {
+  if (total_ > 0 && at < last_) {
     throw std::invalid_argument("AccessLog: appends must be time-ordered");
   }
-  entries_.push_back(TraceRecord{at, file, bytes, Op::kRead, 0});
-  PerFile& p = per_file_[file];
-  if (p.count > 0) {
-    const auto gap = static_cast<double>(at - p.last);
-    p.ewma_gap = p.has_gap ? alpha_ * gap + (1.0 - alpha_) * p.ewma_gap : gap;
-    p.has_gap = true;
-  }
-  ++p.count;
-  p.last = at;
-  p.bytes += bytes;
+  ++counts_[file];
+  ++total_;
+  last_ = at;
 }
 
 std::size_t AccessLog::accesses(FileId f) const {
-  const auto it = per_file_.find(f);
-  return it == per_file_.end() ? 0 : it->second.count;
-}
-
-std::optional<Tick> AccessLog::predicted_gap(FileId f) const {
-  const auto it = per_file_.find(f);
-  if (it == per_file_.end() || !it->second.has_gap) return std::nullopt;
-  return static_cast<Tick>(it->second.ewma_gap);
-}
-
-std::optional<Tick> AccessLog::last_access(FileId f) const {
-  const auto it = per_file_.find(f);
-  if (it == per_file_.end()) return std::nullopt;
-  return it->second.last;
+  const auto it = counts_.find(f);
+  return it == counts_.end() ? 0 : it->second;
 }
 
 std::vector<FileId> AccessLog::ranked() const {
   std::vector<FileId> files;
-  files.reserve(per_file_.size());
-  for (const auto& [f, _] : per_file_) files.push_back(f);
+  files.reserve(counts_.size());
+  for (const auto& [f, _] : counts_) files.push_back(f);
   std::stable_sort(files.begin(), files.end(), [this](FileId a, FileId b) {
-    const auto ca = per_file_.at(a).count;
-    const auto cb = per_file_.at(b).count;
+    const auto ca = counts_.at(a);
+    const auto cb = counts_.at(b);
     if (ca != cb) return ca > cb;
     return a < b;
   });
   return files;
 }
-
-Trace AccessLog::to_trace() const { return Trace(entries_); }
 
 }  // namespace eevfs::trace

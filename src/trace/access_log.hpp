@@ -1,58 +1,36 @@
-// The storage server's append-only request log (paper §IV).
+// The storage server's request log (paper §IV), reduced to what is read
+// back: per-file access counts.
 //
-// At runtime the server appends every request here; popularity used for
-// placement and prefetch decisions is derived from the log.  The log also
-// maintains a per-file EWMA of inter-access gaps, which the hint-based
-// power manager uses as its next-access predictor.
+// Under online refresh the server counts every routed request here and
+// re-ranks the counts each interval.  Offline runs derive popularity from
+// the history trace instead and count nothing.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "trace/record.hpp"
-#include "trace/trace.hpp"
 #include "util/units.hpp"
 
 namespace eevfs::trace {
 
 class AccessLog {
  public:
-  /// `ewma_alpha` weights the newest gap in the inter-access estimate.
-  explicit AccessLog(double ewma_alpha = 0.3);
+  /// Counts one access of `file` at `at`; accesses must be time-ordered.
+  void append(FileId file, Tick at);
 
-  void append(FileId file, Tick at, Bytes bytes = 0);
-
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return total_; }
   std::size_t accesses(FileId f) const;
-
-  /// Estimated gap to the next access of `f`, from the EWMA of observed
-  /// gaps; nullopt until the file has been seen at least twice.
-  std::optional<Tick> predicted_gap(FileId f) const;
-
-  /// Last time `f` was accessed; nullopt if never.
-  std::optional<Tick> last_access(FileId f) const;
 
   /// Popularity ranking over everything logged so far (count desc,
   /// file id asc).
   std::vector<FileId> ranked() const;
 
-  /// Exports the log as a Trace (e.g. to persist it via trace::write_trace).
-  Trace to_trace() const;
-
  private:
-  struct PerFile {
-    std::size_t count = 0;
-    Tick last = 0;
-    double ewma_gap = 0.0;
-    bool has_gap = false;
-    Bytes bytes = 0;
-  };
-
-  double alpha_;
-  std::vector<TraceRecord> entries_;
-  std::map<FileId, PerFile> per_file_;
+  std::map<FileId, std::size_t> counts_;
+  std::size_t total_ = 0;
+  Tick last_ = 0;
 };
 
 }  // namespace eevfs::trace

@@ -5,8 +5,8 @@
 //     #eevfs-trace v1
 //     <arrival_us> <file_id> <bytes> <r|w> <client_id>
 //
-// This doubles as the on-disk format of the storage server's append-only
-// request log (paper §IV: "an append-only log of requests").
+// The format mirrors the paper's append-only request log (§IV: "an
+// append-only log of requests").
 #pragma once
 
 #include <cstdint>

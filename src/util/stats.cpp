@@ -47,9 +47,7 @@ void OnlineStats::merge(const OnlineStats& other) {
 
 PercentileTracker::PercentileTracker(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
-      rng_state_(0xA0761D6478BD642FULL) {
-  samples_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
+      rng_state_(0xA0761D6478BD642FULL) {}
 
 void PercentileTracker::add(double x) {
   ++total_;

@@ -2,8 +2,8 @@
 //
 // A materialized workload::Workload holds every TraceRecord of the run up
 // front — fine at the paper's 1000-request scale, hopeless for a
-// 1024-node cell replaying millions of requests (the trace, the server's
-// request log, and the replay queues would each hold the full run).  A
+// 1024-node cell replaying millions of requests (the trace alone holds
+// the full run).  A
 // StreamingWorkload instead carries only the per-file metadata (sizes —
 // O(num_files)) plus a factory that opens a fresh *pass* over the
 // request sequence; requests are produced lazily, one at a time, in

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baseline/presets.hpp"
 #include "core/cluster.hpp"
@@ -160,6 +161,30 @@ TEST(Tracer, InternIsStableAndZeroIsEmpty) {
   EXPECT_NE(a, 0u);
   EXPECT_EQ(t.lookup(a), "node0/data0");
   EXPECT_EQ(t.intern(""), 0u);
+
+  // Enough strings to regrow the table many times, half of them short
+  // enough to live in std::string's inline buffer (which moves on
+  // regrowth), interned in an order that is not sorted.
+  Tracer u;
+  std::vector<std::string> names;
+  for (int i = 0; i < 5000; ++i) {
+    names.push_back(i % 2 == 0 ? std::to_string(i)
+                               : "node" + std::to_string(i) + "/data/track");
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(u.intern(names[i]), static_cast<StringId>(i + 1));
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(u.intern(names[i]), static_cast<StringId>(i + 1));
+    EXPECT_EQ(u.lookup(static_cast<StringId>(i + 1)), names[i]);
+  }
+  // A loaded dump interns against its own table.
+  std::stringstream dump;
+  u.write_binary(dump);
+  Tracer back;
+  ASSERT_TRUE(back.read_binary(dump));
+  EXPECT_EQ(back.intern(names[4321]), 4322u);
+  EXPECT_EQ(back.intern("fresh"), 5001u);
 }
 
 TEST(Tracer, JsonlGoldenOutput) {

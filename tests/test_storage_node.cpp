@@ -280,6 +280,41 @@ TEST_F(StorageNodeTest, WriteBookedDuringTheDrainIsForcedToItsSleepingDisk) {
   EXPECT_EQ(node->data_disk(1).requests_completed(), 1u);
 }
 
+TEST_F(StorageNodeTest, PopularityRamTierWeighsFilesByHintCount) {
+  NodeParams p = params();
+  p.ram_cache_bytes = 10 * kMB;  // room for one file
+  p.ram_cache_policy = RamCachePolicy::kPopularity;
+  auto node = make_node(p);
+  const trace::FileId once = 0;
+  const trace::FileId thrice = 1;
+  node->create_file(once, 10 * kMB);
+  node->create_file(thrice, 10 * kMB);
+  const Tick horizon = seconds_to_ticks(600);
+  std::map<trace::FileId, std::vector<Tick>> pattern;
+  pattern[once] = {seconds_to_ticks(100)};
+  pattern[thrice] = {seconds_to_ticks(100), seconds_to_ticks(200),
+                     seconds_to_ticks(300)};
+  node->receive_access_pattern(std::move(pattern), horizon);
+  node->start_prefetch({}, [] {});
+  sim.run();
+  node->begin_replay(sim.now());
+  const RamCache& ram = *node->ram_cache();
+
+  node->serve_read(once, client_ep, nullptr);
+  sim.run();
+  EXPECT_TRUE(ram.contains(once));
+  // The file hinted three times displaces the one hinted once...
+  node->serve_read(thrice, client_ep, nullptr);
+  sim.run();
+  EXPECT_TRUE(ram.contains(thrice));
+  EXPECT_FALSE(ram.contains(once));
+  // ...and not the reverse.
+  node->serve_read(once, client_ep, nullptr);
+  sim.run();
+  EXPECT_TRUE(ram.contains(thrice));
+  EXPECT_FALSE(ram.contains(once));
+}
+
 TEST_F(StorageNodeTest, MetricsAddUp) {
   auto node = make_node(params());
   setup_files(*node, 4, 10 * kMB, seconds_to_ticks(600));

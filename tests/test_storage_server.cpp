@@ -42,6 +42,19 @@ class StorageServerTest : public ::testing::Test {
   std::vector<StorageNode*> raw;
   std::unique_ptr<StorageServer> server;
   workload::Workload w;
+
+  /// Runs steps 1-4 and the (empty) prefetch, then starts replay.
+  void start_replay() {
+    server->register_nodes(raw);
+    server->ingest_history(w);
+    server->place_and_create(w);
+    server->distribute_patterns(w);
+    for (auto& n : nodes) {
+      n->start_prefetch({}, [] {});
+    }
+    sim.run();
+    for (auto& n : nodes) n->begin_replay(sim.now());
+  }
 };
 
 TEST_F(StorageServerTest, LifecycleOrderIsEnforced) {
@@ -95,17 +108,8 @@ TEST_F(StorageServerTest, PrefetchCandidatesAreNodeSlicesOfGlobalTopK) {
   for (const auto& slice : per_node) EXPECT_EQ(slice.size(), 2u);
 }
 
-TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
-  server->register_nodes(raw);
-  server->ingest_history(w);
-  server->place_and_create(w);
-  server->distribute_patterns(w);
-  for (auto& n : nodes) {
-    n->start_prefetch({}, [] {});
-  }
-  sim.run();
-  for (auto& n : nodes) n->begin_replay(sim.now());
-
+TEST_F(StorageServerTest, OfflineRouteLeavesRequestLogEmpty) {
+  start_replay();
   Tick done = -1;
   const trace::TraceRecord r = w.requests[0];
   server->route(r, client_ep,
@@ -113,6 +117,24 @@ TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
   sim.run();
   EXPECT_GT(done, 0);
   EXPECT_EQ(server->requests_routed(), 1u);
+  // Only online refresh reads the log, so offline routing counts nothing.
+  EXPECT_EQ(server->request_log().size(), 0u);
+  EXPECT_EQ(server->request_log().accesses(r.file), 0u);
+}
+
+TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
+  start_replay();
+  server->begin_online_refresh(8, seconds_to_ticks(3600));
+  Tick done = -1;
+  const trace::TraceRecord r = w.requests[0];
+  server->route(r, client_ep, [&](Tick t, core::RequestStatus) {
+    done = t;
+    server->stop_online_refresh();
+  });
+  sim.run();
+  EXPECT_GT(done, 0);
+  EXPECT_EQ(server->requests_routed(), 1u);
+  EXPECT_EQ(server->refreshes_performed(), 0u);
   EXPECT_EQ(server->request_log().size(), 1u);
   EXPECT_EQ(server->request_log().accesses(r.file), 1u);
 }

@@ -150,38 +150,10 @@ TEST(AccessLog, CountsAndRanks) {
   EXPECT_EQ(log.ranked(), (std::vector<FileId>{1, 2}));
 }
 
-TEST(AccessLog, PredictedGapIsEwma) {
-  AccessLog log(0.5);
-  EXPECT_FALSE(log.predicted_gap(7).has_value());
-  log.append(7, 0);
-  EXPECT_FALSE(log.predicted_gap(7).has_value());  // one access, no gap yet
-  log.append(7, 100);
-  EXPECT_EQ(log.predicted_gap(7).value(), 100);
-  log.append(7, 300);  // gap 200; ewma = 0.5*200 + 0.5*100 = 150
-  EXPECT_EQ(log.predicted_gap(7).value(), 150);
-  EXPECT_EQ(log.last_access(7).value(), 300);
-}
-
 TEST(AccessLog, RejectsTimeTravel) {
   AccessLog log;
   log.append(1, 100);
   EXPECT_THROW(log.append(2, 50), std::invalid_argument);
-}
-
-TEST(AccessLog, RejectsBadAlpha) {
-  EXPECT_THROW(AccessLog(0.0), std::invalid_argument);
-  EXPECT_THROW(AccessLog(1.5), std::invalid_argument);
-}
-
-TEST(AccessLog, ExportsAsTrace) {
-  AccessLog log;
-  log.append(3, 5, 100);
-  log.append(4, 8, 200);
-  const Trace t = log.to_trace();
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].file, 3u);
-  EXPECT_EQ(t[1].arrival, 8);
-  EXPECT_EQ(t[1].bytes, 200u);
 }
 
 }  // namespace

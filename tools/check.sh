@@ -19,7 +19,9 @@
 #                               #     REF, checked out in a temporary
 #                               #     worktree: every perfbench digest
 #                               #     must match (behaviour-preserving
-#                               #     refactors; see docs/perf.md)
+#                               #     refactors; see docs/perf.md); each
+#                               #     row also shows both peak_rss_mb
+#                               #     figures (warn-only)
 #   tools/check.sh --build-type Debug   # configure with another build type
 #   tools/check.sh --no-tidy    # skip clang-tidy even if installed
 #   tools/check.sh --label-timing   # split ctest by label, time each

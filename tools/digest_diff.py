@@ -13,8 +13,10 @@ once in this checkout and once in <checkout>, and prints a markdown table
 of the two `digest` lines.  The digest hashes RunMetrics plus the whole
 counter snapshot, so a refactor that keeps behaviour bit-identical leaves
 every row equal; a change that alters simulated output on purpose does
-not.  Each checkout builds its own perfbench binary under .bench_build/;
-build output goes to stderr.
+not.  Each row also shows the `peak_rss_mb` both runs reported on their
+JSON result line, and its change in percent; memory never affects the
+exit code.  Each checkout builds its own perfbench binary under
+.bench_build/; build output goes to stderr.
 
 Exit codes: 0 when every run produced a digest (and, with --require-equal,
 every pair matches); 1 when a run failed or a required pair differs; 2 on
@@ -37,8 +39,18 @@ def workloads(root):
         return [w["name"] for w in json.load(f)["workloads"]]
 
 
-def digest(checkout, workload, seed):
-    """The digest one perfbench invocation prints, or None if it failed."""
+def peak_rss_mb(stdout):
+    """`peak_rss_mb` from the JSON result line, or None if absent."""
+    lines = stdout.splitlines()
+    try:
+        return float(json.loads(lines[-1])["metrics"]["peak_rss_mb"]["value"])
+    except (IndexError, KeyError, TypeError, ValueError):
+        return None
+
+
+def run(checkout, workload, seed):
+    """(digest, peak_rss_mb) of one perfbench invocation; the digest is
+    None if the run failed."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", "1",
            "--trace", "0"]
@@ -48,8 +60,18 @@ def digest(checkout, workload, seed):
     if proc.returncode != 0 or match is None:
         print("digest_diff: %s (seed %d) failed in %s" %
               (workload, seed, checkout), file=sys.stderr)
-        return None
-    return match.group(1)
+        return None, None
+    return match.group(1), peak_rss_mb(proc.stdout)
+
+
+def mb(value):
+    return "-" if value is None else "%.2f" % value
+
+
+def delta_pct(old, new):
+    if old is None or new is None or old == 0:
+        return "-"
+    return "%+.1f%%" % (100.0 * (new - old) / old)
 
 
 def main():
@@ -72,13 +94,14 @@ def main():
     rows = []
     for workload in workloads(ROOT):
         for seed in seeds:
-            rows.append((workload, seed, digest(base, workload, seed),
-                         digest(ROOT, workload, seed)))
+            rows.append((workload, seed, run(base, workload, seed),
+                         run(ROOT, workload, seed)))
 
-    print("| workload | seed | base | this checkout | |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| workload | seed | base | this checkout | | base MB "
+          "| this MB | peak RSS Δ |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     failed = differ = 0
-    for workload, seed, old, new in rows:
+    for workload, seed, (old, old_mb), (new, new_mb) in rows:
         if old is None or new is None:
             verdict = "run failed"
             failed += 1
@@ -87,8 +110,9 @@ def main():
         else:
             verdict = "DIFFERS"
             differ += 1
-        print("| %s | %d | %s | %s | %s |" %
-              (workload, seed, old or "-", new or "-", verdict))
+        print("| %s | %d | %s | %s | %s | %s | %s | %s |" %
+              (workload, seed, old or "-", new or "-", verdict, mb(old_mb),
+               mb(new_mb), delta_pct(old_mb, new_mb)))
     print()
     print("%d of %d digest pairs equal; %d differ; %d runs failed" %
           (len(rows) - differ - failed, len(rows), differ, failed))
