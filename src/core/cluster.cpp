@@ -1,8 +1,10 @@
 #include "core/cluster.hpp"
 
-#include <limits>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
+#include "trace/trace.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 
@@ -126,69 +128,41 @@ void Cluster::build_infra() {
   }
 }
 
-void Cluster::build(const workload::Workload& workload) {
-  build_infra();
-  if (config_.online_popularity) {
-    // Blind mode: the server knows the files (sizes) but nothing about
-    // the access pattern — popularity is learned from the request log.
-    workload::Workload blind;
-    blind.name = workload.name + "/blind";
-    blind.file_sizes = workload.file_sizes;
-    server_->ingest_history(blind);
-    server_->place_and_create(blind);
-    server_->distribute_patterns(blind);
-  } else {
-    server_->ingest_history(workload);
-    server_->place_and_create(workload);
-    server_->distribute_patterns(workload);
-  }
-  arm_faults();
-}
-
-void Cluster::build_stream(const workload::StreamingWorkload& workload) {
-  if (config_.online_popularity) {
-    throw std::invalid_argument(
-        "Cluster: run_stream supports offline popularity only");
+void Cluster::build(const std::vector<Bytes>& file_sizes,
+                    std::size_t num_requests,
+                    const workload::PassFactory& open, bool exact_hints) {
+  if (finished_) {
+    throw std::logic_error("Cluster: run() may only be called once");
   }
   build_infra();
-
-  // Pass 1: fold the request sequence into exact per-file aggregates —
-  // the same numbers the PopularityAnalyzer would extract from a
-  // materialized trace, at O(num_files) memory.
-  const std::size_t nf = workload.num_files();
-  std::vector<std::size_t> counts(nf, 0);
-  std::vector<trace::FilePopularity> pop(nf);
-  std::vector<Tick> prev(nf, 0);
-  std::vector<Tick> gap_sum(nf, 0);
+  // Step 2: one pass folds every request into its file's popularity.  In
+  // online mode the server knows the files (sizes) but nothing about the
+  // access pattern — popularity is learned from the request log.
+  std::vector<trace::FilePopularity> pop;
   std::size_t total = 0;
   Tick horizon = 0;
-  auto pass = workload.open();
-  trace::TraceRecord r;
-  while (pass->next(&r)) {
-    trace::FilePopularity& p = pop.at(r.file);
-    if (p.accesses == 0) {
-      p.file = r.file;
-      p.first_access = r.arrival;
-    } else {
-      gap_sum[r.file] += r.arrival - prev[r.file];
+  if (!config_.online_popularity) {
+    pop.resize(file_sizes.size());
+    const auto pass = open();
+    trace::TraceRecord r;
+    while (pass->next(&r)) {
+      pop.at(r.file).add(r);
+      ++total;
+      horizon = r.arrival;  // arrivals are non-decreasing
     }
-    ++p.accesses;
-    p.bytes += r.bytes;
-    p.last_access = r.arrival;
-    prev[r.file] = r.arrival;
-    ++counts[r.file];
-    ++total;
-    horizon = r.arrival;  // arrivals are non-decreasing
-  }
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (pop[f].accesses > 1) {
-      pop[f].mean_gap = gap_sum[f] / static_cast<Tick>(pop[f].accesses - 1);
+    if (total != num_requests) {
+      throw std::invalid_argument(
+          format("Cluster: workload declares %zu requests but yields %zu",
+                 num_requests, total));
     }
   }
-  server_->ingest_popularity(std::move(pop), total);
-  server_->place_and_create(workload.file_sizes);
-  server_->distribute_pattern_summaries(counts, horizon);
+  server_->ingest_popularity(trace::PopularityAnalyzer(std::move(pop), total));
+  server_->place_and_create(file_sizes);
+  server_->distribute_patterns(
+      horizon, exact_hints && !config_.online_popularity ? open() : nullptr);
   arm_faults();
+  responses_outstanding_ = num_requests;
+  replay_ = open();
 }
 
 void Cluster::arm_faults() {
@@ -232,34 +206,31 @@ void Cluster::arm_faults() {
 }
 
 RunMetrics Cluster::run(const workload::Workload& workload) {
-  if (finished_) {
-    throw std::logic_error("Cluster: run() may only be called once");
-  }
   if (workload.requests.empty()) {
     throw std::invalid_argument("Cluster: empty workload");
   }
-  build(workload);
-  return run_phase([this, &workload](Tick replay_start) {
-    start_replay(workload, replay_start);
-  });
+  const std::span<const trace::TraceRecord> records =
+      workload.requests.records();
+  build(workload.file_sizes, records.size(),
+        [records] { return std::make_unique<workload::SpanStream>(records); },
+        /*exact_hints=*/true);
+  return run_phase();
 }
 
 RunMetrics Cluster::run_stream(const workload::StreamingWorkload& workload) {
-  if (finished_) {
-    throw std::logic_error("Cluster: run() may only be called once");
+  if (config_.online_popularity) {
+    throw std::invalid_argument(
+        "Cluster: run_stream supports offline popularity only");
   }
   if (workload.num_requests == 0 || !workload.open) {
     throw std::invalid_argument("Cluster: empty streaming workload");
   }
-  build_stream(workload);
-  stream_mode_ = true;
-  stream_ = workload.open();
-  responses_outstanding_ = workload.num_requests;
-  return run_phase(
-      [this](Tick replay_start) { start_stream_replay(replay_start); });
+  build(workload.file_sizes, workload.num_requests, workload.open,
+        /*exact_hints=*/false);
+  return run_phase();
 }
 
-RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
+RunMetrics Cluster::run_phase() {
   // Step 3b: prefetch, then replay once every node is done (barrier).
   // In online mode nothing is known yet, so the initial prefetch is
   // empty and the periodic refresh does the work.
@@ -275,9 +246,9 @@ RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
   if (recovery_) recovery_->set_rewarm_candidates(candidates);
 
   auto barrier = std::make_shared<std::size_t>(nodes_.size());
-  (void)sim_->schedule_at(0, [this, &start, candidates, barrier] {
+  (void)sim_->schedule_at(0, [this, candidates, barrier] {
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      nodes_[n]->start_prefetch(candidates[n], [this, &start, barrier] {
+      nodes_[n]->start_prefetch(candidates[n], [this, barrier] {
         if (--*barrier == 0) {
           const Tick replay_start = sim_->now();
           metrics_.prefetch_duration = replay_start;
@@ -292,7 +263,7 @@ RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
                 seconds_to_ticks(config_.heartbeat_interval_sec),
                 config_.heartbeat_miss_threshold);
           }
-          start(replay_start);
+          start_replay(replay_start);
         }
       });
     }
@@ -306,116 +277,39 @@ RunMetrics Cluster::run_phase(const std::function<void(Tick)>& start) {
   return metrics_;
 }
 
-void Cluster::start_replay(const workload::Workload& workload,
-                           Tick replay_start) {
-  const trace::Trace& trace = workload.requests;
-  if (trace.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("Cluster: trace exceeds 2^32 records");
-  }
-  responses_outstanding_ = trace.size();
-  all_issued_ = true;  // per-client chains below cover every record
-
+void Cluster::start_replay(Tick replay_start) {
   // Closed loop per client, like the paper's replayer: a client issues
   // its next record at its trace arrival time, but never before its
   // previous request completed.  This bounds queues at zero inter-arrival
   // delay and stretches the run when service times exceed the spacing
   // (the paper's 50 MB "test ran longer than the original trace time").
-  // Records stay in the caller's trace; each client gets the indices of
-  // its records (a counting sort by client), read at issue time.
-  const std::size_t nc = clients_.size();
-  replay_trace_ = &trace;
-  replay_cursor_.assign(nc, {});
-  for (const trace::TraceRecord& r : trace.records()) {
-    ++replay_cursor_[r.client % nc].end;
-  }
-  std::uint32_t offset = 0;
-  for (ReplayCursor& cur : replay_cursor_) {
-    const std::uint32_t count = cur.end;
-    cur.next = cur.end = offset;
-    offset += count;
-  }
-  replay_order_.resize(trace.size());
-  for (std::uint32_t i = 0; i < trace.size(); ++i) {
-    replay_order_[replay_cursor_[trace[i].client % nc].end++] = i;
-  }
-  for (std::size_t c = 0; c < nc; ++c) {
+  queues_.assign(clients_.size(), {});
+  for (std::size_t c = 0; c < clients_.size(); ++c) {
     if (const trace::TraceRecord* first = next_record(c)) {
       (void)sim_->schedule_at(replay_start + first->arrival,
                         [this, c, replay_start] { issue_next(c, replay_start); });
     }
   }
-  if (responses_outstanding_ == 0) finish_run();
 }
 
-void Cluster::start_stream_replay(Tick replay_start) {
-  all_issued_ = true;  // the pump + per-client chains cover every record
-  stream_queues_.assign(clients_.size(), {});
-  // Every client starts idle; the pump wakes each one as its first
-  // record enters the look-ahead window.
-  client_waiting_.assign(clients_.size(), true);
-  if (responses_outstanding_ == 0) {
-    finish_run();
-    return;
+const trace::TraceRecord* Cluster::next_record(std::size_t client_idx) {
+  std::deque<trace::TraceRecord>& queue = queues_[client_idx];
+  trace::TraceRecord r;
+  while (queue.empty() && replay_) {
+    if (!replay_->next(&r)) {
+      replay_.reset();  // dry: what is left is all in client queues
+      break;
+    }
+    queues_[r.client % clients_.size()].push_back(r);
+    peak_resident_ = std::max(peak_resident_, ++resident_);
   }
-  pump_stream(replay_start);
-}
-
-void Cluster::pump_stream(Tick replay_start) {
-  // Records due within this much trace time are pulled eagerly; later
-  // ones wait in the stream.  The window (plus genuine client backlog)
-  // is all that is ever resident — the high-water mark is
-  // stream_peak_resident_records().
-  const Tick lookahead = seconds_to_ticks(1.0);
-  for (;;) {
-    if (!stream_has_pending_) {
-      if (!stream_ || !stream_->next(&stream_pending_)) {
-        stream_.reset();  // dry: remaining work is all in client queues
-        return;
-      }
-      stream_has_pending_ = true;
-    }
-    const Tick due = replay_start + stream_pending_.arrival;
-    if (due > sim_->now() + lookahead) {
-      pump_timer_ = sim_->schedule_at(
-          due - lookahead,
-          [this, replay_start] { pump_stream(replay_start); });
-      return;
-    }
-    const std::size_t c = stream_pending_.client % clients_.size();
-    stream_queues_[c].push_back(stream_pending_);
-    stream_has_pending_ = false;
-    ++stream_resident_;
-    if (stream_resident_ > stream_peak_resident_) {
-      stream_peak_resident_ = stream_resident_;
-    }
-    if (client_waiting_[c]) {
-      client_waiting_[c] = false;
-      (void)sim_->schedule_at(std::max(due, sim_->now()),
-                        [this, c, replay_start] {
-                          issue_next(c, replay_start);
-                        });
-    }
-  }
-}
-
-const trace::TraceRecord* Cluster::next_record(std::size_t client_idx) const {
-  if (stream_mode_) {
-    const auto& queue = stream_queues_[client_idx];
-    return queue.empty() ? nullptr : &queue.front();
-  }
-  const ReplayCursor& cur = replay_cursor_[client_idx];
-  return cur.next == cur.end ? nullptr
-                             : &(*replay_trace_)[replay_order_[cur.next]];
+  return queue.empty() ? nullptr : &queue.front();
 }
 
 void Cluster::issue_next(std::size_t client_idx, Tick replay_start) {
-  const trace::TraceRecord r = *next_record(client_idx);
-  if (stream_mode_) {
-    stream_queues_[client_idx].pop_front();
-    --stream_resident_;
-  } else {
-    ++replay_cursor_[client_idx].next;
-  }
+  const trace::TraceRecord r = queues_[client_idx].front();
+  queues_[client_idx].pop_front();
+  --resident_;
   start_attempt(client_idx, r, replay_start, 0);
 }
 
@@ -483,10 +377,6 @@ void Cluster::complete_request(std::size_t client_idx, Tick replay_start) {
                       [this, client_idx, replay_start] {
                         issue_next(client_idx, replay_start);
                       });
-  } else if (stream_mode_) {
-    // Queue drained: the pump re-wakes this client when its next record
-    // enters the look-ahead window.
-    client_waiting_[client_idx] = true;
   }
   if (--responses_outstanding_ == 0) finish_run();
 }

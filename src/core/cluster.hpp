@@ -36,7 +36,6 @@
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "trace/record.hpp"
-#include "trace/trace.hpp"
 #include "util/units.hpp"
 #include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
@@ -53,24 +52,27 @@ class Cluster {
 
   /// Runs the full process flow over `workload` and returns the metrics
   /// (metered from t=0, i.e. including the prefetch phase, until the last
-  /// response — plus the final write-buffer destage if any).
+  /// response — plus the final write-buffer destage if any).  Nodes get
+  /// each file's exact access offsets as power hints.
   RunMetrics run(const workload::Workload& workload);
 
   /// Streaming variant for datacenter-scale runs: requests come from a
-  /// lazily-evaluated stream and are never fully materialized.  Setup
-  /// folds one pass into exact popularity aggregates; replay pulls a
-  /// bounded look-ahead window from a second pass.  Differences from
-  /// run(): nodes get per-file access COUNT summaries instead of exact
-  /// arrival timelines (power hints are modeled as evenly spaced), and
-  /// online popularity mode is not supported.
+  /// lazily-evaluated stream and are never fully materialized.  Same
+  /// build and replay as run(); the differences are that nodes get
+  /// per-file access COUNTS instead of exact arrival timelines (power
+  /// hints are modeled as evenly spaced) and that online popularity mode
+  /// is not supported.  Throws std::invalid_argument, before simulating,
+  /// when a pass yields a different record count than num_requests.
   RunMetrics run_stream(const workload::StreamingWorkload& workload);
 
-  /// High-water mark of replay records resident at once during
-  /// run_stream (look-ahead window + client backlogs) — the per-cell
-  /// memory-budget figure the scalability bench reports.
-  std::size_t stream_peak_resident_records() const {
-    return stream_peak_resident_;
-  }
+  /// High-water mark of replay records read ahead of their issue (the
+  /// per-client queues), for run() and run_stream() alike — the per-cell
+  /// memory figure the scalability bench reports.  Replay reads the
+  /// requests only when a client needs its next record, and only until
+  /// that record appears: about clients x ln(requests) with clients
+  /// assigned uniformly; a client that goes idle makes the pull read
+  /// ahead to its next record.
+  std::size_t stream_peak_resident_records() const { return peak_resident_; }
 
   // Post-run introspection (valid after run()).
   const StorageServer& server() const { return *server_; }
@@ -105,19 +107,20 @@ class Cluster {
   /// Fault-plan arming (no-op for an empty plan); after ingest so the
   /// recovery manager sees the final node set.
   void arm_faults();
-  void build(const workload::Workload& workload);
-  void build_stream(const workload::StreamingWorkload& workload);
-  /// Shared run skeleton: prefetch barrier, then `start(replay_start)`,
-  /// then drain + finish checks.
-  RunMetrics run_phase(const std::function<void(Tick)>& start);
-  void start_replay(const workload::Workload& workload, Tick replay_start);
-  void start_stream_replay(Tick replay_start);
-  /// Pulls stream records due within the look-ahead window into the
-  /// per-client queues, waking idle clients; re-arms itself at the next
-  /// record's window entry.
-  void pump_stream(Tick replay_start);
-  /// The client's next unissued record, or null when it has none queued.
-  const trace::TraceRecord* next_record(std::size_t client_idx) const;
+  /// Steps 1-4 over the requests `open` makes passes of: one pass ranks
+  /// the files (skipped in online mode, which learns them from the
+  /// request log), then placement, then hints — exact offsets read in a
+  /// second pass when `exact_hints`, else modeled from per-file counts.
+  /// Opens the replay pass last.
+  void build(const std::vector<Bytes>& file_sizes, std::size_t num_requests,
+             const workload::PassFactory& open, bool exact_hints);
+  /// Run skeleton: prefetch barrier, replay, then drain + finish checks.
+  RunMetrics run_phase();
+  void start_replay(Tick replay_start);
+  /// The client's next unissued record: reads the replay pass until one
+  /// for this client appears, queueing the other clients' records on the
+  /// way.  Null when the pass holds no more for this client.
+  const trace::TraceRecord* next_record(std::size_t client_idx);
   void issue_next(std::size_t client_idx, Tick replay_start);
   /// One attempt of one request: deadline-guarded, typed completion.
   void start_attempt(std::size_t client_idx, const trace::TraceRecord& r,
@@ -156,33 +159,15 @@ class Cluster {
   RecoveryManager::Histograms recovery_hists_;
 
   std::size_t responses_outstanding_ = 0;
-  bool all_issued_ = false;
   bool finished_ = false;
   RunMetrics metrics_;
 
-  // materialized replay state (run only).  Records are read in place
-  // from the caller's trace, which outlives run(); client c replays
-  // trace[replay_order_[i]] for i in [replay_cursor_[c].next,
-  // replay_cursor_[c].end), in trace order.
-  struct ReplayCursor {
-    std::uint32_t next = 0;
-    std::uint32_t end = 0;
-  };
-  const trace::Trace* replay_trace_ = nullptr;
-  std::vector<std::uint32_t> replay_order_;
-  std::vector<ReplayCursor> replay_cursor_;
-
-  // streaming replay state (run_stream only)
-  std::vector<std::deque<trace::TraceRecord>> stream_queues_;
-  std::unique_ptr<workload::RequestStream> stream_;
-  trace::TraceRecord stream_pending_{};
-  bool stream_has_pending_ = false;
-  bool stream_mode_ = false;
-  /// Clients that drained their queue and await the pump.
-  std::vector<bool> client_waiting_;
-  sim::EventHandle pump_timer_;
-  std::size_t stream_resident_ = 0;
-  std::size_t stream_peak_resident_ = 0;
+  // Replay state: the pass being replayed (null once exhausted) and each
+  // client's records read from it but not yet issued.
+  std::unique_ptr<workload::RequestStream> replay_;
+  std::vector<std::deque<trace::TraceRecord>> queues_;
+  std::size_t resident_ = 0;
+  std::size_t peak_resident_ = 0;
 
   // client-level availability accounting
   std::uint64_t failed_requests_ = 0;

@@ -145,23 +145,6 @@ void StorageNode::receive_access_pattern(
   horizon_ = horizon;
 }
 
-void StorageNode::receive_access_summary(
-    std::map<trace::FileId, std::size_t> counts, Tick horizon) {
-  pattern_.clear();
-  horizon_ = horizon;
-  if (horizon <= 0) return;
-  for (const auto& [file, count] : counts) {
-    std::vector<Tick>& offsets = pattern_[file];
-    offsets.reserve(count);
-    // Midpoint spacing keeps the first expected access off t=0 and the
-    // last off the horizon edge, so modeled idle windows stay symmetric.
-    const auto c = static_cast<Tick>(count);
-    for (Tick i = 0; i < c; ++i) {
-      offsets.push_back((2 * i + 1) * horizon / (2 * c));
-    }
-  }
-}
-
 void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
                                  std::function<void()> done) {
   // Merge the per-file pattern into per-data-disk access timelines; a

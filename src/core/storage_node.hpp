@@ -105,17 +105,10 @@ class StorageNode {
 
   /// Receives this node's slice of the access pattern: per-file sorted
   /// access offsets (relative to replay start) and the trace horizon.
+  /// The offsets are exact for a materialized trace and modeled from
+  /// per-file counts for a stream (StorageServer::distribute_patterns).
   void receive_access_pattern(
       std::map<trace::FileId, std::vector<Tick>> offsets, Tick horizon);
-
-  /// Streaming form: per-file access COUNTS over the horizon.  The node
-  /// models each file's accesses as evenly spaced (midpoint spacing, so
-  /// a count-c file is expected at (2i+1)·H/2c) — the constant-rate view
-  /// the predictive power policy already takes — and plans against those
-  /// modeled timelines.  Memory is this node's share of the run, not the
-  /// whole trace.
-  void receive_access_summary(std::map<trace::FileId, std::size_t> counts,
-                              Tick horizon);
 
   /// Plans (PRE-BUD gate) and executes the prefetch of `candidates`
   /// (this node's slice of the global top-K, rank order).  `done` fires

@@ -24,17 +24,8 @@ void StorageServer::register_nodes(std::vector<StorageNode*> nodes) {
   stale_files_.assign(nodes_.size(), {});
 }
 
-void StorageServer::ingest_history(const workload::Workload& history) {
-  analyzer_.emplace(history.requests);
-}
-
-void StorageServer::ingest_popularity(
-    std::vector<trace::FilePopularity> summaries, std::size_t total_accesses) {
-  analyzer_.emplace(std::move(summaries), total_accesses);
-}
-
-void StorageServer::place_and_create(const workload::Workload& workload) {
-  place_and_create(workload.file_sizes);
+void StorageServer::ingest_popularity(trace::PopularityAnalyzer popularity) {
+  analyzer_.emplace(std::move(popularity));
 }
 
 void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
@@ -42,7 +33,7 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
     throw std::logic_error("StorageServer: register_nodes first");
   }
   if (!analyzer_) {
-    throw std::logic_error("StorageServer: ingest_history first");
+    throw std::logic_error("StorageServer: ingest_popularity first");
   }
   placement_ = place_files(placement_policy_, nodes_.size(),
                            file_sizes.size(), *analyzer_,
@@ -70,50 +61,39 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
   }
 }
 
-void StorageServer::distribute_pattern_summaries(
-    const std::vector<std::size_t>& counts, Tick horizon) {
-  if (placement_.node_of.empty()) {
-    throw std::logic_error("StorageServer: place_and_create first");
-  }
-  std::vector<std::map<trace::FileId, std::size_t>> per_node(nodes_.size());
-  for (trace::FileId f = 0; f < counts.size(); ++f) {
-    if (counts[f] == 0) continue;
-    if (placement_.erasure) {
-      // Mirrors distribute_patterns: every data-chunk holder serves the
-      // read, parity holders stay cold.
-      const auto& holders = placement_.replicas(f);
-      for (std::size_t c = 0; c < placement_.ec_k; ++c) {
-        per_node[holders[c]][f] = counts[f];
-      }
-    } else {
-      per_node[placement_.node(f)][f] = counts[f];
-    }
-  }
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    nodes_[n]->receive_access_summary(std::move(per_node[n]), horizon);
-  }
+std::span<const NodeId> StorageServer::serving_holders(trace::FileId f) const {
+  return std::span<const NodeId>(placement_.replicas(f))
+      .first(placement_.erasure ? placement_.ec_k : 1);
 }
 
-void StorageServer::distribute_patterns(const workload::Workload& workload) {
+void StorageServer::distribute_patterns(
+    Tick horizon, std::unique_ptr<workload::RequestStream> exact) {
   if (placement_.node_of.empty()) {
     throw std::logic_error("StorageServer: place_and_create first");
   }
   std::vector<std::map<trace::FileId, std::vector<Tick>>> per_node(
       nodes_.size());
-  for (const trace::TraceRecord& r : workload.requests.records()) {
-    if (placement_.erasure) {
-      // Every data-chunk holder takes part in serving a read, so each of
-      // the first k holders gets the hint; parity holders stay cold until
-      // a degraded read or repair pulls them in.
-      const auto& holders = placement_.replicas(r.file);
-      for (std::size_t c = 0; c < placement_.ec_k; ++c) {
-        per_node[holders[c]][r.file].push_back(r.arrival);
+  if (exact) {
+    trace::TraceRecord r;
+    while (exact->next(&r)) {
+      for (const NodeId n : serving_holders(r.file)) {
+        per_node[n][r.file].push_back(r.arrival);
       }
-    } else {
-      per_node[placement_.node(r.file)][r.file].push_back(r.arrival);
+    }
+  } else if (horizon > 0) {
+    for (const trace::FilePopularity& p : analyzer_->ranked()) {
+      const std::span<const NodeId> holders = serving_holders(p.file);
+      std::vector<Tick>& offsets = per_node[holders.front()][p.file];
+      // Midpoint spacing keeps the first expected access off t=0 and the
+      // last off the horizon edge, so modeled idle windows stay symmetric.
+      const auto c = static_cast<Tick>(p.accesses);
+      offsets.reserve(p.accesses);
+      for (Tick i = 0; i < c; ++i) {
+        offsets.push_back((2 * i + 1) * horizon / (2 * c));
+      }
+      for (const NodeId n : holders.subspan(1)) per_node[n][p.file] = offsets;
     }
   }
-  const Tick horizon = workload.requests.duration();
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     nodes_[n]->receive_access_pattern(std::move(per_node[n]), horizon);
   }
@@ -122,18 +102,11 @@ void StorageServer::distribute_patterns(const workload::Workload& workload) {
 std::vector<std::vector<trace::FileId>> StorageServer::prefetch_candidates(
     std::size_t k) const {
   if (!analyzer_) {
-    throw std::logic_error("StorageServer: ingest_history first");
+    throw std::logic_error("StorageServer: ingest_popularity first");
   }
   std::vector<std::vector<trace::FileId>> per_node(nodes_.size());
   for (const trace::FileId f : analyzer_->top(k)) {
-    if (placement_.erasure) {
-      const auto& holders = placement_.replicas(f);
-      for (std::size_t c = 0; c < placement_.ec_k; ++c) {
-        per_node[holders[c]].push_back(f);
-      }
-    } else {
-      per_node[placement_.node(f)].push_back(f);
-    }
+    for (const NodeId n : serving_holders(f)) per_node[n].push_back(f);
   }
   return per_node;
 }
@@ -183,7 +156,7 @@ void StorageServer::begin_online_refresh(std::size_t k, Tick interval) {
     std::size_t taken = 0;
     for (const trace::FileId f : log_.ranked()) {
       if (taken++ >= k) break;
-      per_node[placement_.node(f)].push_back(f);
+      for (const NodeId n : serving_holders(f)) per_node[n].push_back(f);
     }
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
       nodes_[n]->update_prefetch(per_node[n]);

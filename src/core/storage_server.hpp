@@ -38,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,7 +56,7 @@
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
-#include "workload/synthetic.hpp"
+#include "workload/stream.hpp"
 
 namespace eevfs::core {
 
@@ -76,14 +77,10 @@ class StorageServer {
   /// Step 2: derive popularity.  The prototype learns the pattern from a
   /// history trace (paper §IV-A: "uses a trace to replay file access
   /// patterns and bases the file popularity on information gathered from
-  /// traces").
-  void ingest_history(const workload::Workload& history);
-
-  /// Step 2, streaming form: exact per-file aggregates computed in one
-  /// pass over a request stream (Cluster::run_stream) instead of a
-  /// materialized trace.  Produces the same ranking the trace form would.
-  void ingest_popularity(std::vector<trace::FilePopularity> summaries,
-                         std::size_t total_accesses);
+  /// traces"); the cluster folds one pass over the requests into it.  In
+  /// online mode it is empty: popularity is learned from the request log
+  /// instead.
+  void ingest_popularity(trace::PopularityAnalyzer popularity);
 
   /// How many copies of every file place_and_create lays out (clamped to
   /// the node count; 1 = the paper's unreplicated system).
@@ -132,34 +129,30 @@ class StorageServer {
 
   /// Step 3: place every file and issue create-file calls to the nodes
   /// in popularity order (drives their local disk round-robin).
-  void place_and_create(const workload::Workload& workload);
-
-  /// Streaming form: identical placement/creation from the per-file
-  /// sizes alone (popularity comes from the ingested aggregates).
   void place_and_create(const std::vector<Bytes>& file_sizes);
 
   /// Step 4: split the access pattern per node and forward it
-  /// (application hints, §IV-C).  Hints go to the primary replica only —
-  /// secondaries serve cold and are only woken by failover traffic.
-  void distribute_patterns(const workload::Workload& workload);
-
-  /// Step 4, streaming form: forwards per-file access COUNTS over the
-  /// horizon instead of exact arrival timelines (which would materialize
-  /// the whole run).  Nodes model each file's accesses as evenly spaced
-  /// — the same constant-rate view the predictive power policy takes.
-  void distribute_pattern_summaries(const std::vector<std::size_t>& counts,
-                                    Tick horizon);
+  /// (application hints, §IV-C) to each file's serving holders (see
+  /// serving_holders).  `exact` is a fresh pass over the requests: each
+  /// holder gets the file's exact access offsets.  Without one — a
+  /// stream, whose offsets would materialize the whole run — each file's
+  /// ingested access count is modeled as evenly spaced over `horizon`:
+  /// midpoint spacing, so a count-c file is expected at (2i+1)·H/2c, the
+  /// constant-rate view the predictive power policy takes.
+  void distribute_patterns(Tick horizon,
+                           std::unique_ptr<workload::RequestStream> exact);
 
   /// This node-indexed slice of the globally top-`k` files, each slice in
-  /// global rank order — the prefetch instruction of step 3.  Primary
-  /// replicas only.
+  /// global rank order — the prefetch instruction of step 3.  Serving
+  /// holders only.
   std::vector<std::vector<trace::FileId>> prefetch_candidates(
       std::size_t k) const;
 
   /// Online mode (extension): while the refresh runs, the request log
   /// counts every routed request per file; every `interval` the server
-  /// re-ranks those counts, takes the global top-`k`, and tells each node
-  /// to update its buffered set.  Runs until stop_online_refresh().
+  /// re-ranks those counts, takes the global top-`k`, and tells each
+  /// serving holder to update its buffered set.  Runs until
+  /// stop_online_refresh().
   void begin_online_refresh(std::size_t k, Tick interval);
   void stop_online_refresh();
   std::uint64_t refreshes_performed() const { return refreshes_; }
@@ -247,6 +240,12 @@ class StorageServer {
     RouteCallback on_done;
   };
 
+  /// The nodes that serve reads of `f`, and so get its hints and its
+  /// prefetch copies: the primary (secondary replicas serve cold, woken
+  /// only by failover traffic), or under erasure the first k chunk
+  /// holders (the data chunks; parity holders stay cold until a degraded
+  /// read or repair pulls them in).
+  std::span<const NodeId> serving_holders(trace::FileId f) const;
   /// Candidate replica order for one request: believed-healthy nodes
   /// first (placement order), heartbeat-dead-marked nodes last, known
   /// (file, node) kDiskUnavailable pairs dropped.

@@ -27,41 +27,34 @@ Bytes Trace::total_bytes() const { return total_bytes_; }
 
 std::size_t Trace::unique_files() const { return counts_.size(); }
 
-PopularityAnalyzer::PopularityAnalyzer(const Trace& trace) {
-  std::map<FileId, FilePopularity> acc;
-  std::map<FileId, Tick> prev_access;
-  std::map<FileId, Tick> gap_sum;
-  for (const TraceRecord& r : trace.records()) {
-    auto [it, inserted] = acc.try_emplace(r.file);
-    FilePopularity& p = it->second;
-    if (inserted) {
-      p.file = r.file;
-      p.first_access = r.arrival;
-    } else {
-      gap_sum[r.file] += r.arrival - prev_access[r.file];
-    }
-    p.last_access = r.arrival;
-    ++p.accesses;
-    p.bytes += r.bytes;
-    prev_access[r.file] = r.arrival;
-    ++total_accesses_;
+void FilePopularity::add(const TraceRecord& r) {
+  if (accesses == 0) {
+    file = r.file;
+    first_access = r.arrival;
   }
-  ranked_.reserve(acc.size());
-  for (auto& [file, p] : acc) {
-    if (p.accesses > 1) {
-      p.mean_gap = gap_sum[file] / static_cast<Tick>(p.accesses - 1);
-    }
-    ranked_.push_back(p);
-  }
-  std::stable_sort(ranked_.begin(), ranked_.end(),
-                   [](const FilePopularity& a, const FilePopularity& b) {
-                     if (a.accesses != b.accesses) return a.accesses > b.accesses;
-                     return a.file < b.file;
-                   });
-  for (std::size_t i = 0; i < ranked_.size(); ++i) {
-    rank_of_[ranked_[i].file] = i;
+  ++accesses;
+  bytes += r.bytes;
+  last_access = r.arrival;
+  if (accesses > 1) {
+    mean_gap = (last_access - first_access) / static_cast<Tick>(accesses - 1);
   }
 }
+
+namespace {
+
+std::vector<FilePopularity> summarize(const Trace& trace) {
+  std::map<FileId, FilePopularity> acc;
+  for (const TraceRecord& r : trace.records()) acc[r.file].add(r);
+  std::vector<FilePopularity> out;
+  out.reserve(acc.size());
+  for (const auto& [file, p] : acc) out.push_back(p);
+  return out;
+}
+
+}  // namespace
+
+PopularityAnalyzer::PopularityAnalyzer(const Trace& trace)
+    : PopularityAnalyzer(summarize(trace), trace.size()) {}
 
 PopularityAnalyzer::PopularityAnalyzer(std::vector<FilePopularity> summaries,
                                        std::size_t total_accesses)

@@ -48,6 +48,10 @@ struct FilePopularity {
   Tick last_access = 0;
   /// Mean gap between successive accesses to this file (0 if < 2).
   Tick mean_gap = 0;
+
+  /// Folds in the next access to this file (arrivals non-decreasing).
+  /// The gaps telescope, so their mean is (last - first) / (accesses - 1).
+  void add(const TraceRecord& r);
 };
 
 /// Computes file popularity; `ranked` is sorted by access count
@@ -56,7 +60,7 @@ class PopularityAnalyzer {
  public:
   explicit PopularityAnalyzer(const Trace& trace);
 
-  /// Aggregate form for the streaming path: per-file summaries computed
+  /// Aggregate form: per-file summaries folded with FilePopularity::add
   /// in one pass over a request stream (any order; zero-access entries
   /// are dropped) and the total access count.  Equivalent to the Trace
   /// constructor when the summaries are exact.

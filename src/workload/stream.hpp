@@ -1,18 +1,24 @@
-// Streaming workload generation (datacenter-scale path).
+// Request streams: one replay path for materialized and generated
+// workloads.
 //
 // A materialized workload::Workload holds every TraceRecord of the run up
 // front — fine at the paper's 1000-request scale, hopeless for a
 // 1024-node cell replaying millions of requests (the trace alone holds
-// the full run).  A
-// StreamingWorkload instead carries only the per-file metadata (sizes —
-// O(num_files)) plus a factory that opens a fresh *pass* over the
-// request sequence; requests are produced lazily, one at a time, in
-// arrival order, and are never fully materialized anywhere:
+// the full run).  A StreamingWorkload instead carries only the per-file
+// metadata (sizes — O(num_files)) plus a factory that opens a fresh
+// *pass* over the request sequence; requests are produced lazily, one at
+// a time, in arrival order, and are never fully materialized anywhere.
+// Cluster::run reads a materialized trace through the same interface
+// (SpanStream), so both inputs take one build and one replay:
 //
-//  * pass 1 (Cluster::run_stream setup) folds the sequence into exact
-//    per-file popularity aggregates for placement and prefetch ranking;
-//  * pass 2 feeds the replay pump, which holds only a small look-ahead
-//    window of undelivered records (plus each client's backlog).
+//  * setup folds one pass into exact per-file popularity aggregates for
+//    placement and prefetch ranking (a materialized trace is read a
+//    second time for its exact access offsets, the power hints);
+//  * replay reads its own pass only when a client needs its next record,
+//    and only until that record appears; what it read ahead waits in the
+//    other clients' queues.  With clients assigned uniformly that is
+//    about clients x ln(requests) records; a client that goes idle makes
+//    the pull read ahead to its next record.
 //
 // SyntheticStream produces the exact same record sequence as
 // generate_synthetic for the same config — generate_synthetic is
@@ -21,6 +27,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "trace/record.hpp"
 #include "util/rng.hpp"
@@ -38,6 +45,27 @@ class RequestStream {
   virtual bool next(trace::TraceRecord* out) = 0;
 };
 
+/// Starts a fresh pass over one request sequence.
+using PassFactory = std::function<std::unique_ptr<RequestStream>()>;
+
+/// A pass over records already in memory (a materialized trace); the
+/// records must outlive the pass.
+class SpanStream : public RequestStream {
+ public:
+  explicit SpanStream(std::span<const trace::TraceRecord> rest)
+      : rest_(rest) {}
+
+  bool next(trace::TraceRecord* out) override {
+    if (rest_.empty()) return false;
+    *out = rest_.front();
+    rest_ = rest_.subspan(1);
+    return true;
+  }
+
+ private:
+  std::span<const trace::TraceRecord> rest_;
+};
+
 /// A workload whose requests are generated on demand.  `open()` starts a
 /// fresh pass from the first record; passes are independent and
 /// deterministic (every pass yields the identical sequence).
@@ -45,7 +73,7 @@ struct StreamingWorkload {
   std::string name;
   std::vector<Bytes> file_sizes;  // indexed by FileId
   std::size_t num_requests = 0;
-  std::function<std::unique_ptr<RequestStream>()> open;
+  PassFactory open;
 
   std::size_t num_files() const { return file_sizes.size(); }
   Bytes file_size(trace::FileId f) const { return file_sizes.at(f); }

@@ -71,13 +71,21 @@ TEST(PopularityAnalyzer, TopAndCoverage) {
 }
 
 TEST(PopularityAnalyzer, MeanGapAndAccessTimes) {
-  const Trace t = make_trace();
+  Trace t = make_trace();
+  // File 9's gaps differ: 1 s and 3 s.
+  t.append({seconds_to_ticks(6), 9, 1 * kMB, Op::kRead, 1});
+  t.append({seconds_to_ticks(7), 9, 1 * kMB, Op::kRead, 1});
+  t.append({seconds_to_ticks(10), 9, 1 * kMB, Op::kRead, 1});
   const PopularityAnalyzer a(t);
-  const FilePopularity& hot = a.ranked()[0];
+  const FilePopularity& hot = a.ranked()[a.rank(5)];
   EXPECT_EQ(hot.first_access, 0);
   EXPECT_EQ(hot.last_access, seconds_to_ticks(4));
   EXPECT_EQ(hot.mean_gap, seconds_to_ticks(2));  // gaps 2 s and 2 s
-  EXPECT_EQ(a.ranked()[1].mean_gap, 0);          // single access
+  const FilePopularity& uneven = a.ranked()[a.rank(9)];
+  EXPECT_EQ(uneven.first_access, seconds_to_ticks(6));
+  EXPECT_EQ(uneven.last_access, seconds_to_ticks(10));
+  EXPECT_EQ(uneven.mean_gap, seconds_to_ticks(2));  // gaps 1 s and 3 s
+  EXPECT_EQ(a.ranked()[a.rank(3)].mean_gap, 0);     // single access
 }
 
 TEST(TraceIo, RoundTripsThroughText) {

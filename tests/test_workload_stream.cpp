@@ -1,10 +1,13 @@
 // Streaming workload path: SyntheticStream must reproduce
 // generate_synthetic record-for-record, and Cluster::run_stream must
-// agree with Cluster::run whenever the two paths are semantically
-// identical (no power hints in play, no arrival-time ties).
+// agree with Cluster::run whenever the two inputs get the same hints
+// (none in play) — they share one build and one replay.
 #include "workload/stream.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "baseline/presets.hpp"
 #include "core/cluster.hpp"
@@ -86,9 +89,47 @@ TEST(StreamWorkload, RunStreamMatchesRunWithoutHints) {
   EXPECT_EQ(a.data_disk_reads, b.data_disk_reads);
   EXPECT_EQ(a.response_time_sec.mean(), b.response_time_sec.mean());
   EXPECT_EQ(a.response_p99_sec, b.response_p99_sec);
-  // The pump adds its own re-arm/wake bookkeeping events, so the
-  // streaming run executes strictly more events for the same outcome.
-  EXPECT_GT(lazy.executed_events(), eager.executed_events());
+  // One replay path: the same events, and every counter the same.
+  EXPECT_EQ(lazy.executed_events(), eager.executed_events());
+  EXPECT_EQ(lazy.stream_peak_resident_records(),
+            eager.stream_peak_resident_records());
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (std::size_t i = 0; i < a.counters.size(); ++i) {
+    const obs::Sample& x = a.counters[i];
+    const obs::Sample& y = b.counters[i];
+    EXPECT_EQ(x.name, y.name) << i;
+    EXPECT_EQ(x.kind, y.kind) << x.name;
+    EXPECT_EQ(x.value, y.value) << x.name;
+    EXPECT_EQ(x.count, y.count) << x.name;
+    EXPECT_EQ(x.mean, y.mean) << x.name;
+    EXPECT_EQ(x.p50, y.p50) << x.name;
+    EXPECT_EQ(x.p95, y.p95) << x.name;
+    EXPECT_EQ(x.p99, y.p99) << x.name;
+    EXPECT_EQ(x.min, y.min) << x.name;
+    EXPECT_EQ(x.max, y.max) << x.name;
+  }
+}
+
+// A stream whose passes yield more or fewer records than it declares is
+// rejected before anything is simulated, naming both counts.
+TEST(StreamWorkload, RunStreamRejectsMiscountedStream) {
+  SyntheticConfig wcfg;
+  wcfg.num_requests = 300;
+  for (const std::size_t declared : {200u, 400u}) {
+    StreamingWorkload w = make_synthetic_stream(wcfg);
+    w.num_requests = declared;
+    core::Cluster c(baseline::eevfs_pf());
+    try {
+      (void)c.run_stream(w);
+      ADD_FAILURE() << "declared " << declared << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(declared)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("300"), std::string::npos) << what;
+    }
+    EXPECT_EQ(c.executed_events(), 0u) << "declared " << declared;
+  }
 }
 
 TEST(StreamWorkload, RunStreamServesAllWithBoundedResidency) {
@@ -104,8 +145,8 @@ TEST(StreamWorkload, RunStreamServesAllWithBoundedResidency) {
   EXPECT_EQ(m.response_time_sec.count(), wcfg.num_requests);
   EXPECT_EQ(m.availability.failed_requests, 0u);
   EXPECT_GT(m.total_joules, 0.0);
-  // The whole point of the streaming path: the replay never holds more
-  // than the look-ahead window, far below the full trace.
+  // The whole point of the streaming path: the replay reads ahead only
+  // to each client's next record, far below the full trace.
   EXPECT_GT(c.stream_peak_resident_records(), 0u);
   EXPECT_LT(c.stream_peak_resident_records(), wcfg.num_requests / 2);
 }

@@ -18,6 +18,14 @@ JSON result line, and its change in percent; memory never affects the
 exit code.  Each checkout builds its own perfbench binary under
 .bench_build/; build output goes to stderr.
 
+For every pair that differs, the table is followed by the run-report
+fields whose values differ, each with both values.  They are read from
+the report each invocation writes to
+<checkout>/.bench_build/out/<workload>-seed<S>.run_report.json: the
+metrics, availability and ram objects, and every counter by name (a
+histogram's statistics as <name>:<stat>).  The host-dependent meta
+object is left out.
+
 Exit codes: 0 when every run produced a digest (and, with --require-equal,
 every pair matches); 1 when a run failed or a required pair differs; 2 on
 bad arguments.
@@ -49,8 +57,8 @@ def peak_rss_mb(stdout):
 
 
 def run(checkout, workload, seed):
-    """(digest, peak_rss_mb) of one perfbench invocation; the digest is
-    None if the run failed."""
+    """(digest, peak_rss_mb, report fields) of one perfbench invocation;
+    the digest is None if the run failed."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", "1",
            "--trace", "0"]
@@ -60,8 +68,48 @@ def run(checkout, workload, seed):
     if proc.returncode != 0 or match is None:
         print("digest_diff: %s (seed %d) failed in %s" %
               (workload, seed, checkout), file=sys.stderr)
-        return None, None
-    return match.group(1), peak_rss_mb(proc.stdout)
+        return None, None, None
+    return (match.group(1), peak_rss_mb(proc.stdout),
+            report_fields(checkout, workload, seed))
+
+
+def report_fields(checkout, workload, seed):
+    """{field: value} of the run report a perfbench invocation wrote, or
+    None if it cannot be read."""
+    path = os.path.join(checkout, ".bench_build", "out",
+                        "%s-seed%d.run_report.json" % (workload, seed))
+    try:
+        with open(path) as f:
+            report = json.load(f)["runs"][0]
+    except (OSError, ValueError, KeyError, IndexError):
+        return None
+    fields = {}
+    for section in ("metrics", "availability", "ram"):
+        for key, value in report.get(section, {}).items():
+            fields["%s.%s" % (section, key)] = value
+    for sample in report.get("counters", []):
+        name = sample["name"]
+        fields[name] = sample.get("value")
+        if sample.get("kind") == "histogram":
+            for stat in ("count", "mean", "p50", "p95", "p99", "min", "max"):
+                fields["%s:%s" % (name, stat)] = sample.get(stat)
+    return fields
+
+
+def show(value):
+    """A field value as text; integral floats print as integers."""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return "-" if value is None else str(value)
+
+
+def differing_fields(old, new):
+    """'name (old -> new)' for every field whose value differs."""
+    if old is None or new is None:
+        return ["run report missing"]
+    return ["%s (%s -> %s)" % (name, show(old.get(name)), show(new.get(name)))
+            for name in sorted(set(old) | set(new))
+            if old.get(name) != new.get(name)]
 
 
 def mb(value):
@@ -101,7 +149,9 @@ def main():
           "| this MB | peak RSS Δ |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     failed = differ = 0
-    for workload, seed, (old, old_mb), (new, new_mb) in rows:
+    moved = []
+    for workload, seed, (old, old_mb, old_fields), (new, new_mb,
+                                                   new_fields) in rows:
         if old is None or new is None:
             verdict = "run failed"
             failed += 1
@@ -110,10 +160,18 @@ def main():
         else:
             verdict = "DIFFERS"
             differ += 1
+            moved.append((workload, seed,
+                          differing_fields(old_fields, new_fields)))
         print("| %s | %d | %s | %s | %s | %s | %s | %s |" %
               (workload, seed, old or "-", new or "-", verdict, mb(old_mb),
                mb(new_mb), delta_pct(old_mb, new_mb)))
     print()
+    for workload, seed, fields in moved:
+        print("%s seed %d, run-report fields that differ (base -> this "
+              "checkout):" % (workload, seed))
+        for field in fields or ["none (the digest differs elsewhere)"]:
+            print("- %s" % field)
+        print()
     print("%d of %d digest pairs equal; %d differ; %d runs failed" %
           (len(rows) - differ - failed, len(rows), differ, failed))
     if failed or (args.require_equal and differ):
