@@ -43,44 +43,26 @@ PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
     throw std::invalid_argument("place_files: need 1 <= ec_k < ec_n <= nodes");
   }
   // Copies per file: the chunk count under erasure, else the replica
-  // count.  Either way copy j lands on (primary + j) mod num_nodes.
+  // count.  Either way copy j lands on (primary + j) mod num_nodes:
+  // distinct nodes, and under popularity round-robin every node still
+  // receives an even hot/cold mix of secondaries.
   const std::size_t degree =
       ec_n > 0 ? ec_n
                : std::min(std::max<std::size_t>(replication_degree, 1),
                           num_nodes);
-
-  PlacementMap map;
-  map.node_of.assign(num_files, 0);
-  map.replicas_of.assign(num_files, {});
-  map.files_on_node.assign(num_nodes, {});
-  map.erasure = ec_n > 0;
-  map.ec_n = ec_n;
-  map.ec_k = ec_n > 0 ? ec_k : 0;
-
   const std::vector<trace::FileId> order = creation_order(num_files, popularity);
-
-  // Replicas land on the `degree - 1` nodes after the primary (mod the
-  // node count): distinct nodes, and under popularity round-robin every
-  // node still receives an even hot/cold mix of secondaries.
-  const auto place = [&](trace::FileId f, NodeId primary) {
-    map.node_of[f] = primary;
-    for (std::size_t j = 0; j < degree; ++j) {
-      const NodeId n = (primary + j) % num_nodes;
-      map.replicas_of[f].push_back(n);
-      map.files_on_node[n].push_back(f);
-    }
-  };
+  std::vector<NodeId> primary(num_files, 0);
 
   switch (policy) {
     case PlacementPolicy::kPopularityRoundRobin: {
       for (std::size_t i = 0; i < order.size(); ++i) {
-        place(order[i], i % num_nodes);
+        primary[order[i]] = i % num_nodes;
       }
       break;
     }
     case PlacementPolicy::kRandom: {
       for (const trace::FileId f : order) {
-        place(f, static_cast<NodeId>(rng.next_below(num_nodes)));
+        primary[f] = static_cast<NodeId>(rng.next_below(num_nodes));
       }
       break;
     }
@@ -90,13 +72,17 @@ PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
         const auto it = std::min_element(load.begin(), load.end());
         const auto n = static_cast<NodeId>(
             std::distance(load.begin(), it));
-        place(f, n);
-        for (const NodeId r : map.replicas_of[f]) load[r] += sizes[f];
+        primary[f] = n;
+        for (std::size_t j = 0; j < degree; ++j) {
+          load[(n + j) % num_nodes] += sizes[f];
+        }
       }
       break;
     }
   }
-  return map;
+  return PlacementMap(std::move(primary), num_nodes, degree,
+                      std::span<const Bytes>(sizes).first(num_files), order,
+                      ec_n > 0 ? ec_k : 0);
 }
 
 }  // namespace eevfs::core

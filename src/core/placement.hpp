@@ -2,51 +2,32 @@
 // storage nodes in popularity order, round-robin, so every node receives
 // an equal share of hot and cold data; each node then round-robins its
 // share over its data disks in the same order.
+//
+// The placement is the server's file table itself: place_files returns a
+// ServerMetadata (metadata.hpp) — primary and size columns, the holder
+// arena, and each node's creation list — which the server routes with
+// for the rest of the run.
 #pragma once
 
 #include <vector>
 
 #include "core/config.hpp"
-#include "trace/record.hpp"
+#include "core/metadata.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace eevfs::core {
 
-struct PlacementMap {
-  /// Primary owning node per file, indexed by FileId.
-  std::vector<NodeId> node_of;
-  /// All nodes holding a copy of each file, primary first (size ==
-  /// replication degree), indexed by FileId.  Under erasure coding the
-  /// list is the chunk-holder sequence instead: entry j is the node
-  /// holding chunk j (j < ec_k: data chunk, j >= ec_k: parity chunk).
-  std::vector<std::vector<NodeId>> replicas_of;
-  /// Files per node in creation (i.e. popularity) order — the order in
-  /// which the server issues create-file requests, which drives the
-  /// node-local disk round-robin.  Includes replica/chunk copies.
-  std::vector<std::vector<trace::FileId>> files_on_node;
-  /// Erasure mode: replicas_of holds ec_n chunk nodes per file and each
-  /// node stores a chunk_bytes()-sized image instead of the whole file.
-  bool erasure = false;
-  std::size_t ec_n = 0;
-  std::size_t ec_k = 0;
-
-  NodeId node(trace::FileId f) const { return node_of.at(f); }
-  const std::vector<NodeId>& replicas(trace::FileId f) const {
-    return replicas_of.at(f);
-  }
-  /// Size of one erasure chunk of a `size`-byte file (k data chunks
-  /// cover the file; parity chunks are the same size).
-  static Bytes chunk_bytes(Bytes size, std::size_t k) {
-    return k == 0 ? size : (size + k - 1) / k;
-  }
-};
+/// What place_files returns: the server's file table.
+using PlacementMap = ServerMetadata;
 
 /// Places `num_files` files (ids 0..num_files-1).  `popularity` ranks the
 /// accessed files; files absent from the ranking (never accessed) are
-/// placed after all ranked files, in id order.  `sizes` is indexed by
-/// FileId and used by the size-balanced policy.  `replication_degree`
+/// placed after all ranked files, in id order; that creation order fixes
+/// each node's files_on_node() list.  `sizes` is indexed by FileId: the
+/// table keeps the first `num_files` and the size-balanced policy weighs
+/// them.  `replication_degree`
 /// copies land on distinct consecutive nodes (mod the node count) past
 /// the policy-chosen primary; it is clamped to the node count.
 ///

@@ -147,7 +147,7 @@ void RecoveryManager::ec_repair_next(NodeId n, std::uint64_t gen,
     return;
   }
   const trace::FileId f = files[idx];
-  const auto entry = server_.mutable_metadata().lookup(f);
+  const auto entry = server_.metadata().lookup(f);
   if (!entry || !entry->erasure) {
     ec_repair_next(n, gen, std::move(files), idx + 1, ok, resync_start);
     return;
@@ -155,7 +155,7 @@ void RecoveryManager::ec_repair_next(NodeId n, std::uint64_t gen,
   // Any k surviving chunk holders (other than the node being repaired)
   // can donate; parity chunks decode just as well as data chunks.
   std::vector<StorageNode*> sources;
-  for (const NodeId r : entry->replicas) {
+  for (const NodeId r : entry->holders) {
     if (r == n || r >= nodes_.size()) continue;
     if (nodes_[r]->alive() && !server_.node_dead(r)) {
       sources.push_back(nodes_[r]);
@@ -183,7 +183,7 @@ void RecoveryManager::ec_repair_read(NodeId n, std::uint64_t gen,
   if (si >= sources.size()) {
     // All k source chunks are in: pay the decode, then write the rebuilt
     // chunk down onto the local stripe set.
-    const auto entry = server_.mutable_metadata().lookup(f);
+    const auto entry = server_.metadata().lookup(f);
     const Bytes chunk_bytes =
         entry ? server_.ec_chunk_bytes(entry->size) : 0;
     const Tick decode = server_.ec_decode_ticks(
@@ -275,9 +275,9 @@ void RecoveryManager::finish_episode(NodeId n, std::uint64_t gen,
 }
 
 StorageNode* RecoveryManager::source_for(NodeId n, trace::FileId f) const {
-  const auto entry = server_.mutable_metadata().lookup(f);
+  const auto entry = server_.metadata().lookup(f);
   if (!entry) return nullptr;
-  for (const NodeId r : entry->replicas) {
+  for (const NodeId r : entry->holders) {
     if (r == n || r >= nodes_.size()) continue;
     if (nodes_[r]->alive() && !server_.node_dead(r)) return nodes_[r];
   }

@@ -112,7 +112,6 @@ StorageNode::ServeCallback StorageNode::trace_serve(obs::StringId op,
 }
 
 void StorageNode::create_file(trace::FileId f, Bytes size) {
-  LocalFileMeta lf;
   std::size_t primary = 0;
   if (params_.disk_placement == DiskPlacement::kConcentrate) {
     if (expected_files_ == 0) {
@@ -130,12 +129,9 @@ void StorageNode::create_file(trace::FileId f, Bytes size) {
   const std::size_t width =
       std::min(std::max<std::size_t>(params_.stripe_width, 1),
                data_disks_.size());
-  lf.disks.reserve(width);
-  for (std::size_t j = 0; j < width; ++j) {
-    lf.disks.push_back((primary + j) % data_disks_.size());
-  }
-  lf.size = size;
-  meta_.insert(f, std::move(lf));
+  meta_.insert(f, {.first_disk = static_cast<std::uint32_t>(primary),
+                   .width = static_cast<std::uint32_t>(width),
+                   .size = size});
   ++files_created_;
 }
 
@@ -153,8 +149,8 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
   for (const auto& [file, offsets] : pattern_) {
     const LocalFileMeta* file_meta = meta_.find(file);
     if (file_meta == nullptr) continue;
-    for (const std::size_t d : file_meta->disks) {
-      auto& timeline = disk_accesses[d];
+    for (std::size_t j = 0; j < file_meta->width; ++j) {
+      auto& timeline = disk_accesses[file_meta->disk(j, data_disks_.size())];
       timeline.insert(timeline.end(), offsets.begin(), offsets.end());
     }
   }
@@ -168,7 +164,8 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
       throw std::invalid_argument("StorageNode: prefetch candidate " +
                                   std::to_string(f) + " not on this node");
     }
-    cands.push_back(PrefetchCandidate{f, file_meta->size, file_meta->disks});
+    cands.push_back(
+        PrefetchCandidate{f, file_meta->size, stripe_set(*file_meta)});
   }
 
   const bool can_prefetch =
@@ -305,14 +302,14 @@ void StorageNode::submit_with_retry(
 void StorageNode::stripe_io(const LocalFileMeta& file, Bytes bytes,
                             bool is_write, bool notify_power_manager,
                             std::function<void(Tick, disk::IoStatus)> done) {
-  const auto width = static_cast<Bytes>(file.disks.size());
-  const Bytes per_disk = (bytes + width - 1) / width;
-  auto outstanding = std::make_shared<std::size_t>(file.disks.size());
+  const Bytes per_disk = (bytes + file.width - 1) / file.width;
+  auto outstanding = std::make_shared<std::size_t>(file.width);
   auto worst = std::make_shared<disk::IoStatus>(disk::IoStatus::kOk);
   auto shared_done =
       std::make_shared<std::function<void(Tick, disk::IoStatus)>>(
           std::move(done));
-  for (const std::size_t d : file.disks) {
+  for (std::size_t j = 0; j < file.width; ++j) {
+    const std::size_t d = file.disk(j, data_disks_.size());
     submit_with_retry(
         data_disks_[d].get(), per_disk, /*sequential=*/false, is_write,
         sim_.now(), 0,
@@ -402,7 +399,7 @@ void StorageNode::write_buffer_copy(trace::FileId f, Done done) {
     }
     LocalFileMeta& meta = meta_.at(f);
     meta.buffered = true;
-    meta.buffer_disk = bd;
+    meta.buffer_disk = static_cast<std::uint32_t>(bd);
     done(true);
   };
   ++buffered_count_;
@@ -506,10 +503,19 @@ std::optional<std::size_t> StorageNode::healthy_buffer_disk(
 }
 
 bool StorageNode::stripe_set_alive(const LocalFileMeta& file) const {
-  for (const std::size_t d : file.disks) {
-    if (data_disks_[d]->failed()) return false;
+  for (std::size_t j = 0; j < file.width; ++j) {
+    if (data_disks_[file.disk(j, data_disks_.size())]->failed()) return false;
   }
   return true;
+}
+
+std::vector<std::size_t> StorageNode::stripe_set(
+    const LocalFileMeta& file) const {
+  std::vector<std::size_t> disks(file.width);
+  for (std::size_t j = 0; j < file.width; ++j) {
+    disks[j] = file.disk(j, data_disks_.size());
+  }
+  return disks;
 }
 
 void StorageNode::on_data_disk_failed(std::size_t d) {
@@ -808,11 +814,10 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   }
 
   ++data_disk_reads_;
-  const std::vector<std::size_t> disks = meta.disks;
   const bool maid_copy =
       buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss;
   stripe_io(meta, bytes, /*is_write=*/false, /*notify_power_manager=*/true,
-            [this, disks, f, ep, maid_copy, ship = std::move(ship),
+            [this, stripe = meta, f, ep, maid_copy, ship = std::move(ship),
              fail = std::move(fail)](Tick t, disk::IoStatus st) {
     if (ep != epoch_) return;
     if (st != disk::IoStatus::kOk) {
@@ -820,8 +825,9 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       return;
     }
     ship(t);
-    for (const std::size_t d : disks) {
-      maybe_flush(d);  // the platters are spinning: destage queued writes
+    for (std::size_t j = 0; j < stripe.width; ++j) {
+      // The platters are spinning: destage queued writes.
+      maybe_flush(stripe.disk(j, data_disks_.size()));
     }
     if (maid_copy) {
       // MAID: cache on access.  The insert may evict colder files.
@@ -853,7 +859,7 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
     throw std::logic_error("StorageNode: write for unknown file " +
                            std::to_string(f));
   }
-  const std::size_t d = wmeta->disks.front();  // primary stripe disk
+  const std::size_t d = wmeta->first_disk;  // primary stripe disk
   on_result = guard_serve(std::move(on_result));
   const std::uint64_t ep = epoch_;
   auto shared_result =
@@ -1202,13 +1208,13 @@ bool StorageNode::is_buffered(trace::FileId f) const {
 std::optional<std::size_t> StorageNode::data_disk_of(trace::FileId f) const {
   const LocalFileMeta* meta = meta_.find(f);
   if (meta == nullptr) return std::nullopt;
-  return meta->disks.front();
+  return meta->first_disk;
 }
 
 std::vector<std::size_t> StorageNode::stripe_disks_of(trace::FileId f) const {
   const LocalFileMeta* meta = meta_.find(f);
   if (meta == nullptr) return {};
-  return meta->disks;
+  return stripe_set(*meta);
 }
 
 }  // namespace eevfs::core

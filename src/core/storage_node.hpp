@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -94,10 +93,14 @@ class StorageNode {
 
   // --- setup phase (process-flow steps 1-4) ------------------------------
 
-  /// Announces how many create_file calls will follow; required before
-  /// creating files under DiskPlacement::kConcentrate (PDC) so the node
-  /// can split the popularity-ordered stream into per-disk bands.
-  void expect_files(std::size_t count) { expected_files_ = count; }
+  /// Announces how many create_file calls will follow, sizing the file
+  /// table once; required before creating files under
+  /// DiskPlacement::kConcentrate (PDC) so the node can split the
+  /// popularity-ordered stream into per-disk bands.
+  void expect_files(std::size_t count) {
+    expected_files_ = count;
+    meta_.reserve(count);
+  }
 
   /// Creates a file; placement over the local data disks is round-robin
   /// in creation order (§III-B), or popularity-banded for PDC.
@@ -318,6 +321,8 @@ class StorageNode {
   std::optional<std::size_t> healthy_buffer_disk(std::size_t preferred) const;
   /// True when every stripe disk of `file` is alive.
   bool stripe_set_alive(const LocalFileMeta& file) const;
+  /// The data disks of `file`'s stripe set, in stripe order.
+  std::vector<std::size_t> stripe_set(const LocalFileMeta& file) const;
   /// Reacts to a data disk entering kFailed: strands its queued destages.
   void on_data_disk_failed(std::size_t d);
 

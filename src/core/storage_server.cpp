@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/placement.hpp"
 #include "util/logging.hpp"
 
 namespace eevfs::core {
@@ -35,40 +36,35 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
   if (!analyzer_) {
     throw std::logic_error("StorageServer: ingest_popularity first");
   }
-  placement_ = place_files(placement_policy_, nodes_.size(),
-                           file_sizes.size(), *analyzer_,
-                           file_sizes, rng_, replication_degree_,
-                           ec_.n, ec_.k);
+  // The placement is the routing table: every holder (chunk holder),
+  // primary first, with the full logical size.
+  metadata_ = place_files(placement_policy_, nodes_.size(),
+                          file_sizes.size(), *analyzer_, file_sizes, rng_,
+                          replication_degree_, ec_.n, ec_.k);
+  log_ = trace::AccessLog(file_sizes.size());
   // Create-file calls happen in popularity order per node, which is what
   // makes the node-local disk round-robin load balance (§III-B); the
   // per-node lists include replica copies.  Under erasure coding each
   // node stores a chunk-sized image, not the whole file.
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    nodes_[n]->expect_files(placement_.files_on_node[n].size());
-    for (const trace::FileId f : placement_.files_on_node[n]) {
-      const Bytes size = file_sizes.at(f);
+    const std::span<const trace::FileId> files = metadata_.files_on_node(n);
+    nodes_[n]->expect_files(files.size());
+    for (const trace::FileId f : files) {
+      const Bytes size = file_sizes[f];
       nodes_[n]->create_file(
-          f, placement_.erasure
-                 ? PlacementMap::chunk_bytes(size, placement_.ec_k)
-                 : size);
+          f, ServerMetadata::chunk_bytes(size, metadata_.ec_k()));
     }
-  }
-  // The routing table records every replica (chunk holder), primary
-  // first, with the full logical size.
-  for (trace::FileId f = 0; f < file_sizes.size(); ++f) {
-    metadata_.insert(f, placement_.replicas(f), file_sizes[f],
-                     placement_.erasure, placement_.ec_k);
   }
 }
 
 std::span<const NodeId> StorageServer::serving_holders(trace::FileId f) const {
-  return std::span<const NodeId>(placement_.replicas(f))
-      .first(placement_.erasure ? placement_.ec_k : 1);
+  return metadata_.holders(f).first(
+      metadata_.erasure() ? metadata_.ec_k() : 1);
 }
 
 void StorageServer::distribute_patterns(
     Tick horizon, std::unique_ptr<workload::RequestStream> exact) {
-  if (placement_.node_of.empty()) {
+  if (metadata_.files() == 0) {
     throw std::logic_error("StorageServer: place_and_create first");
   }
   std::vector<std::map<trace::FileId, std::vector<Tick>>> per_node(
@@ -277,7 +273,8 @@ void StorageServer::route(const trace::TraceRecord& r,
   ++requests_routed_;
   // Pay the metadata probe, then walk the candidate list (or fork the
   // erasure fan-out).  Candidate order is decided after the probe, from
-  // the health picture current at dispatch time.
+  // the health picture current at dispatch time.  The entry is a view
+  // into metadata_, which outlives every event this server schedules.
   (void)sim_.schedule_after(
       ServerMetadata::lookup_cost(),
       [this, r, client, entry = *entry,
@@ -290,25 +287,25 @@ void StorageServer::route(const trace::TraceRecord& r,
           }
           return;
         }
-        try_replica(r, client, ordered_replicas(r.file, entry.replicas), 0,
-                    entry.replicas.front(), std::move(on_done));
+        try_replica(r, client, ordered_replicas(r.file, entry.holders), 0,
+                    entry.node, std::move(on_done));
       });
 }
 
 std::vector<NodeId> StorageServer::ordered_replicas(
-    trace::FileId f, const std::vector<NodeId>& replicas) const {
+    trace::FileId f, std::span<const NodeId> holders) const {
   // Believed-healthy nodes first in placement order; dead-marked nodes
   // are tried LAST instead of skipped, because a dead mark can be a
   // heartbeat false positive — this way a misjudged primary costs a
   // failover hop, never a client retry budget slot.  (file, node) pairs
   // that failed kDiskUnavailable are dropped: the platters are gone.
   std::vector<NodeId> out;
-  out.reserve(replicas.size());
-  for (const NodeId n : replicas) {
+  out.reserve(holders.size());
+  for (const NodeId n : holders) {
     if (unavailable_.contains({f, n}) || health_[n].dead) continue;
     out.push_back(n);
   }
-  for (const NodeId n : replicas) {
+  for (const NodeId n : holders) {
     if (unavailable_.contains({f, n}) || !health_[n].dead) continue;
     out.push_back(n);
   }
@@ -394,8 +391,8 @@ void StorageServer::ec_route(const trace::TraceRecord& r,
   auto op = std::make_shared<EcReadOp>();
   op->r = r;
   op->client = client;
-  op->chunk_node = entry.replicas;
-  op->chunk_bytes = PlacementMap::chunk_bytes(entry.size, entry.ec_k);
+  op->chunk_node = entry.holders;
+  op->chunk_bytes = ServerMetadata::chunk_bytes(entry.size, entry.ec_k);
   op->need = entry.ec_k;
   op->on_done = std::move(on_done);
   // Candidate chunks in dispatch order: fetchable-believed chunks first
@@ -574,8 +571,8 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
   // known-unavailable) miss the write and are recorded stale for the
   // recovery manager's chunk-repair phase.
   const Bytes chunk =
-      PlacementMap::chunk_bytes(r.bytes > 0 ? r.bytes : entry.size,
-                                entry.ec_k);
+      ServerMetadata::chunk_bytes(r.bytes > 0 ? r.bytes : entry.size,
+                                  entry.ec_k);
   struct WriteJoin {
     std::size_t outstanding = 0;
     std::size_t acked = 0;
@@ -587,8 +584,8 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
   const std::size_t need = entry.ec_k;
 
   std::vector<std::size_t> targets;
-  for (std::size_t c = 0; c < entry.replicas.size(); ++c) {
-    const NodeId n = entry.replicas[c];
+  for (std::size_t c = 0; c < entry.holders.size(); ++c) {
+    const NodeId n = entry.holders[c];
     if (unavailable_.contains({r.file, n}) || health_[n].dead) {
       stale_files_[n].insert(r.file);
       continue;
@@ -605,7 +602,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
 
   join->outstanding = targets.size();
   for (const std::size_t c : targets) {
-    const NodeId nid = entry.replicas[c];
+    const NodeId nid = entry.holders[c];
     StorageNode* node = nodes_.at(nid);
     ++ec_metrics_.chunk_requests;
     net_.send(

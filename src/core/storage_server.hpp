@@ -45,7 +45,6 @@
 #include "core/config.hpp"
 #include "core/metadata.hpp"
 #include "core/metrics.hpp"
-#include "core/placement.hpp"
 #include "core/storage_node.hpp"
 #include "net/network.hpp"
 #include "obs/counters.hpp"
@@ -114,7 +113,7 @@ class StorageServer {
   Tick ec_decode_ticks(Bytes bytes) const;
   /// Chunk size of file `f` (full size for non-erasure entries).
   Bytes ec_chunk_bytes(Bytes file_size) const {
-    return PlacementMap::chunk_bytes(file_size, ec_.k);
+    return ServerMetadata::chunk_bytes(file_size, ec_.k);
   }
 
   const ErasureMetrics& erasure_metrics() const { return ec_metrics_; }
@@ -176,11 +175,9 @@ class StorageServer {
   /// the "server" track.
   void set_observer(obs::Tracer* tracer);
 
-  const PlacementMap& placement() const { return placement_; }
+  /// The file table place_and_create built: routing, the recovery
+  /// manager's replica sources and the tests all read this one copy.
   const ServerMetadata& metadata() const { return metadata_; }
-  /// Counting lookups mutate the store's probe statistics; the recovery
-  /// manager resolves replica sources through this.
-  ServerMetadata& mutable_metadata() { return metadata_; }
   /// Per-file counts of the requests routed while online refresh ran
   /// (empty on offline runs).
   const trace::AccessLog& request_log() const { return log_; }
@@ -222,7 +219,7 @@ class StorageServer {
   struct EcReadOp {
     trace::TraceRecord r;
     net::EndpointId client = 0;
-    std::vector<NodeId> chunk_node;      // indexed by chunk id
+    std::span<const NodeId> chunk_node;  // indexed by chunk id
     std::vector<std::size_t> candidates; // chunk ids, dispatch order
     Bytes chunk_bytes = 0;
     std::size_t need = 0;        // k
@@ -250,7 +247,7 @@ class StorageServer {
   /// first (placement order), heartbeat-dead-marked nodes last, known
   /// (file, node) kDiskUnavailable pairs dropped.
   std::vector<NodeId> ordered_replicas(
-      trace::FileId f, const std::vector<NodeId>& replicas) const;
+      trace::FileId f, std::span<const NodeId> holders) const;
   void try_replica(const trace::TraceRecord& r, net::EndpointId client,
                    std::vector<NodeId> candidates, std::size_t idx,
                    NodeId primary, RouteCallback on_done);
@@ -275,7 +272,10 @@ class StorageServer {
 
   std::vector<StorageNode*> nodes_;
   std::optional<trace::PopularityAnalyzer> analyzer_;
-  PlacementMap placement_;
+  /// Immutable once place_and_create built it, so in-flight requests
+  /// (route, the erasure fork-joins) and the recovery manager may hold
+  /// ServerFileEntry views and holder spans into it: this server owns
+  /// the table for as long as any of them can run.
   ServerMetadata metadata_;
   trace::AccessLog log_;
   std::size_t replication_degree_ = 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace eevfs::trace {
 
@@ -9,25 +10,27 @@ void AccessLog::append(FileId file, Tick at) {
   if (total_ > 0 && at < last_) {
     throw std::invalid_argument("AccessLog: appends must be time-ordered");
   }
+  if (file >= counts_.size()) {
+    throw std::out_of_range("AccessLog: file " + std::to_string(file) +
+                            " past the file count");
+  }
   ++counts_[file];
   ++total_;
   last_ = at;
 }
 
 std::size_t AccessLog::accesses(FileId f) const {
-  const auto it = counts_.find(f);
-  return it == counts_.end() ? 0 : it->second;
+  return f < counts_.size() ? counts_[f] : 0;
 }
 
 std::vector<FileId> AccessLog::ranked() const {
   std::vector<FileId> files;
-  files.reserve(counts_.size());
-  for (const auto& [f, _] : counts_) files.push_back(f);
+  for (FileId f = 0; f < counts_.size(); ++f) {
+    if (counts_[f] > 0) files.push_back(f);
+  }
+  // Ids are ascending already, so a stable sort by count breaks ties by id.
   std::stable_sort(files.begin(), files.end(), [this](FileId a, FileId b) {
-    const auto ca = counts_.at(a);
-    const auto cb = counts_.at(b);
-    if (ca != cb) return ca > cb;
-    return a < b;
+    return counts_[a] > counts_[b];
   });
   return files;
 }

@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace eevfs::trace {
@@ -59,12 +60,13 @@ PopularityAnalyzer::PopularityAnalyzer(const Trace& trace)
 PopularityAnalyzer::PopularityAnalyzer(std::vector<FilePopularity> summaries,
                                        std::size_t total_accesses)
     : total_accesses_(total_accesses) {
-  ranked_ = std::move(summaries);
-  ranked_.erase(std::remove_if(ranked_.begin(), ranked_.end(),
-                               [](const FilePopularity& p) {
-                                 return p.accesses == 0;
-                               }),
-                ranked_.end());
+  // Built at its final size: the input may hold an entry for every file,
+  // and only the accessed ones are kept for the whole run.
+  const auto accessed = [](const FilePopularity& p) { return p.accesses > 0; };
+  ranked_.reserve(static_cast<std::size_t>(
+      std::count_if(summaries.begin(), summaries.end(), accessed)));
+  std::copy_if(summaries.begin(), summaries.end(), std::back_inserter(ranked_),
+               accessed);
   std::stable_sort(ranked_.begin(), ranked_.end(),
                    [](const FilePopularity& a, const FilePopularity& b) {
                      if (a.accesses != b.accesses) return a.accesses > b.accesses;

@@ -70,6 +70,21 @@ TEST(PopularityAnalyzer, TopAndCoverage) {
   EXPECT_DOUBLE_EQ(a.coverage(0), 0.0);
 }
 
+TEST(PopularityAnalyzer, RankingKeepsOnlyAccessedFiles) {
+  // One summary per file, as a run folds them; ten files are accessed.
+  std::vector<FilePopularity> summaries(10'000);
+  std::size_t total = 0;
+  for (FileId f = 0; f < 10; ++f) {
+    const FileId file = f * 1'000 + 7;
+    summaries[file].add({seconds_to_ticks(f), file, kMB, Op::kRead, 0});
+    ++total;
+  }
+  const PopularityAnalyzer a(std::move(summaries), total);
+  EXPECT_EQ(a.ranked().size(), 10u);
+  EXPECT_EQ(a.ranked().capacity(), 10u);
+  EXPECT_EQ(a.ranked()[0].file, 7u);
+}
+
 TEST(PopularityAnalyzer, MeanGapAndAccessTimes) {
   Trace t = make_trace();
   // File 9's gaps differ: 1 s and 3 s.
@@ -146,7 +161,7 @@ TEST(TraceIo, FileRoundTrip) {
 }
 
 TEST(AccessLog, CountsAndRanks) {
-  AccessLog log;
+  AccessLog log(3);
   log.append(1, 0);
   log.append(2, 10);
   log.append(1, 20);
@@ -156,10 +171,16 @@ TEST(AccessLog, CountsAndRanks) {
   EXPECT_EQ(log.accesses(2), 1u);
   EXPECT_EQ(log.accesses(99), 0u);
   EXPECT_EQ(log.ranked(), (std::vector<FileId>{1, 2}));
+  // Ties rank by id: file 0 and file 2 both have one access.
+  log.append(0, 40);
+  EXPECT_EQ(log.ranked(), (std::vector<FileId>{1, 0, 2}));
+  // The log covers files 0..2 only.
+  EXPECT_THROW(log.append(3, 50), std::out_of_range);
+  EXPECT_EQ(log.size(), 5u);
 }
 
 TEST(AccessLog, RejectsTimeTravel) {
-  AccessLog log;
+  AccessLog log(3);
   log.append(1, 100);
   EXPECT_THROW(log.append(2, 50), std::invalid_argument);
 }
