@@ -1,8 +1,8 @@
 // A compute-node client: issues file requests against the storage server
-// (open loop, like the paper's trace replayer — requests are issued at
-// their trace arrival times regardless of earlier completions, which is
-// what makes queues build up at 50 MB in Fig. 3a) and records response
-// times.
+// and records response times.  Replay is closed loop per client
+// (Cluster::start_replay): a client issues its next record at the
+// record's trace arrival time, but never before its previous request
+// completed, so slow service stretches the run (Fig. 3a at 50 MB).
 #pragma once
 
 #include <cstdint>

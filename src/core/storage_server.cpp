@@ -41,7 +41,6 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
   metadata_ = place_files(placement_policy_, nodes_.size(),
                           file_sizes.size(), *analyzer_, file_sizes, rng_,
                           replication_degree_, ec_.n, ec_.k);
-  log_ = trace::AccessLog(file_sizes.size());
   // Create-file calls happen in popularity order per node, which is what
   // makes the node-local disk round-robin load balance (§III-B); the
   // per-node lists include replica copies.  Under erasure coding each
@@ -143,6 +142,12 @@ void StorageServer::begin_online_refresh(std::size_t k, Tick interval) {
   if (interval <= 0) {
     throw std::invalid_argument("StorageServer: refresh interval <= 0");
   }
+  if (metadata_.files() == 0) {
+    throw std::logic_error("StorageServer: place_and_create first");
+  }
+  // Only the refresh reads the log: sized when it first arms, re-arms
+  // keep the counts.
+  if (log_.num_files() == 0) log_ = trace::AccessLog(metadata_.files());
   refresh_timer_.cancel();
   refresh_timer_ = sim_.schedule_after(interval, [this, k, interval] {
     ++refreshes_;

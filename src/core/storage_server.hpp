@@ -179,7 +179,7 @@ class StorageServer {
   /// manager's replica sources and the tests all read this one copy.
   const ServerMetadata& metadata() const { return metadata_; }
   /// Per-file counts of the requests routed while online refresh ran
-  /// (empty on offline runs).
+  /// (over no files on offline runs).
   const trace::AccessLog& request_log() const { return log_; }
   const trace::PopularityAnalyzer* popularity() const {
     return analyzer_ ? &*analyzer_ : nullptr;

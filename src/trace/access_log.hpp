@@ -4,7 +4,7 @@
 // Under online refresh the server counts every routed request here and
 // re-ranks the counts each interval.  Offline runs derive popularity from
 // the history trace instead and count nothing.  The counts are one dense
-// column indexed by FileId, sized from the file count up front.
+// column indexed by FileId, sized when online refresh first arms.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +26,7 @@ class AccessLog {
   void append(FileId file, Tick at);
 
   std::size_t size() const { return total_; }
+  std::size_t num_files() const { return counts_.size(); }
   /// Accesses of `f` so far; 0 for files outside the log.
   std::size_t accesses(FileId f) const;
 

@@ -3,30 +3,24 @@
 #include <algorithm>
 #include <iterator>
 #include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace eevfs::trace {
-
-Trace::Trace(std::vector<TraceRecord> records) {
-  records_.reserve(records.size());
-  for (auto& r : records) append(r);
-}
 
 void Trace::append(TraceRecord r) {
   if (!records_.empty() && r.arrival < records_.back().arrival) {
     throw std::invalid_argument("Trace::append: arrivals must be sorted");
   }
-  ++counts_[r.file];
   total_bytes_ += r.bytes;
   records_.push_back(r);
 }
 
-Tick Trace::duration() const {
-  return records_.empty() ? 0 : records_.back().arrival;
+std::size_t Trace::unique_files() const {
+  std::unordered_set<FileId> files;
+  for (const TraceRecord& r : records_) files.insert(r.file);
+  return files.size();
 }
-
-Bytes Trace::total_bytes() const { return total_bytes_; }
-
-std::size_t Trace::unique_files() const { return counts_.size(); }
 
 void FilePopularity::add(const TraceRecord& r) {
   if (accesses == 0) {
@@ -43,8 +37,10 @@ void FilePopularity::add(const TraceRecord& r) {
 
 namespace {
 
+// Hashed, as trace ids may be sparse; the total ranking order hides the
+// hash order.
 std::vector<FilePopularity> summarize(const Trace& trace) {
-  std::map<FileId, FilePopularity> acc;
+  std::unordered_map<FileId, FilePopularity> acc;
   for (const TraceRecord& r : trace.records()) acc[r.file].add(r);
   std::vector<FilePopularity> out;
   out.reserve(acc.size());
@@ -72,14 +68,13 @@ PopularityAnalyzer::PopularityAnalyzer(std::vector<FilePopularity> summaries,
                      if (a.accesses != b.accesses) return a.accesses > b.accesses;
                      return a.file < b.file;
                    });
-  for (std::size_t i = 0; i < ranked_.size(); ++i) {
-    rank_of_[ranked_[i].file] = i;
-  }
 }
 
 std::size_t PopularityAnalyzer::rank(FileId f) const {
-  const auto it = rank_of_.find(f);
-  return it == rank_of_.end() ? npos : it->second;
+  for (std::size_t i = 0; i < ranked_.size(); ++i) {
+    if (ranked_[i].file == f) return i;
+  }
+  return npos;
 }
 
 std::vector<FileId> PopularityAnalyzer::top(std::size_t k) const {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -12,13 +11,14 @@
 
 namespace eevfs::trace {
 
+/// The record column of a materialized trace.  Its ids may be sparse, so
+/// it keeps no per-file state; per-file figures are computed on demand.
 class Trace {
  public:
-  Trace() = default;
-  explicit Trace(std::vector<TraceRecord> records);
-
   /// Appends a record; arrival times must be non-decreasing.
   void append(TraceRecord r);
+  /// Room for `n` records in all, for builders that know the final size.
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   std::span<const TraceRecord> records() const { return records_; }
   std::size_t size() const { return records_.size(); }
@@ -26,16 +26,13 @@ class Trace {
   const TraceRecord& operator[](std::size_t i) const { return records_[i]; }
 
   /// Arrival of the last record (0 for an empty trace).
-  Tick duration() const;
-  Bytes total_bytes() const;
+  Tick duration() const { return empty() ? 0 : records_.back().arrival; }
+  Bytes total_bytes() const { return total_bytes_; }
+  /// Distinct files the records name, counted on demand.
   std::size_t unique_files() const;
-
-  /// Access count per file.
-  const std::map<FileId, std::size_t>& counts() const { return counts_; }
 
  private:
   std::vector<TraceRecord> records_;
-  std::map<FileId, std::size_t> counts_;
   Bytes total_bytes_ = 0;
 };
 
@@ -58,6 +55,7 @@ struct FilePopularity {
 /// descending, ties broken by lower file id (deterministic placement).
 class PopularityAnalyzer {
  public:
+  /// Folds the records with FilePopularity::add into a hash table.
   explicit PopularityAnalyzer(const Trace& trace);
 
   /// Aggregate form: per-file summaries folded with FilePopularity::add
@@ -69,8 +67,8 @@ class PopularityAnalyzer {
 
   const std::vector<FilePopularity>& ranked() const { return ranked_; }
 
-  /// Rank of a file (0 = most popular); files never accessed in the
-  /// trace are absent — rank() returns npos for them.
+  /// Rank of a file (0 = most popular), by a scan of ranked(); files
+  /// never accessed in the trace are absent — rank() returns npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t rank(FileId f) const;
 
@@ -83,7 +81,6 @@ class PopularityAnalyzer {
 
  private:
   std::vector<FilePopularity> ranked_;
-  std::map<FileId, std::size_t> rank_of_;
   std::size_t total_accesses_ = 0;
 };
 

@@ -28,8 +28,8 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform integer in [0, bound) — rejection-free modulo with 128-bit
-  /// multiply (Lemire's method).
+  /// Uniform integer in [0, bound), bound > 0: a modulo that rejects the
+  /// few draws that would bias it.
   std::uint64_t next_below(std::uint64_t bound);
 
   /// Uniform integer in [lo, hi] inclusive.

@@ -43,7 +43,8 @@ bool SyntheticStream::next(trace::TraceRecord* out) {
 }
 
 StreamingWorkload make_synthetic_stream(const SyntheticConfig& config) {
-  if (config.num_files == 0 || config.num_requests == 0) {
+  if (config.num_files == 0 || config.num_requests == 0 ||
+      config.num_clients == 0) {
     throw std::invalid_argument("make_synthetic_stream: empty configuration");
   }
   if (config.mean_data_size_mb <= 0.0 || config.mu <= 0.0 ||

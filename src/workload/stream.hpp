@@ -76,7 +76,6 @@ struct StreamingWorkload {
   PassFactory open;
 
   std::size_t num_files() const { return file_sizes.size(); }
-  Bytes file_size(trace::FileId f) const { return file_sizes.at(f); }
 };
 
 /// Lazy generator with generate_synthetic's exact draw order (same rng

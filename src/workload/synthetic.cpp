@@ -18,6 +18,7 @@ Workload generate_synthetic(const SyntheticConfig& config) {
   Workload w;
   w.name = std::move(stream.name);
   w.file_sizes = std::move(stream.file_sizes);
+  w.requests.reserve(stream.num_requests);
   auto pass = stream.open();
   trace::TraceRecord r;
   while (pass->next(&r)) w.requests.append(r);

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/record.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -32,7 +31,6 @@ struct Workload {
   std::vector<Bytes> file_sizes;  // indexed by FileId
 
   std::size_t num_files() const { return file_sizes.size(); }
-  Bytes file_size(trace::FileId f) const { return file_sizes.at(f); }
 };
 
 struct SyntheticConfig {

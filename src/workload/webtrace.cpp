@@ -20,6 +20,9 @@ Workload generate_webtrace(const WebTraceConfig& config) {
   if (config.burstiness < 0.0 || config.burstiness >= 1.0) {
     throw std::invalid_argument("generate_webtrace: burstiness in [0,1)");
   }
+  if (config.num_clients == 0) {
+    throw std::invalid_argument("generate_webtrace: no clients");
+  }
 
   Workload w;
   w.name = config.label();
@@ -37,18 +40,17 @@ Workload generate_webtrace(const WebTraceConfig& config) {
   // The hot files are scattered over the id space, as they would be in a
   // real file system — placement quality must come from popularity
   // analysis, not from id locality.
-  std::vector<trace::FileId> ids(config.num_files);
-  std::iota(ids.begin(), ids.end(), trace::FileId{0});
-  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+  std::vector<trace::FileId> hot(config.num_files);
+  std::iota(hot.begin(), hot.end(), trace::FileId{0});
+  for (std::size_t i = hot.size() - 1; i > 0; --i) {
     const auto j = static_cast<std::size_t>(shuffle_rng.next_below(i + 1));
-    std::swap(ids[i], ids[j]);
+    std::swap(hot[i], hot[j]);
   }
-  std::vector<trace::FileId> hot(ids.begin(),
-                                 ids.begin() + static_cast<std::ptrdiff_t>(
-                                                   config.working_set));
+  hot.resize(config.working_set);
 
   const ZipfDistribution zipf(config.working_set, config.zipf_alpha);
 
+  w.requests.reserve(config.num_requests);
   Tick arrival = 0;
   for (std::size_t i = 0; i < config.num_requests; ++i) {
     trace::TraceRecord r;

@@ -124,6 +124,8 @@ TEST_F(StorageServerTest, LifecycleOrderIsEnforced) {
   server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
   EXPECT_THROW(server->distribute_patterns(w.requests.duration(), pass()),
                std::logic_error);
+  EXPECT_THROW(server->begin_online_refresh(8, seconds_to_ticks(1)),
+               std::logic_error);
   server->place_and_create(w.file_sizes);
   server->distribute_patterns(w.requests.duration(), pass());  // now fine
 }
@@ -193,6 +195,24 @@ TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
   EXPECT_EQ(server->refreshes_performed(), 0u);
   EXPECT_EQ(server->request_log().size(), 1u);
   EXPECT_EQ(server->request_log().accesses(r.file), 1u);
+}
+
+// The request log costs nothing until online refresh first arms; then
+// it covers every file and keeps its counts across the re-arms.
+TEST_F(StorageServerTest, RequestLogIsSizedWhenRefreshFirstArms) {
+  start_replay();
+  EXPECT_EQ(server->request_log().num_files(), 0u);
+  server->begin_online_refresh(8, seconds_to_ticks(10));
+  EXPECT_EQ(server->request_log().num_files(), w.num_files());
+  const trace::TraceRecord r = w.requests[0];
+  server->route(r, client_ep, [](Tick, core::RequestStatus) {});
+  (void)sim.schedule_after(seconds_to_ticks(35),
+                           [&] { server->stop_online_refresh(); });
+  sim.run();
+  EXPECT_EQ(server->refreshes_performed(), 3u);
+  EXPECT_EQ(server->request_log().num_files(), w.num_files());
+  EXPECT_EQ(server->request_log().accesses(r.file), 1u);
+  EXPECT_EQ(server->request_log().size(), 1u);
 }
 
 TEST_F(StorageServerTest, PopularityAccessorReflectsHistory) {

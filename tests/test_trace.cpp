@@ -8,6 +8,8 @@
 #include "trace/access_log.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
+#include "workload/synthetic.hpp"
+#include "workload/webtrace.hpp"
 
 namespace eevfs::trace {
 namespace {
@@ -26,10 +28,28 @@ TEST(Trace, AppendMaintainsCountsAndTotals) {
   const Trace t = make_trace();
   EXPECT_EQ(t.size(), 5u);
   EXPECT_EQ(t.unique_files(), 3u);
-  EXPECT_EQ(t.counts().at(5), 3u);
-  EXPECT_EQ(t.counts().at(3), 1u);
+  const PopularityAnalyzer a(t);
+  EXPECT_EQ(a.ranked()[a.rank(5)].accesses, 3u);
+  EXPECT_EQ(a.ranked()[a.rank(3)].accesses, 1u);
   EXPECT_EQ(t.total_bytes(), 36 * kMB);
   EXPECT_EQ(t.duration(), seconds_to_ticks(5));
+}
+
+// A loaded trace may name any id; nothing per file is sized by the
+// largest one.
+TEST(Trace, SparseFileIds) {
+  constexpr FileId kFar = 4'000'000'000u;
+  Trace t;
+  t.append({0, 3, kMB, Op::kRead, 0});
+  t.append({1, kFar, 2 * kMB, Op::kRead, 1});
+  t.append({2, 3, kMB, Op::kRead, 0});
+  EXPECT_EQ(t.unique_files(), 2u);
+  const PopularityAnalyzer a(t);
+  ASSERT_EQ(a.ranked().size(), 2u);
+  EXPECT_EQ(a.ranked()[0].file, 3u);
+  EXPECT_EQ(a.ranked()[1].file, kFar);
+  EXPECT_EQ(a.ranked()[1].bytes, 2 * kMB);
+  EXPECT_EQ(a.rank(kFar), 1u);
 }
 
 TEST(Trace, RejectsOutOfOrderArrivals) {
@@ -83,6 +103,38 @@ TEST(PopularityAnalyzer, RankingKeepsOnlyAccessedFiles) {
   EXPECT_EQ(a.ranked().size(), 10u);
   EXPECT_EQ(a.ranked().capacity(), 10u);
   EXPECT_EQ(a.ranked()[0].file, 7u);
+}
+
+// The trace constructor's hashed fold ranks exactly what the dense fold
+// of Cluster::build hands the aggregate constructor.
+void expect_folds_agree(const workload::Workload& w) {
+  std::vector<FilePopularity> dense(w.num_files());
+  for (const TraceRecord& r : w.requests.records()) dense.at(r.file).add(r);
+  const PopularityAnalyzer hashed(w.requests);
+  const PopularityAnalyzer aggregate(std::move(dense), w.requests.size());
+  ASSERT_EQ(hashed.ranked().size(), aggregate.ranked().size());
+  for (std::size_t i = 0; i < hashed.ranked().size(); ++i) {
+    const FilePopularity& h = hashed.ranked()[i];
+    const FilePopularity& d = aggregate.ranked()[i];
+    EXPECT_EQ(h.file, d.file) << "rank " << i;
+    EXPECT_EQ(h.accesses, d.accesses) << "rank " << i;
+    EXPECT_EQ(h.bytes, d.bytes) << "rank " << i;
+    EXPECT_EQ(h.first_access, d.first_access) << "rank " << i;
+    EXPECT_EQ(h.last_access, d.last_access) << "rank " << i;
+    EXPECT_EQ(h.mean_gap, d.mean_gap) << "rank " << i;
+  }
+  EXPECT_EQ(hashed.coverage(70), aggregate.coverage(70));
+}
+
+TEST(PopularityAnalyzer, TraceFoldMatchesAggregateFold) {
+  workload::SyntheticConfig synthetic;
+  synthetic.num_requests = 20'000;
+  synthetic.size_sigma = 0.5;
+  synthetic.inter_arrival_jitter = 1.0;
+  expect_folds_agree(workload::generate_synthetic(synthetic));
+  workload::WebTraceConfig web;
+  web.num_requests = 20'000;
+  expect_folds_agree(workload::generate_webtrace(web));
 }
 
 TEST(PopularityAnalyzer, MeanGapAndAccessTimes) {

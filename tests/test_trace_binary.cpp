@@ -120,9 +120,11 @@ TEST(BinaryTrace, WorkloadScaleRoundTrip) {
   std::stringstream ss;
   write_trace_binary(ss, w.requests);
   const Trace back = read_trace_binary(ss);
-  EXPECT_EQ(back.size(), w.requests.size());
+  ASSERT_EQ(back.size(), w.requests.size());
   EXPECT_EQ(back.total_bytes(), w.requests.total_bytes());
-  EXPECT_EQ(back.counts(), w.requests.counts());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back[i], w.requests[i]) << "record " << i;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "trace/trace.hpp"
+#include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/webtrace.hpp"
 
@@ -144,6 +145,15 @@ TEST(Synthetic, RejectsInvalidConfigs) {
   EXPECT_THROW(generate_synthetic(cfg), std::invalid_argument);
 }
 
+// Client ids are drawn below num_clients, so zero clients is refused up
+// front instead of dividing by zero on the first record.
+TEST(Synthetic, RejectsZeroClients) {
+  SyntheticConfig cfg;
+  cfg.num_clients = 0;
+  EXPECT_THROW(generate_synthetic(cfg), std::invalid_argument);
+  EXPECT_THROW(make_synthetic_stream(cfg), std::invalid_argument);
+}
+
 TEST(Synthetic, ClientsAreAssignedWithinRange) {
   SyntheticConfig cfg;
   cfg.num_clients = 3;
@@ -190,7 +200,7 @@ TEST(WebTrace, HotFilesAreScatteredAcrossIdSpace) {
   cfg.num_requests = 2000;
   const Workload w = generate_webtrace(cfg);
   trace::FileId max_id = 0;
-  for (const auto& [f, _] : w.requests.counts()) max_id = std::max(max_id, f);
+  for (const auto& r : w.requests.records()) max_id = std::max(max_id, r.file);
   EXPECT_GT(max_id, 500u);  // not clustered at the low ids
 }
 
@@ -221,6 +231,12 @@ TEST(WebTrace, RejectsInvalidConfigs) {
   EXPECT_THROW(generate_webtrace(cfg), std::invalid_argument);
   cfg = {};
   cfg.burstiness = 1.0;
+  EXPECT_THROW(generate_webtrace(cfg), std::invalid_argument);
+}
+
+TEST(WebTrace, RejectsZeroClients) {
+  WebTraceConfig cfg;
+  cfg.num_clients = 0;
   EXPECT_THROW(generate_webtrace(cfg), std::invalid_argument);
 }
 

@@ -13,7 +13,10 @@
 #                               #     missing) and, when a committed
 #                               #     BENCH_perf.json baseline exists, runs
 #                               #     tools/perf_compare.py (warn-only;
-#                               #     see docs/perf.md)
+#                               #     see docs/perf.md); then one short
+#                               #     perfbench run per BENCHMARK.json
+#                               #     workload, which fails on a build
+#                               #     error or a failed correctness check
 #   tools/check.sh --digest-vs REF  # ... plus tools/digest_diff.py
 #                               #     --require-equal against git ref
 #                               #     REF, checked out in a temporary
@@ -169,6 +172,17 @@ if [ "$RUN_PERF" = 1 ]; then
   # hard failure even though the baseline comparison is warn-only
   # (tests/shell/test_perf_guard.sh pins this).
   tools/perf_step.sh
+
+  step "perfbench correctness checks (every BENCHMARK.json workload)"
+  # Only the checks gate here (request conservation, traced digest equal
+  # to untraced, repeatable allocation counts, no lost acked writes);
+  # the throughput it prints is not compared.
+  BENCH_WORKLOADS="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for workload in $BENCH_WORKLOADS; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1
+  done
 fi
 
 if [ -n "$DIGEST_REF" ]; then

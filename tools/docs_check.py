@@ -39,10 +39,13 @@ EXTERNAL = ("http://", "https://", "mailto:")
 
 
 def tracked_markdown(root: Path) -> list[Path]:
+    """Tracked *.md files present in the worktree.  A tracked file deleted
+    but not yet staged has no links to check; links to it still fail."""
     out = subprocess.run(
         ["git", "ls-files", "*.md"], cwd=root, check=True,
         capture_output=True, text=True)
-    return [root / line for line in out.stdout.splitlines() if line]
+    return [root / line for line in out.stdout.splitlines()
+            if line and (root / line).is_file()]
 
 
 def check_links(root: Path, files: list[Path]) -> list[str]:
