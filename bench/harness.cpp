@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 
 #include "util/string_util.hpp"
 
@@ -54,23 +55,25 @@ workload::Workload paper_workload(double data_mb, double mu,
   return workload::generate_synthetic(cfg);
 }
 
-workload::Workload with_writes(const workload::Workload& base,
+workload::Workload with_writes(workload::Workload base,
                                double write_fraction) {
-  workload::Workload w;
-  w.name = base.name + "+writes";
-  w.file_sizes = base.file_sizes;
-  std::size_t i = 0;
-  const auto period = write_fraction > 0.0
-                          ? static_cast<std::size_t>(1.0 / write_fraction)
-                          : std::size_t{0};
-  trace::Trace mixed;
-  for (const auto& r : base.requests.records()) {
-    trace::TraceRecord copy = r;
-    if (period > 0 && ++i % period == 0) copy.op = trace::Op::kWrite;
-    mixed.append(copy);
+  if (!(write_fraction >= 0.0 && write_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        format("with_writes: write fraction %g is outside [0, 1]",
+               write_fraction));
   }
-  w.requests = std::move(mixed);
-  return w;
+  base.name += "+writes";
+  const std::size_t n = base.requests.size();
+  // A period past the trace length marks nothing (and would not fit a
+  // size_t for a tiny fraction).
+  if (write_fraction > 0.0 &&
+      1.0 / write_fraction < static_cast<double>(n) + 1.0) {
+    const auto period = static_cast<std::size_t>(1.0 / write_fraction);
+    for (std::size_t i = period; i <= n; i += period) {
+      base.requests.set_op(i - 1, trace::Op::kWrite);
+    }
+  }
+  return base;
 }
 
 core::ClusterConfig paper_config(std::size_t prefetch_count) {

@@ -58,9 +58,12 @@ workload::Workload paper_workload(double data_mb = Defaults::kDataMb,
                                       Defaults::kInterArrivalMs,
                                   std::size_t requests = Defaults::kRequests);
 
-/// `base` with every (1/write_fraction)-th request turned into a write —
-/// the shared write-mixed workload of write_buffer and crash_recovery.
-workload::Workload with_writes(const workload::Workload& base,
+/// `base` with every ⌊1/write_fraction⌋-th request turned into a write,
+/// in place (0.3 makes every third request a write, 0.25 every fourth;
+/// 0 none) — the shared write-mixed workload of write_buffer,
+/// crash_recovery, tiered_cache and fault_tolerance.  Throws
+/// std::invalid_argument unless 0 <= write_fraction <= 1.
+workload::Workload with_writes(workload::Workload base,
                                double write_fraction);
 
 /// The paper's testbed cluster (8 nodes, 2 data + 1 buffer disk each).

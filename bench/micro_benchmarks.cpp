@@ -109,11 +109,15 @@ void BM_PrefetchPlanner(benchmark::State& state) {
     }
     candidates.push_back({f, 10 * kMB, {d}});
   }
-  for (auto& v : accesses) std::sort(v.second.begin(), v.second.end());
+  std::vector<core::FileHints> hints;
+  for (auto& [f, offsets] : accesses) {
+    std::sort(offsets.begin(), offsets.end());
+    hints.push_back({f, offsets});
+  }
   for (auto& v : disk_accesses) std::sort(v.begin(), v.end());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        prefetcher.plan(candidates, accesses, disk_accesses,
+        prefetcher.plan(candidates, hints, disk_accesses,
                         seconds_to_ticks(800.0), 80 * kGB));
   }
 }

@@ -267,6 +267,8 @@ RunMetrics Cluster::run_phase() {
         }
       });
     }
+    // Every node has planned: nothing reads the hint arena any more.
+    server_->release_hints();
   });
 
   sim_->run();

@@ -30,16 +30,14 @@ Joules EnergyPredictionModel::savings(Tick gap) const {
   return std::max(0.0, idle_energy(gap) - sleep_energy(gap));
 }
 
-EnergyPredictionModel::Plan EnergyPredictionModel::plan_windows(
-    std::span<const Tick> accesses, Tick start, Tick horizon) const {
-  Plan plan;
+template <typename Take>
+void EnergyPredictionModel::for_each_window(std::span<const Tick> accesses,
+                                            Tick start, Tick horizon,
+                                            Take take) const {
   Tick cursor = start;
   auto consider = [&](Tick begin, Tick end) {
     const Tick gap = end - begin;
-    if (gap >= min_gap_ && savings(gap) > 0.0) {
-      plan.windows.emplace_back(begin, end);
-      plan.predicted_savings += savings(gap);
-    }
+    if (gap >= min_gap_ && savings(gap) > 0.0) take(begin, end, savings(gap));
   };
   for (const Tick a : accesses) {
     if (a > horizon) break;
@@ -47,7 +45,26 @@ EnergyPredictionModel::Plan EnergyPredictionModel::plan_windows(
     cursor = std::max(cursor, a);
   }
   if (horizon > cursor) consider(cursor, horizon);
+}
+
+EnergyPredictionModel::Plan EnergyPredictionModel::plan_windows(
+    std::span<const Tick> accesses, Tick start, Tick horizon) const {
+  Plan plan;
+  for_each_window(accesses, start, horizon,
+                  [&](Tick begin, Tick end, Joules saved) {
+                    plan.windows.emplace_back(begin, end);
+                    plan.predicted_savings += saved;
+                  });
   return plan;
+}
+
+Joules EnergyPredictionModel::predicted_savings(std::span<const Tick> accesses,
+                                                Tick start,
+                                                Tick horizon) const {
+  Joules total = 0.0;
+  for_each_window(accesses, start, horizon,
+                  [&](Tick, Tick, Joules saved) { total += saved; });
+  return total;
 }
 
 Joules EnergyPredictionModel::prefetch_benefit(
@@ -69,10 +86,8 @@ Joules EnergyPredictionModel::prefetch_benefit(
   assert(j == file_accesses.size() &&
          "file accesses must be a subset of disk accesses");
 
-  const Joules before = plan_windows(disk_accesses, start, horizon)
-                            .predicted_savings;
-  const Joules after = plan_windows(residual, start, horizon)
-                           .predicted_savings;
+  const Joules before = predicted_savings(disk_accesses, start, horizon);
+  const Joules after = predicted_savings(residual, start, horizon);
 
   // Copy cost: the data disk does one random read, the buffer disk one
   // sequential write; each is priced at the *increment* over staying

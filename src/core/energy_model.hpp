@@ -45,6 +45,10 @@ class EnergyPredictionModel {
   Plan plan_windows(std::span<const Tick> accesses, Tick start,
                     Tick horizon) const;
 
+  /// plan_windows(...).predicted_savings, without building the windows.
+  Joules predicted_savings(std::span<const Tick> accesses, Tick start,
+                           Tick horizon) const;
+
   /// PRE-BUD: net benefit (Joules) of moving one file to the buffer disk.
   /// `disk_accesses` are all future accesses of the file's data disk,
   /// `file_accesses` the subset belonging to the candidate file (both
@@ -58,6 +62,12 @@ class EnergyPredictionModel {
   const disk::DiskProfile& profile() const { return profile_; }
 
  private:
+  /// Calls `take(begin, end, savings)` for each profitable idle window of
+  /// `accesses` over [start, horizon], in time order.
+  template <typename Take>
+  void for_each_window(std::span<const Tick> accesses, Tick start,
+                       Tick horizon, Take take) const;
+
   disk::DiskProfile profile_;
   Tick min_gap_;
 };

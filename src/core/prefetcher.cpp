@@ -1,6 +1,7 @@
 #include "core/prefetcher.hpp"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -15,36 +16,38 @@ Prefetcher::Prefetcher(EnergyPredictionModel data_disk_model,
 
 namespace {
 
-/// Sorted-multiset difference: disk accesses minus one file's accesses.
-std::vector<Tick> remove_accesses(const std::vector<Tick>& disk,
-                                  const std::vector<Tick>& file) {
-  std::vector<Tick> out;
-  out.reserve(disk.size() - std::min(disk.size(), file.size()));
+/// Sorted-multiset difference in place: a disk timeline minus one file's
+/// accesses.
+void remove_accesses(std::vector<Tick>& disk, std::span<const Tick> file) {
   std::size_t j = 0;
-  for (const Tick a : disk) {
-    if (j < file.size() && file[j] == a) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < disk.size(); ++i) {
+    if (j < file.size() && file[j] == disk[i]) {
       ++j;
       continue;
     }
-    out.push_back(a);
+    disk[kept++] = disk[i];
   }
-  return out;
+  disk.resize(kept);
 }
 
 }  // namespace
 
-PrefetchPlan Prefetcher::plan(
-    std::span<const PrefetchCandidate> candidates,
-    const std::map<trace::FileId, std::vector<Tick>>& file_accesses,
-    std::vector<std::vector<Tick>> disk_accesses, Tick horizon,
-    Bytes capacity, Bytes ram_capacity) const {
+PrefetchPlan Prefetcher::plan(std::span<const PrefetchCandidate> candidates,
+                              std::span<const FileHints> file_accesses,
+                              std::vector<std::vector<Tick>> disk_accesses,
+                              Tick horizon, Bytes capacity,
+                              Bytes ram_capacity) const {
   PrefetchPlan out;
   out.residual_disk_accesses = std::move(disk_accesses);
 
-  static const std::vector<Tick> kNoAccesses;
-  const auto accesses_of = [&](trace::FileId f) -> const std::vector<Tick>& {
-    const auto it = file_accesses.find(f);
-    return it == file_accesses.end() ? kNoAccesses : it->second;
+  const auto accesses_of = [&](trace::FileId f) -> std::span<const Tick> {
+    const auto it = std::lower_bound(
+        file_accesses.begin(), file_accesses.end(), f,
+        [](const FileHints& h, trace::FileId key) { return h.file < key; });
+    return it == file_accesses.end() || it->file != f
+               ? std::span<const Tick>()
+               : it->offsets;
   };
 
   // Tier split: the hottest candidates that fit the RAM pin budget go to
@@ -60,8 +63,7 @@ PrefetchPlan Prefetcher::plan(
       if (c.bytes <= ram_remaining) {
         ram_remaining -= c.bytes;
         for (const std::size_t d : c.disks) {
-          out.residual_disk_accesses[d] = remove_accesses(
-              out.residual_disk_accesses[d], accesses_of(c.file));
+          remove_accesses(out.residual_disk_accesses[d], accesses_of(c.file));
         }
         out.ram_pinned.push_back(c);
         out.ram_pinned_bytes += c.bytes;
@@ -82,16 +84,14 @@ PrefetchPlan Prefetcher::plan(
   for (const PrefetchCandidate& c : candidates) {
     groups[c.disks].push_back(c);
   }
-  const auto set_savings =
-      [&](const std::vector<std::size_t>& disks,
-          const std::vector<std::vector<Tick>>& residuals) {
-        Joules total = 0.0;
-        for (const std::size_t d : disks) {
-          total += model_.plan_windows(residuals.at(d), 0, horizon)
-                       .predicted_savings;
-        }
-        return total;
-      };
+  // Summed over the disk set in its order, as the timelines are priced.
+  const auto set_savings = [&](const std::vector<std::vector<Tick>>& set) {
+    Joules total = 0.0;
+    for (const std::vector<Tick>& timeline : set) {
+      total += model_.predicted_savings(timeline, 0, horizon);
+    }
+    return total;
+  };
   const auto copy_cost = [&](const PrefetchCandidate& c) {
     // The read is split over the stripe set (each disk moves bytes/W);
     // the buffer write is one sequential stream of the whole file.  Both
@@ -111,6 +111,9 @@ PrefetchPlan Prefetcher::plan(
   };
 
   Bytes remaining = capacity;
+  // The priced disk set's working timelines, reused across groups: the
+  // gate never copies the whole plan.
+  std::vector<std::vector<Tick>> work;
   for (auto& [disks, list] : groups) {
     if (list.empty()) continue;
 
@@ -118,9 +121,7 @@ PrefetchPlan Prefetcher::plan(
       for (const PrefetchCandidate& c : list) {
         if (c.bytes > remaining) continue;
         for (const std::size_t d : disks) {
-          out.residual_disk_accesses[d] =
-              remove_accesses(out.residual_disk_accesses[d],
-                              accesses_of(c.file));
+          remove_accesses(out.residual_disk_accesses[d], accesses_of(c.file));
         }
         out.accepted.push_back(c);
         out.total_bytes += c.bytes;
@@ -129,28 +130,31 @@ PrefetchPlan Prefetcher::plan(
       continue;
     }
 
-    const Joules base_savings = set_savings(disks, out.residual_disk_accesses);
-    std::vector<std::vector<Tick>> residual = out.residual_disk_accesses;
+    work.resize(disks.size());
+    for (std::size_t i = 0; i < disks.size(); ++i) {
+      const std::vector<Tick>& residual =
+          out.residual_disk_accesses.at(disks[i]);
+      work[i].assign(residual.begin(), residual.end());
+    }
+    const Joules base_savings = set_savings(work);
     Joules copy_cost_sum = 0.0;
     Joules best_benefit = 0.0;
     std::size_t best_k = 0;
+    std::size_t priced = 0;  // prefix length `work` has removed
     Bytes prefix_bytes = 0;
-    std::vector<std::vector<Tick>> best_residual = residual;
 
-    for (std::size_t k = 0; k < list.size(); ++k) {
-      const PrefetchCandidate& c = list[k];
+    for (; priced < list.size(); ++priced) {
+      const PrefetchCandidate& c = list[priced];
       if (prefix_bytes + c.bytes > remaining) break;
       prefix_bytes += c.bytes;
-      for (const std::size_t d : disks) {
-        residual[d] = remove_accesses(residual[d], accesses_of(c.file));
+      for (std::vector<Tick>& timeline : work) {
+        remove_accesses(timeline, accesses_of(c.file));
       }
       copy_cost_sum += copy_cost(c);
-      const Joules benefit =
-          set_savings(disks, residual) - base_savings - copy_cost_sum;
+      const Joules benefit = set_savings(work) - base_savings - copy_cost_sum;
       if (benefit > best_benefit) {
         best_benefit = benefit;
-        best_k = k + 1;
-        best_residual = residual;
+        best_k = priced + 1;
       }
     }
 
@@ -164,7 +168,18 @@ PrefetchPlan Prefetcher::plan(
       }
     }
     if (best_k > 0) {
-      out.residual_disk_accesses = std::move(best_residual);
+      // The residual of the best prefix: the working timelines when it is
+      // the longest one priced, else its removals replayed in place.
+      for (std::size_t i = 0; i < disks.size(); ++i) {
+        std::vector<Tick>& residual = out.residual_disk_accesses[disks[i]];
+        if (best_k == priced) {
+          residual.swap(work[i]);
+        } else {
+          for (std::size_t k = 0; k < best_k; ++k) {
+            remove_accesses(residual, accesses_of(list[k].file));
+          }
+        }
+      }
       out.predicted_benefit += best_benefit;
       EEVFS_DEBUG() << "prefetch gate: disk set of " << disks.size()
                     << " accepts " << best_k << "/" << list.size()

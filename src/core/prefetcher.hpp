@@ -10,7 +10,6 @@
 // the marginal value of each additional file is priced correctly.
 #pragma once
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -20,6 +19,14 @@
 #include "util/units.hpp"
 
 namespace eevfs::core {
+
+/// One file's application hints (§IV-C): its sorted access offsets,
+/// relative to replay start.  A view: StorageServer::distribute_patterns
+/// points it into the server's hint arena.
+struct FileHints {
+  trace::FileId file = 0;
+  std::span<const Tick> offsets;
+};
 
 struct PrefetchCandidate {
   trace::FileId file = 0;
@@ -36,7 +43,9 @@ struct PrefetchPlan {
   Joules predicted_benefit = 0.0;
   /// Per-data-disk access times with the accepted files removed — what
   /// the power manager should expect to reach each disk.  StorageNode
-  /// releases them when replay starts.
+  /// keeps them past planning only under kHints/kOracle, whose power
+  /// manager takes them at replay start; other policies read just their
+  /// sizes and release them at once.
   std::vector<std::vector<Tick>> residual_disk_accesses;
   /// Tier-aware split (RAM tier enabled): the hottest candidates that
   /// fit the RAM pin budget, taken off the top before the buffer-disk
@@ -51,15 +60,17 @@ class Prefetcher {
              disk::DiskProfile buffer_profile, bool prebud_gate);
 
   /// `candidates` in priority (popularity-rank) order;
-  /// `file_accesses[f]` sorted access offsets of file f;
-  /// `disk_accesses[d]` sorted offsets of everything on data disk d;
+  /// `file_accesses` each hinted file's sorted offsets, ascending by file
+  /// (a file without an entry has no accesses);
+  /// `disk_accesses[d]` sorted offsets of everything on data disk d,
+  /// which become the plan's residual timelines in place;
   /// `horizon` the trace duration; `capacity` remaining buffer bytes;
   /// `ram_capacity` the RAM-tier pin budget (0 = two-tier planning).
   /// RAM pins are filled rank-first and their accesses leave the
   /// residual timelines before the buffer tier is priced, so PRE-BUD
   /// sees the post-RAM residual.
   PrefetchPlan plan(std::span<const PrefetchCandidate> candidates,
-                    const std::map<trace::FileId, std::vector<Tick>>& file_accesses,
+                    std::span<const FileHints> file_accesses,
                     std::vector<std::vector<Tick>> disk_accesses,
                     Tick horizon, Bytes capacity, Bytes ram_capacity = 0) const;
 

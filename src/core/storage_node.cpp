@@ -135,23 +135,44 @@ void StorageNode::create_file(trace::FileId f, Bytes size) {
   ++files_created_;
 }
 
-void StorageNode::receive_access_pattern(
-    std::map<trace::FileId, std::vector<Tick>> offsets, Tick horizon) {
-  pattern_ = std::move(offsets);
+void StorageNode::receive_access_pattern(std::vector<FileHints> hints,
+                                         Tick horizon) {
+  if (std::adjacent_find(hints.begin(), hints.end(),
+                         [](const FileHints& a, const FileHints& b) {
+                           return a.file >= b.file;
+                         }) != hints.end()) {
+    throw std::invalid_argument(
+        "StorageNode: access pattern not ascending by file");
+  }
+  hints_ = std::move(hints);
   horizon_ = horizon;
 }
 
 void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
                                  std::function<void()> done) {
-  // Merge the per-file pattern into per-data-disk access timelines; a
+  // Planning is the views' one reader; they go when it returns.
+  const std::vector<FileHints> hints = std::move(hints_);
+  // Each data disk's access timeline, built once at its final size: a
   // striped file's accesses reach every disk in its stripe set.
-  std::vector<std::vector<Tick>> disk_accesses(data_disks_.size());
-  for (const auto& [file, offsets] : pattern_) {
-    const LocalFileMeta* file_meta = meta_.find(file);
+  const std::size_t num_disks = data_disks_.size();
+  std::vector<std::size_t> timeline_size(num_disks, 0);
+  for (const FileHints& h : hints) {
+    const LocalFileMeta* file_meta = meta_.find(h.file);
     if (file_meta == nullptr) continue;
     for (std::size_t j = 0; j < file_meta->width; ++j) {
-      auto& timeline = disk_accesses[file_meta->disk(j, data_disks_.size())];
-      timeline.insert(timeline.end(), offsets.begin(), offsets.end());
+      timeline_size[file_meta->disk(j, num_disks)] += h.offsets.size();
+    }
+  }
+  std::vector<std::vector<Tick>> disk_accesses(num_disks);
+  for (std::size_t d = 0; d < num_disks; ++d) {
+    disk_accesses[d].reserve(timeline_size[d]);
+  }
+  for (const FileHints& h : hints) {
+    const LocalFileMeta* file_meta = meta_.find(h.file);
+    if (file_meta == nullptr) continue;
+    for (std::size_t j = 0; j < file_meta->width; ++j) {
+      auto& timeline = disk_accesses[file_meta->disk(j, num_disks)];
+      timeline.insert(timeline.end(), h.offsets.begin(), h.offsets.end());
     }
   }
   for (auto& t : disk_accesses) std::sort(t.begin(), t.end());
@@ -188,15 +209,14 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
   plan_ = prefetcher.plan(can_prefetch || ram_prefetch
                               ? std::span<const PrefetchCandidate>(cands)
                               : std::span<const PrefetchCandidate>(),
-                          pattern_, std::move(disk_accesses), horizon_,
+                          hints, std::move(disk_accesses), horizon_,
                           capacity, ram_budget);
   plan_ready_ = true;
   hint_counts_.clear();
-  hint_counts_.reserve(pattern_.size());
-  for (const auto& [file, offsets] : pattern_) {
-    hint_counts_.emplace_back(file, offsets.size());
+  hint_counts_.reserve(hints.size());
+  for (const FileHints& h : hints) {
+    hint_counts_.emplace_back(h.file, h.offsets.size());
   }
-  pattern_.clear();
 
   // Static expectation per disk for the predictive power policy: the mean
   // gap between residual accesses over the horizon.
@@ -211,6 +231,7 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
           d, horizon_ / static_cast<Tick>(residual.size()));
     }
   }
+  if (!power_reads_residuals()) plan_.residual_disk_accesses.clear();
 
   std::vector<trace::FileId> hot;
   std::vector<trace::FileId> warm;
@@ -445,8 +466,7 @@ void StorageNode::begin_replay(Tick replay_start) {
     throw std::logic_error("StorageNode: begin_replay before start_prefetch");
   }
   replay_start_ = replay_start;
-  if (params_.power.policy == PowerPolicy::kHints ||
-      params_.power.policy == PowerPolicy::kOracle) {
+  if (power_reads_residuals()) {
     for (std::size_t d = 0; d < data_disks_.size(); ++d) {
       std::vector<Tick>& absolute = plan_.residual_disk_accesses[d];
       for (Tick& t : absolute) t += replay_start;

@@ -106,20 +106,26 @@ class StorageNode {
   /// in creation order (§III-B), or popularity-banded for PDC.
   void create_file(trace::FileId f, Bytes size);
 
-  /// Receives this node's slice of the access pattern: per-file sorted
-  /// access offsets (relative to replay start) and the trace horizon.
-  /// The offsets are exact for a materialized trace and modeled from
-  /// per-file counts for a stream (StorageServer::distribute_patterns).
-  void receive_access_pattern(
-      std::map<trace::FileId, std::vector<Tick>> offsets, Tick horizon);
+  /// Receives this node's slice of the access pattern: one entry per
+  /// served file, ascending by file, holding its sorted access offsets
+  /// (relative to replay start), and the trace horizon.  The offsets are
+  /// exact for a materialized trace and modeled from per-file counts for
+  /// a stream (StorageServer::distribute_patterns).  They are views the
+  /// node does not own: whoever owns them (the server's hint arena) keeps
+  /// them alive until start_prefetch has returned.  Throws
+  /// std::invalid_argument unless the entries ascend strictly by file.
+  void receive_access_pattern(std::vector<FileHints> hints, Tick horizon);
 
   /// Plans (PRE-BUD gate) and executes the prefetch of `candidates`
   /// (this node's slice of the global top-K, rank order).  `done` fires
   /// when all copies hit the buffer disk.  Also derives the residual
   /// per-disk pattern the power manager should expect.  Call with an
   /// empty list for NPF runs — the pattern derivation still happens.
-  /// Planning consumes the received pattern: only each file's access
-  /// count is kept, as its RAM admission weight.
+  /// Planning builds each data disk's timeline once from the received
+  /// views and then drops them: only each file's access count is kept,
+  /// as its RAM admission weight.  The residual timelines outlive
+  /// planning only under kHints/kOracle, whose power manager takes them
+  /// in begin_replay; other policies keep just the expected gap.
   void start_prefetch(const std::vector<trace::FileId>& candidates,
                       std::function<void()> done);
 
@@ -317,6 +323,13 @@ class StorageNode {
                   const std::vector<trace::FileId>& warm,
                   std::function<void(std::size_t landed)> done);
 
+  /// True under kHints/kOracle, whose power manager is handed the
+  /// residual timelines at replay start.
+  bool power_reads_residuals() const {
+    return params_.power.policy == PowerPolicy::kHints ||
+           params_.power.policy == PowerPolicy::kOracle;
+  }
+
   /// First buffer disk that is still spinning, or nullopt.
   std::optional<std::size_t> healthy_buffer_disk(std::size_t preferred) const;
   /// True when every stripe disk of `file` is alive.
@@ -410,8 +423,8 @@ class StorageNode {
   std::size_t expected_files_ = 0;
   std::size_t buffered_count_ = 0;  // round-robins files over buffer disks
 
-  /// The received hint timelines, until start_prefetch plans from them.
-  std::map<trace::FileId, std::vector<Tick>> pattern_;
+  /// The received hint views, until start_prefetch plans from them.
+  std::vector<FileHints> hints_;
   /// (file, hinted access count) sorted by file, kept from planning on.
   std::vector<std::pair<trace::FileId, std::size_t>> hint_counts_;
   std::set<trace::FileId> copies_in_flight_;

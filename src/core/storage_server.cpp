@@ -1,6 +1,9 @@
 #include "core/storage_server.hpp"
 
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/placement.hpp"
 #include "util/logging.hpp"
@@ -66,27 +69,72 @@ void StorageServer::distribute_patterns(
   if (metadata_.files() == 0) {
     throw std::logic_error("StorageServer: place_and_create first");
   }
-  std::vector<std::map<trace::FileId, std::vector<Tick>>> per_node(
-      nodes_.size());
+  // File f's slot in the arena is [slot[f], slot[f + 1]), sized from its
+  // ingested access count.
+  const std::size_t files = metadata_.files();
+  const auto unknown = [](trace::FileId f) {
+    return std::out_of_range("StorageServer: unknown file " +
+                             std::to_string(f));
+  };
+  std::vector<std::size_t> slot(files + 1, 0);
+  for (const trace::FilePopularity& p : analyzer_->ranked()) {
+    if (p.file >= files) throw unknown(p.file);
+    slot[p.file + 1] = p.accesses;
+  }
+  std::partial_sum(slot.begin(), slot.end(), slot.begin());
+
+  hint_arena_ = std::vector<Tick>(exact || horizon > 0 ? slot.back() : 0);
   if (exact) {
+    const auto miscount = [](trace::FileId f) {
+      return std::invalid_argument(
+          "StorageServer: the hint pass disagrees with the ingested "
+          "access count of file " + std::to_string(f));
+    };
+    std::vector<std::size_t> next(slot.begin(), slot.end() - 1);
     trace::TraceRecord r;
     while (exact->next(&r)) {
-      for (const NodeId n : serving_holders(r.file)) {
-        per_node[n][r.file].push_back(r.arrival);
-      }
+      if (r.file >= files) throw unknown(r.file);
+      if (next[r.file] == slot[r.file + 1]) throw miscount(r.file);
+      hint_arena_[next[r.file]++] = r.arrival;
+    }
+    for (trace::FileId f = 0; f < files; ++f) {
+      if (next[f] != slot[f + 1]) throw miscount(f);
     }
   } else if (horizon > 0) {
-    for (const trace::FilePopularity& p : analyzer_->ranked()) {
-      const std::span<const NodeId> holders = serving_holders(p.file);
-      std::vector<Tick>& offsets = per_node[holders.front()][p.file];
+    for (trace::FileId f = 0; f < files; ++f) {
       // Midpoint spacing keeps the first expected access off t=0 and the
-      // last off the horizon edge, so modeled idle windows stay symmetric.
-      const auto c = static_cast<Tick>(p.accesses);
-      offsets.reserve(p.accesses);
-      for (Tick i = 0; i < c; ++i) {
-        offsets.push_back((2 * i + 1) * horizon / (2 * c));
+      // last off the horizon edge, so modeled idle windows stay
+      // symmetric.  (2i+1)·H/2c is computed as (2i+1)·q + (2i+1)·r/2c
+      // with H = q·2c + r: the same value, but no product reaches H·2c,
+      // and (2i+1)·r < 4c² fits 64 unsigned bits for c ≤ 2^31.
+      const auto c = static_cast<Tick>(slot[f + 1] - slot[f]);
+      if (c > (Tick{1} << 31)) {
+        throw std::invalid_argument(
+            "StorageServer: over 2^31 modeled accesses to file " +
+            std::to_string(f));
       }
-      for (const NodeId n : holders.subspan(1)) per_node[n][p.file] = offsets;
+      if (c == 0) continue;
+      const Tick q = horizon / (2 * c);
+      const auto r = static_cast<std::uint64_t>(horizon % (2 * c));
+      for (Tick i = 0; i < c; ++i) {
+        const Tick odd = 2 * i + 1;
+        hint_arena_[slot[f] + static_cast<std::size_t>(i)] =
+            odd * q + static_cast<Tick>(static_cast<std::uint64_t>(odd) * r /
+                                        static_cast<std::uint64_t>(2 * c));
+      }
+    }
+  }
+
+  // Every serving holder gets a view of the file's slot, not a copy.
+  std::vector<std::vector<FileHints>> per_node(nodes_.size());
+  if (!hint_arena_.empty()) {
+    for (trace::FileId f = 0; f < files; ++f) {
+      if (slot[f] == slot[f + 1]) continue;
+      const std::span<const Tick> offsets(hint_arena_.data() + slot[f],
+                                          slot[f + 1] - slot[f]);
+      for (const NodeId n : serving_holders(f)) {
+        per_node[n].push_back({f, offsets});
+      }
     }
   }
   for (std::size_t n = 0; n < nodes_.size(); ++n) {

@@ -132,14 +132,25 @@ class StorageServer {
 
   /// Step 4: split the access pattern per node and forward it
   /// (application hints, §IV-C) to each file's serving holders (see
-  /// serving_holders).  `exact` is a fresh pass over the requests: each
-  /// holder gets the file's exact access offsets.  Without one — a
-  /// stream, whose offsets would materialize the whole run — each file's
+  /// serving_holders).  The offsets live once, in one hint arena this
+  /// server owns: file-major by FileId, each file's slot sized from its
+  /// ingested access count, 8 bytes per request.  Every serving holder
+  /// receives views into it (StorageNode::receive_access_pattern), so the
+  /// arena must outlive every node's start_prefetch; release_hints()
+  /// frees it after that.  `exact` is a fresh pass over the requests:
+  /// the arena holds each file's exact access offsets, and a pass whose
+  /// count for any file differs from the ingested one throws
+  /// std::invalid_argument naming the file.  Without one — a stream,
+  /// whose offsets would materialize the whole run — each file's
   /// ingested access count is modeled as evenly spaced over `horizon`:
   /// midpoint spacing, so a count-c file is expected at (2i+1)·H/2c, the
   /// constant-rate view the predictive power policy takes.
   void distribute_patterns(Tick horizon,
                            std::unique_ptr<workload::RequestStream> exact);
+
+  /// Frees the hint arena.  Call once every node has planned
+  /// (StorageNode::start_prefetch), the last reader of its views.
+  void release_hints() { hint_arena_ = std::vector<Tick>(); }
 
   /// This node-indexed slice of the globally top-`k` files, each slice in
   /// global rank order — the prefetch instruction of step 3.  Serving
@@ -277,6 +288,9 @@ class StorageServer {
   /// ServerFileEntry views and holder spans into it: this server owns
   /// the table for as long as any of them can run.
   ServerMetadata metadata_;
+  /// The hint arena distribute_patterns fills; empty after
+  /// release_hints().
+  std::vector<Tick> hint_arena_;
   trace::AccessLog log_;
   std::size_t replication_degree_ = 1;
   std::uint64_t requests_routed_ = 0;

@@ -19,6 +19,9 @@ class Trace {
   void append(TraceRecord r);
   /// Room for `n` records in all, for builders that know the final size.
   void reserve(std::size_t n) { records_.reserve(n); }
+  /// Makes record `i` an `op` request in place; arrival order and the
+  /// byte total stay as they are.
+  void set_op(std::size_t i, Op op) { records_.at(i).op = op; }
 
   std::span<const TraceRecord> records() const { return records_; }
   std::size_t size() const { return records_.size(); }

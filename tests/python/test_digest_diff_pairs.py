@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Checks the paired-run arithmetic of tools/digest_diff.py --pairs
-(quartiles, wins, verdicts, the failed-operation count) on fixed numbers;
-runs no perfbench.
+(quartiles, wins, verdicts, the failed-operation count, digest agreement)
+on fixed numbers; runs no perfbench.
 
     python3 tests/python/test_digest_diff_pairs.py
 """
@@ -87,6 +87,20 @@ class PairStats(unittest.TestCase):
         this = [1.5, 1.5, 1.5, 1.5]
         stats = digest_diff.pair_stats(base, this, "lower", 0.25)
         self.assertEqual(stats["verdict"], "unresolved")
+
+
+class DigestAgreement(unittest.TestCase):
+    def test_counts_pairs_with_equal_digests(self):
+        base = ["a1", "b2", "c3", "d4"]
+        self.assertEqual(digest_diff.digest_agreement(base, base), 4)
+        self.assertEqual(
+            digest_diff.digest_agreement(base, ["a1", "xx", "c3", "yy"]), 2)
+
+    def test_pairs_are_matched_by_position(self):
+        # Equal digests in different pairs do not agree.
+        self.assertEqual(
+            digest_diff.digest_agreement(["a1", "b2"], ["b2", "a1"]), 0)
+        self.assertEqual(digest_diff.digest_agreement([], []), 0)
 
 
 if __name__ == "__main__":

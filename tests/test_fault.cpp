@@ -15,6 +15,8 @@
 #include "fault/fault_injector.hpp"
 #include "workload/synthetic.hpp"
 
+#include "hint_views.hpp"
+
 namespace eevfs {
 namespace {
 
@@ -168,7 +170,6 @@ class NodeFaultTest : public ::testing::Test {
   /// gate accepts it as a prefetch candidate — the rest are cold.
   void setup_files(core::StorageNode& node, std::size_t n, Bytes size) {
     const Tick horizon = seconds_to_ticks(600);
-    std::map<trace::FileId, std::vector<Tick>> pattern;
     for (trace::FileId f = 0; f < n; ++f) {
       node.create_file(f, size);
       if (f == 0) {
@@ -179,8 +180,11 @@ class NodeFaultTest : public ::testing::Test {
         pattern[f].push_back(horizon - seconds_to_ticks(1));
       }
     }
-    node.receive_access_pattern(std::move(pattern), horizon);
+    node.receive_access_pattern(core::hint_views(pattern), horizon);
   }
+
+  /// The offsets setup_files hints; the node reads them until it plans.
+  core::HintOffsets pattern;
 
   RequestStatus serve(core::StorageNode& node, trace::FileId f) {
     RequestStatus st = RequestStatus::kOk;

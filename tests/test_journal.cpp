@@ -14,6 +14,8 @@
 #include "disk/disk_model.hpp"
 #include "disk/write_journal.hpp"
 
+#include "hint_views.hpp"
+
 namespace eevfs {
 namespace {
 
@@ -216,12 +218,12 @@ class NodeJournalTest : public ::testing::Test {
   std::unique_ptr<core::StorageNode> make_node(core::NodeParams p) {
     auto node = std::make_unique<core::StorageNode>(sim, net, node_ep, p);
     const Tick horizon = seconds_to_ticks(600);
-    std::map<trace::FileId, std::vector<Tick>> pattern;
+    core::HintOffsets pattern;
     for (trace::FileId f = 0; f < 4; ++f) {
       node->create_file(f, 10 * kMB);
       pattern[f].push_back(horizon - seconds_to_ticks(1));
     }
-    node->receive_access_pattern(std::move(pattern), horizon);
+    node->receive_access_pattern(core::hint_views(pattern), horizon);
     node->start_prefetch({}, [] {});
     sim.run();
     return node;

@@ -4,6 +4,11 @@
 
 #include <chrono>
 #include <memory>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "hint_views.hpp"
 
 namespace eevfs::core {
 namespace {
@@ -33,7 +38,6 @@ class StorageNodeTest : public ::testing::Test {
   /// accessed every second (hot) and the rest once each at the end.
   void setup_files(StorageNode& node, std::size_t n, Bytes size,
                    Tick horizon) {
-    std::map<trace::FileId, std::vector<Tick>> pattern;
     for (trace::FileId f = 0; f < n; ++f) {
       node.create_file(f, size);
       if (f == 0) {
@@ -44,9 +48,11 @@ class StorageNodeTest : public ::testing::Test {
         pattern[f].push_back(horizon - seconds_to_ticks(1));
       }
     }
-    node.receive_access_pattern(std::move(pattern), horizon);
+    node.receive_access_pattern(hint_views(pattern), horizon);
   }
 
+  /// The offsets setup_files hints; the node reads them until it plans.
+  HintOffsets pattern;
   sim::Simulator sim;
   net::NetworkFabric net;
   net::EndpointId node_ep{}, client_ep{};
@@ -306,6 +312,48 @@ TEST_F(StorageNodeTest, WriteBookedDuringTheDrainIsForcedToItsSleepingDisk) {
   EXPECT_EQ(node->data_disk(1).requests_completed(), 1u);
 }
 
+// The prefetcher and the RAM weights binary-search the hints by file.
+TEST_F(StorageNodeTest, AccessPatternMustAscendByFile) {
+  auto node = make_node(params());
+  const HintOffsets hints{{1, {seconds_to_ticks(1)}},
+                          {2, {seconds_to_ticks(2)}}};
+  std::vector<FileHints> views = hint_views(hints);
+  std::swap(views[0], views[1]);
+  EXPECT_THROW(node->receive_access_pattern(views, seconds_to_ticks(10)),
+               std::invalid_argument);
+  views[1].file = 2;  // a file hinted twice
+  EXPECT_THROW(node->receive_access_pattern(views, seconds_to_ticks(10)),
+               std::invalid_argument);
+}
+
+// Only the hint-reading power policies keep the residual timelines past
+// planning; the others keep each disk's expected gap and free them.
+TEST_F(StorageNodeTest, ResidualTimelinesOutlivePlanningOnlyUnderHints) {
+  for (const PowerPolicy policy :
+       {PowerPolicy::kPredictive, PowerPolicy::kHints}) {
+    NodeParams p = params();
+    p.power.policy = policy;
+    auto node = make_node(p);
+    setup_files(*node, 4, 10 * kMB, seconds_to_ticks(600));
+    node->start_prefetch({}, [] {});
+    sim.run();
+    const auto& residual = node->prefetch_plan().residual_disk_accesses;
+    if (policy == PowerPolicy::kHints) {
+      ASSERT_EQ(residual.size(), 2u);
+      // Disk 0 holds files 0 and 2: 600 hot accesses and one cold.
+      EXPECT_EQ(residual[0].size(), 601u);
+      EXPECT_EQ(residual[1].size(), 2u);
+    } else {
+      EXPECT_TRUE(residual.empty()) << to_string(policy);
+    }
+    node->begin_replay(sim.now());
+    EXPECT_TRUE(node->prefetch_plan().residual_disk_accesses.empty());
+    node->shutdown();
+    sim.run();  // nothing of this node may outlive it
+    pattern.clear();
+  }
+}
+
 TEST_F(StorageNodeTest, PopularityRamTierWeighsFilesByHintCount) {
   NodeParams p = params();
   p.ram_cache_bytes = 10 * kMB;  // room for one file
@@ -316,11 +364,11 @@ TEST_F(StorageNodeTest, PopularityRamTierWeighsFilesByHintCount) {
   node->create_file(once, 10 * kMB);
   node->create_file(thrice, 10 * kMB);
   const Tick horizon = seconds_to_ticks(600);
-  std::map<trace::FileId, std::vector<Tick>> pattern;
-  pattern[once] = {seconds_to_ticks(100)};
-  pattern[thrice] = {seconds_to_ticks(100), seconds_to_ticks(200),
-                     seconds_to_ticks(300)};
-  node->receive_access_pattern(std::move(pattern), horizon);
+  const HintOffsets hints{
+      {once, {seconds_to_ticks(100)}},
+      {thrice,
+       {seconds_to_ticks(100), seconds_to_ticks(200), seconds_to_ticks(300)}}};
+  node->receive_access_pattern(hint_views(hints), horizon);
   node->start_prefetch({}, [] {});
   sim.run();
   node->begin_replay(sim.now());

@@ -7,6 +7,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
@@ -20,16 +21,10 @@ class StorageServerTest : public ::testing::Test {
     server_ep = net.add_endpoint("server", net::mbps_to_bytes_per_sec(1000));
     client_ep = net.add_endpoint("client", net::mbps_to_bytes_per_sec(1000));
     for (NodeId n = 0; n < 4; ++n) {
-      const auto ep = net.add_endpoint("node",
-                                       net::mbps_to_bytes_per_sec(1000));
-      NodeParams p;
-      p.id = n;
-      p.data_disks = 2;
-      p.buffer_disks = 1;
-      p.disk_profile = disk::DiskProfile::ata133_fast();
-      nodes.push_back(std::make_unique<StorageNode>(sim, net, ep, p));
-      raw.push_back(nodes.back().get());
+      node_eps.push_back(
+          net.add_endpoint("node", net::mbps_to_bytes_per_sec(1000)));
     }
+    make_nodes(PowerPolicy::kPredictive);
     server = std::make_unique<StorageServer>(
         sim, net, server_ep, PlacementPolicy::kPopularityRoundRobin, 1);
 
@@ -40,9 +35,29 @@ class StorageServerTest : public ::testing::Test {
     w = workload::generate_synthetic(cfg);
   }
 
+  /// (Re)builds the four nodes under `policy`.  Only kHints and kOracle
+  /// keep the residual timelines past planning, so the tests that read
+  /// hints back from them build their nodes under kHints.
+  void make_nodes(PowerPolicy policy) {
+    nodes.clear();
+    raw.clear();
+    for (NodeId n = 0; n < node_eps.size(); ++n) {
+      NodeParams p;
+      p.id = n;
+      p.data_disks = 2;
+      p.buffer_disks = 1;
+      p.disk_profile = disk::DiskProfile::ata133_fast();
+      p.power.policy = policy;
+      nodes.push_back(
+          std::make_unique<StorageNode>(sim, net, node_eps[n], p));
+      raw.push_back(nodes.back().get());
+    }
+  }
+
   sim::Simulator sim;
   net::NetworkFabric net;
   net::EndpointId server_ep{}, client_ep{};
+  std::vector<net::EndpointId> node_eps;
   std::vector<std::unique_ptr<StorageNode>> nodes;
   std::vector<StorageNode*> raw;
   std::unique_ptr<StorageServer> server;
@@ -75,12 +90,51 @@ class StorageServerTest : public ::testing::Test {
     begin_replay();
   }
 
+  /// Whether node `n` serves reads of `f`: its primary or, under
+  /// erasure, one of its first k holders.
+  bool serves(NodeId n, trace::FileId f) const {
+    const std::span<const NodeId> serving =
+        server->metadata().holders(f).first(
+            server->erasure_enabled() ? server->ec_k() : 1);
+    return std::find(serving.begin(), serving.end(), n) != serving.end();
+  }
+
+  /// A materialized trace's hints are exact: every serving holder of a
+  /// file gets each of its access offsets, and no other node gets any.
+  /// Planning (no prefetch) leaves each node's per-disk timelines in its
+  /// prefetch plan, so each must be the sorted arrivals of the requests
+  /// for the files it serves off that disk.
+  void expect_exact_hints() {
+    make_nodes(PowerPolicy::kHints);
+    setup();
+    for (auto& n : nodes) n->start_prefetch({}, [] {});
+    sim.run();
+
+    std::size_t holders_with_hints = 0;
+    for (NodeId n = 0; n < nodes.size(); ++n) {
+      for (std::size_t d = 0; d < nodes[n]->num_data_disks(); ++d) {
+        std::vector<Tick> expected;
+        for (const trace::TraceRecord& r : w.requests.records()) {
+          if (serves(n, r.file) && nodes[n]->data_disk_of(r.file) == d) {
+            expected.push_back(r.arrival);
+          }
+        }
+        EXPECT_EQ(nodes[n]->prefetch_plan().residual_disk_accesses.at(d),
+                  expected)
+            << "node " << n << " disk " << d;
+        if (!expected.empty()) ++holders_with_hints;
+      }
+    }
+    EXPECT_GT(holders_with_hints, 0u);
+  }
+
   /// A stream's hints are counts: a file accessed c times over horizon H
   /// is expected at (2i+1)·H/2c, on its primary or, under erasure, on
   /// each of its first k holders — the nodes that serve its reads.  File
   /// 7 gets three accesses over 60 s; planning (no prefetch) leaves each
   /// node's per-disk timelines in its prefetch plan.
   void expect_count_hints() {
+    make_nodes(PowerPolicy::kHints);
     server->register_nodes(raw);
     trace::FilePopularity hot;
     for (const double t : {0.0, 5.0, 9.0}) {
@@ -92,20 +146,14 @@ class StorageServerTest : public ::testing::Test {
     for (auto& n : nodes) n->start_prefetch({}, [] {});
     sim.run();
 
-    const std::span<const NodeId> holders = server->metadata().holders(7);
-    const auto serving = static_cast<std::ptrdiff_t>(
-        server->erasure_enabled() ? server->ec_k() : 1);
     const std::vector<Tick> midpoints{seconds_to_ticks(10),
                                       seconds_to_ticks(30),
                                       seconds_to_ticks(50)};
     for (NodeId n = 0; n < nodes.size(); ++n) {
-      const bool serves =
-          std::find(holders.begin(), holders.begin() + serving, n) !=
-          holders.begin() + serving;
       for (std::size_t d = 0; d < nodes[n]->num_data_disks(); ++d) {
         const std::vector<Tick>& timeline =
-            nodes[n]->prefetch_plan().residual_disk_accesses[d];
-        if (serves && nodes[n]->data_disk_of(7) == d) {
+            nodes[n]->prefetch_plan().residual_disk_accesses.at(d);
+        if (serves(n, 7) && nodes[n]->data_disk_of(7) == d) {
           EXPECT_EQ(timeline, midpoints) << "node " << n;
         } else {
           EXPECT_TRUE(timeline.empty()) << "node " << n << " disk " << d;
@@ -233,6 +281,80 @@ TEST_F(StorageServerTest, CountHintsGiveTheFirstKHoldersMidpointOffsets) {
   ec.k = 2;
   server->set_erasure(ec);
   expect_count_hints();
+}
+
+TEST_F(StorageServerTest, ExactHintsReachThePrimaryUnderReplication) {
+  server->set_replication_degree(2);
+  expect_exact_hints();
+}
+
+TEST_F(StorageServerTest, ExactHintsReachTheFirstKHoldersUnderErasure) {
+  StorageServer::ErasureParams ec;
+  ec.n = 4;
+  ec.k = 2;
+  server->set_erasure(ec);
+  expect_exact_hints();
+}
+
+// (2i+1)·H/2c past 2^63: 2^17 accesses over 2^47 µs puts (2c-1)·H near
+// 2^65.  Every modeled offset must still equal the exact quotient.
+TEST_F(StorageServerTest, CountHintsStayExactPastTwoToThe63) {
+  make_nodes(PowerPolicy::kHints);
+  server->register_nodes(raw);
+  constexpr std::size_t kAccesses = std::size_t{1} << 17;
+  constexpr Tick kHorizon = Tick{1} << 47;
+  trace::FilePopularity hot;
+  hot.file = 7;
+  hot.accesses = kAccesses;
+  server->ingest_popularity(trace::PopularityAnalyzer({hot}, kAccesses));
+  server->place_and_create(w.file_sizes);
+  server->distribute_patterns(kHorizon, nullptr);
+  for (auto& n : nodes) n->start_prefetch({}, [] {});
+  sim.run();
+
+  const NodeId primary = server->metadata().node(7);
+  const std::vector<Tick>& timeline =
+      nodes[primary]->prefetch_plan().residual_disk_accesses.at(
+          nodes[primary]->data_disk_of(7).value());
+  ASSERT_EQ(timeline.size(), kAccesses);
+  __extension__ using Wide = unsigned __int128;
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < kAccesses; ++i) {
+    const Wide exact = (2 * static_cast<Wide>(i) + 1) *
+                       static_cast<Wide>(kHorizon) /
+                       (2 * static_cast<Wide>(kAccesses));
+    if (static_cast<Wide>(timeline[i]) != exact) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_LT(timeline.back(), kHorizon);
+}
+
+// The arena is sized from the ingested counts, so a hint pass that counts
+// a file differently is refused, naming the file, before any slot
+// overflows.
+TEST_F(StorageServerTest, HintPassThatDisagreesWithPopularityThrows) {
+  const std::span<const trace::TraceRecord> all = w.requests.records();
+  const trace::FileId last = all.back().file;
+  std::vector<trace::TraceRecord> extra(all.begin(), all.end());
+  extra.push_back(all.back());
+  const auto expect_refused = [&](std::span<const trace::TraceRecord> pass) {
+    try {
+      server->distribute_patterns(
+          w.requests.duration(),
+          std::make_unique<workload::SpanStream>(pass));
+      ADD_FAILURE() << "a miscounted hint pass was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("file " + std::to_string(last)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  server->register_nodes(raw);
+  server->ingest_popularity(trace::PopularityAnalyzer(w.requests));
+  server->place_and_create(w.file_sizes);
+  expect_refused(all.first(all.size() - 1));  // one access short
+  expect_refused(extra);                      // one access too many
+  server->distribute_patterns(w.requests.duration(), pass());  // agrees
 }
 
 // Online refresh deals a hot erasure-coded file to every data-chunk

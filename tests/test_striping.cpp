@@ -8,6 +8,8 @@
 #include "core/storage_node.hpp"
 #include "workload/synthetic.hpp"
 
+#include "hint_views.hpp"
+
 namespace eevfs::core {
 namespace {
 
@@ -26,12 +28,12 @@ class StripingNodeTest : public ::testing::Test {
     p.stripe_width = width;
     p.prebud_gate = false;  // these tests exercise mechanics, not the gate
     auto node = std::make_unique<StorageNode>(sim, net, node_ep, p);
-    std::map<trace::FileId, std::vector<Tick>> pattern;
+    HintOffsets pattern;
     for (trace::FileId f = 0; f < 4; ++f) {
       node->create_file(f, 40 * kMB);
       pattern[f] = {seconds_to_ticks(100)};
     }
-    node->receive_access_pattern(std::move(pattern), seconds_to_ticks(200));
+    node->receive_access_pattern(hint_views(pattern), seconds_to_ticks(200));
     node->start_prefetch({}, [] {});
     sim.run();
     return node;

@@ -33,7 +33,8 @@ invocations, alternating which checkout runs first, and prints for every
 `end_to_end` metric of BENCHMARK.json, and for the `failed` operation
 count of the JSON result line, each side's median with its quartiles
 [Q1, Q3], the change's wins out of N (ties count for neither side) and a
-verdict:
+verdict, and after each table how many of the N pairs had equal digests
+(every pair, for a change that keeps simulated output bit-identical):
 
 - gain: the change wins at least 0.9 N pairs and its median is better
   than the base's by more than the base's interquartile range; a gain
@@ -167,10 +168,16 @@ def pair_stats(base, this, better, bound, more_failed=False):
             "verdict": verdict}
 
 
+def digest_agreement(base, this):
+    """How many pairs, base[i] and this[i] being the digests of pair i,
+    have equal digests."""
+    return sum(1 for b, t in zip(base, this) if b == t)
+
+
 def run_pairs(base, workload, seed, pairs, seconds):
-    """{side: [(metrics, failed operations) of each pair's run]}, sides
-    "base" and "this", or None if a run failed.  Even pairs run the base
-    first, odd pairs this checkout."""
+    """{side: [(metrics, failed operations, digest) of each pair's run]},
+    sides "base" and "this", or None if a run failed.  Even pairs run the
+    base first, odd pairs this checkout."""
     runs = {"base": [], "this": []}
     for i in range(pairs):
         order = [("base", base), ("this", ROOT)]
@@ -180,7 +187,7 @@ def run_pairs(base, workload, seed, pairs, seconds):
             failed = failed_ops(stdout) if digest else None
             if metrics is None or failed is None:
                 return None
-            runs[side].append((metrics, failed))
+            runs[side].append((metrics, failed, digest))
     return runs
 
 
@@ -206,12 +213,13 @@ def main_pairs(base, names, seeds, pairs):
             print("| metric | base median [Q1, Q3] | this median [Q1, Q3] "
                   "| change wins | verdict |")
             print("| --- | --- | --- | --- | --- |")
-            failures = pair_stats([f for _, f in runs["base"]],
-                                  [f for _, f in runs["this"]], "lower", 0.0)
+            failures = pair_stats([f for _, f, _ in runs["base"]],
+                                  [f for _, f, _ in runs["this"]], "lower",
+                                  0.0)
             more_failed = failures["verdict"] == "worse"
             rows = [(m["name"], m["unit"],
-                     pair_stats([r[m["name"]] for r, _ in runs["base"]],
-                                [r[m["name"]] for r, _ in runs["this"]],
+                     pair_stats([r[m["name"]] for r, _, _ in runs["base"]],
+                                [r[m["name"]] for r, _, _ in runs["this"]],
                                 m["better"], m["bound"], more_failed))
                     for m in metrics]
             rows.append(("failed", "ops", failures))
@@ -221,6 +229,10 @@ def main_pairs(base, names, seeds, pairs):
                       (name, unit, show_quartiles(stats["base"]),
                        show_quartiles(stats["this"]), stats["wins"], pairs,
                        stats["verdict"]))
+            print()
+            print("digests equal in %d/%d pairs" %
+                  (digest_agreement([d for _, _, d in runs["base"]],
+                                    [d for _, _, d in runs["this"]]), pairs))
             print()
     print("%d metric rows worse; %d workload/seed cells failed" %
           (worse, failed))
