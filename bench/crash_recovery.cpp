@@ -84,35 +84,33 @@ int main(int argc, char** argv) {
       out->add_run(format("journal=%s/crash-free", mode.c_str()), m);
       continue;
     }
-    const auto& av = m.availability;
-    const auto& rec = m.recovery;
+    const std::uint64_t lost = m.count("fault.lost_acked_writes.count");
+    const std::uint64_t replayed = m.count("recovery.replayed_writes.count");
+    const std::uint64_t resynced = m.count("recovery.resynced_files.count");
+    const std::uint64_t rewarmed = m.count("recovery.rewarmed_files.count");
     const double dj = m.total_joules - base_joules;
-    if (cell.journal != disk::JournalMode::kOff &&
-        av.lost_acked_writes > 0) {
+    if (cell.journal != disk::JournalMode::kOff && lost > 0) {
       durability_violated = true;
     }
     std::printf("%-11s %-8zu %14.4e %12.3e %8.3f %6llu %9llu %9llu %9llu "
                 "%9s\n",
                 mode.c_str(), cell.crashes, m.total_joules, dj,
-                rec.mean_mttr_sec(),
-                static_cast<unsigned long long>(av.lost_acked_writes),
-                static_cast<unsigned long long>(rec.replayed_writes),
-                static_cast<unsigned long long>(rec.resynced_files),
-                static_cast<unsigned long long>(rec.rewarmed_files),
-                bench::pct(av.availability(m.requests)).c_str());
+                m.recovery_mttr_sec(), static_cast<unsigned long long>(lost),
+                static_cast<unsigned long long>(replayed),
+                static_cast<unsigned long long>(resynced),
+                static_cast<unsigned long long>(rewarmed),
+                bench::pct(m.availability()).c_str());
     out->add_run(format("journal=%s/crashes=%zu", mode.c_str(),
                         cell.crashes),
                  m);
     out->row({mode, CsvWriter::cell(static_cast<std::uint64_t>(cell.crashes)),
               CsvWriter::cell(m.total_joules), CsvWriter::cell(dj),
-              CsvWriter::cell(rec.mean_mttr_sec()),
-              CsvWriter::cell(av.lost_acked_writes),
-              CsvWriter::cell(rec.replayed_writes),
-              CsvWriter::cell(rec.resynced_files),
-              CsvWriter::cell(rec.rewarmed_files),
-              CsvWriter::cell(av.writes_stranded),
-              CsvWriter::cell(av.failed_requests),
-              CsvWriter::cell(av.availability(m.requests))});
+              CsvWriter::cell(m.recovery_mttr_sec()), CsvWriter::cell(lost),
+              CsvWriter::cell(replayed), CsvWriter::cell(resynced),
+              CsvWriter::cell(rewarmed),
+              CsvWriter::cell(m.count("buffer.writes_stranded.count")),
+              CsvWriter::cell(m.count("client.failed_requests.count")),
+              CsvWriter::cell(m.availability())});
   }
   std::printf(
       "\nexpected shape: journal=off loses every acked-but-undestaged\n"

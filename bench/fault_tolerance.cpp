@@ -109,41 +109,41 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     const core::RunMetrics& m = results[i];
-    const auto& av = m.availability;
-    const auto& ec = m.erasure;
+    const std::uint64_t failed = m.count("client.failed_requests.count");
+    const std::uint64_t rerouted = m.count("server.requests_rerouted.count");
+    const std::uint64_t degraded = m.count("ec.degraded_reads.count");
+    const std::uint64_t stragglers = m.count("ec.straggler_chunks.count");
+    const std::uint64_t lost = m.count("fault.lost_acked_writes.count");
     if (cell.faults == 0) base_joules = m.total_joules;
     const double dj = m.total_joules - base_joules;
     // The durability gate: erasure masks up to n - k = 2 node losses, so
     // every erasure cell here must serve every read (degraded counts as
     // served) and lose no acked write.
-    if (cell.mode == Mode::kErasure &&
-        (av.failed_requests > 0 || av.lost_acked_writes > 0)) {
+    if (cell.mode == Mode::kErasure && (failed > 0 || lost > 0)) {
       gate_violated = true;
     }
     std::printf("%-7s %-7zu %14.4e %12.3e %7s %9.3f %7llu %9llu %9llu "
                 "%9llu %6llu\n",
                 to_string(cell.mode), cell.faults, m.total_joules, dj,
-                bench::pct(av.availability(m.requests)).c_str(),
+                bench::pct(m.availability()).c_str(),
                 m.response_time_sec.mean(),
-                static_cast<unsigned long long>(av.failed_requests),
-                static_cast<unsigned long long>(av.rerouted_requests),
-                static_cast<unsigned long long>(ec.degraded_reads),
-                static_cast<unsigned long long>(ec.straggler_chunks),
-                static_cast<unsigned long long>(av.lost_acked_writes));
+                static_cast<unsigned long long>(failed),
+                static_cast<unsigned long long>(rerouted),
+                static_cast<unsigned long long>(degraded),
+                static_cast<unsigned long long>(stragglers),
+                static_cast<unsigned long long>(lost));
     out->add_run(format("%s/faults=%zu", to_string(cell.mode), cell.faults),
                  m);
     out->row({to_string(cell.mode),
               CsvWriter::cell(static_cast<std::uint64_t>(cell.faults)),
               CsvWriter::cell(m.total_joules), CsvWriter::cell(dj),
-              CsvWriter::cell(av.availability(m.requests)),
+              CsvWriter::cell(m.availability()),
               CsvWriter::cell(m.response_time_sec.mean()),
-              CsvWriter::cell(av.failed_requests),
-              CsvWriter::cell(av.rerouted_requests),
-              CsvWriter::cell(ec.degraded_reads),
-              CsvWriter::cell(ec.reconstructions),
-              CsvWriter::cell(ec.straggler_chunks),
-              CsvWriter::cell(av.lost_acked_writes),
-              CsvWriter::cell(av.mttr_sec)});
+              CsvWriter::cell(failed), CsvWriter::cell(rerouted),
+              CsvWriter::cell(degraded),
+              CsvWriter::cell(m.count("ec.reconstructions.count")),
+              CsvWriter::cell(stragglers), CsvWriter::cell(lost),
+              CsvWriter::cell(m.heartbeat_mttr_sec())});
   }
   std::printf(
       "\nexpected shape: mode=none rides the energy frontier but craters\n"

@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
 
   const core::RunMetrics& base = results[0];
   const Tick base_standby = total_standby(base);
-  const double base_avail =
-      base.availability.availability(base.requests);
+  const double base_avail = base.availability();
   bool sleep_claim_holds = false;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
@@ -80,7 +79,16 @@ int main(int argc, char** argv) {
         cell.ram_bytes == 0 ? "two-tier" : core::to_string(cell.policy);
     const std::uint64_t ram_mb = cell.ram_bytes / kMB;
     const Tick standby = total_standby(m);
-    const double avail = m.availability.availability(m.requests);
+    const double avail = m.availability();
+    // The RAM tier's counts; the two-tier baseline registers none.
+    const bool ram_on = cell.ram_bytes > 0;
+    const auto ram = [&](const char* name) -> std::uint64_t {
+      return ram_on ? m.count(name) : 0;
+    };
+    const double hit_rate =
+        ram_on ? m.metric("ramcache.hit_rate.ratio").value : 0.0;
+    const std::uint64_t absorbed = ram("ramcache.writes_absorbed.count");
+    const std::uint64_t lost = ram("ramcache.lost_writes.count");
     const double dj = m.total_joules - base.total_joules;
     if (cell.ram_bytes > 0 && standby > base_standby &&
         avail >= base_avail) {
@@ -91,9 +99,9 @@ int main(int argc, char** argv) {
                 policy, static_cast<unsigned long long>(ram_mb),
                 m.total_joules, dj, ticks_to_seconds(standby),
                 m.response_time_sec.mean() * kMillisPerSecond,
-                bench::pct(m.ram.hit_rate()).c_str(),
-                static_cast<unsigned long long>(m.ram.writes_absorbed),
-                static_cast<unsigned long long>(m.ram.lost_writes),
+                bench::pct(hit_rate).c_str(),
+                static_cast<unsigned long long>(absorbed),
+                static_cast<unsigned long long>(lost),
                 bench::pct(avail).c_str());
     const std::string label =
         cell.ram_bytes == 0
@@ -106,12 +114,10 @@ int main(int argc, char** argv) {
               CsvWriter::cell(ticks_to_seconds(standby)),
               CsvWriter::cell(ticks_to_seconds(standby - base_standby)),
               CsvWriter::cell(m.response_time_sec.mean() * kMillisPerSecond),
-              CsvWriter::cell(m.ram.hit_rate()),
-              CsvWriter::cell(m.ram.writes_absorbed),
-              CsvWriter::cell(m.ram.writebacks),
-              CsvWriter::cell(m.ram.evictions),
-              CsvWriter::cell(m.ram.lost_writes),
-              CsvWriter::cell(avail)});
+              CsvWriter::cell(hit_rate), CsvWriter::cell(absorbed),
+              CsvWriter::cell(ram("ramcache.writebacks.count")),
+              CsvWriter::cell(ram("ramcache.evictions.count")),
+              CsvWriter::cell(lost), CsvWriter::cell(avail)});
   }
   std::printf(
       "\nexpected shape: RAM hits bypass every spindle, so the standby\n"

@@ -30,11 +30,8 @@ int main(int argc, char** argv) {
       cfg.write_buffering = buffering;
       core::Cluster c(cfg);
       const core::RunMetrics m = c.run(w);
-      std::uint64_t buffered = 0, direct = 0;
-      for (const auto& nm : m.per_node) {
-        buffered += nm.writes_buffered;
-        direct += nm.writes_direct;
-      }
+      const std::uint64_t buffered = m.count("buffer.writes_buffered.count");
+      const std::uint64_t direct = m.count("buffer.writes_direct.count");
       std::printf("%-10s %-9s %14.4e %12llu %8llu %10.3f %6llu/%llu\n",
                   bench::pct(frac).c_str(), buffering ? "on" : "off",
                   m.total_joules,

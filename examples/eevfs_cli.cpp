@@ -151,22 +151,28 @@ void print_run(const char* name, const core::RunMetrics& m,
   std::printf("  makespan %.1f s, duty cycles %.2f per disk-hour\n",
               ticks_to_seconds(m.makespan),
               m.duty_cycles_per_disk_hour(num_data_disks));
-  if (m.recovery.episodes > 0 || m.availability.lost_acked_writes > 0) {
+  const std::uint64_t episodes = m.count("recovery.episodes.count");
+  const std::uint64_t lost = m.count("fault.lost_acked_writes.count");
+  if (episodes > 0 || lost > 0) {
     std::printf("  recoveries %llu, mttr %.3f s, replayed %llu, "
                 "lost acked %llu\n",
-                static_cast<unsigned long long>(m.recovery.episodes),
-                m.recovery.mean_mttr_sec(),
-                static_cast<unsigned long long>(m.recovery.replayed_writes),
+                static_cast<unsigned long long>(episodes),
+                m.recovery_mttr_sec(),
                 static_cast<unsigned long long>(
-                    m.availability.lost_acked_writes));
+                    m.count("recovery.replayed_writes.count")),
+                static_cast<unsigned long long>(lost));
   }
-  if (m.erasure.reads > 0 || m.erasure.repaired_chunks > 0) {
+  const std::uint64_t ec_reads = m.count("ec.reads.count");
+  const std::uint64_t repaired = m.count("ec.repaired_chunks.count");
+  if (ec_reads > 0 || repaired > 0) {
     std::printf("  ec reads %llu (degraded %llu), stragglers %llu, "
                 "repaired chunks %llu\n",
-                static_cast<unsigned long long>(m.erasure.reads),
-                static_cast<unsigned long long>(m.erasure.degraded_reads),
-                static_cast<unsigned long long>(m.erasure.straggler_chunks),
-                static_cast<unsigned long long>(m.erasure.repaired_chunks));
+                static_cast<unsigned long long>(ec_reads),
+                static_cast<unsigned long long>(
+                    m.count("ec.degraded_reads.count")),
+                static_cast<unsigned long long>(
+                    m.count("ec.straggler_chunks.count")),
+                static_cast<unsigned long long>(repaired));
   }
 }
 

@@ -73,11 +73,8 @@ int main(int argc, char** argv) {
     cfg.write_buffering = buffering;
     core::Cluster cluster(cfg);
     const core::RunMetrics m = cluster.run(w);
-    std::uint64_t buffered = 0, direct = 0;
-    for (const auto& nm : m.per_node) {
-      buffered += nm.writes_buffered;
-      direct += nm.writes_direct;
-    }
+    const std::uint64_t buffered = m.count("buffer.writes_buffered.count");
+    const std::uint64_t direct = m.count("buffer.writes_direct.count");
     std::printf("write buffering %-3s: energy %.4g J, transitions %llu, "
                 "ack mean %.3f s (p95 %.3f s), buffered/direct %llu/%llu\n",
                 buffering ? "ON" : "OFF", m.total_joules,

@@ -18,32 +18,14 @@ Cluster::~Cluster() = default;
 
 void Cluster::build_infra() {
   sim_ = std::make_unique<sim::Simulator>();
+  // Every component counts into this registry as events happen, whether
+  // or not tracing is enabled — RunMetrics must be independent of trace
+  // state.  Each registers its names when it is built; the recovery
+  // names are registered even when no fault plan builds a manager.
   registry_ = std::make_unique<obs::Registry>();
+  client_metrics_.emplace(*registry_);
+  RecoveryManager::register_metrics(*registry_);
   tracer_ = std::make_unique<obs::Tracer>(config_.trace);
-  // The histograms exist (and are recorded) whether or not tracing is
-  // enabled — RunMetrics must be independent of trace state.
-  hist_queue_wait_ = &registry_->histogram("disk.queue_wait.us");
-  hist_req_latency_ = &registry_->histogram("client.request_latency.us");
-  // Recovery-phase histograms are part of the stable name universe too:
-  // registered on every run, zero-sample on fault-free ones.
-  recovery_hists_.mttr_us = &registry_->histogram("recovery.mttr.us");
-  recovery_hists_.replay_us = &registry_->histogram("recovery.replay_time.us");
-  recovery_hists_.resync_us = &registry_->histogram("recovery.resync_time.us");
-  recovery_hists_.rewarm_us = &registry_->histogram("recovery.rewarm_time.us");
-  // Erasure-coding histograms: same stable-universe rule (zero-sample
-  // whenever ec_n == 0).
-  recovery_hists_.ec_repair_us = &registry_->histogram("ec.repair_time.us");
-  obs::Histogram* hist_ec_reconstruct =
-      &registry_->histogram("ec.reconstruct_time.us");
-  // RAM-tier histograms are registered only when the tier is on: the
-  // counter universe must stay bit-identical for every ram-off config
-  // (goldens + CounterUniverseIsStableAcrossConfigs pin that).
-  hist_ram_hit_bytes_ = nullptr;
-  hist_ram_miss_bytes_ = nullptr;
-  if (config_.ram_cache_bytes > 0) {
-    hist_ram_hit_bytes_ = &registry_->histogram("ramcache.hit_size.bytes");
-    hist_ram_miss_bytes_ = &registry_->histogram("ramcache.miss_size.bytes");
-  }
   ev_client_request_ = tracer_->intern("client.request");
   net_ = std::make_unique<net::NetworkFabric>(*sim_);
   net_->set_observer(tracer_.get());
@@ -52,7 +34,8 @@ void Cluster::build_infra() {
       "server", net::mbps_to_bytes_per_sec(config_.server_nic_mbps) *
           config_.nic_efficiency);
   server_ = std::make_unique<StorageServer>(*sim_, *net_, server_ep,
-                                            config_.placement, config_.seed);
+                                            config_.placement, config_.seed,
+                                            *registry_);
 
   nodes_.clear();
   std::vector<StorageNode*> raw;
@@ -85,11 +68,9 @@ void Cluster::build_infra() {
     params.journal.mode = config_.journal_mode;
     params.ram_cache_bytes = config_.ram_cache_bytes;
     params.ram_cache_policy = config_.ram_cache_policy;
-    nodes_.push_back(
-        std::make_unique<StorageNode>(*sim_, *net_, ep, params));
-    nodes_.back()->set_observer(tracer_.get(), hist_queue_wait_);
-    nodes_.back()->set_ram_observer(hist_ram_hit_bytes_,
-                                    hist_ram_miss_bytes_);
+    nodes_.push_back(std::make_unique<StorageNode>(*sim_, *net_, ep, params,
+                                                   *registry_));
+    nodes_.back()->set_observer(tracer_.get());
     raw.push_back(nodes_.back().get());
   }
 
@@ -124,7 +105,6 @@ void Cluster::build_infra() {
                          ticks_to_seconds(prof.service_time(mib, true)) /
                          static_cast<double>(mib);
     server_->set_erasure(ec);
-    server_->set_ec_reconstruct_hist(hist_ec_reconstruct);
   }
 }
 
@@ -175,9 +155,9 @@ void Cluster::arm_faults() {
     std::vector<StorageNode*> node_ptrs;
     node_ptrs.reserve(nodes_.size());
     for (auto& n : nodes_) node_ptrs.push_back(n.get());
-    recovery_ = std::make_unique<RecoveryManager>(*sim_, *server_,
-                                                  std::move(node_ptrs));
-    recovery_->set_observer(tracer_.get(), recovery_hists_);
+    recovery_ = std::make_unique<RecoveryManager>(
+        *sim_, *server_, std::move(node_ptrs), *registry_);
+    recovery_->set_observer(tracer_.get());
     fault::FaultInjector::Targets targets;
     targets.disk_of = [this](std::size_t node, bool buffer_disk,
                              std::size_t d) -> disk::DiskModel* {
@@ -338,20 +318,21 @@ void Cluster::start_attempt(std::size_t client_idx,
           static_cast<std::int64_t>(r.file),
           static_cast<std::int64_t>(attempt));
     }
+    ClientMetrics& cm = *client_metrics_;
     if (request_ok(st)) {
-      hist_req_latency_->record(static_cast<std::uint64_t>(t - issued));
+      cm.latency.record(static_cast<std::uint64_t>(t - issued));
       clients_[client_idx].record_response(issued, t);
-      if (attempt > 0) ++recovered_by_retry_;
+      if (attempt > 0) cm.retried.add();
       complete_request(client_idx, replay_start);
       return;
     }
-    if (st == RequestStatus::kTimedOut) ++timed_out_requests_;
+    if (st == RequestStatus::kTimedOut) cm.timeouts.add();
     if (attempt < config_.max_request_retries) {
-      ++client_retries_;
+      cm.retries.add();
       start_attempt(client_idx, r, replay_start, attempt + 1);
       return;
     }
-    ++failed_requests_;
+    cm.failed.add();
     EEVFS_DEBUG() << "request for file " << r.file << " failed: "
                   << to_string(st);
     complete_request(client_idx, replay_start);
@@ -365,6 +346,7 @@ void Cluster::start_attempt(std::size_t client_idx,
   // Step 5: the client asks the server; step 6 delivers data back.
   net_->send(client.endpoint(), server_->endpoint(),
              net::kControlMessageBytes, [this, r, client_idx, finish](Tick) {
+               client_metrics_->requests.add();
                server_->route(r, clients_[client_idx].endpoint(),
                               [finish](Tick t, RequestStatus st) {
                                 finish(t, st);
@@ -419,14 +401,14 @@ void Cluster::finish_run() {
   server_->stop_health_monitor();
 
   metrics_.makespan = sim_->now();
-  metrics_.requests = server_->requests_routed();
   for (const Client& c : clients_) {
     metrics_.response_time_sec.merge(c.response_stats());
   }
   // Percentile reservoirs are per client and lossy, so they cannot be
-  // merged exactly; we report the request-count-weighted mean of the
-  // per-client percentiles, which is exact when clients draw from the
-  // same workload mix (they do: records are dealt round-robin).
+  // merged exactly.  The request-count-weighted mean of the per-client
+  // percentiles is an approximation that can sit on either side of the
+  // pooled percentile, even though clients draw from the same workload
+  // mix (see RunMetrics::response_p95_sec).
   double p95 = 0.0, p99 = 0.0;
   std::size_t total = 0;
   for (const Client& c : clients_) {
@@ -440,7 +422,6 @@ void Cluster::finish_run() {
     metrics_.response_p99_sec = p99 / static_cast<double>(total);
   }
 
-  AvailabilityMetrics& av = metrics_.availability;
   for (auto& node : nodes_) {
     node->shutdown();
     NodeMetrics nm = node->collect_metrics();
@@ -448,55 +429,37 @@ void Cluster::finish_run() {
     metrics_.base_joules += nm.base_joules;
     metrics_.spin_ups += nm.spin_ups;
     metrics_.spin_downs += nm.spin_downs;
-    metrics_.buffer_hits += nm.buffer_hits;
-    metrics_.data_disk_reads += nm.data_disk_reads;
-    metrics_.bytes_served += nm.bytes_served;
-    metrics_.bytes_prefetched += nm.bytes_prefetched;
-    metrics_.wakeups_on_demand += node->wakeups_on_demand();
-    av.disk_io_retries += nm.disk_io_retries;
-    av.buffer_fallback_reads += nm.buffer_fallback_reads;
-    av.buffered_rescues += nm.buffered_rescues;
-    av.writes_stranded += nm.writes_stranded;
-    av.lost_acked_writes += nm.lost_acked_writes;
-    av.fault_energy_delta += nm.fault_energy_delta;
-    metrics_.ram.hits += nm.ram_hits;
-    metrics_.ram.misses += nm.ram_misses;
-    metrics_.ram.evictions += nm.ram_evictions;
-    metrics_.ram.writebacks += nm.ram_writebacks;
-    metrics_.ram.writes_absorbed += nm.ram_writes_absorbed;
-    metrics_.ram.lost_writes += nm.ram_lost_writes;
-    metrics_.ram.pinned_bytes += nm.ram_pinned_bytes;
     metrics_.per_node.push_back(std::move(nm));
   }
-  metrics_.ram.enabled = config_.ram_cache_bytes > 0;
   metrics_.power_transitions = metrics_.spin_ups + metrics_.spin_downs;
   metrics_.total_joules = metrics_.disk_joules + metrics_.base_joules;
-
-  if (injector_) av.faults_injected = injector_->faults_injected();
-  av.failed_requests = failed_requests_;
-  av.timed_out_requests = timed_out_requests_;
-  av.client_retries = client_retries_;
-  av.rerouted_requests = server_->requests_rerouted();
-  // "Needed more than one attempt but recovered": client-level re-issues
-  // that eventually succeeded, plus server-side replica failovers (which
-  // recover within a single client attempt).
-  av.retried_requests = recovered_by_retry_ + av.rerouted_requests;
-  av.degraded_ticks = server_->degraded_ticks();
-  av.recovery_episodes = server_->recovery_episodes();
-  av.mttr_sec = server_->mttr_sec();
-  if (recovery_) metrics_.recovery = recovery_->metrics();
-  metrics_.erasure = server_->erasure_metrics();
   snapshot_counters();
+
+  // The headline counts, read once from the snapshot.
+  const RunMetrics& m = metrics_;
+  metrics_.requests = m.count("client.requests.count");
+  metrics_.buffer_hits = m.count("prefetch.buffer_hits.count");
+  metrics_.data_disk_reads = m.count("prefetch.data_disk_reads.count");
+  metrics_.wakeups_on_demand = m.count("power.wakeups_on_demand.count");
+  metrics_.bytes_served = m.count("node.bytes_served.bytes");
+  metrics_.bytes_prefetched = m.count("prefetch.bytes_prefetched.bytes");
+  const auto ram = [this](const char* name) -> std::uint64_t {
+    const obs::Counter* c = registry_->find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  metrics_.ram = {.hits = ram("ramcache.hits.count"),
+                  .misses = ram("ramcache.misses.count"),
+                  .evictions = ram("ramcache.evictions.count"),
+                  .writes_absorbed = ram("ramcache.writes_absorbed.count")};
   EEVFS_INFO() << "run finished: " << metrics_.summary();
 }
 
 void Cluster::snapshot_counters() {
-  // Every name below is registered on every run — zero-valued counters
-  // included — so the run-report schema has one stable name universe.
-  // Wall-clock quantities (Simulator::wall_seconds) are deliberately kept
-  // out: the registry snapshot lands in RunMetrics, which must be
-  // reproducible.  docs/observability.md documents each name; the
-  // run_report_smoke target cross-checks that list against this one.
+  // Components count into the registry as events happen; what is left
+  // are the device totals the disks, power managers, fabric, journals and
+  // fault injector keep, the engine's, and the run's energy, folded once
+  // here.  Wall-clock quantities (Simulator::wall_seconds) are kept out:
+  // the snapshot lands in RunMetrics, which must be reproducible.
   obs::Registry& reg = *registry_;
   reg.counter("sim.events_executed.count").add(sim_->executed_events());
   reg.gauge("sim.queue_depth_peak.count")
@@ -533,34 +496,22 @@ void Cluster::snapshot_counters() {
 
   obs::Counter& sleeps = reg.counter("power.sleeps_initiated.count");
   obs::Counter& wake_marks = reg.counter("power.wake_marks.count");
-  obs::Counter& demand_wakes = reg.counter("power.wakeups_on_demand.count");
-  obs::Counter& pf_rejected = reg.counter("prefetch.rejected_by_gate.count");
-  obs::Counter& evictions = reg.counter("prefetch.evictions.count");
-  obs::Counter& destages = reg.counter("buffer.destages.count");
-  obs::Gauge& backlog_peak = reg.gauge("buffer.destage_backlog_peak.bytes");
-  std::uint64_t writes_buffered = 0, writes_direct = 0;
+  std::uint64_t j_appends = 0, j_checkpoints = 0, j_truncated = 0;
+  Bytes j_scan_bytes = 0;
   for (const auto& node : nodes_) {
     sleeps.add(node->power_manager().sleeps_initiated());
     wake_marks.add(node->power_manager().wake_marks());
-    demand_wakes.add(node->wakeups_on_demand());
-    pf_rejected.add(node->prefetch_plan().rejected_by_gate.size());
-    evictions.add(node->evictions());
-    destages.add(node->destages());
-    // Peak backlog is a per-node high-water mark; the cluster-level
-    // figure is the worst node, not a (meaningless) sum of peaks.
-    backlog_peak.set_max(static_cast<double>(node->destage_backlog_peak()));
+    if (const disk::WriteJournal* j = node->journal()) {
+      j_appends += j->appends();
+      j_checkpoints += j->checkpoints();
+      j_truncated += j->truncated_records();
+      j_scan_bytes += j->replay_scan_bytes();
+    }
   }
-  for (const NodeMetrics& nm : metrics_.per_node) {
-    writes_buffered += nm.writes_buffered;
-    writes_direct += nm.writes_direct;
-  }
-  reg.counter("prefetch.buffer_hits.count").add(metrics_.buffer_hits);
-  reg.counter("prefetch.data_disk_reads.count").add(metrics_.data_disk_reads);
-  reg.counter("prefetch.bytes_prefetched.bytes").add(metrics_.bytes_prefetched);
-  reg.counter("buffer.writes_buffered.count").add(writes_buffered);
-  reg.counter("buffer.writes_direct.count").add(writes_direct);
-  reg.counter("buffer.writes_stranded.count")
-      .add(metrics_.availability.writes_stranded);
+  reg.counter("journal.appends.count").add(j_appends);
+  reg.counter("journal.checkpoints.count").add(j_checkpoints);
+  reg.counter("journal.truncated_records.count").add(j_truncated);
+  reg.counter("journal.replay_scan.bytes").add(j_scan_bytes);
 
   obs::Counter& msgs_sent = reg.counter("net.messages_sent.count");
   obs::Counter& msgs_dropped = reg.counter("net.messages_dropped.count");
@@ -578,80 +529,6 @@ void Cluster::snapshot_counters() {
       .add(injector_ ? injector_->faults_misaddressed() : 0);
   reg.counter("fault.messages_dropped.count")
       .add(injector_ ? injector_->messages_dropped() : 0);
-  reg.counter("fault.lost_acked_writes.count")
-      .add(metrics_.availability.lost_acked_writes);
-
-  // RAM-tier names join the universe only when the tier is configured, so
-  // ram-off runs keep the exact pre-RAM snapshot (and golden digests).
-  if (config_.ram_cache_bytes > 0) {
-    const RamCacheMetrics& ram = metrics_.ram;
-    reg.counter("ramcache.hits.count").add(ram.hits);
-    reg.counter("ramcache.misses.count").add(ram.misses);
-    reg.counter("ramcache.evictions.count").add(ram.evictions);
-    reg.counter("ramcache.writebacks.count").add(ram.writebacks);
-    reg.counter("ramcache.writes_absorbed.count").add(ram.writes_absorbed);
-    reg.counter("ramcache.lost_writes.count").add(ram.lost_writes);
-    reg.gauge("ramcache.hit_rate.ratio").set(ram.hit_rate());
-    reg.gauge("ramcache.pinned.bytes")
-        .set(static_cast<double>(ram.pinned_bytes));
-  }
-
-  const RecoveryMetrics& rec = metrics_.recovery;
-  reg.counter("recovery.episodes.count").add(rec.episodes);
-  reg.counter("recovery.replayed_writes.count").add(rec.replayed_writes);
-  reg.counter("recovery.resynced_files.count").add(rec.resynced_files);
-  reg.counter("recovery.rewarmed_files.count").add(rec.rewarmed_files);
-  reg.counter("recovery.episodes_abandoned.count")
-      .add(recovery_ ? recovery_->episodes_abandoned() : 0);
-
-  const ErasureMetrics& ec = metrics_.erasure;
-  reg.counter("ec.reads.count").add(ec.reads);
-  reg.counter("ec.degraded_reads.count").add(ec.degraded_reads);
-  reg.counter("ec.reconstructions.count").add(ec.reconstructions);
-  reg.counter("ec.chunk_requests.count").add(ec.chunk_requests);
-  reg.counter("ec.straggler_chunks.count").add(ec.straggler_chunks);
-  reg.counter("ec.hedges_launched.count").add(ec.hedges_launched);
-  reg.counter("ec.hedges_cancelled.count").add(ec.hedges_cancelled);
-  reg.counter("ec.repaired_chunks.count").add(ec.repaired_chunks);
-  reg.gauge("ec.degraded_energy.joules").set(ec.degraded_energy_estimate);
-
-  std::uint64_t j_appends = 0, j_checkpoints = 0, j_truncated = 0;
-  Bytes j_scan_bytes = 0;
-  for (const auto& node : nodes_) {
-    if (const disk::WriteJournal* j = node->journal()) {
-      j_appends += j->appends();
-      j_checkpoints += j->checkpoints();
-      j_truncated += j->truncated_records();
-      j_scan_bytes += j->replay_scan_bytes();
-    }
-  }
-  reg.counter("journal.appends.count").add(j_appends);
-  reg.counter("journal.checkpoints.count").add(j_checkpoints);
-  reg.counter("journal.truncated_records.count").add(j_truncated);
-  reg.counter("journal.replay_scan.bytes").add(j_scan_bytes);
-
-  reg.counter("server.requests_routed.count").add(server_->requests_routed());
-  reg.counter("server.requests_rerouted.count")
-      .add(server_->requests_rerouted());
-  reg.counter("server.requests_failed.count").add(server_->requests_failed());
-  reg.counter("server.failovers.count").add(server_->failovers());
-  reg.counter("server.refreshes.count").add(server_->refreshes_performed());
-  reg.counter("server.heartbeat_recoveries.count")
-      .add(server_->recovery_episodes());
-
-  const AvailabilityMetrics& av = metrics_.availability;
-  reg.counter("node.disk_io_retries.count").add(av.disk_io_retries);
-  reg.counter("node.buffer_fallback_reads.count")
-      .add(av.buffer_fallback_reads);
-  reg.counter("node.buffered_rescues.count").add(av.buffered_rescues);
-  std::uint64_t failed_serves = 0;
-  for (const auto& node : nodes_) failed_serves += node->failed_serves();
-  reg.counter("node.failed_serves.count").add(failed_serves);
-
-  reg.counter("client.requests.count").add(metrics_.requests);
-  reg.counter("client.retries.count").add(client_retries_);
-  reg.counter("client.timeouts.count").add(timed_out_requests_);
-  reg.counter("client.failed_requests.count").add(failed_requests_);
 
   reg.gauge("energy.total.joules").set(metrics_.total_joules);
   reg.gauge("energy.disk.joules").set(metrics_.disk_joules);

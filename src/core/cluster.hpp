@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/client.hpp"
@@ -89,7 +90,8 @@ class Cluster {
   /// tracing was disabled).  Valid after run(); use its write_jsonl /
   /// write_chrome_trace / write_binary sinks to export the timeline.
   const obs::Tracer& tracer() const { return *tracer_; }
-  /// The run's metric registry.  RunMetrics::counters is its snapshot.
+  /// The run's metric registry: every component counts into it, and
+  /// RunMetrics::counters is its snapshot at the end of the run.
   const obs::Registry& registry() const { return *registry_; }
   /// Wall-clock seconds the event loop spent executing this run —
   /// diagnostic only (report meta), never part of RunMetrics.
@@ -132,17 +134,27 @@ class Cluster {
   obs::StringId client_track(std::size_t client_idx);
   obs::StringId status_name(RequestStatus st);
   void finish_run();
-  /// Registers every counter name (zero-valued ones included) and fills
-  /// metrics_.counters with the registry snapshot.
+  /// Folds the device, engine and energy totals into the registry and
+  /// fills metrics_.counters with its snapshot.
   void snapshot_counters();
+
+  /// The client bookkeeping's registry handles.
+  struct ClientMetrics {
+    obs::Registry& r;
+    obs::Counter& requests = r.counter("client.requests.count");
+    obs::Counter& retries = r.counter("client.retries.count");
+    obs::Counter& timeouts = r.counter("client.timeouts.count");
+    obs::Counter& failed = r.counter("client.failed_requests.count");
+    /// Needed more than one attempt but recovered; the server adds the
+    /// requests it rerouted within one attempt.
+    obs::Counter& retried = r.counter("client.retried_requests.count");
+    obs::Histogram& latency = r.histogram("client.request_latency.us");
+  };
 
   ClusterConfig config_;
   std::unique_ptr<obs::Registry> registry_;
   std::unique_ptr<obs::Tracer> tracer_;
-  obs::Histogram* hist_queue_wait_ = nullptr;
-  obs::Histogram* hist_req_latency_ = nullptr;
-  obs::Histogram* hist_ram_hit_bytes_ = nullptr;
-  obs::Histogram* hist_ram_miss_bytes_ = nullptr;
+  std::optional<ClientMetrics> client_metrics_;
   obs::StringId ev_client_request_ = 0;
   std::vector<obs::StringId> client_tracks_;
   /// Indexed by RequestStatus; kTimedOut is the last status.
@@ -156,7 +168,6 @@ class Cluster {
   std::vector<Client> clients_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<RecoveryManager> recovery_;
-  RecoveryManager::Histograms recovery_hists_;
 
   std::size_t responses_outstanding_ = 0;
   bool finished_ = false;
@@ -168,12 +179,6 @@ class Cluster {
   std::vector<std::deque<trace::TraceRecord>> queues_;
   std::size_t resident_ = 0;
   std::size_t peak_resident_ = 0;
-
-  // client-level availability accounting
-  std::uint64_t failed_requests_ = 0;
-  std::uint64_t timed_out_requests_ = 0;
-  std::uint64_t client_retries_ = 0;
-  std::uint64_t recovered_by_retry_ = 0;
 };
 
 /// Convenience for the benches: run the same workload with and without

@@ -1,5 +1,8 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "util/string_util.hpp"
 
 namespace eevfs::core {
@@ -22,6 +25,42 @@ double RunMetrics::response_penalty_vs(const RunMetrics& baseline) const {
   return response_time_sec.mean() / baseline.response_time_sec.mean() - 1.0;
 }
 
+const obs::Sample& RunMetrics::metric(std::string_view name) const {
+  const auto it = std::lower_bound(
+      counters.begin(), counters.end(), name,
+      [](const obs::Sample& s, std::string_view key) { return s.name < key; });
+  if (it == counters.end() || it->name != name) {
+    throw std::out_of_range("RunMetrics: no metric named " +
+                            std::string(name));
+  }
+  return *it;
+}
+
+double RunMetrics::availability() const {
+  const std::uint64_t failed = count("client.failed_requests.count");
+  return requests == 0 ? 1.0
+                       : 1.0 - static_cast<double>(failed) /
+                                   static_cast<double>(requests);
+}
+
+double RunMetrics::recovery_mttr_sec() const {
+  const std::uint64_t episodes = count("recovery.episodes.count");
+  return episodes == 0
+             ? 0.0
+             : ticks_to_seconds(static_cast<Tick>(
+                   metric("recovery.mttr.us").sum)) /
+                   static_cast<double>(episodes);
+}
+
+double RunMetrics::heartbeat_mttr_sec() const {
+  const std::uint64_t episodes = count("server.heartbeat_recoveries.count");
+  return episodes == 0
+             ? 0.0
+             : ticks_to_seconds(static_cast<Tick>(
+                   count("server.recovered_dead_time.us"))) /
+                   static_cast<double>(episodes);
+}
+
 std::string RunMetrics::summary() const {
   std::string s = format(
       "energy=%.3e J (disk %.3e + base %.3e), transitions=%llu "
@@ -33,25 +72,30 @@ std::string RunMetrics::summary() const {
       static_cast<unsigned long long>(spin_downs),
       response_time_sec.mean(), response_p95_sec, 100.0 * buffer_hit_rate(),
       ticks_to_seconds(makespan), static_cast<unsigned long long>(requests));
-  if (availability.faults_injected > 0 || availability.failed_requests > 0) {
+  if (counters.empty()) return s;  // not from a run: no snapshot to read
+  const std::uint64_t faults = count("fault.injected.count");
+  const std::uint64_t failed = count("client.failed_requests.count");
+  if (faults > 0 || failed > 0) {
     s += format(
         ", faults=%llu avail=%.4f failed=%llu retried=%llu rerouted=%llu",
-        static_cast<unsigned long long>(availability.faults_injected),
-        availability.availability(requests),
-        static_cast<unsigned long long>(availability.failed_requests),
-        static_cast<unsigned long long>(availability.retried_requests),
-        static_cast<unsigned long long>(availability.rerouted_requests));
+        static_cast<unsigned long long>(faults), availability(),
+        static_cast<unsigned long long>(failed),
+        static_cast<unsigned long long>(count("client.retried_requests.count")),
+        static_cast<unsigned long long>(
+            count("server.requests_rerouted.count")));
   }
-  if (recovery.episodes > 0 || availability.lost_acked_writes > 0) {
+  const std::uint64_t episodes = count("recovery.episodes.count");
+  const std::uint64_t lost = count("fault.lost_acked_writes.count");
+  if (episodes > 0 || lost > 0) {
     s += format(
         ", recoveries=%llu mttr=%.3f s replayed=%llu resynced=%llu "
         "rewarmed=%llu lost_acked=%llu",
-        static_cast<unsigned long long>(recovery.episodes),
-        recovery.mean_mttr_sec(),
-        static_cast<unsigned long long>(recovery.replayed_writes),
-        static_cast<unsigned long long>(recovery.resynced_files),
-        static_cast<unsigned long long>(recovery.rewarmed_files),
-        static_cast<unsigned long long>(availability.lost_acked_writes));
+        static_cast<unsigned long long>(episodes), recovery_mttr_sec(),
+        static_cast<unsigned long long>(
+            count("recovery.replayed_writes.count")),
+        static_cast<unsigned long long>(count("recovery.resynced_files.count")),
+        static_cast<unsigned long long>(count("recovery.rewarmed_files.count")),
+        static_cast<unsigned long long>(lost));
   }
   return s;
 }

@@ -1,6 +1,7 @@
 // Run metrics — exactly the three the paper evaluates (§V-C): energy
 // consumption, number of power state transitions, and response time —
-// plus the internals (hit rates, queueing) needed to explain them.
+// plus their breakdown and the run's registry snapshot, which carries
+// every other count (hit rates, queueing, faults, recovery, erasure).
 #pragma once
 
 #include <cstdint>
@@ -40,117 +41,30 @@ constexpr std::string_view to_string(RequestStatus s) {
 
 constexpr bool request_ok(RequestStatus s) { return s == RequestStatus::kOk; }
 
-/// Availability accounting for one run (all zeros on a fault-free run).
-struct AvailabilityMetrics {
-  std::uint64_t faults_injected = 0;
-  std::uint64_t failed_requests = 0;     // exhausted every retry/replica
-  std::uint64_t timed_out_requests = 0;  // deadline expiries (pre-retry)
-  std::uint64_t retried_requests = 0;    // needed >1 attempt but recovered
-  std::uint64_t rerouted_requests = 0;   // served by a non-primary replica
-  std::uint64_t client_retries = 0;      // request re-issues by the client
-  std::uint64_t disk_io_retries = 0;     // media-error backoff retries
-  std::uint64_t buffer_fallback_reads = 0;  // buffer disk dead -> data disks
-  std::uint64_t buffered_rescues = 0;    // data disk dead -> buffered copy
-  std::uint64_t writes_stranded = 0;     // destages dropped on a dead disk
-  /// Acknowledged buffered writes lost to a node crash (the RAM index of
-  /// the write buffer died with the node and no journal could rebuild
-  /// it).  Distinct from writes_stranded: stranding is degraded-mode
-  /// destage loss on a dead *disk*; this is crash-stop loss of the
-  /// *node*.  Zero whenever the write journal is on.
-  std::uint64_t lost_acked_writes = 0;
-  Tick degraded_ticks = 0;               // any node marked dead by health
-  std::uint64_t recovery_episodes = 0;   // dead -> alive transitions seen
-  double mttr_sec = 0.0;                 // mean time to recovery
-  /// Modeled extra disk energy attributable to degraded serving (fallback
-  /// reads done on data disks that a healthy buffer disk would have
-  /// absorbed, minus the cheaper buffered rescues).  An estimate from the
-  /// disk profiles, not a wall-meter difference — bench/fault_tolerance
-  /// reports the measured end-to-end delta alongside it.
-  Joules fault_energy_delta = 0.0;
-
-  double availability(std::uint64_t requests) const {
-    return requests == 0 ? 1.0
-                         : 1.0 - static_cast<double>(failed_requests) /
-                                     static_cast<double>(requests);
-  }
-};
-
+/// One node's meters: the per-node data the benches and examples read.
+/// Counts are not kept here — every node counts into the run's registry
+/// (RunMetrics::counters), which sums the nodes.
 struct NodeMetrics {
   std::string label;
   Joules disk_joules = 0.0;
   Joules base_joules = 0.0;
   std::uint64_t spin_ups = 0;
   std::uint64_t spin_downs = 0;
-  std::uint64_t buffer_hits = 0;
-  std::uint64_t data_disk_reads = 0;
-  std::uint64_t writes_buffered = 0;
-  std::uint64_t writes_direct = 0;
-  Bytes bytes_served = 0;
-  Bytes bytes_prefetched = 0;
   Tick data_disk_standby_ticks = 0;
   disk::EnergyMeter data_disk_meter;    // aggregated over the node's data disks
   disk::EnergyMeter buffer_disk_meter;  // aggregated over buffer disks
-
-  // --- RAM cache tier (zero when ram_cache_bytes == 0) -----------------
-  std::uint64_t ram_hits = 0;
-  std::uint64_t ram_misses = 0;
-  std::uint64_t ram_evictions = 0;
-  std::uint64_t ram_writebacks = 0;        // staged writes landed downstream
-  std::uint64_t ram_writes_absorbed = 0;   // write acks served from RAM
-  std::uint64_t ram_lost_writes = 0;       // staged writes wiped by a crash
-  Bytes ram_pinned_bytes = 0;              // hot set resident at run end
-
-  // --- degraded-mode accounting (zero on a fault-free run) -------------
-  std::uint64_t disk_io_retries = 0;
-  std::uint64_t media_errors = 0;
-  std::uint64_t buffer_fallback_reads = 0;
-  std::uint64_t buffered_rescues = 0;
-  std::uint64_t failed_serves = 0;
-  std::uint64_t writes_stranded = 0;
-  std::uint64_t lost_acked_writes = 0;
-  std::uint64_t journal_appends = 0;
-  std::uint64_t journal_replayed = 0;
-  std::uint64_t disks_failed = 0;
-  Joules fault_energy_delta = 0.0;
 
   Joules total_joules() const { return disk_joules + base_joules; }
   std::uint64_t power_transitions() const { return spin_ups + spin_downs; }
 };
 
-/// Crash-recovery accounting for one run (all zeros when no node-crash
-/// faults were scheduled).  Per-phase sim-time totals are summed over the
-/// completed recovery episodes; the per-episode distribution lands in the
-/// recovery.*.us histograms of RunMetrics::counters.
-struct RecoveryMetrics {
-  std::uint64_t episodes = 0;          // completed restart pipelines
-  std::uint64_t replayed_writes = 0;   // journal records re-queued
-  std::uint64_t resynced_files = 0;    // files re-pulled from replicas
-  std::uint64_t rewarmed_files = 0;    // prefetch copies restored
-  Tick replay_ticks = 0;
-  Tick resync_ticks = 0;
-  Tick rewarm_ticks = 0;
-  Tick mttr_ticks = 0;                 // crash -> pipeline-complete, summed
-
-  double mean_mttr_sec() const {
-    return episodes == 0 ? 0.0
-                         : ticks_to_seconds(mttr_ticks) /
-                               static_cast<double>(episodes);
-  }
-};
-
-/// RAM-tier accounting for one run.  `enabled` mirrors
-/// ram_cache_bytes > 0; every field stays zero (and the golden digest
-/// renders nothing) when the tier is off, so two-tier runs are
-/// bit-identical to the pre-RAM system.
+/// The RAM-tier figures perfbench reads, filled once from the run's
+/// `ramcache.*` counters (all zero when the tier is off).
 struct RamCacheMetrics {
-  bool enabled = false;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t writebacks = 0;
   std::uint64_t writes_absorbed = 0;
-  std::uint64_t lost_writes = 0;
-  Bytes pinned_bytes = 0;
 
   double hit_rate() const {
     const std::uint64_t lookups = hits + misses;
@@ -160,32 +74,15 @@ struct RamCacheMetrics {
   }
 };
 
-/// Erasure-coding accounting for one run (all zeros when ec_n == 0).
-/// The read path fork-joins k-of-n chunk requests; spares past the first
-/// k are hedges, dispatched on a staggered timer and cancelled (via the
-/// engine's EventHandle tickets) when the read joins first.
-struct ErasureMetrics {
-  std::uint64_t reads = 0;            // erasure reads joined (k chunks in)
-  std::uint64_t degraded_reads = 0;   // joins that used >= 1 parity chunk
-  std::uint64_t reconstructions = 0;  // decodes performed (reads + repairs)
-  std::uint64_t chunk_requests = 0;   // chunk reads/writes dispatched
-  std::uint64_t straggler_chunks = 0;  // chunk completions after the join
-  std::uint64_t hedges_launched = 0;   // spare dispatch timers that fired
-  std::uint64_t hedges_cancelled = 0;  // spare timers cancelled at join
-  std::uint64_t repaired_chunks = 0;   // chunks rebuilt by recovery repair
-  Tick reconstruct_ticks = 0;          // decode time charged, summed
-  /// Modeled extra spindle energy of degraded reads: the parity chunks a
-  /// join pulled in are bytes a healthy read never touches.  An estimate
-  /// from the disk profile (joules per transferred byte), not a
-  /// wall-meter difference.
-  Joules degraded_energy_estimate = 0.0;
-};
-
 struct RunMetrics {
   // --- paper metrics ---------------------------------------------------
   Joules total_joules = 0.0;            // all storage nodes, disks + base
   std::uint64_t power_transitions = 0;  // spin-ups + spin-downs, data disks
   OnlineStats response_time_sec;        // per-request, client-observed
+  /// Approximations, not percentiles of the pooled responses: each is the
+  /// request-weighted mean of the per-client reservoir percentiles, which
+  /// can land on either side of the pooled value (one mergeable
+  /// histogram is ROADMAP.md item 6(b)).
   double response_p95_sec = 0.0;
   double response_p99_sec = 0.0;
 
@@ -204,24 +101,35 @@ struct RunMetrics {
   Bytes bytes_prefetched = 0;
   std::vector<NodeMetrics> per_node;
 
-  // --- availability (tentpole: fault injection / degraded mode) --------
-  AvailabilityMetrics availability;
-
-  // --- crash recovery (robustness extension) ---------------------------
-  RecoveryMetrics recovery;
-
-  // --- erasure coding (robustness extension) ---------------------------
-  ErasureMetrics erasure;
-
-  // --- RAM cache tier (multi-tier extension) ---------------------------
+  /// Filled once from the snapshot; see RamCacheMetrics.
   RamCacheMetrics ram;
 
   // --- observability ---------------------------------------------------
   /// Deterministic snapshot of the run's metric registry, sorted by name
   /// (`component.metric.unit`, see docs/observability.md).  Every name is
   /// present on every run — zero-valued counters included — and the
-  /// values are identical whether event tracing was enabled or not.
+  /// values are identical whether event tracing was enabled or not.  It
+  /// is the one store of every count the headline fields above do not
+  /// carry: availability, recovery, erasure coding, the RAM tier.
   std::vector<obs::Sample> counters;
+
+  /// The snapshot entry named `name`; throws std::out_of_range when the
+  /// run registered no such metric.
+  const obs::Sample& metric(std::string_view name) const;
+  /// A counter's value: metric(name).value as an integer.
+  std::uint64_t count(std::string_view name) const {
+    return static_cast<std::uint64_t>(metric(name).value);
+  }
+
+  /// Fraction of the issued requests that did not fail
+  /// (1 - client.failed_requests.count / requests).
+  double availability() const;
+  /// Mean crash-to-recovered time over the completed recovery episodes
+  /// (recovery.mttr.us), 0 without one.
+  double recovery_mttr_sec() const;
+  /// Mean heartbeat-observed dead time over the nodes marked alive again
+  /// (server.recovered_dead_time.us per server.heartbeat_recoveries.count).
+  double heartbeat_mttr_sec() const;
 
   double buffer_hit_rate() const {
     const auto reads = buffer_hits + data_disk_reads;

@@ -5,10 +5,12 @@
 namespace eevfs::core {
 
 RecoveryManager::RecoveryManager(sim::Simulator& sim, StorageServer& server,
-                                 std::vector<StorageNode*> nodes)
+                                 std::vector<StorageNode*> nodes,
+                                 obs::Registry& registry)
     : sim_(sim),
       server_(server),
-      nodes_(std::move(nodes)) {
+      nodes_(std::move(nodes)),
+      metrics_{registry} {
   crash_time_.assign(nodes_.size(), 0);
   generation_.assign(nodes_.size(), 0);
   recovering_.assign(nodes_.size(), 0);
@@ -25,9 +27,8 @@ void RecoveryManager::set_rewarm_candidates(
   rewarm_candidates_.resize(nodes_.size());
 }
 
-void RecoveryManager::set_observer(obs::Tracer* tracer, Histograms hists) {
+void RecoveryManager::set_observer(obs::Tracer* tracer) {
   tracer_ = tracer;
-  hists_ = hists;
   if (tracer_) {
     track_ = tracer_->intern("recovery");
     ev_begin_ = tracer_->intern("recovery.begin");
@@ -52,7 +53,7 @@ void RecoveryManager::on_crash(NodeId n) {
   ++generation_[n];  // invalidates any pipeline still in flight
   crash_time_[n] = sim_.now();
   if (recovering_[n]) {
-    ++abandoned_;
+    metrics_.abandoned.add();
     recovering_[n] = 0;
   }
 }
@@ -199,10 +200,8 @@ void RecoveryManager::ec_repair_read(NodeId n, std::uint64_t gen,
             if (wrote) {
               server_.note_chunk_repaired(decode);
               const Tick took = sim_.now() - file_start;
-              if (hists_.ec_repair_us) {
-                hists_.ec_repair_us->record(
-                    static_cast<std::uint64_t>(took));
-              }
+              metrics_.ec_repair_time.record(
+                  static_cast<std::uint64_t>(took));
               trace_instant(ev_ec_repair_, n, static_cast<std::int64_t>(f));
             }
             ec_repair_next(n, gen, std::move(files), idx + 1,
@@ -248,24 +247,14 @@ void RecoveryManager::finish_episode(NodeId n, std::uint64_t gen,
   recovering_[n] = 0;
   const Tick mttr = sim_.now() - crash_time_[n];
   const Tick rewarm_ticks = sim_.now() - rewarm_start;
-  ++metrics_.episodes;
-  metrics_.replayed_writes += ep_replayed_[n];
-  metrics_.resynced_files += ep_resynced_[n];
-  metrics_.rewarmed_files += rewarmed;
-  metrics_.replay_ticks += ep_replay_ticks_[n];
-  metrics_.resync_ticks += ep_resync_ticks_[n];
-  metrics_.rewarm_ticks += rewarm_ticks;
-  metrics_.mttr_ticks += mttr;
-  if (hists_.mttr_us) hists_.mttr_us->record(static_cast<std::uint64_t>(mttr));
-  if (hists_.replay_us) {
-    hists_.replay_us->record(static_cast<std::uint64_t>(ep_replay_ticks_[n]));
-  }
-  if (hists_.resync_us) {
-    hists_.resync_us->record(static_cast<std::uint64_t>(ep_resync_ticks_[n]));
-  }
-  if (hists_.rewarm_us) {
-    hists_.rewarm_us->record(static_cast<std::uint64_t>(rewarm_ticks));
-  }
+  metrics_.episodes.add();
+  metrics_.replayed_writes.add(ep_replayed_[n]);
+  metrics_.resynced_files.add(ep_resynced_[n]);
+  metrics_.rewarmed_files.add(rewarmed);
+  metrics_.mttr.record(static_cast<std::uint64_t>(mttr));
+  metrics_.replay_time.record(static_cast<std::uint64_t>(ep_replay_ticks_[n]));
+  metrics_.resync_time.record(static_cast<std::uint64_t>(ep_resync_ticks_[n]));
+  metrics_.rewarm_time.record(static_cast<std::uint64_t>(rewarm_ticks));
   trace_instant(ev_complete_, n, static_cast<std::int64_t>(mttr));
   EEVFS_DEBUG() << "node " << n << ": recovery complete at t="
                 << ticks_to_seconds(sim_.now()) << " (mttr="

@@ -12,7 +12,7 @@
 //                              the buffer disk (optional, config-gated)
 //
 // Each phase is timed on the simulation clock; per-episode durations land
-// in the recovery.*.us histograms and the totals in RunMetrics::recovery.
+// in the recovery.*.us histograms, whose sums are the run's totals.
 // MTTR here is crash-to-pipeline-complete — the node serves requests
 // again right after restart() (degraded: cold cache, stale files), so
 // this is "time to fully healed", a stricter bar than the server's
@@ -41,27 +41,22 @@ namespace eevfs::core {
 
 class RecoveryManager {
  public:
-  /// Per-episode duration histograms (microsecond samples); any pointer
-  /// may be null.  Registered by the owner so the metric name universe
-  /// stays in one place (Cluster::build).
-  struct Histograms {
-    obs::Histogram* mttr_us = nullptr;
-    obs::Histogram* replay_us = nullptr;
-    obs::Histogram* resync_us = nullptr;
-    obs::Histogram* rewarm_us = nullptr;
-    /// Per rebuilt chunk: k-source read + decode + local write time
-    /// (erasure mode only).
-    obs::Histogram* ec_repair_us = nullptr;
-  };
-
+  /// Registers the recovery.* names and ec.repair_time.us in `registry`
+  /// and counts into it from then on.
   RecoveryManager(sim::Simulator& sim, StorageServer& server,
-                  std::vector<StorageNode*> nodes);
+                  std::vector<StorageNode*> nodes, obs::Registry& registry);
+
+  /// Registers the same names without a manager: a run without a fault
+  /// plan builds none, and its registry still carries them (zero).
+  static void register_metrics(obs::Registry& registry) {
+    (void)Metrics{registry};
+  }
 
   /// The per-node prefetch slices (rank order) phase 3 restores; empty
   /// when prefetching is off.
   void set_rewarm_candidates(std::vector<std::vector<trace::FileId>> per_node);
 
-  void set_observer(obs::Tracer* tracer, Histograms hists);
+  void set_observer(obs::Tracer* tracer);
 
   /// Fault-injector hooks.  on_crash stamps the episode clock and
   /// invalidates any recovery already running for `n`; on_restart brings
@@ -69,11 +64,25 @@ class RecoveryManager {
   void on_crash(NodeId n);
   void on_restart(NodeId n);
 
-  const RecoveryMetrics& metrics() const { return metrics_; }
-  /// Episodes abandoned because the node crashed again mid-recovery.
-  std::uint64_t episodes_abandoned() const { return abandoned_; }
-
  private:
+  struct Metrics {
+    obs::Registry& r;
+    obs::Counter& episodes = r.counter("recovery.episodes.count");
+    obs::Counter& replayed_writes = r.counter("recovery.replayed_writes.count");
+    obs::Counter& resynced_files = r.counter("recovery.resynced_files.count");
+    obs::Counter& rewarmed_files = r.counter("recovery.rewarmed_files.count");
+    /// The node crashed again mid-recovery.
+    obs::Counter& abandoned = r.counter("recovery.episodes_abandoned.count");
+    // Per-episode phase times (the run totals are their sums).
+    obs::Histogram& mttr = r.histogram("recovery.mttr.us");
+    obs::Histogram& replay_time = r.histogram("recovery.replay_time.us");
+    obs::Histogram& resync_time = r.histogram("recovery.resync_time.us");
+    obs::Histogram& rewarm_time = r.histogram("recovery.rewarm_time.us");
+    /// Per rebuilt chunk: k-source read + decode + local write time
+    /// (erasure mode only).
+    obs::Histogram& ec_repair_time = r.histogram("ec.repair_time.us");
+  };
+
   void begin_resync(NodeId n, std::uint64_t gen, std::size_t replayed,
                     Tick replay_done);
   void resync_next(NodeId n, std::uint64_t gen,
@@ -109,15 +118,13 @@ class RecoveryManager {
   std::vector<std::uint64_t> generation_;
   std::vector<std::uint8_t> recovering_;
 
-  RecoveryMetrics metrics_;
-  std::uint64_t abandoned_ = 0;
+  Metrics metrics_;
   // Scratch carried across one node's phases (indexed like state_).
   std::vector<std::size_t> ep_replayed_;
   std::vector<std::size_t> ep_resynced_;
   std::vector<Tick> ep_replay_ticks_;
   std::vector<Tick> ep_resync_ticks_;
 
-  Histograms hists_;
   obs::Tracer* tracer_ = nullptr;
   obs::StringId track_ = 0;
   obs::StringId ev_begin_ = 0;

@@ -34,42 +34,6 @@ void write_metrics_object(obs::JsonWriter& w, const RunMetrics& m) {
   w.end_object();
 }
 
-void write_availability_object(obs::JsonWriter& w, const RunMetrics& m) {
-  const AvailabilityMetrics& av = m.availability;
-  w.begin_object();
-  w.key("faults_injected").value(av.faults_injected);
-  w.key("failed_requests").value(av.failed_requests);
-  w.key("timed_out_requests").value(av.timed_out_requests);
-  w.key("retried_requests").value(av.retried_requests);
-  w.key("rerouted_requests").value(av.rerouted_requests);
-  w.key("client_retries").value(av.client_retries);
-  w.key("disk_io_retries").value(av.disk_io_retries);
-  w.key("buffer_fallback_reads").value(av.buffer_fallback_reads);
-  w.key("buffered_rescues").value(av.buffered_rescues);
-  w.key("writes_stranded").value(av.writes_stranded);
-  w.key("degraded_sec").value(ticks_to_seconds(av.degraded_ticks));
-  w.key("recovery_episodes").value(av.recovery_episodes);
-  w.key("mttr_sec").value(av.mttr_sec);
-  w.key("availability").value(av.availability(m.requests));
-  w.key("fault_energy_delta_joules").value(av.fault_energy_delta);
-  w.end_object();
-}
-
-void write_ram_object(obs::JsonWriter& w, const RunMetrics& m) {
-  const RamCacheMetrics& ram = m.ram;
-  w.begin_object();
-  w.key("enabled").value(ram.enabled);
-  w.key("hits").value(ram.hits);
-  w.key("misses").value(ram.misses);
-  w.key("hit_rate").value(ram.hit_rate());
-  w.key("evictions").value(ram.evictions);
-  w.key("writebacks").value(ram.writebacks);
-  w.key("writes_absorbed").value(ram.writes_absorbed);
-  w.key("lost_writes").value(ram.lost_writes);
-  w.key("pinned_bytes").value(ram.pinned_bytes);
-  w.end_object();
-}
-
 void write_counters_array(obs::JsonWriter& w,
                           const std::vector<obs::Sample>& counters) {
   w.begin_array();
@@ -80,6 +44,7 @@ void write_counters_array(obs::JsonWriter& w,
     w.key("value").value(s.value);
     if (s.kind == obs::MetricKind::kHistogram) {
       w.key("count").value(s.count);
+      w.key("sum").value(s.sum);
       w.key("mean").value(s.mean);
       w.key("p50").value(s.p50);
       w.key("p95").value(s.p95);
@@ -109,10 +74,6 @@ void append_run(obs::JsonWriter& w, const RunReportInfo& info,
   w.end_object();
   w.key("metrics");
   write_metrics_object(w, m);
-  w.key("availability");
-  write_availability_object(w, m);
-  w.key("ram");
-  write_ram_object(w, m);
   w.key("counters");
   write_counters_array(w, m.counters);
   w.end_object();
@@ -446,9 +407,9 @@ bool validate_counter(const JsonValue& c, const std::string& where,
   static constexpr const char* kValue[] = {"value"};
   if (!require_numbers(c, kValue, 1, where, error)) return false;
   if (kind->str == "histogram") {
-    static constexpr const char* kHist[] = {"count", "mean", "p50", "p95",
-                                            "p99",   "min",  "max"};
-    if (!require_numbers(c, kHist, 7, where, error)) return false;
+    static constexpr const char* kHist[] = {"count", "sum", "mean", "p50",
+                                            "p95",   "p99", "min",  "max"};
+    if (!require_numbers(c, kHist, 8, where, error)) return false;
   }
   return true;
 }
@@ -496,35 +457,6 @@ bool validate_run(const JsonValue& run, const std::string& where,
   if (!require_numbers(*metrics, kMetrics,
                        sizeof(kMetrics) / sizeof(kMetrics[0]),
                        where + ".metrics", error)) {
-    return false;
-  }
-
-  const JsonValue* av = get(run, "availability");
-  if (av == nullptr || av->type != JsonValue::Type::kObject) {
-    return schema_fail(error, where + " is missing object 'availability'");
-  }
-  static constexpr const char* kAvail[] = {
-      "faults_injected", "failed_requests", "timed_out_requests",
-      "client_retries",  "degraded_sec",    "mttr_sec",
-      "availability"};
-  if (!require_numbers(*av, kAvail, sizeof(kAvail) / sizeof(kAvail[0]),
-                       where + ".availability", error)) {
-    return false;
-  }
-
-  const JsonValue* ram = get(run, "ram");
-  if (ram == nullptr || ram->type != JsonValue::Type::kObject) {
-    return schema_fail(error, where + " is missing object 'ram'");
-  }
-  const JsonValue* ram_enabled = get(*ram, "enabled");
-  if (ram_enabled == nullptr || ram_enabled->type != JsonValue::Type::kBool) {
-    return schema_fail(error, where + ".ram is missing bool 'enabled'");
-  }
-  static constexpr const char* kRam[] = {
-      "hits",       "misses",          "hit_rate",    "evictions",
-      "writebacks", "writes_absorbed", "lost_writes", "pinned_bytes"};
-  if (!require_numbers(*ram, kRam, sizeof(kRam) / sizeof(kRam[0]),
-                       where + ".ram", error)) {
     return false;
   }
 

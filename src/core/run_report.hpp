@@ -1,7 +1,6 @@
 // The run report: one schema-versioned JSON document per bench (or CLI)
 // invocation that carries everything needed to regenerate a figure —
-// the paper metrics, the availability accounting, and the full registry
-// counter snapshot for every run.  docs/observability.md documents the
+// the paper metrics and the full registry snapshot for every run.  docs/observability.md documents the
 // schema; validate_run_report() enforces its structure and is what the
 // run_report_smoke target (and tests/test_obs.cpp) run against real
 // output.
@@ -20,10 +19,10 @@ namespace eevfs::core {
 
 /// Bump when the document layout changes; consumers hard-fail on a
 /// version they do not know (additive-only changes still bump it).
-/// v2: every run gains a "ram" object (three-tier cache accounting; the
-/// object is present even when the tier is disabled, with enabled=false
-/// and all-zero fields, so consumers never branch on key existence).
-inline constexpr std::int64_t kRunReportSchemaVersion = 2;
+/// v3: the "availability" and "ram" objects are gone — their numbers
+/// are registry counters, reported once in "counters" — and histogram
+/// entries carry their exact "sum".
+inline constexpr std::int64_t kRunReportSchemaVersion = 3;
 
 /// Caller-supplied metadata for one run inside a report.
 struct RunReportInfo {
@@ -80,11 +79,10 @@ void append_run_report_object(obs::JsonWriter& w, const RunReportInfo& info,
                               const RunMetrics& m,
                               const obs::Tracer* tracer = nullptr);
 
-/// Structural validation of a report document against schema v2: parses
+/// Structural validation of a report document against schema v3: parses
 /// the JSON and checks every required key and type (top-level
-/// schema_version/bench/runs; per run
-/// name/metrics/availability/ram/counters;
-/// per counter name/kind and the kind-specific value fields).  Returns
+/// schema_version/bench/runs; per run name/metrics/counters; per counter
+/// name/kind and the kind-specific value fields).  Returns
 /// false and fills `*error` (when non-null) with a human-readable reason
 /// on the first violation.
 bool validate_run_report(std::string_view json, std::string* error = nullptr);

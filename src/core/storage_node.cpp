@@ -23,8 +23,13 @@ constexpr Tick kRamFlushInterval = seconds_to_ticks(1.0);
 }  // namespace
 
 StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
-                         net::EndpointId self, NodeParams params)
-    : sim_(sim), net_(net), self_(self), params_(std::move(params)) {
+                         net::EndpointId self, NodeParams params,
+                         obs::Registry& registry)
+    : sim_(sim),
+      net_(net),
+      self_(self),
+      params_(std::move(params)),
+      metrics_{registry} {
   if (params_.data_disks == 0) {
     throw std::invalid_argument("StorageNode: need at least one data disk");
   }
@@ -32,11 +37,13 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
     data_disks_.push_back(std::make_unique<disk::DiskModel>(
         sim_, params_.disk_profile,
         format("node%zu/data%zu", params_.id, i)));
+    data_disks_.back()->set_observer(nullptr, &metrics_.disk_queue_wait);
   }
   for (std::size_t i = 0; i < params_.buffer_disks; ++i) {
     buffer_disks_.push_back(std::make_unique<disk::DiskModel>(
         sim_, params_.disk_profile,
         format("node%zu/buffer%zu", params_.id, i)));
+    buffer_disks_.back()->set_observer(nullptr, &metrics_.disk_queue_wait);
   }
 
   if (!buffer_disks_.empty()) {
@@ -53,6 +60,7 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
   if (params_.ram_cache_bytes > 0) {
     ram_ = std::make_unique<RamCache>(params_.ram_cache_bytes,
                                       params_.ram_cache_policy);
+    ram_metrics_.emplace(registry);
   }
 
   std::vector<disk::DiskModel*> managed;
@@ -74,8 +82,7 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
   }
 }
 
-void StorageNode::set_observer(obs::Tracer* tracer,
-                               obs::Histogram* disk_queue_wait_us) {
+void StorageNode::set_observer(obs::Tracer* tracer) {
   tracer_ = tracer;
   if (tracer_) {
     track_ = tracer_->intern(format("node%zu", params_.id));
@@ -84,15 +91,23 @@ void StorageNode::set_observer(obs::Tracer* tracer,
     ev_prefetch_copy_ = tracer_->intern("node.prefetch_copy");
     ev_destage_ = tracer_->intern("node.destage");
   }
-  for (auto& d : data_disks_) d->set_observer(tracer, disk_queue_wait_us);
-  for (auto& b : buffer_disks_) b->set_observer(tracer, disk_queue_wait_us);
+  for (auto& d : data_disks_) {
+    d->set_observer(tracer, &metrics_.disk_queue_wait);
+  }
+  for (auto& b : buffer_disks_) {
+    b->set_observer(tracer, &metrics_.disk_queue_wait);
+  }
   power_->set_observer(tracer);
 }
 
-void StorageNode::set_ram_observer(obs::Histogram* hit_bytes,
-                                   obs::Histogram* miss_bytes) {
-  hist_ram_hit_bytes_ = hit_bytes;
-  hist_ram_miss_bytes_ = miss_bytes;
+void StorageNode::shutdown() {
+  power_->stop();
+  ram_flush_timer_.cancel();
+  ram_flush_scheduled_ = false;
+  metrics_.fault_energy_delta.add(fault_energy_delta_);
+  if (ram_) {
+    ram_metrics_->pinned.add(static_cast<double>(ram_->pinned_bytes()));
+  }
 }
 
 StorageNode::ServeCallback StorageNode::trace_serve(obs::StringId op,
@@ -212,6 +227,7 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
                           hints, std::move(disk_accesses), horizon_,
                           capacity, ram_budget);
   plan_ready_ = true;
+  metrics_.rejected_by_gate.add(plan_.rejected_by_gate.size());
   hint_counts_.clear();
   hint_counts_.reserve(hints.size());
   for (const FileHints& h : hints) {
@@ -298,7 +314,7 @@ void StorageNode::submit_with_retry(
       const Tick backoff = params_.io_retry_backoff
                            << std::min<std::size_t>(attempt, 16);
       if (t - issued + backoff <= params_.io_deadline) {
-        ++disk_io_retries_;
+        metrics_.disk_io_retries.add();
         (void)sim_.schedule_after(
             backoff, [this, target, bytes, sequential, is_write, issued,
                       attempt, done = std::move(done)]() mutable {
@@ -388,7 +404,7 @@ void StorageNode::copy_into_buffer(trace::FileId f,
               }
               write_buffer_copy(
                   f, [this, bytes, done = std::move(done)](bool landed) {
-                    if (landed) bytes_prefetched_ += bytes;
+                    if (landed) metrics_.bytes_prefetched.add(bytes);
                     done();
                   });
             });
@@ -458,7 +474,7 @@ std::uint64_t StorageNode::ram_weight(trace::FileId f) const {
 
 void StorageNode::ram_admit(trace::FileId f, Bytes bytes) {
   const auto res = ram_->admit(f, bytes, ram_weight(f));
-  ram_evictions_ += static_cast<std::uint64_t>(res.evicted.size());
+  ram_metrics_->evictions.add(res.evicted.size());
 }
 
 void StorageNode::begin_replay(Tick replay_start) {
@@ -486,7 +502,7 @@ void StorageNode::update_prefetch(const std::vector<trace::FileId>& wanted) {
     if (meta.buffered && !target.contains(f)) {
       buffer_->erase(f);
       meta.buffered = false;
-      ++evictions_;
+      metrics_.evictions.add();
     }
   }
   // Copy in newly popular files (rank order), skipping ones already
@@ -507,7 +523,7 @@ void StorageNode::submit_to_data_disk(std::size_t disk,
                                       disk::DiskRequest request) {
   power_->note_arrival(disk);
   if (!disk::is_spun_up(data_disks_[disk]->state())) {
-    ++wakeups_on_demand_;
+    metrics_.wakeups_on_demand.add();
   }
   data_disks_[disk]->submit(std::move(request));
 }
@@ -585,7 +601,7 @@ void StorageNode::crash() {
   // Acked writes still parked on the buffer disk: without a journal the
   // RAM index was the only map of the parking lot — they are lost.
   if (!journal_ || !journal_->enabled()) {
-    lost_acked_writes_ += undestaged_acked_;
+    metrics_.lost_acked_writes.add(undestaged_acked_);
   }
   undestaged_acked_ = 0;
   for (auto& q : pending_writes_) q.clear();
@@ -610,8 +626,8 @@ void StorageNode::crash() {
   if (ram_) {
     const auto staged = static_cast<std::uint64_t>(ram_staged_.size()) +
                         static_cast<std::uint64_t>(ram_flushes_in_flight_);
-    ram_lost_writes_ += staged;
-    lost_acked_writes_ += staged;
+    ram_metrics_->lost_writes.add(staged);
+    metrics_.lost_acked_writes.add(staged);
     ram_staged_.clear();
     ram_flushes_in_flight_ = 0;
     ram_flush_timer_.cancel();
@@ -663,7 +679,6 @@ void StorageNode::replay_journal(std::function<void(std::size_t)> done) {
                    rec.data_disk);
       ++replayed;
     }
-    journal_replayed_ += replayed;
     // Spinning disks can start destaging right away; sleeping ones pick
     // the queue up on their next wake (or the end-of-run drain).
     for (std::size_t d = 0; d < data_disks_.size(); ++d) start_destage(d);
@@ -744,7 +759,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       std::make_shared<ServeCallback>(std::move(on_result));
   auto ship = [this, f, ep, client, bytes, shared_result](Tick) {
     if (ep != epoch_) return;
-    bytes_served_ += bytes;
+    metrics_.bytes_served.add(bytes);
     // Fill the RAM tier on the way out: every successful read below this
     // point came off a disk, so the next access can be memory-speed.
     if (ram_) ram_admit(f, bytes);
@@ -754,7 +769,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   };
   auto fail = [this, ep, shared_result](Tick t) {
     if (ep != epoch_) return;
-    ++failed_serves_;
+    metrics_.failed_serves.add();
     (*shared_result)(t, RequestStatus::kDiskUnavailable);
   };
 
@@ -762,22 +777,24 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   // never hears about the access, which is exactly how the RAM tier
   // stretches disk sleep windows past what the buffer disk alone can.
   if (ram_) {
-    if (ram_->lookup(f)) {
-      ++ram_hits_;
-      if (hist_ram_hit_bytes_) hist_ram_hit_bytes_->record(bytes);
+    RamMetrics& rm = *ram_metrics_;
+    const bool hit = ram_->lookup(f);
+    (hit ? rm.hits : rm.misses).add();
+    (hit ? rm.hit_size : rm.miss_size).record(bytes);
+    rm.hit_rate.set(static_cast<double>(rm.hits.value()) /
+                    static_cast<double>(rm.hits.value() + rm.misses.value()));
+    if (hit) {
       const Tick service = transfer_ticks(bytes, kRamBytesPerSec);
       (void)sim_.schedule_after(
           service, [this, ep, client, bytes, shared_result] {
             if (ep != epoch_) return;
-            bytes_served_ += bytes;
+            metrics_.bytes_served.add(bytes);
             net_.send(self_, client, bytes, [shared_result](Tick t) {
               (*shared_result)(t, RequestStatus::kOk);
             });
           });
       return;
     }
-    ++ram_misses_;
-    if (hist_ram_miss_bytes_) hist_ram_miss_bytes_->record(bytes);
   }
 
   const bool buffered_copy = buffer_ && meta.buffered && buffer_->contains(f);
@@ -785,10 +802,10 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       buffered_copy && !buffer_disks_[meta.buffer_disk]->failed();
 
   if (buffered_copy && buffer_alive) {
-    ++buffer_hits_;
+    metrics_.buffer_hits.add();
     if (!stripe_set_alive(meta)) {
       // The data copy is gone; the buffered copy is carrying the file.
-      ++buffered_rescues_;
+      metrics_.buffered_rescues.add();
       fault_energy_delta_ -= degraded_read_energy_estimate(bytes);
     }
     buffer_->touch(f);
@@ -802,13 +819,13 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       // The buffer disk died (or ran out of retries) mid-serve: degrade
       // to the data-disk stripe set when it is still whole.
       LocalFileMeta& m = meta_.at(f);
-      ++buffer_fallback_reads_;
+      metrics_.buffer_fallback_reads.add();
       fault_energy_delta_ += degraded_read_energy_estimate(m.size);
       if (!stripe_set_alive(m)) {
         fail(t);
         return;
       }
-      ++data_disk_reads_;
+      metrics_.data_disk_reads.add();
       stripe_io(m, m.size, /*is_write=*/false, /*notify_power_manager=*/true,
                 [ship, fail](Tick t2, disk::IoStatus st2) {
                   if (st2 == disk::IoStatus::kOk) ship(t2);
@@ -822,7 +839,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
     // Degraded mode: the buffered copy exists but its disk is dead, so
     // the read falls back to the data disks — availability is kept, the
     // energy saving is sacrificed (and metered).
-    ++buffer_fallback_reads_;
+    metrics_.buffer_fallback_reads.add();
     fault_energy_delta_ += degraded_read_energy_estimate(bytes);
   }
 
@@ -833,7 +850,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
     return;
   }
 
-  ++data_disk_reads_;
+  metrics_.data_disk_reads.add();
   const bool maid_copy =
       buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss;
   stripe_io(meta, bytes, /*is_write=*/false, /*notify_power_manager=*/true,
@@ -856,7 +873,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
       for (const trace::FileId victim : res.evicted) {
         LocalFileMeta* vmeta = meta_.find(victim);
         if (vmeta != nullptr) vmeta->buffered = false;
-        ++evictions_;
+        metrics_.evictions.add();
       }
       if (res.inserted && !meta_.at(f).buffered) {
         write_buffer_copy(f, [](bool) {});
@@ -889,7 +906,7 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
   auto done = [this, ep, client, shared_result](Tick t, bool ok) {
     if (ep != epoch_) return;
     if (!ok) {
-      ++failed_serves_;
+      metrics_.failed_serves.add();
       (*shared_result)(t, RequestStatus::kDiskUnavailable);
       return;
     }
@@ -906,7 +923,7 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
   // bytes that reached the buffer-disk log, so this trades a durability
   // window for burst absorption (the crash tests pin the accounting).
   if (ram_ && params_.write_buffering && ram_->reserve_write(bytes)) {
-    ++ram_writes_absorbed_;
+    ram_metrics_->writes_absorbed.add();
     ram_staged_.push_back(RamStagedWrite{f, bytes, d});
     schedule_ram_flush();
     (void)sim_.schedule_after(transfer_ticks(bytes, kRamBytesPerSec),
@@ -937,7 +954,7 @@ StorageNode::ServeCallback StorageNode::guard_serve(ServeCallback cb) {
 }
 
 void StorageNode::refuse(ServeCallback cb, RequestStatus status) {
-  ++failed_serves_;
+  metrics_.failed_serves.add();
   (void)sim_.schedule_after(1, [this, cb = std::move(cb), status] {
     cb(sim_.now(), status);
   });
@@ -964,7 +981,7 @@ bool StorageNode::stage_write(trace::FileId f, Bytes bytes, std::size_t d,
       write_through(f, bytes, std::move(done));
       return;
     }
-    ++writes_buffered_;
+    metrics_.writes_buffered.add();
     book_destage(PendingWrite{f, bytes, bd, lsn}, d);
     // Booked before `done` runs, so an end-of-run waiter cannot fire
     // between the two.
@@ -998,7 +1015,7 @@ void StorageNode::write_through(trace::FileId f, Bytes bytes, Done done) {
     done(sim_.now(), false);
     return;
   }
-  ++writes_direct_;
+  metrics_.writes_direct.add();
   stripe_io(m, bytes, /*is_write=*/true, /*notify_power_manager=*/true,
             [done = std::move(done)](Tick t, disk::IoStatus st) {
               done(t, st == disk::IoStatus::kOk);
@@ -1050,8 +1067,7 @@ void StorageNode::flush_ram_writes() {
     auto settle = [this, bytes = w.bytes, ep](Tick, bool landed) {
       if (ep != epoch_) return;  // the crash already wrote the loss off
       ram_->release_write(bytes);
-      if (landed) ++ram_writebacks_;
-      else ++writes_stranded_;
+      (landed ? ram_metrics_->writebacks : metrics_.writes_stranded).add();
       --ram_flushes_in_flight_;
       notify_flush_waiters();
     };
@@ -1129,8 +1145,7 @@ void StorageNode::flush_one(const PendingWrite& w,
 }
 
 void StorageNode::retire_destage(const PendingWrite& w, bool landed) {
-  if (landed) ++destages_;
-  else ++writes_stranded_;
+  (landed ? metrics_.destages : metrics_.writes_stranded).add();
   if (w.lsn != 0 && journal_) {
     journal_->mark_destaged(w.lsn);
     live_lsns_.erase(w.lsn);
@@ -1181,42 +1196,16 @@ NodeMetrics StorageNode::collect_metrics() {
     m.spin_ups += d->spin_ups();
     m.spin_downs += d->spin_downs();
     m.data_disk_standby_ticks += d->meter().ticks(disk::PowerState::kStandby);
-    m.media_errors += d->media_errors();
-    if (d->failed()) ++m.disks_failed;
   }
   for (auto& b : buffer_disks_) {
     b->finalize();
     m.buffer_disk_meter.merge(b->meter());
     m.spin_ups += b->spin_ups();
     m.spin_downs += b->spin_downs();
-    m.media_errors += b->media_errors();
-    if (b->failed()) ++m.disks_failed;
   }
   m.disk_joules =
       m.data_disk_meter.total_joules() + m.buffer_disk_meter.total_joules();
   m.base_joules = energy(params_.base_watts, sim_.now());
-  m.buffer_hits = buffer_hits_;
-  m.data_disk_reads = data_disk_reads_;
-  m.writes_buffered = writes_buffered_;
-  m.writes_direct = writes_direct_;
-  m.bytes_served = bytes_served_;
-  m.bytes_prefetched = bytes_prefetched_;
-  m.disk_io_retries = disk_io_retries_;
-  m.buffer_fallback_reads = buffer_fallback_reads_;
-  m.buffered_rescues = buffered_rescues_;
-  m.failed_serves = failed_serves_;
-  m.writes_stranded = writes_stranded_;
-  m.lost_acked_writes = lost_acked_writes_;
-  m.journal_appends = journal_ ? journal_->appends() : 0;
-  m.journal_replayed = journal_replayed_;
-  m.fault_energy_delta = fault_energy_delta_;
-  m.ram_hits = ram_hits_;
-  m.ram_misses = ram_misses_;
-  m.ram_evictions = ram_evictions_;
-  m.ram_writebacks = ram_writebacks_;
-  m.ram_writes_absorbed = ram_writes_absorbed_;
-  m.ram_lost_writes = ram_lost_writes_;
-  m.ram_pinned_bytes = ram_ ? ram_->pinned_bytes() : 0;
   return m;
 }
 

@@ -18,11 +18,16 @@
 // network completions are dropped by an epoch guard; RAM-held state —
 // the buffer-manager index, the destage queue, journal destage marks —
 // is lost; platter contents (and the disks' power machinery) survive.
-// Acked buffered writes whose destage had not landed are counted as
-// lost_acked_writes unless the write journal (disk/write_journal) can
-// rebuild the destage queue on restart: replay_journal() re-queues every
-// un-truncated journal record, skipping LSNs already queued so that a
-// second replay (crash during recovery) is bit-identical — idempotent.
+// Acked buffered writes whose destage had not landed are counted as lost
+// (fault.lost_acked_writes.count) unless the write journal
+// (disk/write_journal) can rebuild the destage queue on restart:
+// replay_journal() re-queues every un-truncated journal record, skipping
+// LSNs already queued so that a second replay (crash during recovery) is
+// bit-identical — idempotent.
+//
+// Counts go straight into the obs::Registry the node is built with, where
+// the event happens; every node registers the same names, so the registry
+// sums the cluster (docs/observability.md lists them).
 #pragma once
 
 #include <functional>
@@ -85,8 +90,11 @@ class StorageNode {
   /// on failure it is when the node gave up.
   using ServeCallback = std::function<void(Tick t, RequestStatus status)>;
 
+  /// Registers the node's metric names in `registry` (the ramcache.*
+  /// family only with a RAM tier) and counts into it from then on.
   StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
-              net::EndpointId self, NodeParams params);
+              net::EndpointId self, NodeParams params,
+              obs::Registry& registry);
 
   NodeId id() const { return params_.id; }
   net::EndpointId endpoint() const { return self_; }
@@ -194,24 +202,15 @@ class StorageNode {
 
   /// Ends the measured phase: stops the power manager (cancelling its
   /// pending sleep/wake marks so the simulation can drain) and the RAM
-  /// flush timer.
-  void shutdown() {
-    power_->stop();
-    ram_flush_timer_.cancel();
-    ram_flush_scheduled_ = false;
-  }
+  /// flush timer, and adds the node's end-of-run figures to the registry
+  /// (its modeled fault energy and its pinned RAM bytes).  Call once.
+  void shutdown();
 
-  /// Attaches observability to the node and everything it owns (disks,
-  /// power manager).  `tracer` may be null; `disk_queue_wait_us` (may be
-  /// null) is shared across all this node's disks and recorded whether or
-  /// not tracing is enabled.
-  void set_observer(obs::Tracer* tracer, obs::Histogram* disk_queue_wait_us);
+  /// Attaches the event tracer (may be null) to the node and everything
+  /// it owns (disks, power manager).
+  void set_observer(obs::Tracer* tracer);
 
-  /// Attaches the RAM-tier byte histograms (either may be null); recorded
-  /// only when the RAM tier is enabled.
-  void set_ram_observer(obs::Histogram* hit_bytes, obs::Histogram* miss_bytes);
-
-  /// Snapshot of the node's counters and meters as of sim.now().
+  /// The node's meters as of sim.now().
   NodeMetrics collect_metrics();
 
   // --- introspection (tests, benches) ----------------------------------
@@ -237,43 +236,13 @@ class StorageNode {
   const PowerManager& power_manager() const { return *power_; }
   const NodeMetadata& metadata() const { return meta_; }
   const PrefetchPlan& prefetch_plan() const { return plan_; }
-  std::uint64_t wakeups_on_demand() const { return wakeups_on_demand_; }
-  std::uint64_t disk_io_retries() const { return disk_io_retries_; }
-  std::uint64_t buffer_fallback_reads() const {
-    return buffer_fallback_reads_;
-  }
-  std::uint64_t buffered_rescues() const { return buffered_rescues_; }
-  std::uint64_t failed_serves() const { return failed_serves_; }
-  std::uint64_t writes_stranded() const { return writes_stranded_; }
-  /// Acked buffered writes lost to a crash (journal off; see metrics.hpp
-  /// for the distinction from writes_stranded).
-  std::uint64_t lost_acked_writes() const { return lost_acked_writes_; }
   /// Acked buffered writes currently awaiting destage (at risk in a
   /// crash when the journal is off).
   std::uint64_t undestaged_acked() const { return undestaged_acked_; }
-  /// Journal records re-queued by replay_journal over the run.
-  std::uint64_t journal_replayed() const { return journal_replayed_; }
   /// Null when the node has no buffer disks.
   const disk::WriteJournal* journal() const { return journal_.get(); }
-  /// Buffered files dropped (online re-ranking or MAID pressure).
-  std::uint64_t evictions() const { return evictions_; }
-  /// Destages that completed (staged write re-written to a data disk).
-  std::uint64_t destages() const { return destages_; }
-  /// High-water mark of bytes queued or in flight toward data disks.
-  Bytes destage_backlog_peak() const { return destage_backlog_peak_; }
   /// Null when the RAM tier is disabled.
   const RamCache* ram_cache() const { return ram_.get(); }
-  std::uint64_t ram_hits() const { return ram_hits_; }
-  std::uint64_t ram_misses() const { return ram_misses_; }
-  std::uint64_t ram_evictions() const { return ram_evictions_; }
-  /// Write acks served from RAM staging (before any disk was touched).
-  std::uint64_t ram_writes_absorbed() const { return ram_writes_absorbed_; }
-  /// Staged RAM writes that landed downstream (buffer log or stripe).
-  std::uint64_t ram_writebacks() const { return ram_writebacks_; }
-  /// Acked staged writes wiped by a crash before they left RAM.  The
-  /// journal cannot help here — it only covers bytes that reached the
-  /// buffer-disk log.
-  std::uint64_t ram_lost_writes() const { return ram_lost_writes_; }
 
  private:
   struct PendingWrite {
@@ -454,43 +423,66 @@ class StorageNode {
   std::size_t ram_flushes_in_flight_ = 0;
   sim::EventHandle ram_flush_timer_;
   bool ram_flush_scheduled_ = false;
-  std::uint64_t ram_hits_ = 0;
-  std::uint64_t ram_misses_ = 0;
-  std::uint64_t ram_evictions_ = 0;
-  std::uint64_t ram_writes_absorbed_ = 0;
-  std::uint64_t ram_writebacks_ = 0;
-  std::uint64_t ram_lost_writes_ = 0;
-  obs::Histogram* hist_ram_hit_bytes_ = nullptr;
-  obs::Histogram* hist_ram_miss_bytes_ = nullptr;
 
-  // counters
-  std::uint64_t buffer_hits_ = 0;
-  std::uint64_t data_disk_reads_ = 0;
-  std::uint64_t wakeups_on_demand_ = 0;
-  std::uint64_t writes_buffered_ = 0;
-  std::uint64_t writes_direct_ = 0;
-  Bytes bytes_served_ = 0;
-  Bytes bytes_prefetched_ = 0;
-  std::uint64_t disk_io_retries_ = 0;
-  std::uint64_t buffer_fallback_reads_ = 0;
-  std::uint64_t buffered_rescues_ = 0;
-  std::uint64_t failed_serves_ = 0;
-  std::uint64_t writes_stranded_ = 0;
-  std::uint64_t lost_acked_writes_ = 0;
   std::uint64_t undestaged_acked_ = 0;
-  std::uint64_t journal_replayed_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t destages_ = 0;
   Bytes destage_backlog_ = 0;
-  Bytes destage_backlog_peak_ = 0;
+  /// Modeled, and summed per node so that the registry total adds the
+  /// nodes in node order at shutdown (floating-point sums depend on it).
   Joules fault_energy_delta_ = 0.0;
+
+  // --- metrics: registry handles, taken once at construction ------------
+  struct Metrics {
+    obs::Registry& r;
+    obs::Counter& buffer_hits = r.counter("prefetch.buffer_hits.count");
+    obs::Counter& data_disk_reads = r.counter("prefetch.data_disk_reads.count");
+    obs::Counter& bytes_prefetched =
+        r.counter("prefetch.bytes_prefetched.bytes");
+    obs::Counter& rejected_by_gate =
+        r.counter("prefetch.rejected_by_gate.count");
+    obs::Counter& evictions = r.counter("prefetch.evictions.count");
+    obs::Counter& wakeups_on_demand =
+        r.counter("power.wakeups_on_demand.count");
+    obs::Counter& writes_buffered = r.counter("buffer.writes_buffered.count");
+    obs::Counter& writes_direct = r.counter("buffer.writes_direct.count");
+    obs::Counter& writes_stranded = r.counter("buffer.writes_stranded.count");
+    obs::Counter& destages = r.counter("buffer.destages.count");
+    /// The worst node's peak: every node set_max'es it.
+    obs::Gauge& destage_backlog_peak =
+        r.gauge("buffer.destage_backlog_peak.bytes");
+    obs::Counter& lost_acked_writes =
+        r.counter("fault.lost_acked_writes.count");
+    obs::Counter& bytes_served = r.counter("node.bytes_served.bytes");
+    obs::Counter& disk_io_retries = r.counter("node.disk_io_retries.count");
+    obs::Counter& buffer_fallback_reads =
+        r.counter("node.buffer_fallback_reads.count");
+    obs::Counter& buffered_rescues = r.counter("node.buffered_rescues.count");
+    obs::Counter& failed_serves = r.counter("node.failed_serves.count");
+    obs::Gauge& fault_energy_delta = r.gauge("node.fault_energy_delta.joules");
+    /// Shared by every disk of the node.
+    obs::Histogram& disk_queue_wait = r.histogram("disk.queue_wait.us");
+  };
+  /// The ramcache.* family: registered only by a node with a RAM tier.
+  struct RamMetrics {
+    obs::Registry& r;
+    obs::Counter& hits = r.counter("ramcache.hits.count");
+    obs::Counter& misses = r.counter("ramcache.misses.count");
+    obs::Counter& evictions = r.counter("ramcache.evictions.count");
+    obs::Counter& writebacks = r.counter("ramcache.writebacks.count");
+    obs::Counter& writes_absorbed = r.counter("ramcache.writes_absorbed.count");
+    obs::Counter& lost_writes = r.counter("ramcache.lost_writes.count");
+    obs::Gauge& hit_rate = r.gauge("ramcache.hit_rate.ratio");
+    obs::Gauge& pinned = r.gauge("ramcache.pinned.bytes");
+    obs::Histogram& hit_size = r.histogram("ramcache.hit_size.bytes");
+    obs::Histogram& miss_size = r.histogram("ramcache.miss_size.bytes");
+  };
+  Metrics metrics_;
+  std::optional<RamMetrics> ram_metrics_;
 
   // observability
   void backlog_add(Bytes b) {
     destage_backlog_ += b;
-    if (destage_backlog_ > destage_backlog_peak_) {
-      destage_backlog_peak_ = destage_backlog_;
-    }
+    metrics_.destage_backlog_peak.set_max(
+        static_cast<double>(destage_backlog_));
   }
   void backlog_sub(Bytes b) {
     destage_backlog_ -= b < destage_backlog_ ? b : destage_backlog_;

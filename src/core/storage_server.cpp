@@ -12,12 +12,13 @@ namespace eevfs::core {
 
 StorageServer::StorageServer(sim::Simulator& sim, net::NetworkFabric& net,
                              net::EndpointId self, PlacementPolicy placement,
-                             std::uint64_t seed)
+                             std::uint64_t seed, obs::Registry& registry)
     : sim_(sim),
       net_(net),
       self_(self),
       placement_policy_(placement),
-      rng_(Rng(seed).fork(0xC0FFEE)) {}
+      rng_(Rng(seed).fork(0xC0FFEE)),
+      metrics_{registry} {}
 
 void StorageServer::register_nodes(std::vector<StorageNode*> nodes) {
   if (nodes.empty()) {
@@ -168,9 +169,9 @@ Tick StorageServer::ec_decode_ticks(Bytes bytes) const {
 }
 
 void StorageServer::note_chunk_repaired(Tick decode_ticks) {
-  ++ec_metrics_.repaired_chunks;
-  ++ec_metrics_.reconstructions;
-  ec_metrics_.reconstruct_ticks += decode_ticks;
+  metrics_.ec_repaired_chunks.add();
+  metrics_.ec_reconstructions.add();
+  metrics_.ec_decode_time.add(static_cast<std::uint64_t>(decode_ticks));
 }
 
 void StorageServer::set_observer(obs::Tracer* tracer) {
@@ -198,7 +199,7 @@ void StorageServer::begin_online_refresh(std::size_t k, Tick interval) {
   if (log_.num_files() == 0) log_ = trace::AccessLog(metadata_.files());
   refresh_timer_.cancel();
   refresh_timer_ = sim_.schedule_after(interval, [this, k, interval] {
-    ++refreshes_;
+    metrics_.refreshes.add();
     // Rank everything seen so far and deal the top-k to the owning nodes
     // in rank order (same slicing as the offline prefetch instruction).
     std::vector<std::vector<trace::FileId>> per_node(nodes_.size());
@@ -231,7 +232,15 @@ void StorageServer::begin_health_monitor(Tick interval,
       sim_.schedule_after(heartbeat_interval_, [this] { heartbeat_round(); });
 }
 
-void StorageServer::stop_health_monitor() { heartbeat_timer_.cancel(); }
+void StorageServer::stop_health_monitor() {
+  heartbeat_timer_.cancel();
+  for (const NodeHealth& h : health_) {
+    if (h.dead) {
+      metrics_.degraded_time.add(
+          static_cast<std::uint64_t>(sim_.now() - h.dead_since));
+    }
+  }
+}
 
 void StorageServer::heartbeat_round() {
   // Settle last round first: a ping still in flight means no reply came
@@ -282,8 +291,10 @@ void StorageServer::mark_alive(NodeId n) {
   if (!h.dead) return;
   h.dead = false;
   h.missed = 0;
-  recovered_dead_ticks_ += sim_.now() - h.dead_since;
-  ++recovery_episodes_;
+  const auto dead_for = static_cast<std::uint64_t>(sim_.now() - h.dead_since);
+  metrics_.recovered_dead_time.add(dead_for);
+  metrics_.degraded_time.add(dead_for);
+  metrics_.heartbeat_recoveries.add();
   if (tracer_ && tracer_->wants(obs::kCatServer)) {
     tracer_->instant(sim_.now(), obs::kCatServer, obs::TraceLevel::kInfo,
                      ev_node_alive_, track_, 0, static_cast<std::int64_t>(n));
@@ -292,26 +303,11 @@ void StorageServer::mark_alive(NodeId n) {
                 << ticks_to_seconds(sim_.now());
 }
 
-Tick StorageServer::degraded_ticks() const {
-  Tick total = recovered_dead_ticks_;
-  for (const NodeHealth& h : health_) {
-    if (h.dead) total += sim_.now() - h.dead_since;
-  }
-  return total;
-}
-
 std::vector<trace::FileId> StorageServer::take_stale_files(NodeId n) {
   std::vector<trace::FileId> out(stale_files_.at(n).begin(),
                                  stale_files_.at(n).end());
   stale_files_.at(n).clear();
   return out;
-}
-
-double StorageServer::mttr_sec() const {
-  return recovery_episodes_ == 0
-             ? 0.0
-             : ticks_to_seconds(recovered_dead_ticks_) /
-                   static_cast<double>(recovery_episodes_);
 }
 
 void StorageServer::route(const trace::TraceRecord& r,
@@ -323,7 +319,7 @@ void StorageServer::route(const trace::TraceRecord& r,
   }
   // Only online refresh reads the log back.
   if (refresh_timer_.pending()) log_.append(r.file, sim_.now());
-  ++requests_routed_;
+  metrics_.routed.add();
   // Pay the metadata probe, then walk the candidate list (or fork the
   // erasure fan-out).  Candidate order is decided after the probe, from
   // the health picture current at dispatch time.  The entry is a view
@@ -371,7 +367,7 @@ void StorageServer::try_replica(const trace::TraceRecord& r,
                                 std::size_t idx, NodeId primary,
                                 RouteCallback on_done) {
   if (idx >= candidates.size()) {
-    ++requests_failed_;
+    metrics_.failed.add();
     (void)sim_.schedule_after(1, [this, on_done = std::move(on_done)] {
       on_done(sim_.now(), RequestStatus::kNoReplica);
     });
@@ -393,7 +389,10 @@ void StorageServer::try_replica(const trace::TraceRecord& r,
              primary, rerouted, on_done = std::move(on_done)](
                 Tick t, RequestStatus st) mutable {
               if (request_ok(st)) {
-                if (rerouted) ++requests_rerouted_;
+                if (rerouted) {
+                  metrics_.rerouted.add();
+                  metrics_.retried.add();
+                }
                 if (r.op == trace::Op::kWrite) {
                   // The write landed on candidates[idx] only.  Every
                   // other copy the server believes exists is now behind:
@@ -416,7 +415,7 @@ void StorageServer::try_replica(const trace::TraceRecord& r,
               } else if (st == RequestStatus::kNodeUnavailable) {
                 mark_dead(candidates[idx]);
               }
-              ++failovers_;
+              metrics_.failovers.add();
               if (tracer_ && tracer_->wants(obs::kCatServer)) {
                 tracer_->instant(
                     t, obs::kCatServer, obs::TraceLevel::kInfo, ev_failover_,
@@ -481,7 +480,7 @@ void StorageServer::ec_route(const trace::TraceRecord& r,
     op->hedges.push_back(sim_.schedule_after(
         ec_.hedge_delay * static_cast<Tick>(j + 1) + 1, [this, op] {
           if (op->settled || op->next >= op->candidates.size()) return;
-          ++ec_metrics_.hedges_launched;
+          metrics_.ec_hedges_launched.add();
           if (tracer_ && tracer_->wants(obs::kCatServer)) {
             tracer_->instant(
                 sim_.now(), obs::kCatServer, obs::TraceLevel::kDebug,
@@ -499,7 +498,7 @@ void StorageServer::ec_dispatch_next(const std::shared_ptr<EcReadOp>& op) {
   const std::size_t chunk = op->candidates[op->next++];
   StorageNode* node = nodes_.at(op->chunk_node[chunk]);
   ++op->outstanding;
-  ++ec_metrics_.chunk_requests;
+  metrics_.ec_chunk_requests.add();
   net_.send(self_, node->endpoint(), net::kControlMessageBytes,
             [this, op, node, chunk](Tick) {
               node->serve_read(op->r.file, op->client,
@@ -517,7 +516,7 @@ void StorageServer::ec_chunk_done(const std::shared_ptr<EcReadOp>& op,
     // The read already joined (or failed) without this chunk: a
     // straggler.  The spindle and fabric work still happened and is in
     // the meters; only the count is recorded here.
-    ++ec_metrics_.straggler_chunks;
+    metrics_.ec_straggler_chunks.add();
     return;
   }
   if (request_ok(st)) {
@@ -535,7 +534,7 @@ void StorageServer::ec_chunk_done(const std::shared_ptr<EcReadOp>& op,
   } else if (st == RequestStatus::kNodeUnavailable) {
     mark_dead(n);
   }
-  ++failovers_;
+  metrics_.failovers.add();
   if (tracer_ && tracer_->wants(obs::kCatServer)) {
     tracer_->instant(t, obs::kCatServer, obs::TraceLevel::kInfo, ev_failover_,
                      track_, tracer_->intern(to_string(st)),
@@ -553,11 +552,11 @@ void StorageServer::ec_join(const std::shared_ptr<EcReadOp>& op, Tick t) {
   op->settled = true;
   for (sim::EventHandle& h : op->hedges) {
     if (h.pending()) {
-      ++ec_metrics_.hedges_cancelled;
+      metrics_.ec_hedges_cancelled.add();
       h.cancel();
     }
   }
-  ++ec_metrics_.reads;
+  metrics_.ec_reads.add();
   // Any join that used a parity chunk needs a decode (MDS reconstruction
   // is required whenever the k arrivals are not exactly the k data
   // chunks) — that covers hedge wins too.  But only a FAULT-shaped join
@@ -567,22 +566,22 @@ void StorageServer::ec_join(const std::shared_ptr<EcReadOp>& op, Tick t) {
   const bool degraded = reconstructed && op->faulty;
   Tick decode = 0;
   if (reconstructed) {
-    ++ec_metrics_.reconstructions;
+    metrics_.ec_reconstructions.add();
     decode = ec_decode_ticks(op->chunk_bytes *
                              static_cast<Bytes>(op->need));
-    ec_metrics_.reconstruct_ticks += decode;
-    if (hist_ec_reconstruct_) {
-      hist_ec_reconstruct_->record(static_cast<std::uint64_t>(decode));
-    }
+    metrics_.ec_decode_time.add(static_cast<std::uint64_t>(decode));
+    metrics_.ec_reconstruct_time.record(static_cast<std::uint64_t>(decode));
   }
   if (degraded) {
     // Book the extra spindle bytes the parity transfers cost — bytes a
     // healthy read never touches.
-    ++ec_metrics_.degraded_reads;
-    ec_metrics_.degraded_energy_estimate +=
-        static_cast<double>(op->parity_used) *
-        static_cast<double>(op->chunk_bytes) * ec_.joules_per_byte;
-    ++requests_rerouted_;  // served around a missing data chunk
+    metrics_.ec_degraded_reads.add();
+    metrics_.ec_degraded_energy.add(static_cast<double>(op->parity_used) *
+                                    static_cast<double>(op->chunk_bytes) *
+                                    ec_.joules_per_byte);
+    // Served around a missing data chunk.
+    metrics_.rerouted.add();
+    metrics_.retried.add();
   }
   if (tracer_ && tracer_->wants(obs::kCatServer)) {
     tracer_->instant(t, obs::kCatServer, obs::TraceLevel::kInfo, ev_ec_join_,
@@ -604,11 +603,11 @@ void StorageServer::ec_fail(const std::shared_ptr<EcReadOp>& op) {
   op->settled = true;
   for (sim::EventHandle& h : op->hedges) {
     if (h.pending()) {
-      ++ec_metrics_.hedges_cancelled;
+      metrics_.ec_hedges_cancelled.add();
       h.cancel();
     }
   }
-  ++requests_failed_;
+  metrics_.failed.add();
   (void)sim_.schedule_after(1, [this, op] {
     op->on_done(sim_.now(), RequestStatus::kNoReplica);
   });
@@ -646,7 +645,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
     targets.push_back(c);
   }
   if (targets.size() < need) {
-    ++requests_failed_;
+    metrics_.failed.add();
     (void)sim_.schedule_after(1, [this, join] {
       join->on_done(sim_.now(), RequestStatus::kNoReplica);
     });
@@ -657,7 +656,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
   for (const std::size_t c : targets) {
     const NodeId nid = entry.holders[c];
     StorageNode* node = nodes_.at(nid);
-    ++ec_metrics_.chunk_requests;
+    metrics_.ec_chunk_requests.add();
     net_.send(
         self_, node->endpoint(), net::kControlMessageBytes,
         [this, node, join, r, client, chunk, nid, need](Tick) {
@@ -674,7 +673,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
                   } else if (st == RequestStatus::kNodeUnavailable) {
                     mark_dead(nid);
                   }
-                  ++failovers_;
+                  metrics_.failovers.add();
                   stale_files_[nid].insert(r.file);
                   if (tracer_ && tracer_->wants(obs::kCatServer)) {
                     tracer_->instant(t, obs::kCatServer,
@@ -688,7 +687,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
                   if (join->acked >= need) {
                     join->on_done(join->last_ok, RequestStatus::kOk);
                   } else {
-                    ++requests_failed_;
+                    metrics_.failed.add();
                     join->on_done(sim_.now(), RequestStatus::kNoReplica);
                   }
                 }

@@ -32,6 +32,9 @@
 // out to every reachable chunk holder and ack once all dispatched chunk
 // writes settle with at least k successes; missed holders are recorded
 // stale for the recovery manager's chunk-repair phase.
+//
+// Counts go straight into the obs::Registry the server is built with: the
+// server.* and ec.* names (docs/observability.md).
 #pragma once
 
 #include <functional>
@@ -64,9 +67,11 @@ class StorageServer {
   /// Final outcome of one routed request.
   using RouteCallback = std::function<void(Tick completed, RequestStatus)>;
 
+  /// Registers the server.* and ec.* metric names in `registry` and
+  /// counts into it from then on.
   StorageServer(sim::Simulator& sim, net::NetworkFabric& net,
                 net::EndpointId self, PlacementPolicy placement,
-                std::uint64_t seed);
+                std::uint64_t seed, obs::Registry& registry);
 
   net::EndpointId endpoint() const { return self_; }
 
@@ -116,15 +121,10 @@ class StorageServer {
     return ServerMetadata::chunk_bytes(file_size, ec_.k);
   }
 
-  const ErasureMetrics& erasure_metrics() const { return ec_metrics_; }
   /// Recovery's chunk-repair phase reports each rebuilt chunk (and the
   /// decode time it paid) here so the erasure accounting stays in one
   /// place.
   void note_chunk_repaired(Tick decode_ticks);
-  /// Histogram for per-read reconstruction (decode) time; may be null.
-  void set_ec_reconstruct_hist(obs::Histogram* hist) {
-    hist_ec_reconstruct_ = hist;
-  }
 
   /// Step 3: place every file and issue create-file calls to the nodes
   /// in popularity order (drives their local disk round-robin).
@@ -165,12 +165,13 @@ class StorageServer {
   /// stop_online_refresh().
   void begin_online_refresh(std::size_t k, Tick interval);
   void stop_online_refresh();
-  std::uint64_t refreshes_performed() const { return refreshes_; }
 
   /// Health monitor: every `interval` the server pings each node over the
   /// fabric; a node that stays silent for `miss_threshold` consecutive
   /// rounds is marked dead (and routed around) until it answers again.
   void begin_health_monitor(Tick interval, std::size_t miss_threshold);
+  /// Stops the heartbeat and adds the dead time of nodes still marked
+  /// dead to server.degraded_time.us.  Call once, at run end.
   void stop_health_monitor();
 
   /// Steps 5-6: route one request.  Called when the client's control
@@ -195,26 +196,13 @@ class StorageServer {
   const trace::PopularityAnalyzer* popularity() const {
     return analyzer_ ? &*analyzer_ : nullptr;
   }
-  std::uint64_t requests_routed() const { return requests_routed_; }
 
-  // --- availability introspection --------------------------------------
-  /// Requests ultimately served by a non-primary replica.
-  std::uint64_t requests_rerouted() const { return requests_rerouted_; }
-  /// Requests that exhausted every replica (kNoReplica outcomes).
-  std::uint64_t requests_failed() const { return requests_failed_; }
-  /// Replica-to-replica failover hops taken (>= rerouted).
-  std::uint64_t failovers() const { return failovers_; }
   bool node_dead(NodeId n) const { return health_.at(n).dead; }
   /// Files whose latest write landed on a failover replica while node `n`
   /// was out — the replica-resync work list for `n`'s recovery.  Returns
   /// the files in ascending id order and clears the list (the caller owns
   /// the resync from here).
   std::vector<trace::FileId> take_stale_files(NodeId n);
-  /// Total node-dead time as of now (unrecovered nodes included).
-  Tick degraded_ticks() const;
-  std::uint64_t recovery_episodes() const { return recovery_episodes_; }
-  /// Mean time to recovery over the completed dead->alive episodes.
-  double mttr_sec() const;
 
  private:
   struct NodeHealth {
@@ -293,9 +281,7 @@ class StorageServer {
   std::vector<Tick> hint_arena_;
   trace::AccessLog log_;
   std::size_t replication_degree_ = 1;
-  std::uint64_t requests_routed_ = 0;
   sim::EventHandle refresh_timer_;
-  std::uint64_t refreshes_ = 0;
 
   // failover + health state
   std::vector<NodeHealth> health_;
@@ -308,16 +294,43 @@ class StorageServer {
   sim::EventHandle heartbeat_timer_;
   Tick heartbeat_interval_ = 0;
   std::size_t miss_threshold_ = 3;
-  std::uint64_t requests_rerouted_ = 0;
-  std::uint64_t requests_failed_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t recovery_episodes_ = 0;
-  Tick recovered_dead_ticks_ = 0;  // summed over completed episodes
 
   // erasure coding
   ErasureParams ec_;
-  ErasureMetrics ec_metrics_;
-  obs::Histogram* hist_ec_reconstruct_ = nullptr;
+
+  // --- metrics: registry handles, taken once at construction ------------
+  struct Metrics {
+    obs::Registry& r;
+    obs::Counter& routed = r.counter("server.requests_routed.count");
+    obs::Counter& rerouted = r.counter("server.requests_rerouted.count");
+    /// Shared with the client bookkeeping: a reroute is a request that
+    /// recovered within one client attempt.
+    obs::Counter& retried = r.counter("client.retried_requests.count");
+    obs::Counter& failed = r.counter("server.requests_failed.count");
+    obs::Counter& failovers = r.counter("server.failovers.count");
+    obs::Counter& refreshes = r.counter("server.refreshes.count");
+    obs::Counter& heartbeat_recoveries =
+        r.counter("server.heartbeat_recoveries.count");
+    /// Dead time of the completed episodes (the heartbeat MTTR's input).
+    obs::Counter& recovered_dead_time =
+        r.counter("server.recovered_dead_time.us");
+    /// Completed episodes and, when the monitor stops, the open ones.
+    obs::Counter& degraded_time = r.counter("server.degraded_time.us");
+    obs::Counter& ec_reads = r.counter("ec.reads.count");
+    obs::Counter& ec_degraded_reads = r.counter("ec.degraded_reads.count");
+    obs::Counter& ec_reconstructions = r.counter("ec.reconstructions.count");
+    obs::Counter& ec_chunk_requests = r.counter("ec.chunk_requests.count");
+    obs::Counter& ec_straggler_chunks = r.counter("ec.straggler_chunks.count");
+    obs::Counter& ec_hedges_launched = r.counter("ec.hedges_launched.count");
+    obs::Counter& ec_hedges_cancelled = r.counter("ec.hedges_cancelled.count");
+    obs::Counter& ec_repaired_chunks = r.counter("ec.repaired_chunks.count");
+    /// Decode time charged, reads and repairs.
+    obs::Counter& ec_decode_time = r.counter("ec.decode_time.us");
+    obs::Gauge& ec_degraded_energy = r.gauge("ec.degraded_energy.joules");
+    obs::Histogram& ec_reconstruct_time =
+        r.histogram("ec.reconstruct_time.us");
+  };
+  Metrics metrics_;
 
   obs::Tracer* tracer_ = nullptr;
   obs::StringId track_ = 0;

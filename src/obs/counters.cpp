@@ -101,6 +101,7 @@ std::vector<Sample> Registry::snapshot() const {
     s.kind = MetricKind::kHistogram;
     s.value = static_cast<double>(h.count());
     s.count = h.count();
+    s.sum = h.sum();
     s.mean = h.mean();
     s.p50 = static_cast<double>(h.percentile(0.50));
     s.p95 = static_cast<double>(h.percentile(0.95));

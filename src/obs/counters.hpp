@@ -52,6 +52,8 @@ class Gauge {
   void set_max(double v) {
     if (v > value_) value_ = v;
   }
+  /// Running total of a non-integral quantity (modeled joules).
+  void add(double v) { value_ += v; }
   double value() const { return value_; }
 
  private:
@@ -99,12 +101,16 @@ struct Sample {
   double value = 0.0;
   // Histogram summary (zero for counters/gauges).
   std::uint64_t count = 0;
+  /// Exact sum of the samples (they are integers, summed below 2^53).
+  double sum = 0.0;
   double mean = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
   double min = 0.0;
   double max = 0.0;
+
+  friend bool operator==(const Sample&, const Sample&) = default;
 };
 
 class Registry {

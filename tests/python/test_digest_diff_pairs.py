@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Checks the paired-run arithmetic of tools/digest_diff.py --pairs
 (quartiles, wins, verdicts, the failed-operation count, digest agreement)
-on fixed numbers; runs no perfbench.
+on fixed numbers, and its run-report field diff on fixed reports; runs
+no perfbench.
 
     python3 tests/python/test_digest_diff_pairs.py
 """
 
 import importlib.util
+import json
 import os
+import tempfile
 import unittest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -101,6 +104,53 @@ class DigestAgreement(unittest.TestCase):
         self.assertEqual(
             digest_diff.digest_agreement(["a1", "b2"], ["b2", "a1"]), 0)
         self.assertEqual(digest_diff.digest_agreement([], []), 0)
+
+
+class ReportFields(unittest.TestCase):
+    V2 = {"schema_version": 2, "runs": [{
+        "name": "r", "meta": {"wall_seconds": 1.5},
+        "metrics": {"energy_joules": 10.0, "requests": 4},
+        "availability": {"failed_requests": 1},
+        "ram": {"enabled": False, "hits": 0},
+        "counters": [
+            {"name": "client.failed_requests.count", "kind": "counter",
+             "value": 1},
+            {"name": "disk.queue_wait.us", "kind": "histogram", "value": 2,
+             "count": 2, "mean": 3.0, "p50": 4, "p95": 4, "p99": 4,
+             "min": 2, "max": 4}]}]}
+
+    def fields(self, report):
+        with tempfile.TemporaryDirectory() as checkout:
+            out = os.path.join(checkout, ".bench_build", "out")
+            os.makedirs(out)
+            with open(os.path.join(out, "w-seed1.run_report.json"),
+                      "w") as f:
+                json.dump(report, f)
+            return digest_diff.report_fields(checkout, "w", 1)
+
+    def test_reads_every_section_of_a_v2_report_but_meta(self):
+        fields = self.fields(self.V2)
+        self.assertEqual(fields["metrics.requests"], 4)
+        self.assertEqual(fields["availability.failed_requests"], 1)
+        self.assertEqual(fields["ram.hits"], 0)
+        self.assertEqual(fields["client.failed_requests.count"], 1)
+        self.assertEqual(fields["disk.queue_wait.us:p95"], 4)
+        self.assertNotIn("meta.wall_seconds", fields)
+
+    def test_a_v2_base_diffs_against_a_v3_change(self):
+        v3 = json.loads(json.dumps(self.V2))
+        run = v3["runs"][0]
+        del run["availability"], run["ram"]
+        run["counters"][1]["sum"] = 6
+        run["metrics"]["energy_joules"] = 11.0
+        moved = digest_diff.differing_fields(self.fields(self.V2),
+                                             self.fields(v3))
+        self.assertEqual(moved, [
+            "availability.failed_requests (1 -> -)",
+            "disk.queue_wait.us:sum (- -> 6)",
+            "metrics.energy_joules (10 -> 11)",
+            "ram.enabled (False -> -)",
+            "ram.hits (0 -> -)"])
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@
 #include "disk/write_journal.hpp"
 
 #include "hint_views.hpp"
+#include "registry_count.hpp"
 
 namespace eevfs {
 namespace {
@@ -216,7 +217,8 @@ class NodeJournalTest : public ::testing::Test {
   }
 
   std::unique_ptr<core::StorageNode> make_node(core::NodeParams p) {
-    auto node = std::make_unique<core::StorageNode>(sim, net, node_ep, p);
+    auto node =
+        std::make_unique<core::StorageNode>(sim, net, node_ep, p, registry);
     const Tick horizon = seconds_to_ticks(600);
     core::HintOffsets pattern;
     for (trace::FileId f = 0; f < 4; ++f) {
@@ -258,6 +260,7 @@ class NodeJournalTest : public ::testing::Test {
 
   sim::Simulator sim;
   net::NetworkFabric net;
+  obs::Registry registry;
   net::EndpointId node_ep{}, client_ep{};
 };
 
@@ -269,8 +272,8 @@ TEST_F(NodeJournalTest, JournalOffCrashLosesAckedWrites) {
   node->crash();
   // The ack was a lie: the write is gone, and the split accounting says
   // *lost* (healthy disks, destroyed bookkeeping), not *stranded*.
-  EXPECT_EQ(node->lost_acked_writes(), 1u);
-  EXPECT_EQ(node->writes_stranded(), 0u);
+  EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 1u);
+  EXPECT_EQ(count(registry, "buffer.writes_stranded.count"), 0u);
   EXPECT_EQ(node->undestaged_acked(), 0u);
   EXPECT_FALSE(node->has_pending_writes());
   node->restart();
@@ -283,12 +286,12 @@ TEST_F(NodeJournalTest, JournalReplayRecoversAckedWrites) {
   sleep_data_disks(*node);
   park_write(*node, 0);
   node->crash();
-  EXPECT_EQ(node->lost_acked_writes(), 0u);  // the journal holds the IOU
+  // The journal holds the IOU.
+  EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
   ASSERT_NE(node->journal(), nullptr);
   EXPECT_EQ(node->journal()->durable_records(), 1u);
   node->restart();
   EXPECT_EQ(replay(*node), 1u);
-  EXPECT_EQ(node->journal_replayed(), 1u);
   EXPECT_TRUE(node->has_pending_writes());
   bool flushed = false;
   node->flush_pending_writes([&] { flushed = true; });
@@ -312,7 +315,6 @@ TEST_F(NodeJournalTest, ReplayingTwiceIsIdempotent) {
   // record, so the second pass re-queues nothing and state is
   // bit-identical: same at-risk count, same queue, one destage each.
   EXPECT_EQ(replay(*node), 0u);
-  EXPECT_EQ(node->journal_replayed(), 2u);
   EXPECT_EQ(node->undestaged_acked(), 2u);
   bool flushed = false;
   node->flush_pending_writes([&] { flushed = true; });
@@ -337,7 +339,7 @@ TEST_F(NodeJournalTest, CrashDuringPowerTransitionDropsTheRacingDestage) {
   (void)sim.schedule_after(milliseconds_to_ticks(1.0), [&] { node->crash(); });
   sim.run();
   EXPECT_TRUE(drained);
-  EXPECT_EQ(node->lost_acked_writes(), 0u);
+  EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
   EXPECT_EQ(node->undestaged_acked(), 0u);
   ASSERT_NE(node->journal(), nullptr);
   EXPECT_EQ(node->journal()->durable_records(), 1u);  // retire never ran
@@ -375,10 +377,10 @@ TEST_F(NodeJournalTest, RamStagedWriteDiesWithTheProcessRegardlessOfJournal) {
                            [&] { node->crash(); });
   sim.run();
   EXPECT_EQ(st, core::RequestStatus::kOk);  // the ack was a lie
-  EXPECT_EQ(node->ram_writes_absorbed(), 1u);
-  EXPECT_EQ(node->ram_lost_writes(), 1u);
-  EXPECT_EQ(node->lost_acked_writes(), 1u);
-  EXPECT_EQ(node->ram_writebacks(), 0u);
+  EXPECT_EQ(count(registry, "ramcache.writes_absorbed.count"), 1u);
+  EXPECT_EQ(count(registry, "ramcache.lost_writes.count"), 1u);
+  EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 1u);
+  EXPECT_EQ(count(registry, "ramcache.writebacks.count"), 0u);
   EXPECT_FALSE(node->has_pending_writes());
   node->restart();
   EXPECT_EQ(replay(*node), 0u);  // the journal never heard of the write
@@ -396,12 +398,12 @@ TEST_F(NodeJournalTest, RamFlushedWriteIsRecoveredByTheJournal) {
   // disk with a commit header and parks behind the sleeping data disk.
   sim.run();
   ASSERT_EQ(st, core::RequestStatus::kOk);
-  EXPECT_EQ(node->ram_writebacks(), 1u);
+  EXPECT_EQ(count(registry, "ramcache.writebacks.count"), 1u);
   EXPECT_EQ(node->undestaged_acked(), 1u);
   node->crash();
   // Past the durability window: the flushed write is journal-covered.
-  EXPECT_EQ(node->ram_lost_writes(), 0u);
-  EXPECT_EQ(node->lost_acked_writes(), 0u);
+  EXPECT_EQ(count(registry, "ramcache.lost_writes.count"), 0u);
+  EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
   ASSERT_NE(node->journal(), nullptr);
   EXPECT_EQ(node->journal()->durable_records(), 1u);
   node->restart();

@@ -3,8 +3,11 @@
 // run (docs/observability.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/presets.hpp"
@@ -304,15 +307,7 @@ TEST(Observability, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.buffer_hits, b.buffer_hits);
   EXPECT_EQ(a.response_time_sec.mean(), b.response_time_sec.mean());
-  ASSERT_EQ(a.counters.size(), b.counters.size());
-  for (std::size_t i = 0; i < a.counters.size(); ++i) {
-    EXPECT_EQ(a.counters[i].name, b.counters[i].name) << i;
-    EXPECT_EQ(a.counters[i].kind, b.counters[i].kind) << a.counters[i].name;
-    EXPECT_EQ(a.counters[i].value, b.counters[i].value)
-        << a.counters[i].name;
-    EXPECT_EQ(a.counters[i].count, b.counters[i].count)
-        << a.counters[i].name;
-  }
+  EXPECT_EQ(a.counters, b.counters);  // every metric, bit-exact
 }
 
 TEST(Observability, EveryCounterNameFollowsTheConvention) {
@@ -336,19 +331,67 @@ TEST(Observability, EveryCounterNameFollowsTheConvention) {
 }
 
 TEST(Observability, CounterUniverseIsStableAcrossConfigs) {
-  // Zero-valued counters are still registered: a fault-free PF run and
-  // an NPF run expose the same name universe, so report consumers can
-  // diff runs column-by-column.
+  // Every component registers its names when it is built, zero-valued or
+  // not, so every configuration exposes the PF run's name universe —
+  // faults, crashes (the only runs with a RecoveryManager), erasure
+  // coding, the journal off, online popularity, power hints and MAID
+  // alike — and a RAM-tier run adds exactly the ten ramcache.* names.
+  // Report consumers can diff runs column by column.
   const auto w = tiny_workload(100);
-  ClusterConfig pf = baseline::eevfs_pf();
-  ClusterConfig npf = pf;
-  npf.enable_prefetch = false;
-  Cluster a(pf), b(npf);
-  const RunMetrics ma = a.run(w);
-  const RunMetrics mb = b.run(w);
-  ASSERT_EQ(ma.counters.size(), mb.counters.size());
-  for (std::size_t i = 0; i < ma.counters.size(); ++i) {
-    EXPECT_EQ(ma.counters[i].name, mb.counters[i].name);
+  const ClusterConfig pf = baseline::eevfs_pf();
+  const auto names = [&w](const ClusterConfig& cfg) {
+    Cluster c(cfg);
+    std::vector<std::string> out;
+    for (const obs::Sample& s : c.run(w).counters) out.push_back(s.name);
+    return out;
+  };
+  const std::vector<std::string> universe = names(pf);
+
+  std::vector<std::pair<std::string, ClusterConfig>> variants;
+  const auto variant = [&](const char* label, auto edit) {
+    ClusterConfig cfg = pf;
+    edit(cfg);
+    variants.emplace_back(label, cfg);
+  };
+  variant("npf", [](ClusterConfig& c) { c.enable_prefetch = false; });
+  variant("replicated disk fault", [](ClusterConfig& c) {
+    c.replication_degree = 2;
+    c.fault_plan.fail_data_disk(0.0, 0, 0);
+  });
+  variant("crash/restart", [](ClusterConfig& c) {
+    c.fault_plan.crash_node(1.0, 0).restart_node(5.0, 0);
+  });
+  variant("ec(4,2)", [](ClusterConfig& c) {
+    c.ec_n = 4;
+    c.ec_k = 2;
+  });
+  variant("journal off", [](ClusterConfig& c) {
+    c.journal_mode = disk::JournalMode::kOff;
+  });
+  variant("online popularity",
+          [](ClusterConfig& c) { c.online_popularity = true; });
+  variant("hints", [](ClusterConfig& c) {
+    c.power_policy = PowerPolicy::kHints;
+  });
+  variant("maid", [](ClusterConfig& c) {
+    c.cache_policy = CachePolicy::kLruOnMiss;
+    c.power_policy = PowerPolicy::kIdleTimer;
+    c.enable_prefetch = false;
+  });
+  for (const auto& [label, cfg] : variants) {
+    EXPECT_EQ(names(cfg), universe) << label;
+  }
+
+  ClusterConfig ram = pf;
+  ram.ram_cache_bytes = 64 * kMB;
+  const std::vector<std::string> with_ram = names(ram);
+  std::vector<std::string> added;
+  std::set_difference(with_ram.begin(), with_ram.end(), universe.begin(),
+                      universe.end(), std::back_inserter(added));
+  EXPECT_EQ(with_ram.size(), universe.size() + added.size());
+  EXPECT_EQ(added.size(), 10u);
+  for (const std::string& name : added) {
+    EXPECT_EQ(name.rfind("ramcache.", 0), 0u) << name;
   }
 }
 
@@ -379,22 +422,23 @@ TEST(RunReport, ValidatorRejectsBadDocuments) {
   EXPECT_FALSE(validate_run_report(
       R"({"schema_version":999,"bench":"x","runs":[]})", &error));
   EXPECT_NE(error.find("schema_version"), std::string::npos);
-  // Prior schema versions hard-fail too (v1 documents lack "ram").
+  // Prior schema versions hard-fail too (v2 documents still carry the
+  // "availability" and "ram" objects).
   EXPECT_FALSE(validate_run_report(
-      R"({"schema_version":1,"bench":"x","runs":[]})", &error));
+      R"({"schema_version":2,"bench":"x","runs":[]})", &error));
   EXPECT_NE(error.find("schema_version"), std::string::npos);
   // runs must be an array.
   EXPECT_FALSE(validate_run_report(
-      R"({"schema_version":2,"bench":"x","runs":{}})", &error));
+      R"({"schema_version":3,"bench":"x","runs":{}})", &error));
   // Minimal valid document.
   EXPECT_TRUE(validate_run_report(
-      R"({"schema_version":2,"bench":"x","runs":[]})", &error))
+      R"({"schema_version":3,"bench":"x","runs":[]})", &error))
       << error;
 }
 
 TEST(RunReport, ValidatorEnforcesCounterShape) {
   const char* bad_name =
-      R"({"schema_version":2,"bench":"x","runs":[{"name":"r","config":"",
+      R"({"schema_version":3,"bench":"x","runs":[{"name":"r","config":"",
           "meta":{"wall_seconds":0},
           "metrics":{"energy_joules":1,"disk_joules":1,"base_joules":0,
             "power_transitions":0,"spin_ups":0,"spin_downs":0,
@@ -403,12 +447,6 @@ TEST(RunReport, ValidatorEnforcesCounterShape) {
             "buffer_hits":0,"data_disk_reads":0,"buffer_hit_rate":0,
             "makespan_sec":0,"prefetch_sec":0,"bytes_served":0,
             "bytes_prefetched":0},
-          "availability":{"faults_injected":0,"failed_requests":0,
-            "timed_out_requests":0,"client_retries":0,"degraded_sec":0,
-            "mttr_sec":0,"availability":1},
-          "ram":{"enabled":false,"hits":0,"misses":0,"hit_rate":0,
-            "evictions":0,"writebacks":0,"writes_absorbed":0,
-            "lost_writes":0,"pinned_bytes":0},
           "counters":[{"name":"two.segments","kind":"counter","value":0}]}]})";
   std::string error;
   EXPECT_FALSE(validate_run_report(bad_name, &error));

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "hint_views.hpp"
+#include "registry_count.hpp"
 
 namespace eevfs::core {
 namespace {
@@ -31,7 +32,7 @@ class StorageNodeTest : public ::testing::Test {
   }
 
   std::unique_ptr<StorageNode> make_node(NodeParams p) {
-    return std::make_unique<StorageNode>(sim, net, node_ep, p);
+    return std::make_unique<StorageNode>(sim, net, node_ep, p, registry);
   }
 
   /// Registers `n` equally sized files and a pattern where file 0 is
@@ -55,6 +56,7 @@ class StorageNodeTest : public ::testing::Test {
   HintOffsets pattern;
   sim::Simulator sim;
   net::NetworkFabric net;
+  obs::Registry registry;
   net::EndpointId node_ep{}, client_ep{};
 };
 
@@ -205,10 +207,10 @@ TEST_F(StorageNodeTest, OnDemandWakeIsCounted) {
     const_cast<disk::DiskModel&>(node->data_disk(0)).request_spin_down();
     sim.run();
   }
-  EXPECT_EQ(node->wakeups_on_demand(), 0u);
+  EXPECT_EQ(count(registry, "power.wakeups_on_demand.count"), 0u);
   node->serve_read(0, client_ep, nullptr);
   sim.run();
-  EXPECT_EQ(node->wakeups_on_demand(), 1u);
+  EXPECT_EQ(count(registry, "power.wakeups_on_demand.count"), 1u);
 }
 
 TEST_F(StorageNodeTest, MaidCopiesOnMissAndHitsAfterwards) {
@@ -276,7 +278,7 @@ TEST_F(StorageNodeTest, WritesToSleepingDisksStayPendingUntilFlushed) {
   sim.run();
   ASSERT_TRUE(node->has_pending_writes());
   EXPECT_EQ(node->data_disk(0).state(), disk::PowerState::kStandby);
-  EXPECT_EQ(node->wakeups_on_demand(), 0u);
+  EXPECT_EQ(count(registry, "power.wakeups_on_demand.count"), 0u);
 
   bool flushed = false;
   node->flush_pending_writes([&] { flushed = true; });
@@ -398,10 +400,10 @@ TEST_F(StorageNodeTest, MetricsAddUp) {
   node->serve_read(1, client_ep, nullptr);  // miss
   sim.run();
   NodeMetrics m = node->collect_metrics();
-  EXPECT_EQ(m.buffer_hits, 1u);
-  EXPECT_EQ(m.data_disk_reads, 1u);
-  EXPECT_EQ(m.bytes_served, 20 * kMB);
-  EXPECT_EQ(m.bytes_prefetched, 10 * kMB);
+  EXPECT_EQ(count(registry, "prefetch.buffer_hits.count"), 1u);
+  EXPECT_EQ(count(registry, "prefetch.data_disk_reads.count"), 1u);
+  EXPECT_EQ(count(registry, "node.bytes_served.bytes"), 20 * kMB);
+  EXPECT_EQ(count(registry, "prefetch.bytes_prefetched.bytes"), 10 * kMB);
   EXPECT_GT(m.disk_joules, 0.0);
   EXPECT_DOUBLE_EQ(m.base_joules,
                    energy(params().base_watts, sim.now()));

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "registry_count.hpp"
 #include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
 
@@ -26,7 +27,8 @@ class StorageServerTest : public ::testing::Test {
     }
     make_nodes(PowerPolicy::kPredictive);
     server = std::make_unique<StorageServer>(
-        sim, net, server_ep, PlacementPolicy::kPopularityRoundRobin, 1);
+        sim, net, server_ep, PlacementPolicy::kPopularityRoundRobin, 1,
+        registry);
 
     workload::SyntheticConfig cfg;
     cfg.num_files = 40;
@@ -48,14 +50,15 @@ class StorageServerTest : public ::testing::Test {
       p.buffer_disks = 1;
       p.disk_profile = disk::DiskProfile::ata133_fast();
       p.power.policy = policy;
-      nodes.push_back(
-          std::make_unique<StorageNode>(sim, net, node_eps[n], p));
+      nodes.push_back(std::make_unique<StorageNode>(sim, net, node_eps[n], p,
+                                                    registry));
       raw.push_back(nodes.back().get());
     }
   }
 
   sim::Simulator sim;
   net::NetworkFabric net;
+  obs::Registry registry;
   net::EndpointId server_ep{}, client_ep{};
   std::vector<net::EndpointId> node_eps;
   std::vector<std::unique_ptr<StorageNode>> nodes;
@@ -222,7 +225,7 @@ TEST_F(StorageServerTest, OfflineRouteLeavesRequestLogEmpty) {
                 [&](Tick t, core::RequestStatus) { done = t; });
   sim.run();
   EXPECT_GT(done, 0);
-  EXPECT_EQ(server->requests_routed(), 1u);
+  EXPECT_EQ(count(registry, "server.requests_routed.count"), 1u);
   // Only online refresh reads the log, so offline routing counts nothing.
   EXPECT_EQ(server->request_log().size(), 0u);
   EXPECT_EQ(server->request_log().accesses(r.file), 0u);
@@ -239,8 +242,8 @@ TEST_F(StorageServerTest, RouteForwardsAndLogsRequests) {
   });
   sim.run();
   EXPECT_GT(done, 0);
-  EXPECT_EQ(server->requests_routed(), 1u);
-  EXPECT_EQ(server->refreshes_performed(), 0u);
+  EXPECT_EQ(count(registry, "server.requests_routed.count"), 1u);
+  EXPECT_EQ(count(registry, "server.refreshes.count"), 0u);
   EXPECT_EQ(server->request_log().size(), 1u);
   EXPECT_EQ(server->request_log().accesses(r.file), 1u);
 }
@@ -257,7 +260,7 @@ TEST_F(StorageServerTest, RequestLogIsSizedWhenRefreshFirstArms) {
   (void)sim.schedule_after(seconds_to_ticks(35),
                            [&] { server->stop_online_refresh(); });
   sim.run();
-  EXPECT_EQ(server->refreshes_performed(), 3u);
+  EXPECT_EQ(count(registry, "server.refreshes.count"), 3u);
   EXPECT_EQ(server->request_log().num_files(), w.num_files());
   EXPECT_EQ(server->request_log().accesses(r.file), 1u);
   EXPECT_EQ(server->request_log().size(), 1u);
@@ -380,7 +383,7 @@ TEST_F(StorageServerTest, OnlineRefreshBuffersEveryDataChunkHolder) {
                            [&] { server->stop_online_refresh(); });
   sim.run();
   EXPECT_GT(done, 0);
-  EXPECT_EQ(server->refreshes_performed(), 1u);
+  EXPECT_EQ(count(registry, "server.refreshes.count"), 1u);
   const std::span<const NodeId> holders = server->metadata().holders(r.file);
   ASSERT_EQ(holders.size(), 3u);
   EXPECT_TRUE(nodes[holders[0]]->is_buffered(r.file));
@@ -473,6 +476,7 @@ TEST(StorageServerTable, EveryLayoutMatchesTheNodeTables) {
                        std::to_string(static_cast<int>(disk_placement)));
           sim::Simulator sim;
           net::NetworkFabric net(sim);
+          obs::Registry registry;
           const auto server_ep =
               net.add_endpoint("server", net::mbps_to_bytes_per_sec(1000));
           std::vector<std::unique_ptr<StorageNode>> nodes;
@@ -487,10 +491,10 @@ TEST(StorageServerTable, EveryLayoutMatchesTheNodeTables) {
             nodes.push_back(std::make_unique<StorageNode>(
                 sim, net,
                 net.add_endpoint("node", net::mbps_to_bytes_per_sec(1000)),
-                p));
+                p, registry));
             raw.push_back(nodes.back().get());
           }
-          StorageServer server(sim, net, server_ep, policy, 1);
+          StorageServer server(sim, net, server_ep, policy, 1, registry);
           server.set_replication_degree(layout.replication);
           if (layout.ec_n > 0) {
             StorageServer::ErasureParams ec;

@@ -27,7 +27,7 @@ class StripingNodeTest : public ::testing::Test {
     p.disk_profile = disk::DiskProfile::ata133_fast();
     p.stripe_width = width;
     p.prebud_gate = false;  // these tests exercise mechanics, not the gate
-    auto node = std::make_unique<StorageNode>(sim, net, node_ep, p);
+    auto node = std::make_unique<StorageNode>(sim, net, node_ep, p, registry);
     HintOffsets pattern;
     for (trace::FileId f = 0; f < 4; ++f) {
       node->create_file(f, 40 * kMB);
@@ -41,6 +41,7 @@ class StripingNodeTest : public ::testing::Test {
 
   sim::Simulator sim;
   net::NetworkFabric net;
+  obs::Registry registry;
   net::EndpointId node_ep{}, client_ep{};
 };
 
@@ -99,7 +100,7 @@ TEST_F(StripingNodeTest, StripedDirectWriteHitsAllDisks) {
   p.disk_profile = disk::DiskProfile::ata133_fast();
   p.stripe_width = 2;
   p.write_buffering = false;
-  StorageNode node(sim, net, node_ep, p);
+  StorageNode node(sim, net, node_ep, p, registry);
   node.create_file(0, 10 * kMB);
   node.receive_access_pattern({}, seconds_to_ticks(10));
   node.start_prefetch({}, [] {});

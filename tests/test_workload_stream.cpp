@@ -143,7 +143,7 @@ TEST(StreamWorkload, RunStreamServesAllWithBoundedResidency) {
 
   EXPECT_EQ(m.requests, wcfg.num_requests);
   EXPECT_EQ(m.response_time_sec.count(), wcfg.num_requests);
-  EXPECT_EQ(m.availability.failed_requests, 0u);
+  EXPECT_EQ(m.count("client.failed_requests.count"), 0u);
   EXPECT_GT(m.total_joules, 0.0);
   // The whole point of the streaming path: the replay reads ahead only
   // to each client's next record, far below the full trace.

@@ -25,6 +25,11 @@
 #                               #     refactors; see docs/perf.md); each
 #                               #     row also shows both peak_rss_mb
 #                               #     figures (warn-only)
+#   tools/check.sh --bench-vs REF   # ... plus tools/bench_vs.py: builds
+#                               #     REF's benches in a temporary
+#                               #     worktree, runs every bench in both
+#                               #     trees and fails unless each one's
+#                               #     stdout and CSV are byte-identical
 #   tools/check.sh --build-type Debug   # configure with another build type
 #   tools/check.sh --no-tidy    # skip clang-tidy even if installed
 #   tools/check.sh --label-timing   # split ctest by label, time each
@@ -47,6 +52,7 @@ LABEL_TIMING=0
 LABEL_BUDGET_S="${LABEL_BUDGET_S:-600}"
 BUILD_TYPE=Release
 DIGEST_REF=""
+BENCH_REF=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --asan) RUN_ASAN=1 ;;
@@ -59,6 +65,11 @@ while [ $# -gt 0 ]; do
       [ $# -gt 0 ] || { echo "--digest-vs needs a git ref" >&2; exit 2; }
       DIGEST_REF="$1"
       ;;
+    --bench-vs)
+      shift
+      [ $# -gt 0 ] || { echo "--bench-vs needs a git ref" >&2; exit 2; }
+      BENCH_REF="$1"
+      ;;
     --build-type)
       shift
       [ $# -gt 0 ] || { echo "--build-type needs a value" >&2; exit 2; }
@@ -66,7 +77,8 @@ while [ $# -gt 0 ]; do
       ;;
     *)
       echo "usage: tools/check.sh [--asan] [--tsan] [--perf]" \
-           "[--digest-vs REF] [--build-type TYPE] [--no-tidy]" \
+           "[--digest-vs REF] [--bench-vs REF] [--build-type TYPE]" \
+           "[--no-tidy]" \
            "[--label-timing]" >&2
       exit 2
       ;;
@@ -185,12 +197,33 @@ print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]
   done
 fi
 
+# Temporary worktrees of the refs compared against, removed on exit.
+WORKTREES=""
+trap 'for t in $WORKTREES; do git worktree remove --force "$t"; done' EXIT
+add_worktree() { # <ref> -> prints the new worktree's path
+  local tree
+  tree="$(mktemp -d "${TMPDIR:-/tmp}/eevfs-ref-XXXXXX")"
+  git worktree add --detach "$tree" "$1" > /dev/null
+  echo "$tree"
+}
+
 if [ -n "$DIGEST_REF" ]; then
   step "perfbench digests vs $DIGEST_REF (tools/digest_diff.py)"
-  DIGEST_TREE="$(mktemp -d "${TMPDIR:-/tmp}/eevfs-digest-XXXXXX")"
-  git worktree add --detach "$DIGEST_TREE" "$DIGEST_REF" > /dev/null
-  trap 'git worktree remove --force "$DIGEST_TREE"' EXIT
+  DIGEST_TREE="$(add_worktree "$DIGEST_REF")"
+  WORKTREES="$WORKTREES $DIGEST_TREE"
   python3 tools/digest_diff.py --base "$DIGEST_TREE" --require-equal
+fi
+
+if [ -n "$BENCH_REF" ]; then
+  step "bench stdout + CSV vs $BENCH_REF (tools/bench_vs.py)"
+  BENCH_TREE="$(add_worktree "$BENCH_REF")"
+  WORKTREES="$WORKTREES $BENCH_TREE"
+  cmake -B "$BENCH_TREE/build" -S "$BENCH_TREE" \
+    -DCMAKE_BUILD_TYPE="$BUILD_TYPE" > /dev/null
+  # shellcheck disable=SC2046
+  cmake --build "$BENCH_TREE/build" -j "$JOBS" \
+    --target $(python3 tools/bench_vs.py --list)
+  python3 tools/bench_vs.py --base-build "$BENCH_TREE/build" --build build
 fi
 
 step "all checks passed"

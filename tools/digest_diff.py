@@ -21,10 +21,11 @@ exit code.  Each checkout builds its own perfbench binary under
 For every pair that differs, the table is followed by the run-report
 fields whose values differ, each with both values.  They are read from
 the report each invocation writes to
-<checkout>/.bench_build/out/<workload>-seed<S>.run_report.json: the
-metrics, availability and ram objects, and every counter by name (a
-histogram's statistics as <name>:<stat>).  The host-dependent meta
-object is left out.
+<checkout>/.bench_build/out/<workload>-seed<S>.run_report.json: every
+object section of the run (metrics; schema-v2 reports also carry
+availability and ram), and every counter by name (a histogram's
+statistics as <name>:<stat>), so reports of different schema versions
+still diff field by field.  The host-dependent meta object is left out.
 
 With --pairs N it measures instead of comparing digests (the paired-run
 rule of the choosing-metrics guide, section 8): per workload and seed it
@@ -249,16 +250,19 @@ def report_fields(checkout, workload, seed):
             report = json.load(f)["runs"][0]
     except (OSError, ValueError, KeyError, IndexError):
         return None
+    # Every object section but the host-specific meta, whatever the
+    # schema version names them (v2 also had "availability" and "ram").
     fields = {}
-    for section in ("metrics", "availability", "ram"):
-        for key, value in report.get(section, {}).items():
-            fields["%s.%s" % (section, key)] = value
+    for section, body in report.items():
+        if isinstance(body, dict) and section != "meta":
+            for key, value in body.items():
+                fields["%s.%s" % (section, key)] = value
     for sample in report.get("counters", []):
         name = sample["name"]
-        fields[name] = sample.get("value")
-        if sample.get("kind") == "histogram":
-            for stat in ("count", "mean", "p50", "p95", "p99", "min", "max"):
-                fields["%s:%s" % (name, stat)] = sample.get(stat)
+        for stat, value in sample.items():
+            if stat not in ("name", "kind"):
+                fields[name if stat == "value" else
+                       "%s:%s" % (name, stat)] = value
     return fields
 
 

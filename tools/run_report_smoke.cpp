@@ -1,7 +1,7 @@
 // End-to-end observability smoke (`cmake --build build --target
 // run_report_smoke`): runs a 1-node traced scenario, writes the three
 // trace sinks plus run_report.json, validates the report file against
-// schema v2 with core::validate_run_report, and cross-checks that
+// schema v3 with core::validate_run_report, and cross-checks that
 // docs/observability.md documents every counter name the registry
 // emitted — so the doc cannot silently rot out of sync with the code.
 //
