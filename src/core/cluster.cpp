@@ -292,6 +292,8 @@ void Cluster::issue_next(std::size_t client_idx, Tick replay_start) {
   const trace::TraceRecord r = queues_[client_idx].front();
   queues_[client_idx].pop_front();
   --resident_;
+  // Counted once here; re-issues are further attempts of this request.
+  client_metrics_->requests.add();
   start_attempt(client_idx, r, replay_start, 0);
 }
 
@@ -346,7 +348,6 @@ void Cluster::start_attempt(std::size_t client_idx,
   // Step 5: the client asks the server; step 6 delivers data back.
   net_->send(client.endpoint(), server_->endpoint(),
              net::kControlMessageBytes, [this, r, client_idx, finish](Tick) {
-               client_metrics_->requests.add();
                server_->route(r, clients_[client_idx].endpoint(),
                               [finish](Tick t, RequestStatus st) {
                                 finish(t, st);

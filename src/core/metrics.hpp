@@ -93,7 +93,7 @@ struct RunMetrics {
   std::uint64_t spin_downs = 0;
   Tick makespan = 0;           // first issue to last response
   Tick prefetch_duration = 0;  // setup phase before replay starts
-  std::uint64_t requests = 0;
+  std::uint64_t requests = 0;  // issued, each once whatever its retries
   std::uint64_t buffer_hits = 0;    // read served by a buffer disk
   std::uint64_t data_disk_reads = 0;
   std::uint64_t wakeups_on_demand = 0;  // request found its disk asleep

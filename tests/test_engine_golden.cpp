@@ -154,7 +154,7 @@ TEST(EngineGolden, FaultsUnreplicated) {
   cfg.fault_plan = fault::random_data_disk_failures(
       /*seed=*/1234, /*horizon_sec=*/600.0, cfg.num_storage_nodes,
       cfg.data_disks_per_node, /*count=*/4);
-  expect_golden("faults=4/repl=1", cfg, paper_workload(), 14768594033431289257ull);
+  expect_golden("faults=4/repl=1", cfg, paper_workload(), 17780460134619836581ull);
 }
 
 TEST(EngineGolden, FaultsReplicated) {

@@ -494,6 +494,29 @@ TEST(ClusterFault, ReplicatedClusterSurvivesDataDiskFailure) {
   EXPECT_EQ(c.injector()->injected(fault::FaultKind::kDiskFailure), 1u);
 }
 
+TEST(ClusterFault, RequestsCountEachRequestOnceUnderRetries) {
+  // A client re-issue reaches the server as one more attempt; the request
+  // count must not grow with it, or availability reads high.
+  core::ClusterConfig dead_disk = baseline::eevfs_pf();
+  dead_disk.fault_plan.fail_data_disk(0.0, 0, 0);
+  core::ClusterConfig drops = baseline::eevfs_pf();
+  drops.fault_plan.network_drop_prob = 0.02;
+  drops.request_timeout_sec = 3.0;
+  drops.max_request_retries = 6;
+  for (const core::ClusterConfig& cfg : {dead_disk, drops}) {
+    const auto w = small_workload(300);
+    core::Cluster c(cfg);
+    const core::RunMetrics m = c.run(w);
+    ASSERT_GT(m.count("client.retries.count"), 0u);
+    EXPECT_EQ(m.requests, w.requests.size());
+    EXPECT_EQ(m.count("client.requests.count"), w.requests.size());
+    const std::uint64_t failed = m.count("client.failed_requests.count");
+    EXPECT_EQ(m.response_time_sec.count() + failed, m.requests);
+    EXPECT_DOUBLE_EQ(m.availability(),
+                     1.0 - static_cast<double>(failed) / 300.0);
+  }
+}
+
 TEST(ClusterFault, FaultedRunIsBitIdenticalAcrossRuns) {
   const auto w = small_workload(400);
   core::ClusterConfig cfg = baseline::eevfs_pf();
