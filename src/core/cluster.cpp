@@ -437,21 +437,21 @@ void Cluster::finish_run() {
   snapshot_counters();
 
   // The headline counts, read once from the snapshot.
-  const RunMetrics& m = metrics_;
-  metrics_.requests = m.count("client.requests.count");
-  metrics_.buffer_hits = m.count("prefetch.buffer_hits.count");
-  metrics_.data_disk_reads = m.count("prefetch.data_disk_reads.count");
-  metrics_.wakeups_on_demand = m.count("power.wakeups_on_demand.count");
-  metrics_.bytes_served = m.count("node.bytes_served.bytes");
-  metrics_.bytes_prefetched = m.count("prefetch.bytes_prefetched.bytes");
+  RunMetrics& m = metrics_;
+  m.requests = m.count("client.requests.count");
+  m.buffer_hits = m.count("prefetch.buffer_hits.count");
+  m.data_disk_reads = m.count("prefetch.data_disk_reads.count");
+  m.wakeups_on_demand = m.count("power.wakeups_on_demand.count");
+  m.bytes_served = m.count("node.bytes_served.bytes");
+  m.bytes_prefetched = m.count("prefetch.bytes_prefetched.bytes");
   const auto ram = [this](const char* name) -> std::uint64_t {
     const obs::Counter* c = registry_->find_counter(name);
     return c == nullptr ? 0 : c->value();
   };
-  metrics_.ram = {.hits = ram("ramcache.hits.count"),
-                  .misses = ram("ramcache.misses.count"),
-                  .evictions = ram("ramcache.evictions.count"),
-                  .writes_absorbed = ram("ramcache.writes_absorbed.count")};
+  m.ram = {.hits = ram("ramcache.hits.count"),
+           .misses = ram("ramcache.misses.count"),
+           .evictions = ram("ramcache.evictions.count"),
+           .writes_absorbed = ram("ramcache.writes_absorbed.count")};
   EEVFS_INFO() << "run finished: " << metrics_.summary();
 }
 

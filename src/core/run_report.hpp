@@ -1,9 +1,9 @@
 // The run report: one schema-versioned JSON document per bench (or CLI)
 // invocation that carries everything needed to regenerate a figure —
-// the paper metrics and the full registry snapshot for every run.  docs/observability.md documents the
-// schema; validate_run_report() enforces its structure and is what the
-// run_report_smoke target (and tests/test_obs.cpp) run against real
-// output.
+// the paper metrics and the full registry snapshot for every run.
+// docs/observability.md documents the schema; validate_run_report()
+// enforces its structure and is what the run_report_smoke target (and
+// tests/test_obs.cpp) run against real output.
 #pragma once
 
 #include <cstdint>

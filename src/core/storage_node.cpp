@@ -91,12 +91,9 @@ void StorageNode::set_observer(obs::Tracer* tracer) {
     ev_prefetch_copy_ = tracer_->intern("node.prefetch_copy");
     ev_destage_ = tracer_->intern("node.destage");
   }
-  for (auto& d : data_disks_) {
-    d->set_observer(tracer, &metrics_.disk_queue_wait);
-  }
-  for (auto& b : buffer_disks_) {
-    b->set_observer(tracer, &metrics_.disk_queue_wait);
-  }
+  obs::Histogram* queue_wait = &metrics_.disk_queue_wait;
+  for (auto& d : data_disks_) d->set_observer(tracer, queue_wait);
+  for (auto& b : buffer_disks_) b->set_observer(tracer, queue_wait);
   power_->set_observer(tracer);
 }
 

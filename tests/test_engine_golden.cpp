@@ -129,7 +129,8 @@ TEST(EngineGolden, PaperDefaultsNpf) {
 }
 
 TEST(EngineGolden, LowMuSweepCell) {
-  expect_golden("mu=10/pf", ClusterConfig{}, paper_workload(10.0), 2054787545554324791ull);
+  expect_golden("mu=10/pf", ClusterConfig{}, paper_workload(10.0),
+                2054787545554324791ull);
 }
 
 TEST(EngineGolden, ZeroInterArrivalSweepCell) {
@@ -154,7 +155,8 @@ TEST(EngineGolden, FaultsUnreplicated) {
   cfg.fault_plan = fault::random_data_disk_failures(
       /*seed=*/1234, /*horizon_sec=*/600.0, cfg.num_storage_nodes,
       cfg.data_disks_per_node, /*count=*/4);
-  expect_golden("faults=4/repl=1", cfg, paper_workload(), 17780460134619836581ull);
+  expect_golden("faults=4/repl=1", cfg, paper_workload(),
+                17780460134619836581ull);
 }
 
 TEST(EngineGolden, FaultsReplicated) {
@@ -163,7 +165,8 @@ TEST(EngineGolden, FaultsReplicated) {
   cfg.fault_plan = fault::random_data_disk_failures(
       /*seed=*/1234, /*horizon_sec=*/600.0, cfg.num_storage_nodes,
       cfg.data_disks_per_node, /*count=*/4);
-  expect_golden("faults=4/repl=2", cfg, paper_workload(), 9930842278710727192ull);
+  expect_golden("faults=4/repl=2", cfg, paper_workload(),
+                9930842278710727192ull);
 }
 
 TEST(EngineGolden, OnlineAdaptation) {
