@@ -5,7 +5,9 @@ stand-in bench script; builds nothing and makes no worktree.
     python3 tests/python/test_bench_vs.py
 """
 
+import contextlib
 import importlib.util
+import io
 import os
 import stat
 import tempfile
@@ -82,15 +84,15 @@ class Run(unittest.TestCase):
     def test_runs_each_bench_in_its_own_directory(self):
         with tempfile.TemporaryDirectory() as tmp:
             exe = os.path.join(tmp, "build", "bench", "b")
-            write(exe, "#!/bin/sh\necho \"jobs $2\"\nmkdir -p bench_results\n"
+            write(exe, "#!/bin/sh\necho ran\nmkdir -p bench_results\n"
                        "echo 1,2 > bench_results/b.csv\n")
             os.chmod(exe, os.stat(exe).st_mode | stat.S_IXUSR)
             out = os.path.join(tmp, "out")
             problems = bench_vs.run_benches(os.path.join(tmp, "build"), out,
-                                            ["b", "gone"], jobs=3)
+                                            ["b", "gone"])
             self.assertEqual(list(problems), ["gone"])
             with open(os.path.join(out, "b", "stdout.txt")) as f:
-                self.assertEqual(f.read(), "jobs 3\n")
+                self.assertEqual(f.read(), "ran\n")
             self.assertTrue(os.path.exists(
                 os.path.join(out, "b", "bench_results", "b.csv")))
 
@@ -100,8 +102,7 @@ class Run(unittest.TestCase):
             write(exe, "#!/bin/sh\nexit 3\n")
             os.chmod(exe, os.stat(exe).st_mode | stat.S_IXUSR)
             problems = bench_vs.run_benches(os.path.join(tmp, "build"),
-                                            os.path.join(tmp, "out"), ["b"],
-                                            jobs=1)
+                                            os.path.join(tmp, "out"), ["b"])
             self.assertEqual(problems, {"b": "exit status 3"})
 
 
@@ -113,6 +114,17 @@ class Names(unittest.TestCase):
         self.assertNotIn("perf_smoke", names)
         self.assertNotIn("micro_benchmarks", names)
         self.assertEqual(len(names), len(set(names)))
+
+    def test_lists_the_benches_another_source_tree_declares(self):
+        # What the base tree is built with: a bench only the change
+        # declares is then missing from the base, not a build error.
+        with tempfile.TemporaryDirectory() as tmp:
+            write(os.path.join(tmp, "bench", "CMakeLists.txt"),
+                  "eevfs_bench(old)\neevfs_bench(perf_smoke)\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                self.assertEqual(bench_vs.main(["--list", tmp]), 0)
+            self.assertEqual(out.getvalue(), "old\n")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ directory.  Its stdout and its bench_results/<bench>.csv must be
 byte-identical between the two trees:
 
     python3 tools/bench_vs.py --base-build ../base/build [--build build]
-                              [--jobs 4] [--out DIR]
-    python3 tools/bench_vs.py --list      # the bench names, one line
+                              [--out DIR]
+    python3 tools/bench_vs.py --list [SRC]  # the bench names SRC declares
 
 Prints every file that differs and exits 1 on any difference, including a
 bench that is missing from a tree or exits non-zero in either.  The run
@@ -16,7 +16,9 @@ reports are not compared: their layout is versioned and may change on
 purpose.  For the same reason the "(schema vN, ...)" note on the stdout
 line that names the report is compared with the version masked.
 tools/check.sh --bench-vs REF builds REF in a temporary worktree and runs
-this against it.
+this against it, building in REF only the benches REF declares (--list
+REF), so a bench the change adds shows up as missing from the base rather
+than as a build error.
 """
 
 import argparse
@@ -38,7 +40,7 @@ def bench_names(root=ROOT):
     return [n for n in names if n not in SKIP]
 
 
-def run_benches(build, out, names, jobs):
+def run_benches(build, out, names):
     """Runs each bench of `build` in out/<bench>/, keeping its stdout in
     out/<bench>/stdout.txt.  Returns {bench: problem} for the benches
     that are missing or exit non-zero."""
@@ -50,7 +52,7 @@ def run_benches(build, out, names, jobs):
         if not os.path.exists(exe):
             problems[name] = "no binary at " + exe
             continue
-        proc = subprocess.run([exe, "--jobs", str(jobs)], cwd=cwd,
+        proc = subprocess.run([exe], cwd=cwd,
                               stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL)
         with open(os.path.join(cwd, "stdout.txt"), "wb") as f:
@@ -94,24 +96,23 @@ def main(argv=None):
     parser.add_argument("--base-build", help="build tree of the base")
     parser.add_argument("--build", default=os.path.join(ROOT, "build"),
                         help="build tree of the change (default: build/)")
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="worker threads per bench (default 4)")
     parser.add_argument("--out", help="where both trees' outputs go "
                                       "(default: a new temporary directory)")
-    parser.add_argument("--list", action="store_true",
-                        help="print the compared bench names and exit")
+    parser.add_argument("--list", nargs="?", const=ROOT, metavar="SRC",
+                        help="print the bench names the source tree SRC "
+                             "(default: this one) declares, and exit")
     args = parser.parse_args(argv)
-    names = bench_names()
     if args.list:
-        print(" ".join(names))
+        print(" ".join(bench_names(args.list)))
         return 0
+    names = bench_names()
     if not args.base_build:
         parser.error("--base-build is required")
     out = args.out or tempfile.mkdtemp(prefix="eevfs-bench-vs-")
     problems = {}
     for side, build in (("base", args.base_build), ("change", args.build)):
-        for name, what in run_benches(build, os.path.join(out, side), names,
-                                      args.jobs).items():
+        for name, what in run_benches(build, os.path.join(out, side),
+                                      names).items():
             problems["%s %s" % (side, name)] = what
     differing = compare(os.path.join(out, "base"),
                         os.path.join(out, "change"), names)
