@@ -80,14 +80,11 @@ int main(int argc, char** argv) {
     const std::uint64_t ram_mb = cell.ram_bytes / kMB;
     const Tick standby = total_standby(m);
     const double avail = m.availability();
-    // The RAM tier's counts; the two-tier baseline registers none.
-    const bool ram_on = cell.ram_bytes > 0;
+    // m.ram reads zero without a RAM tier; the counts it does not carry
+    // are looked up by name, and the two-tier baseline registers none.
     const auto ram = [&](const char* name) -> std::uint64_t {
-      return ram_on ? m.count(name) : 0;
+      return cell.ram_bytes > 0 ? m.count(name) : 0;
     };
-    const double hit_rate =
-        ram_on ? m.metric("ramcache.hit_rate.ratio").value : 0.0;
-    const std::uint64_t absorbed = ram("ramcache.writes_absorbed.count");
     const std::uint64_t lost = ram("ramcache.lost_writes.count");
     const double dj = m.total_joules - base.total_joules;
     if (cell.ram_bytes > 0 && standby > base_standby &&
@@ -99,8 +96,8 @@ int main(int argc, char** argv) {
                 policy, static_cast<unsigned long long>(ram_mb),
                 m.total_joules, dj, ticks_to_seconds(standby),
                 m.response_time_sec.mean() * kMillisPerSecond,
-                bench::pct(hit_rate).c_str(),
-                static_cast<unsigned long long>(absorbed),
+                bench::pct(m.ram.hit_rate()).c_str(),
+                static_cast<unsigned long long>(m.ram.writes_absorbed),
                 static_cast<unsigned long long>(lost),
                 bench::pct(avail).c_str());
     const std::string label =
@@ -114,9 +111,10 @@ int main(int argc, char** argv) {
               CsvWriter::cell(ticks_to_seconds(standby)),
               CsvWriter::cell(ticks_to_seconds(standby - base_standby)),
               CsvWriter::cell(m.response_time_sec.mean() * kMillisPerSecond),
-              CsvWriter::cell(hit_rate), CsvWriter::cell(absorbed),
+              CsvWriter::cell(m.ram.hit_rate()),
+              CsvWriter::cell(m.ram.writes_absorbed),
               CsvWriter::cell(ram("ramcache.writebacks.count")),
-              CsvWriter::cell(ram("ramcache.evictions.count")),
+              CsvWriter::cell(m.ram.evictions),
               CsvWriter::cell(lost), CsvWriter::cell(avail)});
   }
   std::printf(

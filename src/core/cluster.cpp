@@ -434,16 +434,10 @@ void Cluster::finish_run() {
   }
   metrics_.power_transitions = metrics_.spin_ups + metrics_.spin_downs;
   metrics_.total_joules = metrics_.disk_joules + metrics_.base_joules;
-  snapshot_counters();
 
-  // The headline counts, read once from the snapshot.
+  // The RAM tier's figures (zero without one), and from them the hit-rate
+  // gauge the tier registers, set once before the snapshot.
   RunMetrics& m = metrics_;
-  m.requests = m.count("client.requests.count");
-  m.buffer_hits = m.count("prefetch.buffer_hits.count");
-  m.data_disk_reads = m.count("prefetch.data_disk_reads.count");
-  m.wakeups_on_demand = m.count("power.wakeups_on_demand.count");
-  m.bytes_served = m.count("node.bytes_served.bytes");
-  m.bytes_prefetched = m.count("prefetch.bytes_prefetched.bytes");
   const auto ram = [this](const char* name) -> std::uint64_t {
     const obs::Counter* c = registry_->find_counter(name);
     return c == nullptr ? 0 : c->value();
@@ -452,6 +446,18 @@ void Cluster::finish_run() {
            .misses = ram("ramcache.misses.count"),
            .evictions = ram("ramcache.evictions.count"),
            .writes_absorbed = ram("ramcache.writes_absorbed.count")};
+  if (registry_->find_gauge("ramcache.hit_rate.ratio") != nullptr) {
+    registry_->gauge("ramcache.hit_rate.ratio").set(m.ram.hit_rate());
+  }
+  snapshot_counters();
+
+  // The headline counts, read once from the snapshot.
+  m.requests = m.count("client.requests.count");
+  m.buffer_hits = m.count("prefetch.buffer_hits.count");
+  m.data_disk_reads = m.count("prefetch.data_disk_reads.count");
+  m.wakeups_on_demand = m.count("power.wakeups_on_demand.count");
+  m.bytes_served = m.count("node.bytes_served.bytes");
+  m.bytes_prefetched = m.count("prefetch.bytes_prefetched.bytes");
   EEVFS_INFO() << "run finished: " << metrics_.summary();
 }
 

@@ -58,8 +58,10 @@ struct NodeMetrics {
   std::uint64_t power_transitions() const { return spin_ups + spin_downs; }
 };
 
-/// The RAM-tier figures perfbench reads, filled once from the run's
-/// `ramcache.*` counters (all zero when the tier is off).
+/// The RAM tier's run totals, filled once from the run's `ramcache.*`
+/// counters (all zero when the tier is off).  hit_rate() is the one place
+/// the run's hit rate is worked out; `ramcache.hit_rate.ratio` is set
+/// from it.
 struct RamCacheMetrics {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -101,7 +103,7 @@ struct RunMetrics {
   Bytes bytes_prefetched = 0;
   std::vector<NodeMetrics> per_node;
 
-  /// Filled once from the snapshot; see RamCacheMetrics.
+  /// Filled once from the registry at run end; see RamCacheMetrics.
   RamCacheMetrics ram;
 
   // --- observability ---------------------------------------------------

@@ -778,8 +778,6 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
     const bool hit = ram_->lookup(f);
     (hit ? rm.hits : rm.misses).add();
     (hit ? rm.hit_size : rm.miss_size).record(bytes);
-    rm.hit_rate.set(static_cast<double>(rm.hits.value()) /
-                    static_cast<double>(rm.hits.value() + rm.misses.value()));
     if (hit) {
       const Tick service = transfer_ticks(bytes, kRamBytesPerSec);
       (void)sim_.schedule_after(

@@ -470,6 +470,7 @@ class StorageNode {
     obs::Counter& writebacks = r.counter("ramcache.writebacks.count");
     obs::Counter& writes_absorbed = r.counter("ramcache.writes_absorbed.count");
     obs::Counter& lost_writes = r.counter("ramcache.lost_writes.count");
+    /// Set once, at run end, from RunMetrics::ram (Cluster::finish_run).
     obs::Gauge& hit_rate = r.gauge("ramcache.hit_rate.ratio");
     obs::Gauge& pinned = r.gauge("ramcache.pinned.bytes");
     obs::Histogram& hit_size = r.histogram("ramcache.hit_size.bytes");
