@@ -145,8 +145,8 @@ class Cluster {
     obs::Counter& retries = r.counter("client.retries.count");
     obs::Counter& timeouts = r.counter("client.timeouts.count");
     obs::Counter& failed = r.counter("client.failed_requests.count");
-    /// Needed more than one attempt but recovered; the server adds the
-    /// requests it rerouted within one attempt.
+    /// Needed more than one attempt but recovered (see
+    /// RunMetrics::retried_requests).
     obs::Counter& retried = r.counter("client.retried_requests.count");
     obs::Histogram& latency = r.histogram("client.request_latency.us");
   };

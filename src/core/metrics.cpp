@@ -43,6 +43,11 @@ double RunMetrics::availability() const {
                                    static_cast<double>(requests);
 }
 
+std::uint64_t RunMetrics::retried_requests() const {
+  return count("client.retried_requests.count") +
+         count("server.requests_rerouted.count");
+}
+
 double RunMetrics::recovery_mttr_sec() const {
   const std::uint64_t episodes = count("recovery.episodes.count");
   return episodes == 0
@@ -80,7 +85,7 @@ std::string RunMetrics::summary() const {
         ", faults=%llu avail=%.4f failed=%llu retried=%llu rerouted=%llu",
         static_cast<unsigned long long>(faults), availability(),
         static_cast<unsigned long long>(failed),
-        static_cast<unsigned long long>(count("client.retried_requests.count")),
+        static_cast<unsigned long long>(retried_requests()),
         static_cast<unsigned long long>(
             count("server.requests_rerouted.count")));
   }

@@ -126,6 +126,10 @@ struct RunMetrics {
   /// Fraction of the issued requests that did not fail
   /// (1 - client.failed_requests.count / requests).
   double availability() const;
+  /// Requests that recovered from a fault: re-issued by their client
+  /// (client.retried_requests.count) or rerouted by the server within one
+  /// attempt (server.requests_rerouted.count).
+  std::uint64_t retried_requests() const;
   /// Mean crash-to-recovered time over the completed recovery episodes
   /// (recovery.mttr.us), 0 without one.
   double recovery_mttr_sec() const;

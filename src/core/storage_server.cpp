@@ -389,10 +389,7 @@ void StorageServer::try_replica(const trace::TraceRecord& r,
              primary, rerouted, on_done = std::move(on_done)](
                 Tick t, RequestStatus st) mutable {
               if (request_ok(st)) {
-                if (rerouted) {
-                  metrics_.rerouted.add();
-                  metrics_.retried.add();
-                }
+                if (rerouted) metrics_.rerouted.add();
                 if (r.op == trace::Op::kWrite) {
                   // The write landed on candidates[idx] only.  Every
                   // other copy the server believes exists is now behind:
@@ -581,7 +578,6 @@ void StorageServer::ec_join(const std::shared_ptr<EcReadOp>& op, Tick t) {
                                     ec_.joules_per_byte);
     // Served around a missing data chunk.
     metrics_.rerouted.add();
-    metrics_.retried.add();
   }
   if (tracer_ && tracer_->wants(obs::kCatServer)) {
     tracer_->instant(t, obs::kCatServer, obs::TraceLevel::kInfo, ev_ec_join_,

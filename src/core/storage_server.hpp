@@ -303,9 +303,6 @@ class StorageServer {
     obs::Registry& r;
     obs::Counter& routed = r.counter("server.requests_routed.count");
     obs::Counter& rerouted = r.counter("server.requests_rerouted.count");
-    /// Shared with the client bookkeeping: a reroute is a request that
-    /// recovered within one client attempt.
-    obs::Counter& retried = r.counter("client.retried_requests.count");
     obs::Counter& failed = r.counter("server.requests_failed.count");
     obs::Counter& failovers = r.counter("server.failovers.count");
     obs::Counter& refreshes = r.counter("server.refreshes.count");

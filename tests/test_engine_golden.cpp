@@ -166,7 +166,7 @@ TEST(EngineGolden, FaultsReplicated) {
       /*seed=*/1234, /*horizon_sec=*/600.0, cfg.num_storage_nodes,
       cfg.data_disks_per_node, /*count=*/4);
   expect_golden("faults=4/repl=2", cfg, paper_workload(),
-                9930842278710727192ull);
+                16978610690552664861ull);
 }
 
 TEST(EngineGolden, OnlineAdaptation) {
@@ -209,7 +209,7 @@ TEST(EngineGolden, CrashRecovery) {
       /*seed=*/2026, /*horizon_sec=*/600.0, cfg.num_storage_nodes,
       /*count=*/2, /*downtime_sec=*/30.0);
   expect_golden("crash_recovery/journal=commit", cfg, w,
-                3575080504595965055ull);
+                16678281022423240574ull);
 }
 
 TEST(EngineGolden, TieredRamCache) {
@@ -250,7 +250,7 @@ TEST(EngineGolden, ErasureCoded) {
   cfg.ec_n = 4;
   cfg.ec_k = 2;
   cfg.fault_plan.fail_node_pair(150.0, 2, 3, 30.0);
-  expect_golden("erasure/ec=4,2", cfg, w, 14701043140084758467ull);
+  expect_golden("erasure/ec=4,2", cfg, w, 6847851417420906361ull);
 }
 
 }  // namespace

@@ -486,7 +486,7 @@ TEST(ClusterFault, ReplicatedClusterSurvivesDataDiskFailure) {
   // the replica set absorb the failure.
   EXPECT_EQ(m.count("client.failed_requests.count"), 0u);
   EXPECT_GT(m.count("server.requests_rerouted.count"), 0u);
-  EXPECT_GT(m.count("client.retried_requests.count"), 0u);
+  EXPECT_GT(m.retried_requests(), 0u);
   EXPECT_EQ(m.response_time_sec.count(), w.requests.size());
   EXPECT_EQ(m.count("fault.injected.count"), 1u);
   EXPECT_DOUBLE_EQ(m.availability(), 1.0);
