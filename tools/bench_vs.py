@@ -8,7 +8,7 @@ byte-identical between the two trees:
 
     python3 tools/bench_vs.py --base-build ../base/build [--build build]
                               [--out DIR]
-    python3 tools/bench_vs.py --list [SRC]  # the bench names SRC declares
+    python3 tools/bench_vs.py --list SRC    # the bench names SRC declares
 
 Prints every file that differs and exits 1 on any difference, including a
 bench that is missing from a tree or exits non-zero in either.  The run
@@ -98,9 +98,9 @@ def main(argv=None):
                         help="build tree of the change (default: build/)")
     parser.add_argument("--out", help="where both trees' outputs go "
                                       "(default: a new temporary directory)")
-    parser.add_argument("--list", nargs="?", const=ROOT, metavar="SRC",
+    parser.add_argument("--list", metavar="SRC",
                         help="print the bench names the source tree SRC "
-                             "(default: this one) declares, and exit")
+                             "declares, and exit")
     args = parser.parse_args(argv)
     if args.list:
         print(" ".join(bench_names(args.list)))
