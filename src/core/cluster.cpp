@@ -80,7 +80,7 @@ void Cluster::build_infra() {
         format("client%u", c),
         net::mbps_to_bytes_per_sec(config_.client_nic_mbps) *
             config_.nic_efficiency);
-    clients_.emplace_back(ep, c);
+    clients_.emplace_back(ep);
   }
   client_tracks_.assign(clients_.size(), 0);
 
@@ -405,23 +405,11 @@ void Cluster::finish_run() {
   for (const Client& c : clients_) {
     metrics_.response_time_sec.merge(c.response_stats());
   }
-  // Percentile reservoirs are per client and lossy, so they cannot be
-  // merged exactly.  The request-count-weighted mean of the per-client
-  // percentiles is an approximation that can sit on either side of the
-  // pooled percentile, even though clients draw from the same workload
-  // mix (see RunMetrics::response_p95_sec).
-  double p95 = 0.0, p99 = 0.0;
-  std::size_t total = 0;
-  for (const Client& c : clients_) {
-    const auto n = c.percentiles().count();
-    p95 += c.percentiles().percentile(0.95) * static_cast<double>(n);
-    p99 += c.percentiles().percentile(0.99) * static_cast<double>(n);
-    total += n;
-  }
-  if (total > 0) {
-    metrics_.response_p95_sec = p95 / static_cast<double>(total);
-    metrics_.response_p99_sec = p99 / static_cast<double>(total);
-  }
+  const obs::Histogram& latency = client_metrics_->latency;
+  metrics_.response_p95_sec = ticks_to_seconds(
+      static_cast<Tick>(latency.percentile(0.95)));
+  metrics_.response_p99_sec = ticks_to_seconds(
+      static_cast<Tick>(latency.percentile(0.99)));
 
   for (auto& node : nodes_) {
     node->shutdown();

@@ -80,11 +80,12 @@ struct RunMetrics {
   // --- paper metrics ---------------------------------------------------
   Joules total_joules = 0.0;            // all storage nodes, disks + base
   std::uint64_t power_transitions = 0;  // spin-ups + spin-downs, data disks
-  OnlineStats response_time_sec;        // per-request, client-observed
-  /// Approximations, not percentiles of the pooled responses: each is the
-  /// request-weighted mean of the per-client reservoir percentiles, which
-  /// can land on either side of the pooled value (one mergeable
-  /// histogram is ROADMAP.md item 6(b)).
+  /// One sample per successful request: the successful attempt's own
+  /// issue-to-response time (retries are not summed in).
+  OnlineStats response_time_sec;
+  /// Percentiles of the same samples pooled over every client, read from
+  /// the `client.request_latency.us` histogram: never below the exact
+  /// nearest-rank value and less than 2^-7 above it.
   double response_p95_sec = 0.0;
   double response_p99_sec = 0.0;
 

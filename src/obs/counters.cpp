@@ -6,8 +6,36 @@
 
 namespace eevfs::obs {
 
+namespace {
+
+// 2^kSubBits sub-buckets per power of two bound a percentile's overshoot
+// by 2^-kSubBits of its value.
+constexpr unsigned kSubBits = 7;
+
+/// Samples below 2^(kSubBits+1) are their own bucket.  A larger x with
+/// top bit e falls in linear sub-bucket x >> s of its power of two
+/// (s = e - kSubBits, so x >> s lies in [2^kSubBits, 2^(kSubBits+1))),
+/// and each power of two's buckets follow the previous one's.
+std::size_t bucket_of(std::uint64_t x) {
+  const auto width = static_cast<unsigned>(std::bit_width(x));
+  const unsigned s = width > kSubBits + 1 ? width - kSubBits - 1 : 0;
+  return (std::size_t{s} << kSubBits) + static_cast<std::size_t>(x >> s);
+}
+
+/// Largest sample bucket_of maps to `b`.
+std::uint64_t upper_edge(std::size_t b) {
+  const std::size_t octave = b >> kSubBits;
+  const unsigned s = octave > 1 ? static_cast<unsigned>(octave - 1) : 0;
+  const auto lo = static_cast<std::uint64_t>(b - (std::size_t{s} << kSubBits))
+                  << s;
+  return lo + ((std::uint64_t{1} << s) - 1);
+}
+
+}  // namespace
+
 void Histogram::record(std::uint64_t x) {
-  const std::size_t b = static_cast<std::size_t>(std::bit_width(x));
+  const std::size_t b = bucket_of(x);
+  if (b >= buckets_.size()) buckets_.resize(b + 1);
   ++buckets_[b];
   if (count_ == 0 || x < min_) min_ = x;
   if (x > max_) max_ = x;
@@ -24,15 +52,9 @@ std::uint64_t Histogram::percentile(double q) const {
   std::uint64_t rank = static_cast<std::uint64_t>(want);
   if (static_cast<double>(rank) < want || rank == 0) ++rank;
   std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
     seen += buckets_[b];
-    if (seen >= rank) {
-      // Upper bound of bucket b, clamped to the observed max.
-      const std::uint64_t hi =
-          b == 0 ? 0
-                 : (b >= 64 ? max_ : ((std::uint64_t{1} << b) - 1));
-      return hi < max_ ? hi : max_;
-    }
+    if (seen >= rank) return std::min(upper_edge(b), max_);
   }
   return max_;
 }

@@ -1,4 +1,4 @@
-// Typed metric registry: counters, gauges, and log-bucketed histograms
+// Typed metric registry: counters, gauges, and log-linear histograms
 // that every EEVFS component reports into.
 //
 // Design constraints (why not a global registry):
@@ -15,7 +15,6 @@
 // `disk.spin_ups.count`, `net.bytes_sent.bytes`, `client.request_latency.us`.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -60,10 +59,14 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Power-of-two-bucketed histogram over unsigned samples (tick counts,
-/// byte counts).  Exact count/sum/min/max; percentiles are resolved to
-/// the upper bound of the containing bucket, so they are conservative
-/// (never under-report a latency) and deterministic.
+/// Log-linear histogram over unsigned samples (tick counts, byte
+/// counts).  Samples below 256 each get a bucket of their own; above
+/// that, every power of two [2^e, 2^(e+1)) is split into 128 equal
+/// buckets.  Exact count/sum/min/max; a percentile is the upper edge of
+/// the bucket holding the nearest-rank sample, clamped to the max, so it
+/// never under-reports and lies less than 2^-7 (0.79 %) above the exact
+/// value.  Bucket storage grows to the largest sample recorded, so an
+/// unused histogram holds none.
 class Histogram {
  public:
   void record(std::uint64_t x);
@@ -76,16 +79,11 @@ class Histogram {
   std::uint64_t min() const { return count_ ? min_ : 0; }
   std::uint64_t max() const { return max_; }
 
-  /// q in [0, 1]; upper bound of the bucket holding the q-quantile.
+  /// q in [0, 1]; upper edge of the bucket holding the q-quantile.
   std::uint64_t percentile(double q) const;
 
-  /// Number of samples in bucket `i` (bucket i holds x with
-  /// bit_width(x) == i, i.e. [2^(i-1), 2^i); bucket 0 holds x == 0).
-  std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-  static constexpr std::size_t kBuckets = 65;
-
  private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;
