@@ -26,9 +26,11 @@ void Cluster::build_infra() {
   client_metrics_.emplace(*registry_);
   RecoveryManager::register_metrics(*registry_);
   tracer_ = std::make_unique<obs::Tracer>(config_.trace);
-  ev_client_request_ = tracer_->intern("client.request");
+  if (config_.trace.enabled) {
+    ev_client_request_ = tracer_->intern("client.request");
+  }
   net_ = std::make_unique<net::NetworkFabric>(*sim_);
-  net_->set_observer(tracer_.get());
+  net_->set_observer(observer());
 
   const auto server_ep = net_->add_endpoint(
       "server", net::mbps_to_bytes_per_sec(config_.server_nic_mbps) *
@@ -70,7 +72,7 @@ void Cluster::build_infra() {
     params.ram_cache_policy = config_.ram_cache_policy;
     nodes_.push_back(std::make_unique<StorageNode>(*sim_, *net_, ep, params,
                                                    *registry_));
-    nodes_.back()->set_observer(tracer_.get());
+    nodes_.back()->set_observer(observer());
     raw.push_back(nodes_.back().get());
   }
 
@@ -85,7 +87,7 @@ void Cluster::build_infra() {
   client_tracks_.assign(clients_.size(), 0);
 
   // Steps 1-4.
-  server_->set_observer(tracer_.get());
+  server_->set_observer(observer());
   server_->register_nodes(std::move(raw));
   server_->set_replication_degree(config_.replication_degree);
   if (config_.ec_n > 0) {
@@ -157,7 +159,7 @@ void Cluster::arm_faults() {
     for (auto& n : nodes_) node_ptrs.push_back(n.get());
     recovery_ = std::make_unique<RecoveryManager>(
         *sim_, *server_, std::move(node_ptrs), *registry_);
-    recovery_->set_observer(tracer_.get());
+    recovery_->set_observer(observer());
     fault::FaultInjector::Targets targets;
     targets.disk_of = [this](std::size_t node, bool buffer_disk,
                              std::size_t d) -> disk::DiskModel* {
@@ -180,7 +182,7 @@ void Cluster::arm_faults() {
       // prefetch re-warm, timing each phase.
       if (node < nodes_.size()) recovery_->on_restart(node);
     };
-    injector_->set_observer(tracer_.get());
+    injector_->set_observer(observer());
     injector_->arm(net_.get(), std::move(targets));
   }
 }
@@ -227,8 +229,16 @@ RunMetrics Cluster::run_phase() {
 
   auto barrier = std::make_shared<std::size_t>(nodes_.size());
   (void)sim_->schedule_at(0, [this, candidates, barrier] {
+    // Every node plans before any copy starts, so the hint arena, which
+    // only planning reads, is gone before the copies' state builds up.
+    // Planning schedules no event: the event order is that of planning
+    // and copying node by node.
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      nodes_[n]->start_prefetch(candidates[n], [this, barrier] {
+      nodes_[n]->plan_prefetch(candidates[n]);
+    }
+    server_->release_hints();
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+      nodes_[n]->warm_prefetch([this, barrier] {
         if (--*barrier == 0) {
           const Tick replay_start = sim_->now();
           metrics_.prefetch_duration = replay_start;
@@ -247,8 +257,6 @@ RunMetrics Cluster::run_phase() {
         }
       });
     }
-    // Every node has planned: nothing reads the hint arena any more.
-    server_->release_hints();
   });
 
   sim_->run();

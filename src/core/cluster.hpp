@@ -86,9 +86,10 @@ class Cluster {
   /// Null on fault-free runs (armed alongside the injector).
   const RecoveryManager* recovery() const { return recovery_.get(); }
 
-  /// The run's event tracer (configured from config.trace; empty when
-  /// tracing was disabled).  Valid after run(); use its write_jsonl /
-  /// write_chrome_trace / write_binary sinks to export the timeline.
+  /// The run's event tracer (configured from config.trace; empty, its
+  /// string table included, when tracing was disabled).  Valid after
+  /// run(); use its write_jsonl / write_chrome_trace / write_binary
+  /// sinks to export the timeline.
   const obs::Tracer& tracer() const { return *tracer_; }
   /// The run's metric registry: every component counts into it, and
   /// RunMetrics::counters is its snapshot at the end of the run.
@@ -106,6 +107,11 @@ class Cluster {
   /// Everything workload-independent: sim, fabric, server, nodes,
   /// clients, observability plumbing.
   void build_infra();
+  /// The tracer components are handed: null unless config.trace.enabled,
+  /// so an untraced run interns no string.
+  obs::Tracer* observer() const {
+    return config_.trace.enabled ? tracer_.get() : nullptr;
+  }
   /// Fault-plan arming (no-op for an empty plan); after ingest so the
   /// recovery manager sees the final node set.
   void arm_faults();

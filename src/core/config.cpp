@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "trace/record.hpp"
+
 namespace eevfs::core {
 
 std::string to_string(PowerPolicy p) {
@@ -70,6 +72,10 @@ void ClusterConfig::validate() const {
   }
   if (num_clients == 0) {
     throw std::invalid_argument("ClusterConfig: need at least one client");
+  }
+  if (num_clients > trace::kMaxClients) {
+    throw std::invalid_argument(
+        "ClusterConfig: more clients than 16-bit client ids can name");
   }
   if (idle_threshold_sec < 0.0 || sleep_margin < 0.0) {
     throw std::invalid_argument("ClusterConfig: negative power parameters");

@@ -74,6 +74,7 @@ struct ClusterConfig {
   /// Fraction of the NIC line rate TCP actually delivers (protocol
   /// overhead + the P4-era CPU bound); applied to every endpoint.
   double nic_efficiency = 0.7;
+  /// At most trace::kMaxClients (65,535): client ids are 16-bit.
   std::size_t num_clients = 4;
 
   // --- power model ---------------------------------------------------

@@ -6,10 +6,9 @@
 
 namespace eevfs::core {
 
-EnergyPredictionModel::EnergyPredictionModel(disk::DiskProfile profile,
-                                             Tick idle_threshold,
-                                             double sleep_margin)
-    : profile_(std::move(profile)) {
+EnergyPredictionModel::EnergyPredictionModel(
+    const disk::DiskProfile& profile, Tick idle_threshold, double sleep_margin)
+    : profile_(profile) {
   const Tick margin_gap =
       seconds_to_ticks(sleep_margin * profile_.break_even_seconds());
   min_gap_ = std::max(idle_threshold, margin_gap);

@@ -16,8 +16,11 @@ namespace eevfs::core {
 
 class EnergyPredictionModel {
  public:
-  EnergyPredictionModel(disk::DiskProfile profile, Tick idle_threshold,
+  /// The model refers to `profile` and does not copy it; the profile
+  /// must outlive the model and every copy of it.
+  EnergyPredictionModel(const disk::DiskProfile& profile, Tick idle_threshold,
                         double sleep_margin);
+  EnergyPredictionModel(disk::DiskProfile&&, Tick, double) = delete;
 
   /// Smallest idle gap the policy will sleep through:
   /// max(idle_threshold, sleep_margin x break-even).
@@ -68,7 +71,7 @@ class EnergyPredictionModel {
   void for_each_window(std::span<const Tick> accesses, Tick start,
                        Tick horizon, Take take) const;
 
-  disk::DiskProfile profile_;
+  const disk::DiskProfile& profile_;
   Tick min_gap_;
 };
 

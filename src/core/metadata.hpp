@@ -13,8 +13,9 @@
 //     column, and every file's holders in one flat arena whose stride is
 //     the copies-per-file count (the replication degree, or ec_n).
 //     place_files builds it, and it never changes afterwards.
-//   - NodeMetadata is one flat array of (FileId, LocalFileMeta) sorted by
-//     FileId; each entry stores its stripe set as (first disk, width).
+//   - NodeMetadata is one flat array of 24-byte (FileId, LocalFileMeta)
+//     entries sorted by FileId; each entry stores its stripe set as
+//     (first disk, width).
 //
 // Both count their lookups; the server's also models its probe cost, so
 // the scalability bench can show the routing tier staying thin as nodes
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -126,15 +128,17 @@ class ServerMetadata {
 };
 
 /// Node-side entry: local placement of one file.  Trivially copyable, so
-/// the node table is one flat array with no per-file heap block.
+/// the node table is one flat array with no per-file heap block.  Disk
+/// indices are 16-bit (StorageNode refuses more disks than that), which
+/// packs them and the buffered flag into the 8 bytes before the size.
 struct LocalFileMeta {
   /// Stripe set: `width` data disks from `first_disk` on, wrapping around
   /// the node's data disks; width 1 for whole-file placement.
-  std::uint32_t first_disk = 0;
-  std::uint32_t width = 1;
-  Bytes size = 0;
+  std::uint16_t first_disk = 0;
+  std::uint16_t width = 1;
   bool buffered = false;
-  std::uint32_t buffer_disk = 0;
+  std::uint16_t buffer_disk = 0;
+  Bytes size = 0;
 
   /// Stripe member j (j < width) on a node with `data_disks` data disks.
   std::size_t disk(std::size_t j, std::size_t data_disks) const {
@@ -149,6 +153,11 @@ static_assert(std::is_trivially_copyable_v<LocalFileMeta>);
 /// one O(n log n) sort rather than a sorted insert per file.
 class NodeMetadata {
  public:
+  /// The most data or buffer disks a node may have: entries store disk
+  /// indices and the stripe width in 16 bits.
+  static constexpr std::size_t kMaxDisks =
+      std::numeric_limits<std::uint16_t>::max();
+
   struct Entry {
     trace::FileId file = 0;
     LocalFileMeta meta;
@@ -199,5 +208,8 @@ class NodeMetadata {
   mutable bool sorted_ = true;
   mutable std::uint64_t lookups_ = 0;
 };
+// 24 bytes per file: the node tables of a 1024-node cell hold one entry
+// per placed file.
+static_assert(sizeof(NodeMetadata::Entry) == 24);
 
 }  // namespace eevfs::core

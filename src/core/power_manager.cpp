@@ -34,52 +34,40 @@ PowerManager::PowerManager(sim::Simulator& sim, Params params,
                                          params.idle_threshold,
                                          params.sleep_margin)),
       breakeven_model_(make_gate_model(params, disks.front()->profile())) {
-  const std::size_t n = disks.size();
-  disk_ = std::move(disks);
-  sleep_timer_.resize(n);
-  wake_timer_.resize(n);
-  expected_gap_.assign(n, kNoTick);
-  last_arrival_.assign(n, kNoTick);
-  ewma_gap_.assign(n, 0.0);
-  observed_gaps_.assign(n, 0);
-  future_begin_.assign(n, 0);
-  future_end_.assign(n, 0);
-  future_pos_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    disk_[i]->set_idle_callback([this, i] { on_idle(i); });
+  disks_.resize(disks.size());
+  for (std::size_t i = 0; i < disks.size(); ++i) {
+    disks_[i].disk = disks[i];
+    disks[i]->set_idle_callback([this, i] { on_idle(i); });
   }
 }
 
 void PowerManager::set_observer(obs::Tracer* tracer) {
   tracer_ = tracer;
-  tracks_.clear();
   if (!tracer_) return;
-  tracks_.reserve(disk_.size());
-  for (const disk::DiskModel* d : disk_) {
-    tracks_.push_back(tracer_->intern(d->label()));
-  }
+  for (DiskState& d : disks_) d.track = tracer_->intern(d.disk->label());
   ev_sleep_ = tracer_->intern("power.sleep");
   ev_wake_mark_ = tracer_->intern("power.wake_mark");
 }
 
 void PowerManager::set_expected_gap(std::size_t disk,
                                     std::optional<Tick> gap) {
-  expected_gap_.at(disk) = gap.value_or(kNoTick);
+  disks_.at(disk).expected_gap = gap.value_or(kNoTick);
 }
 
 void PowerManager::set_future_accesses(std::size_t disk,
                                        std::vector<Tick> accesses) {
-  future_begin_.at(disk) = future_arena_.size();
+  DiskState& d = disks_.at(disk);
+  d.future_begin = future_arena_.size();
   future_arena_.insert(future_arena_.end(), accesses.begin(), accesses.end());
-  future_end_[disk] = future_arena_.size();
-  future_pos_[disk] = future_begin_[disk];
+  d.future_end = future_arena_.size();
+  d.future_pos = d.future_begin;
 }
 
 void PowerManager::start() {
   started_ = true;
-  for (std::size_t i = 0; i < disk_.size(); ++i) {
-    if (disk_[i]->state() == disk::PowerState::kIdle &&
-        disk_[i]->queue_depth() == 0) {
+  for (std::size_t i = 0; i < disks_.size(); ++i) {
+    if (disks_[i].disk->state() == disk::PowerState::kIdle &&
+        disks_[i].disk->queue_depth() == 0) {
       on_idle(i);
     }
   }
@@ -87,29 +75,28 @@ void PowerManager::start() {
 
 void PowerManager::stop() {
   started_ = false;
-  for (std::size_t i = 0; i < disk_.size(); ++i) {
-    sleep_timer_[i].cancel();
-    wake_timer_[i].cancel();
+  for (DiskState& d : disks_) {
+    d.sleep_timer.cancel();
+    d.wake_timer.cancel();
   }
 }
 
 void PowerManager::note_arrival(std::size_t disk) {
   const Tick now = sim_.now();
-  const Tick last = last_arrival_.at(disk);
-  if (last != kNoTick) {
-    const auto gap = static_cast<double>(now - last);
-    ewma_gap_[disk] = observed_gaps_[disk] == 0
-                          ? gap
-                          : params_.ewma_alpha * gap +
-                                (1.0 - params_.ewma_alpha) * ewma_gap_[disk];
-    ++observed_gaps_[disk];
+  DiskState& d = disks_.at(disk);
+  if (d.last_arrival != kNoTick) {
+    const auto gap = static_cast<double>(now - d.last_arrival);
+    d.ewma_gap = d.observed_gaps == 0
+                     ? gap
+                     : params_.ewma_alpha * gap +
+                           (1.0 - params_.ewma_alpha) * d.ewma_gap;
+    ++d.observed_gaps;
   }
-  last_arrival_[disk] = now;
-  std::size_t pos = future_pos_[disk];
-  const std::size_t end = future_end_[disk];
-  while (pos < end && future_arena_[pos] <= now) ++pos;
-  future_pos_[disk] = pos;
-  sleep_timer_[disk].cancel();
+  d.last_arrival = now;
+  std::size_t pos = d.future_pos;
+  while (pos < d.future_end && future_arena_[pos] <= now) ++pos;
+  d.future_pos = pos;
+  d.sleep_timer.cancel();
 }
 
 std::optional<Tick> PowerManager::next_future_access(std::size_t disk) const {
@@ -118,14 +105,13 @@ std::optional<Tick> PowerManager::next_future_access(std::size_t disk) const {
   // arrival (network + queueing), and without the grace a proactively
   // woken disk would observe "no upcoming access" and re-sleep before the
   // request lands.  note_arrival() retires entries on actual arrivals.
-  const Tick grace =
-      params_.idle_threshold + disk_.front()->profile().spin_up_time;
+  const Tick grace = params_.idle_threshold + model_.profile().spin_up_time;
   const Tick now = sim_.now();
-  std::size_t pos = future_pos_[disk];
-  const std::size_t end = future_end_[disk];
-  while (pos < end && future_arena_[pos] + grace <= now) ++pos;
-  future_pos_[disk] = pos;
-  if (pos >= end) return std::nullopt;
+  const DiskState& d = disks_[disk];
+  std::size_t pos = d.future_pos;
+  while (pos < d.future_end && future_arena_[pos] + grace <= now) ++pos;
+  d.future_pos = pos;
+  if (pos >= d.future_end) return std::nullopt;
   return future_arena_[pos];
 }
 
@@ -143,11 +129,11 @@ std::optional<Tick> PowerManager::predicted_gap(std::size_t disk) const {
       // of observed gaps, so we report the smaller of the two.  (Sleeping
       // on an optimistic estimate costs a 2 s spin-up on the next
       // request; staying up on a pessimistic one costs a few Joules.)
-      const Tick expected = expected_gap_.at(disk);
+      const DiskState& d = disks_.at(disk);
       std::optional<Tick> gap;
-      if (expected != kNoTick) gap = expected;
-      if (observed_gaps_[disk] >= 2) {
-        const auto ewma = static_cast<Tick>(ewma_gap_[disk]);
+      if (d.expected_gap != kNoTick) gap = d.expected_gap;
+      if (d.observed_gaps >= 2) {
+        const auto ewma = static_cast<Tick>(d.ewma_gap);
         gap = gap ? std::min(*gap, ewma) : ewma;
       }
       return gap;
@@ -176,29 +162,29 @@ void PowerManager::on_idle(std::size_t disk) {
 }
 
 void PowerManager::arm_timer_sleep(std::size_t disk) {
-  sleep_timer_.at(disk).cancel();
-  sleep_timer_[disk] =
-      sim_.schedule_after(params_.idle_threshold, [this, disk] {
-        disk::DiskModel& d = *disk_[disk];
-        if (d.state() != disk::PowerState::kIdle || d.queue_depth() != 0) {
-          return;  // a request slipped in; the next idle re-arms us
-        }
-        if (params_.policy == PowerPolicy::kPredictive) {
-          const auto remaining = predicted_remaining(disk);
-          // Without a prediction, fall back to classic DPM and sleep.
-          if (remaining && *remaining < model_.min_profitable_gap()) {
-            return;  // predicted window too short to profit — stay up
-          }
-        }
-        try_sleep(disk);
-      });
+  sim::EventHandle& timer = disks_.at(disk).sleep_timer;
+  timer.cancel();
+  timer = sim_.schedule_after(params_.idle_threshold, [this, disk] {
+    disk::DiskModel& d = *disks_[disk].disk;
+    if (d.state() != disk::PowerState::kIdle || d.queue_depth() != 0) {
+      return;  // a request slipped in; the next idle re-arms us
+    }
+    if (params_.policy == PowerPolicy::kPredictive) {
+      const auto remaining = predicted_remaining(disk);
+      // Without a prediction, fall back to classic DPM and sleep.
+      if (remaining && *remaining < model_.min_profitable_gap()) {
+        return;  // predicted window too short to profit — stay up
+      }
+    }
+    try_sleep(disk);
+  });
 }
 
 std::optional<Tick> PowerManager::predicted_remaining(
     std::size_t disk) const {
   const auto gap = predicted_gap(disk);
   if (!gap) return std::nullopt;
-  const Tick last = last_arrival_.at(disk);
+  const Tick last = disks_.at(disk).last_arrival;
   if (*gap == kNever || last == kNoTick) return gap;
   const Tick elapsed = sim_.now() - last;
   const Tick remaining = *gap - elapsed;
@@ -221,32 +207,33 @@ void PowerManager::handle_hints_idle(std::size_t disk) {
   if (try_sleep(disk)) {
     // Proactive wake so the access (which reaches the disk slightly
     // after its trace arrival time) finds the platters spinning.
-    const Tick wake_at =
-        std::max(sim_.now() + disk_[disk]->profile().spin_down_time,
-                 *next - disk_[disk]->profile().spin_up_time);
+    const disk::DiskProfile& profile = disks_[disk].disk->profile();
+    const Tick wake_at = std::max(sim_.now() + profile.spin_down_time,
+                                  *next - profile.spin_up_time);
     mark_wake(disk, wake_at);
   }
 }
 
 void PowerManager::mark_wake(std::size_t disk, Tick wake_at) {
-  wake_timer_[disk].cancel();
-  wake_timer_[disk] = sim_.schedule_at(
-      wake_at, [this, disk] { disk_[disk]->request_spin_up(); });
+  DiskState& d = disks_[disk];
+  d.wake_timer.cancel();
+  d.wake_timer = sim_.schedule_at(
+      wake_at, [this, disk] { disks_[disk].disk->request_spin_up(); });
   ++wake_marks_;
   if (tracer_ && tracer_->wants(obs::kCatPower)) {
     tracer_->instant(sim_.now(), obs::kCatPower, obs::TraceLevel::kInfo,
-                     ev_wake_mark_, tracks_[disk], 0,
+                     ev_wake_mark_, d.track, 0,
                      static_cast<std::int64_t>(wake_at));
   }
 }
 
 bool PowerManager::try_sleep(std::size_t disk) {
-  disk::DiskModel& d = *disk_.at(disk);
+  disk::DiskModel& d = *disks_.at(disk).disk;
   if (!d.request_spin_down()) return false;
   ++sleeps_initiated_;
   if (tracer_ && tracer_->wants(obs::kCatPower)) {
     tracer_->instant(sim_.now(), obs::kCatPower, obs::TraceLevel::kInfo,
-                     ev_sleep_, tracks_[disk]);
+                     ev_sleep_, disks_[disk].track);
   }
   EEVFS_DEBUG() << d.label() << ": power manager sleeping disk at t="
                 << ticks_to_seconds(sim_.now());

@@ -94,7 +94,7 @@ class PowerManager {
   std::uint64_t wake_marks() const { return wake_marks_; }
 
  private:
-  /// Sentinel for "no value" in the per-disk Tick columns below (sim time
+  /// Sentinel for "no value" in the per-disk Tick fields below (sim time
   /// and gaps are never negative; kNever — the "no accesses expected"
   /// hint — is int64 max and therefore distinct).
   static constexpr Tick kNoTick = -1;
@@ -111,38 +111,41 @@ class PowerManager {
   EnergyPredictionModel model_;
   EnergyPredictionModel breakeven_model_;  // margin = 1 (hints/oracle gate)
 
-  // --- per-disk state, struct-of-arrays --------------------------------
-  // note_arrival() runs on every request the node serves; a per-disk
-  // struct would drag a ~120-byte record through the cache to touch four
-  // scalar fields.  Parallel columns keep each field dense, so at
-  // datacenter scale (thousands of managed disks) the arrival and
-  // predict paths stay within a handful of cache lines.  All columns are
-  // indexed by the disk's position in the constructor vector.
-  std::vector<disk::DiskModel*> disk_;
-  std::vector<sim::EventHandle> sleep_timer_;
-  std::vector<sim::EventHandle> wake_timer_;
-  std::vector<Tick> expected_gap_;   // static hint; kNoTick = none
-  std::vector<Tick> last_arrival_;   // kNoTick = no arrival yet
-  std::vector<double> ewma_gap_;
-  std::vector<std::uint32_t> observed_gaps_;
-  // Hint timelines (hints/oracle): one flat arena of absolute times with
-  // per-disk [begin, end) spans instead of a vector per disk.  A re-set
-  // span strands its old arena entries — setup happens once per run, so
-  // the waste is nil and the cursors never invalidate.
+  // --- per-disk state, one record per managed disk --------------------
+  // A manager has one node's data disks (two in the paper's testbed), so
+  // its state fills a few cache lines whichever way it is laid out; one
+  // vector of records costs one heap block instead of one per field.
+  // Indexed by the disk's position in the constructor vector.
+  struct DiskState {
+    disk::DiskModel* disk = nullptr;
+    sim::EventHandle sleep_timer;
+    sim::EventHandle wake_timer;
+    Tick expected_gap = kNoTick;  // static hint; kNoTick = none
+    Tick last_arrival = kNoTick;  // kNoTick = no arrival yet
+    double ewma_gap = 0.0;
+    std::uint32_t observed_gaps = 0;
+    obs::StringId track = 0;  // the disk's trace track (tracer attached)
+    // The disk's hint timeline: [future_begin, future_end) of
+    // future_arena_.  future_pos is the first entry not yet in the past;
+    // advancing it is a cache of a monotone scan, not observable state —
+    // hence mutable (predicted_gap() is const but may retire expired
+    // entries while peeking).
+    std::size_t future_begin = 0;
+    std::size_t future_end = 0;
+    mutable std::size_t future_pos = 0;
+  };
+  std::vector<DiskState> disks_;
+  // Hint timelines (hints/oracle): one flat arena of absolute times that
+  // the per-disk spans index.  A re-set span strands its old arena
+  // entries — setup happens once per run, so the waste is nil and the
+  // cursors never invalidate.
   std::vector<Tick> future_arena_;
-  std::vector<std::size_t> future_begin_;
-  std::vector<std::size_t> future_end_;
-  // First span entry not yet in the past.  Advancing it is a cache of a
-  // monotone scan, not observable state — hence mutable (predicted_gap()
-  // is const but may retire expired entries while peeking).
-  mutable std::vector<std::size_t> future_pos_;
 
   std::uint64_t sleeps_initiated_ = 0;
   std::uint64_t wake_marks_ = 0;
   bool started_ = false;
 
   obs::Tracer* tracer_ = nullptr;
-  std::vector<obs::StringId> tracks_;
   obs::StringId ev_sleep_ = 0;
   obs::StringId ev_wake_mark_ = 0;
 };

@@ -33,6 +33,11 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
   if (params_.data_disks == 0) {
     throw std::invalid_argument("StorageNode: need at least one data disk");
   }
+  if (params_.data_disks > NodeMetadata::kMaxDisks ||
+      params_.buffer_disks > NodeMetadata::kMaxDisks) {
+    throw std::invalid_argument(
+        "StorageNode: more disks than the file table can index");
+  }
   for (std::size_t i = 0; i < params_.data_disks; ++i) {
     data_disks_.push_back(std::make_unique<disk::DiskModel>(
         sim_, params_.disk_profile,
@@ -141,8 +146,8 @@ void StorageNode::create_file(trace::FileId f, Bytes size) {
   const std::size_t width =
       std::min(std::max<std::size_t>(params_.stripe_width, 1),
                data_disks_.size());
-  meta_.insert(f, {.first_disk = static_cast<std::uint32_t>(primary),
-                   .width = static_cast<std::uint32_t>(width),
+  meta_.insert(f, {.first_disk = static_cast<std::uint16_t>(primary),
+                   .width = static_cast<std::uint16_t>(width),
                    .size = size});
   ++files_created_;
 }
@@ -162,6 +167,11 @@ void StorageNode::receive_access_pattern(std::vector<FileHints> hints,
 
 void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
                                  std::function<void()> done) {
+  plan_prefetch(candidates);
+  warm_prefetch(std::move(done));
+}
+
+void StorageNode::plan_prefetch(const std::vector<trace::FileId>& candidates) {
   // Planning is the views' one reader; they go when it returns.
   const std::vector<FileHints> hints = std::move(hints_);
   // Each data disk's access timeline, built once at its final size: a
@@ -245,7 +255,9 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
     }
   }
   if (!power_reads_residuals()) plan_.residual_disk_accesses.clear();
+}
 
+void StorageNode::warm_prefetch(std::function<void()> done) {
   std::vector<trace::FileId> hot;
   std::vector<trace::FileId> warm;
   for (const PrefetchCandidate& c : plan_.ram_pinned) hot.push_back(c.file);
@@ -433,7 +445,7 @@ void StorageNode::write_buffer_copy(trace::FileId f, Done done) {
     }
     LocalFileMeta& meta = meta_.at(f);
     meta.buffered = true;
-    meta.buffer_disk = static_cast<std::uint32_t>(bd);
+    meta.buffer_disk = static_cast<std::uint16_t>(bd);
     done(true);
   };
   ++buffered_count_;
@@ -476,7 +488,7 @@ void StorageNode::ram_admit(trace::FileId f, Bytes bytes) {
 
 void StorageNode::begin_replay(Tick replay_start) {
   if (!plan_ready_) {
-    throw std::logic_error("StorageNode: begin_replay before start_prefetch");
+    throw std::logic_error("StorageNode: begin_replay before plan_prefetch");
   }
   replay_start_ = replay_start;
   if (power_reads_residuals()) {

@@ -92,9 +92,15 @@ class StorageNode {
 
   /// Registers the node's metric names in `registry` (the ramcache.*
   /// family only with a RAM tier) and counts into it from then on.
+  /// Its disks and power manager refer to params.disk_profile, the one
+  /// copy of the profile the node keeps.  Throws std::invalid_argument
+  /// without data disks or with more than NodeMetadata::kMaxDisks.
   StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
               net::EndpointId self, NodeParams params,
               obs::Registry& registry);
+
+  StorageNode(const StorageNode&) = delete;
+  StorageNode& operator=(const StorageNode&) = delete;
 
   NodeId id() const { return params_.id; }
   net::EndpointId endpoint() const { return self_; }
@@ -120,13 +126,12 @@ class StorageNode {
   /// exact for a materialized trace and modeled from per-file counts for
   /// a stream (StorageServer::distribute_patterns).  They are views the
   /// node does not own: whoever owns them (the server's hint arena) keeps
-  /// them alive until start_prefetch has returned.  Throws
+  /// them alive until plan_prefetch has returned.  Throws
   /// std::invalid_argument unless the entries ascend strictly by file.
   void receive_access_pattern(std::vector<FileHints> hints, Tick horizon);
 
-  /// Plans (PRE-BUD gate) and executes the prefetch of `candidates`
-  /// (this node's slice of the global top-K, rank order).  `done` fires
-  /// when all copies hit the buffer disk.  Also derives the residual
+  /// Plans (PRE-BUD gate) the prefetch of `candidates` (this node's
+  /// slice of the global top-K, rank order) and derives the residual
   /// per-disk pattern the power manager should expect.  Call with an
   /// empty list for NPF runs — the pattern derivation still happens.
   /// Planning builds each data disk's timeline once from the received
@@ -134,6 +139,14 @@ class StorageNode {
   /// as its RAM admission weight.  The residual timelines outlive
   /// planning only under kHints/kOracle, whose power manager takes them
   /// in begin_replay; other policies keep just the expected gap.
+  /// Schedules no event.
+  void plan_prefetch(const std::vector<trace::FileId>& candidates);
+
+  /// Starts the copies plan_prefetch chose: pins the RAM share and
+  /// copies the buffer share.  `done` fires when all of them settled.
+  void warm_prefetch(std::function<void()> done);
+
+  /// plan_prefetch, then warm_prefetch.
   void start_prefetch(const std::vector<trace::FileId>& candidates,
                       std::function<void()> done);
 
@@ -365,7 +378,7 @@ class StorageNode {
     std::size_t data_disk = 0;
   };
   /// Popularity weight for RAM admission: the file's access count in the
-  /// node's pattern slice (0 before start_prefetch).
+  /// node's pattern slice (0 before plan_prefetch).
   std::uint64_t ram_weight(trace::FileId f) const;
   /// Offers a freshly read file to the RAM tier (no-op when disabled).
   void ram_admit(trace::FileId f, Bytes bytes);
@@ -392,7 +405,7 @@ class StorageNode {
   std::size_t expected_files_ = 0;
   std::size_t buffered_count_ = 0;  // round-robins files over buffer disks
 
-  /// The received hint views, until start_prefetch plans from them.
+  /// The received hint views, until plan_prefetch plans from them.
   std::vector<FileHints> hints_;
   /// (file, hinted access count) sorted by file, kept from planning on.
   std::vector<std::pair<trace::FileId, std::size_t>> hint_counts_;

@@ -136,7 +136,7 @@ class StorageServer {
   /// server owns: file-major by FileId, each file's slot sized from its
   /// ingested access count, 8 bytes per request.  Every serving holder
   /// receives views into it (StorageNode::receive_access_pattern), so the
-  /// arena must outlive every node's start_prefetch; release_hints()
+  /// arena must outlive every node's plan_prefetch; release_hints()
   /// frees it after that.  `exact` is a fresh pass over the requests:
   /// the arena holds each file's exact access offsets, and a pass whose
   /// count for any file differs from the ingested one throws
@@ -149,7 +149,7 @@ class StorageServer {
                            std::unique_ptr<workload::RequestStream> exact);
 
   /// Frees the hint arena.  Call once every node has planned
-  /// (StorageNode::start_prefetch), the last reader of its views.
+  /// (StorageNode::plan_prefetch), the last reader of its views.
   void release_hints() { hint_arena_ = std::vector<Tick>(); }
 
   /// This node-indexed slice of the globally top-`k` files, each slice in

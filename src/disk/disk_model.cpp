@@ -8,9 +8,9 @@
 
 namespace eevfs::disk {
 
-DiskModel::DiskModel(sim::Simulator& sim, DiskProfile profile,
+DiskModel::DiskModel(sim::Simulator& sim, const DiskProfile& profile,
                      std::string label)
-    : sim_(sim), profile_(std::move(profile)), label_(std::move(label)) {
+    : sim_(sim), profile_(profile), label_(std::move(label)) {
   // Seed the retry stream from the label so failure injection is
   // deterministic per disk and independent across disks.
   for (const char c : label_) {

@@ -63,7 +63,11 @@ struct DiskRequest {
 
 class DiskModel {
  public:
-  DiskModel(sim::Simulator& sim, DiskProfile profile, std::string label);
+  /// The model refers to `profile` and does not copy it: a node's disks
+  /// share the node's one profile, which must outlive them.
+  DiskModel(sim::Simulator& sim, const DiskProfile& profile,
+            std::string label);
+  DiskModel(sim::Simulator&, DiskProfile&&, std::string) = delete;
 
   DiskModel(const DiskModel&) = delete;
   DiskModel& operator=(const DiskModel&) = delete;
@@ -157,7 +161,7 @@ class DiskModel {
   void drain_queue_unavailable();
 
   sim::Simulator& sim_;
-  DiskProfile profile_;
+  const DiskProfile& profile_;
   std::string label_;
 
   PowerState state_ = PowerState::kIdle;

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -78,6 +79,7 @@ Trace read_trace(std::istream& in) {
       throw std::runtime_error("trace parse error on line " +
                                std::to_string(line_no) + ": op must be r|w");
     }
+    // A client id past ClientId's range fails here as a bad number.
     r.client = parse_number<ClientId>(client, line_no);
     trace.append(r);
   }
@@ -149,7 +151,13 @@ Trace read_trace_binary(std::istream& in) {
     const auto op = get_le<std::uint8_t>(in);
     if (op > 1) throw std::runtime_error("binary trace: bad op byte");
     r.op = static_cast<Op>(op);
-    r.client = get_le<std::uint32_t>(in);
+    const auto client = get_le<std::uint32_t>(in);
+    if (client > std::numeric_limits<ClientId>::max()) {
+      throw std::runtime_error("binary trace: client id " +
+                               std::to_string(client) + " in record " +
+                               std::to_string(i) + " does not fit 16 bits");
+    }
+    r.client = static_cast<ClientId>(client);
     trace.append(r);
   }
   return trace;

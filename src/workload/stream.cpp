@@ -51,6 +51,10 @@ StreamingWorkload make_synthetic_stream(const SyntheticConfig& config) {
       config.inter_arrival_ms < 0.0) {
     throw std::invalid_argument("make_synthetic_stream: invalid parameters");
   }
+  if (config.num_clients > trace::kMaxClients) {
+    throw std::invalid_argument(
+        "make_synthetic_stream: more clients than 16-bit client ids can name");
+  }
 
   Rng size_rng = Rng(config.seed).fork(1);
   // eevfs-lint: allow(U2) fractional mean of the size model, not a count

@@ -44,7 +44,8 @@ struct SyntheticConfig {
   double inter_arrival_jitter = 0.0;  // 0 = fixed spacing; 1 = exponential
   /// Requests are replayed closed-loop per client; with the cluster's
   /// default of four client nodes the trace spacing is preserved unless
-  /// service times exceed 4x the inter-arrival delay.
+  /// service times exceed 4x the inter-arrival delay.  At most
+  /// trace::kMaxClients.
   std::size_t num_clients = 4;
   std::uint64_t seed = 42;
 

@@ -23,6 +23,10 @@ Workload generate_webtrace(const WebTraceConfig& config) {
   if (config.num_clients == 0) {
     throw std::invalid_argument("generate_webtrace: no clients");
   }
+  if (config.num_clients > trace::kMaxClients) {
+    throw std::invalid_argument(
+        "generate_webtrace: more clients than 16-bit client ids can name");
+  }
 
   Workload w;
   w.name = config.label();

@@ -26,7 +26,7 @@ struct WebTraceConfig {
   std::size_t working_set = 60;    // #distinct files that receive accesses
   double zipf_alpha = 0.98;        // web-workload skew (Breslau et al.)
   double burstiness = 0.3;         // fraction of requests in bursts
-  std::size_t num_clients = 4;
+  std::size_t num_clients = 4;     // at most trace::kMaxClients
   std::uint64_t seed = 7;
 
   std::string label() const;

@@ -242,6 +242,15 @@ TEST(Cluster, ConfigValidationRejectsNonsense) {
   EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
+// Client ids are 16-bit: 65,535 clients is the most a cell may have.
+TEST(Cluster, ConfigValidationRejectsMoreClientsThanIdsCanName) {
+  ClusterConfig cfg;
+  cfg.num_clients = 65'535;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.num_clients = 65'536;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(Cluster, Type2NodesAreSlower) {
   ClusterConfig cfg = baseline::eevfs_pf();
   EXPECT_FALSE(cfg.is_type2(0));

@@ -115,7 +115,8 @@ TEST(DiskFlakiness, RetriesAreCountedAndCostTime) {
 
 TEST(DiskFlakiness, ZeroProbabilityNeverRetries) {
   sim::Simulator sim;
-  DiskModel disk(sim, DiskProfile::ata133_fast(), "solid");
+  const DiskProfile profile = DiskProfile::ata133_fast();
+  DiskModel disk(sim, profile, "solid");
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(disk.request_spin_down());
     sim.run();

@@ -695,8 +695,8 @@ TEST(ClusterFault, DeadMarkedPrimaryIsTriedNotSkipped) {
   w.name = "dead-mark-regression";
   w.file_sizes = {10 * kMB};
   for (const double sec : {1.0, 2.0, 3.0, 16.35, 16.6, 18.0}) {
-    w.requests.append({seconds_to_ticks(sec), 0, 10 * kMB,
-                       trace::Op::kRead, 0});
+    w.requests.append({seconds_to_ticks(sec), 10 * kMB, 0, 0,
+                       trace::Op::kRead});
   }
   core::ClusterConfig cfg = baseline::eevfs_pf();
   cfg.enable_prefetch = false;  // replay starts at t=0: arrivals are

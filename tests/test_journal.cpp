@@ -72,7 +72,8 @@ class WriteJournalTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  disk::DiskModel log_disk{sim, disk::DiskProfile::ata133_fast(), "log"};
+  disk::DiskProfile profile = disk::DiskProfile::ata133_fast();
+  disk::DiskModel log_disk{sim, profile, "log"};
 };
 
 TEST_F(WriteJournalTest, OffModeAcksWithoutTouchingTheDisk) {

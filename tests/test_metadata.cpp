@@ -128,7 +128,8 @@ TEST(NodeMetadata, IterationCoversAllFiles) {
   // Inserted out of order; iteration is in FileId order.
   for (trace::FileId i = 0; i < 10; ++i) {
     const trace::FileId f = (i * 7) % 10;
-    m.insert(f, LocalFileMeta{.first_disk = f % 2, .size = kMB});
+    m.insert(f, LocalFileMeta{.first_disk = static_cast<std::uint16_t>(f % 2),
+                              .size = kMB});
   }
   trace::FileId expected = 0;
   for (const auto& [f, meta] : m) {

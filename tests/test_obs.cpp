@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -352,6 +353,15 @@ TEST(Observability, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(a.buffer_hits, b.buffer_hits);
   EXPECT_EQ(a.response_time_sec.mean(), b.response_time_sec.mean());
   EXPECT_EQ(a.counters, b.counters);  // every metric, bit-exact
+}
+
+// Components get the tracer only when it records, so an untraced run
+// interns no string: a 1024-node cell keeps no table of its disk labels.
+TEST(Observability, UntracedRunInternsNothing) {
+  Cluster off(baseline::eevfs_pf());
+  (void)off.run(tiny_workload());
+  EXPECT_EQ(off.tracer().lookup(0), "");
+  EXPECT_THROW((void)off.tracer().lookup(1), std::out_of_range);
 }
 
 // The response percentiles pool every client's successful requests:

@@ -15,7 +15,7 @@ trace::Trace skewed_trace() {
   Tick at = 0;
   const auto add = [&](trace::FileId f, int n) {
     for (int i = 0; i < n; ++i) {
-      t.append({at, f, kMB, trace::Op::kRead, 0});
+      t.append({at, kMB, f, 0, trace::Op::kRead});
       at += 1000;
     }
   };

@@ -157,6 +157,16 @@ TEST_F(StorageNodeTest, PrefetchCandidateNotOnNodeThrows) {
   EXPECT_THROW(node->start_prefetch({42}, [] {}), std::invalid_argument);
 }
 
+// The file table stores disk indices and stripe widths in 16 bits.
+TEST_F(StorageNodeTest, RejectsMoreDisksThanTheFileTableIndexes) {
+  NodeParams p = params();
+  p.data_disks = NodeMetadata::kMaxDisks + 1;
+  EXPECT_THROW(make_node(p), std::invalid_argument);
+  p = params();
+  p.buffer_disks = NodeMetadata::kMaxDisks + 1;
+  EXPECT_THROW(make_node(p), std::invalid_argument);
+}
+
 TEST_F(StorageNodeTest, BeginReplayBeforePrefetchThrows) {
   auto node = make_node(params());
   EXPECT_THROW(node->begin_replay(0), std::logic_error);

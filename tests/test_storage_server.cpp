@@ -141,7 +141,7 @@ class StorageServerTest : public ::testing::Test {
     server->register_nodes(raw);
     trace::FilePopularity hot;
     for (const double t : {0.0, 5.0, 9.0}) {
-      hot.add({seconds_to_ticks(t), 7, kMB, trace::Op::kRead, 0});
+      hot.add({seconds_to_ticks(t), kMB, 7, 0, trace::Op::kRead});
     }
     server->ingest_popularity(trace::PopularityAnalyzer({hot}, 3));
     server->place_and_create(w.file_sizes);

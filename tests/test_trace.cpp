@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "trace/access_log.hpp"
 #include "trace/io.hpp"
@@ -16,11 +17,11 @@ namespace {
 
 Trace make_trace() {
   Trace t;
-  t.append({seconds_to_ticks(0), 5, 10 * kMB, Op::kRead, 0});
-  t.append({seconds_to_ticks(1), 3, 5 * kMB, Op::kRead, 1});
-  t.append({seconds_to_ticks(2), 5, 10 * kMB, Op::kRead, 0});
-  t.append({seconds_to_ticks(4), 5, 10 * kMB, Op::kWrite, 2});
-  t.append({seconds_to_ticks(5), 7, 1 * kMB, Op::kRead, 0});
+  t.append({seconds_to_ticks(0), 10 * kMB, 5, 0, Op::kRead});
+  t.append({seconds_to_ticks(1), 5 * kMB, 3, 1, Op::kRead});
+  t.append({seconds_to_ticks(2), 10 * kMB, 5, 0, Op::kRead});
+  t.append({seconds_to_ticks(4), 10 * kMB, 5, 2, Op::kWrite});
+  t.append({seconds_to_ticks(5), 1 * kMB, 7, 0, Op::kRead});
   return t;
 }
 
@@ -40,9 +41,9 @@ TEST(Trace, AppendMaintainsCountsAndTotals) {
 TEST(Trace, SparseFileIds) {
   constexpr FileId kFar = 4'000'000'000u;
   Trace t;
-  t.append({0, 3, kMB, Op::kRead, 0});
-  t.append({1, kFar, 2 * kMB, Op::kRead, 1});
-  t.append({2, 3, kMB, Op::kRead, 0});
+  t.append({0, kMB, 3, 0, Op::kRead});
+  t.append({1, 2 * kMB, kFar, 1, Op::kRead});
+  t.append({2, kMB, 3, 0, Op::kRead});
   EXPECT_EQ(t.unique_files(), 2u);
   const PopularityAnalyzer a(t);
   ASSERT_EQ(a.ranked().size(), 2u);
@@ -54,9 +55,9 @@ TEST(Trace, SparseFileIds) {
 
 TEST(Trace, RejectsOutOfOrderArrivals) {
   Trace t;
-  t.append({100, 1, 1, Op::kRead, 0});
-  EXPECT_THROW(t.append({99, 1, 1, Op::kRead, 0}), std::invalid_argument);
-  t.append({100, 2, 1, Op::kRead, 0});  // equal arrivals are fine
+  t.append({100, 1, 1, 0, Op::kRead});
+  EXPECT_THROW(t.append({99, 1, 1, 0, Op::kRead}), std::invalid_argument);
+  t.append({100, 1, 2, 0, Op::kRead});  // equal arrivals are fine
 }
 
 TEST(Trace, EmptyTraceBasics) {
@@ -96,7 +97,7 @@ TEST(PopularityAnalyzer, RankingKeepsOnlyAccessedFiles) {
   std::size_t total = 0;
   for (FileId f = 0; f < 10; ++f) {
     const FileId file = f * 1'000 + 7;
-    summaries[file].add({seconds_to_ticks(f), file, kMB, Op::kRead, 0});
+    summaries[file].add({seconds_to_ticks(f), kMB, file, 0, Op::kRead});
     ++total;
   }
   const PopularityAnalyzer a(std::move(summaries), total);
@@ -140,9 +141,9 @@ TEST(PopularityAnalyzer, TraceFoldMatchesAggregateFold) {
 TEST(PopularityAnalyzer, MeanGapAndAccessTimes) {
   Trace t = make_trace();
   // File 9's gaps differ: 1 s and 3 s.
-  t.append({seconds_to_ticks(6), 9, 1 * kMB, Op::kRead, 1});
-  t.append({seconds_to_ticks(7), 9, 1 * kMB, Op::kRead, 1});
-  t.append({seconds_to_ticks(10), 9, 1 * kMB, Op::kRead, 1});
+  t.append({seconds_to_ticks(6), 1 * kMB, 9, 1, Op::kRead});
+  t.append({seconds_to_ticks(7), 1 * kMB, 9, 1, Op::kRead});
+  t.append({seconds_to_ticks(10), 1 * kMB, 9, 1, Op::kRead});
   const PopularityAnalyzer a(t);
   const FilePopularity& hot = a.ranked()[a.rank(5)];
   EXPECT_EQ(hot.first_access, 0);
@@ -196,6 +197,20 @@ TEST(TraceIo, RejectsBadNumber) {
   std::stringstream ss;
   ss << kTraceMagic << "\nabc 1 1000 r 0\n";
   EXPECT_THROW(read_trace(ss), std::runtime_error);
+}
+
+// Client ids are 16-bit: a wider one is refused, naming its line, rather
+// than truncated.
+TEST(TraceIo, RejectsClientIdPast16Bits) {
+  std::stringstream ss;
+  ss << kTraceMagic << "\n100 1 1000 r 65535\n200 1 1000 r 65536\n";
+  try {
+    (void)read_trace(ss);
+    FAIL() << "client id 65536 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIo, RejectsEmptyInput) {

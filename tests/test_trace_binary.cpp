@@ -76,10 +76,25 @@ TEST(BinaryTrace, RejectsTruncatedInput) {
 TEST(BinaryTrace, RejectsBadOpByte) {
   std::stringstream ss;
   Trace t;
-  t.append({0, 1, 2, Op::kRead, 3});
+  t.append({0, 2, 1, 3, Op::kRead});
   write_trace_binary(ss, t);
   std::string s = ss.str();
   s[16 + 8 + 4 + 8] = 7;  // op byte of record 0
+  std::stringstream bad(s);
+  EXPECT_THROW(read_trace_binary(bad), std::runtime_error);
+}
+
+// The record's client field stays 32 bits wide; an id that does not fit
+// the 16-bit ClientId is refused instead of truncated.
+TEST(BinaryTrace, RejectsClientIdPast16Bits) {
+  std::stringstream ss;
+  Trace t;
+  TraceRecord r;
+  r.client = 3;
+  t.append(r);
+  write_trace_binary(ss, t);
+  std::string s = ss.str();
+  s[16 + 8 + 4 + 8 + 1 + 2] = 1;  // record 0's client becomes 0x10003
   std::stringstream bad(s);
   EXPECT_THROW(read_trace_binary(bad), std::runtime_error);
 }

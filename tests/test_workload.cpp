@@ -154,6 +154,13 @@ TEST(Synthetic, RejectsZeroClients) {
   EXPECT_THROW(make_synthetic_stream(cfg), std::invalid_argument);
 }
 
+// Client ids are 16-bit: a client count they cannot name is refused.
+TEST(Synthetic, RejectsMoreClientsThanIdsCanName) {
+  SyntheticConfig cfg;
+  cfg.num_clients = 65'536;
+  EXPECT_THROW(make_synthetic_stream(cfg), std::invalid_argument);
+}
+
 TEST(Synthetic, ClientsAreAssignedWithinRange) {
   SyntheticConfig cfg;
   cfg.num_clients = 3;
@@ -237,6 +244,12 @@ TEST(WebTrace, RejectsInvalidConfigs) {
 TEST(WebTrace, RejectsZeroClients) {
   WebTraceConfig cfg;
   cfg.num_clients = 0;
+  EXPECT_THROW(generate_webtrace(cfg), std::invalid_argument);
+}
+
+TEST(WebTrace, RejectsMoreClientsThanIdsCanName) {
+  WebTraceConfig cfg;
+  cfg.num_clients = 65'536;
   EXPECT_THROW(generate_webtrace(cfg), std::invalid_argument);
 }
 
