@@ -97,6 +97,11 @@ class BudSimulator {
  public:
   BudSimulator(BudConfig config, BudPolicy policy);
 
+  // The disks and the energy model refer to config_.profile, and the
+  // disks' callbacks to this object.
+  BudSimulator(const BudSimulator&) = delete;
+  BudSimulator& operator=(const BudSimulator&) = delete;
+
   /// Requests must be sorted by arrival.  Single use.
   BudStats run(const std::vector<BlockRequest>& requests);
 
