@@ -6,7 +6,8 @@
 //   $ ./eevfs_cli --trace /path/to/trace.txt --system maid
 //   $ ./eevfs_cli --trace-out /tmp/run --report /tmp/run_report.json
 //   $ ./eevfs_cli --chaos-seed 7 --replication 2 --journal commit
-//   $ ./eevfs_cli --chaos-plan faults.txt --journal off
+//   $ ./eevfs_cli --chaos-plan examples/chaos_plan.txt --journal off
+//         --request-timeout 3   (one line; the plan drops messages)
 //
 // Systems: eevfs_pf, eevfs_npf, maid, pdc, drpm, always_on, oracle.
 //
@@ -60,6 +61,8 @@ void apply_overrides(const CliParser& cli, core::ClusterConfig& cfg) {
                                                          cfg.journal_mode)));
   cfg.replication_degree = static_cast<std::size_t>(cli.get_int(
       "replication", static_cast<std::int64_t>(cfg.replication_degree)));
+  cfg.request_timeout_sec =
+      cli.get_double("request-timeout", cfg.request_timeout_sec);
   if (const auto ec = cli.get("ec")) {
     // --ec n,k : erasure-coded placement (mutually exclusive with
     // --replication > 1; ClusterConfig::validate enforces that).
@@ -200,6 +203,10 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "workload seed", "42");
   cli.add_flag("journal", "write journal: off | commit | checkpoint");
   cli.add_flag("replication", "copies of every file", "1");
+  cli.add_flag("request-timeout",
+               "client deadline per attempt in seconds (0 = none; a plan "
+               "with drop_prob needs one)",
+               "0");
   cli.add_flag("ec", "erasure coding as n,k (e.g. 4,2); excludes --replication");
   cli.add_flag("ec-hedge-ms", "erasure hedge stagger in ms", "250");
   cli.add_flag("chaos-seed", "random node crash/restart schedule seed");

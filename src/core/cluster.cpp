@@ -64,9 +64,6 @@ void Cluster::build_infra() {
     params.prebud_gate = config_.prebud_gate;
     params.disk_placement = config_.disk_placement;
     params.stripe_width = config_.stripe_width;
-    params.max_io_retries = config_.max_disk_io_retries;
-    params.io_retry_backoff = milliseconds_to_ticks(config_.disk_io_backoff_ms);
-    params.io_deadline = seconds_to_ticks(config_.disk_io_deadline_sec);
     params.journal.mode = config_.journal_mode;
     params.ram_cache_bytes = config_.ram_cache_bytes;
     params.ram_cache_policy = config_.ram_cache_policy;
@@ -248,11 +245,7 @@ RunMetrics Cluster::run_phase() {
                 config_.prefetch_file_count,
                 seconds_to_ticks(config_.refresh_interval_sec));
           }
-          if (injector_ && config_.heartbeat_interval_sec > 0) {
-            server_->begin_health_monitor(
-                seconds_to_ticks(config_.heartbeat_interval_sec),
-                config_.heartbeat_miss_threshold);
-          }
+          if (injector_) server_->begin_health_monitor();
           start_replay(replay_start);
         }
       });

@@ -97,8 +97,8 @@ class Cluster {
   /// Wall-clock seconds the event loop spent executing this run —
   /// diagnostic only (report meta), never part of RunMetrics.
   double wall_seconds() const { return sim_ ? sim_->wall_seconds() : 0.0; }
-  /// Simulation events the event loop executed for this run — the
-  /// throughput denominator for the perf smoke (events / wall second).
+  /// Simulation events the event loop executed for this run: the items
+  /// of bench/micro_benchmarks' event-throughput scenarios.
   std::uint64_t executed_events() const {
     return sim_ ? sim_->executed_events() : 0;
   }

@@ -127,20 +127,9 @@ struct ClusterConfig {
   /// Re-issues the client attempts after a typed failure or timeout
   /// before counting the request as failed.
   std::size_t max_request_retries = 2;
-  /// Node-level disk I/O retry policy: media errors are retried with
-  /// exponential backoff (base * 2^attempt) up to `max_disk_io_retries`
-  /// attempts or until `disk_io_deadline_sec` has elapsed for the I/O.
-  std::size_t max_disk_io_retries = 4;
-  double disk_io_backoff_ms = 5.0;
-  double disk_io_deadline_sec = 30.0;
-  /// Server health monitor: every `heartbeat_interval_sec` the server
-  /// pings each node over the fabric; a node that misses
-  /// `heartbeat_miss_threshold` consecutive beats is marked dead and
-  /// routed around until it answers again.  0 interval = monitor off
-  /// (it arms automatically when fault_plan is non-empty).
-  double heartbeat_interval_sec = 1.0;
-  std::size_t heartbeat_miss_threshold = 3;
   /// The fault schedule for this run (empty = fault-free, zero cost).
+  /// A non-empty plan also arms the server's heartbeat monitor
+  /// (StorageServer::begin_health_monitor).
   fault::FaultPlan fault_plan;
 
   // --- erasure coding (robustness extension) ---------------------------

@@ -9,6 +9,9 @@ namespace eevfs::core {
 
 namespace {
 
+/// Weight of the newest observed gap in a disk's EWMA gap estimate.
+constexpr double kEwmaAlpha = 0.3;
+
 EnergyPredictionModel make_gate_model(const PowerManager::Params& p,
                                       const disk::DiskProfile& profile) {
   switch (p.policy) {
@@ -88,8 +91,7 @@ void PowerManager::note_arrival(std::size_t disk) {
     const auto gap = static_cast<double>(now - d.last_arrival);
     d.ewma_gap = d.observed_gaps == 0
                      ? gap
-                     : params_.ewma_alpha * gap +
-                           (1.0 - params_.ewma_alpha) * d.ewma_gap;
+                     : kEwmaAlpha * gap + (1.0 - kEwmaAlpha) * d.ewma_gap;
     ++d.observed_gaps;
   }
   d.last_arrival = now;

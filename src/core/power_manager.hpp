@@ -39,7 +39,6 @@ class PowerManager {
     PowerPolicy policy = PowerPolicy::kPredictive;
     Tick idle_threshold = seconds_to_ticks(5.0);
     double sleep_margin = 1.0;
-    double ewma_alpha = 0.3;
   };
 
   /// `disks` are the node's data disks; the manager installs itself as

@@ -318,11 +318,11 @@ void StorageNode::submit_with_retry(
     // A crashed process issues no retries; the final status falls
     // through to `done`, whose own epoch guard drops the state effects.
     if (ep == epoch_ && st == disk::IoStatus::kMediaError &&
-        attempt < params_.max_io_retries) {
+        attempt < kMaxIoRetries) {
       // Exponential backoff, bounded by the per-I/O deadline.
-      const Tick backoff = params_.io_retry_backoff
+      const Tick backoff = kIoRetryBackoff
                            << std::min<std::size_t>(attempt, 16);
-      if (t - issued + backoff <= params_.io_deadline) {
+      if (t - issued + backoff <= kIoDeadline) {
         metrics_.disk_io_retries.add();
         (void)sim_.schedule_after(
             backoff, [this, target, bytes, sequential, is_write, issued,

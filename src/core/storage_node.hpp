@@ -70,11 +70,6 @@ struct NodeParams {
   DiskPlacement disk_placement = DiskPlacement::kRoundRobin;
   /// Intra-node striping width (clamped to the data-disk count).
   std::size_t stripe_width = 1;
-  /// Disk I/O retry policy (media errors): attempts, exponential backoff
-  /// base, and a per-I/O deadline after which retrying stops.
-  std::size_t max_io_retries = 4;
-  Tick io_retry_backoff = milliseconds_to_ticks(5.0);
-  Tick io_deadline = seconds_to_ticks(30.0);
   /// Write-ahead journal for the buffer-disk write buffer (kOff
   /// reproduces the lossy pre-journal behaviour for ablation).
   disk::JournalParams journal;
@@ -89,6 +84,13 @@ class StorageNode {
   /// Completion of one serve: `t` is the delivery/ack time on success;
   /// on failure it is when the node gave up.
   using ServeCallback = std::function<void(Tick t, RequestStatus status)>;
+
+  /// Disk I/O retry policy (media errors): at most kMaxIoRetries retries,
+  /// the n-th after a backoff of kIoRetryBackoff * 2^n, and none once
+  /// the I/O would pass kIoDeadline since it was first issued.
+  static constexpr std::size_t kMaxIoRetries = 4;
+  static constexpr Tick kIoRetryBackoff = milliseconds_to_ticks(5.0);
+  static constexpr Tick kIoDeadline = seconds_to_ticks(30.0);
 
   /// Registers the node's metric names in `registry` (the ramcache.*
   /// family only with a RAM tier) and counts into it from then on.

@@ -222,14 +222,10 @@ void StorageServer::begin_online_refresh(std::size_t k, Tick interval) {
 
 void StorageServer::stop_online_refresh() { refresh_timer_.cancel(); }
 
-void StorageServer::begin_health_monitor(Tick interval,
-                                         std::size_t miss_threshold) {
-  if (interval <= 0) return;
-  heartbeat_interval_ = interval;
-  miss_threshold_ = std::max<std::size_t>(miss_threshold, 1);
+void StorageServer::begin_health_monitor() {
   heartbeat_timer_.cancel();
   heartbeat_timer_ =
-      sim_.schedule_after(heartbeat_interval_, [this] { heartbeat_round(); });
+      sim_.schedule_after(kHeartbeatInterval, [this] { heartbeat_round(); });
 }
 
 void StorageServer::stop_health_monitor() {
@@ -247,7 +243,8 @@ void StorageServer::heartbeat_round() {
   // back within a full interval.
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     NodeHealth& h = health_[n];
-    if (h.ping_in_flight && !h.dead && ++h.missed >= miss_threshold_) {
+    if (h.ping_in_flight && !h.dead &&
+        ++h.missed >= kHeartbeatMissThreshold) {
       mark_dead(n);
     }
   }
@@ -270,7 +267,7 @@ void StorageServer::heartbeat_round() {
               });
   }
   heartbeat_timer_ =
-      sim_.schedule_after(heartbeat_interval_, [this] { heartbeat_round(); });
+      sim_.schedule_after(kHeartbeatInterval, [this] { heartbeat_round(); });
 }
 
 void StorageServer::mark_dead(NodeId n) {
@@ -301,6 +298,29 @@ void StorageServer::mark_alive(NodeId n) {
   }
   EEVFS_DEBUG() << "server: node " << n << " recovered at t="
                 << ticks_to_seconds(sim_.now());
+}
+
+void StorageServer::note_holder_failure(trace::FileId f, NodeId n,
+                                        RequestStatus st, Tick t) {
+  if (st == RequestStatus::kDiskUnavailable) {
+    unavailable_.insert({f, n});
+  } else if (st == RequestStatus::kNodeUnavailable) {
+    mark_dead(n);
+  }
+  metrics_.failovers.add();
+  if (tracer_ && tracer_->wants(obs::kCatServer)) {
+    tracer_->instant(t, obs::kCatServer, obs::TraceLevel::kInfo, ev_failover_,
+                     track_, tracer_->intern(to_string(st)),
+                     static_cast<std::int64_t>(f),
+                     static_cast<std::int64_t>(n));
+  }
+}
+
+void StorageServer::fail_next_tick(RouteCallback on_done) {
+  metrics_.failed.add();
+  (void)sim_.schedule_after(1, [this, on_done = std::move(on_done)] {
+    on_done(sim_.now(), RequestStatus::kNoReplica);
+  });
 }
 
 std::vector<trace::FileId> StorageServer::take_stale_files(NodeId n) {
@@ -367,10 +387,7 @@ void StorageServer::try_replica(const trace::TraceRecord& r,
                                 std::size_t idx, NodeId primary,
                                 RouteCallback on_done) {
   if (idx >= candidates.size()) {
-    metrics_.failed.add();
-    (void)sim_.schedule_after(1, [this, on_done = std::move(on_done)] {
-      on_done(sim_.now(), RequestStatus::kNoReplica);
-    });
+    fail_next_tick(std::move(on_done));
     return;
   }
 
@@ -407,19 +424,7 @@ void StorageServer::try_replica(const trace::TraceRecord& r,
                 return;
               }
               // The node could not serve: remember why, then fail over.
-              if (st == RequestStatus::kDiskUnavailable) {
-                unavailable_.insert({r.file, candidates[idx]});
-              } else if (st == RequestStatus::kNodeUnavailable) {
-                mark_dead(candidates[idx]);
-              }
-              metrics_.failovers.add();
-              if (tracer_ && tracer_->wants(obs::kCatServer)) {
-                tracer_->instant(
-                    t, obs::kCatServer, obs::TraceLevel::kInfo, ev_failover_,
-                    track_, tracer_->intern(to_string(st)),
-                    static_cast<std::int64_t>(r.file),
-                    static_cast<std::int64_t>(candidates[idx]));
-              }
+              note_holder_failure(r.file, candidates[idx], st, t);
               try_replica(r, client, std::move(candidates), idx + 1, primary,
                           std::move(on_done));
             };
@@ -525,19 +530,7 @@ void StorageServer::ec_chunk_done(const std::shared_ptr<EcReadOp>& op,
   // Typed chunk failure: remember why, then pull in the next spare NOW
   // instead of waiting for its hedge timer.
   op->faulty = true;
-  const NodeId n = op->chunk_node[chunk];
-  if (st == RequestStatus::kDiskUnavailable) {
-    unavailable_.insert({op->r.file, n});
-  } else if (st == RequestStatus::kNodeUnavailable) {
-    mark_dead(n);
-  }
-  metrics_.failovers.add();
-  if (tracer_ && tracer_->wants(obs::kCatServer)) {
-    tracer_->instant(t, obs::kCatServer, obs::TraceLevel::kInfo, ev_failover_,
-                     track_, tracer_->intern(to_string(st)),
-                     static_cast<std::int64_t>(op->r.file),
-                     static_cast<std::int64_t>(n));
-  }
+  note_holder_failure(op->r.file, op->chunk_node[chunk], st, t);
   ec_dispatch_next(op);
   if (op->arrived + op->outstanding +
           (op->candidates.size() - op->next) < op->need) {
@@ -545,14 +538,18 @@ void StorageServer::ec_chunk_done(const std::shared_ptr<EcReadOp>& op,
   }
 }
 
-void StorageServer::ec_join(const std::shared_ptr<EcReadOp>& op, Tick t) {
-  op->settled = true;
-  for (sim::EventHandle& h : op->hedges) {
+void StorageServer::settle(EcReadOp& op) {
+  op.settled = true;
+  for (sim::EventHandle& h : op.hedges) {
     if (h.pending()) {
       metrics_.ec_hedges_cancelled.add();
       h.cancel();
     }
   }
+}
+
+void StorageServer::ec_join(const std::shared_ptr<EcReadOp>& op, Tick t) {
+  settle(*op);
   metrics_.ec_reads.add();
   // Any join that used a parity chunk needs a decode (MDS reconstruction
   // is required whenever the k arrivals are not exactly the k data
@@ -596,17 +593,8 @@ void StorageServer::ec_join(const std::shared_ptr<EcReadOp>& op, Tick t) {
 
 void StorageServer::ec_fail(const std::shared_ptr<EcReadOp>& op) {
   if (op->settled) return;
-  op->settled = true;
-  for (sim::EventHandle& h : op->hedges) {
-    if (h.pending()) {
-      metrics_.ec_hedges_cancelled.add();
-      h.cancel();
-    }
-  }
-  metrics_.failed.add();
-  (void)sim_.schedule_after(1, [this, op] {
-    op->on_done(sim_.now(), RequestStatus::kNoReplica);
-  });
+  settle(*op);
+  fail_next_tick(std::move(op->on_done));
 }
 
 void StorageServer::ec_write(const trace::TraceRecord& r,
@@ -641,10 +629,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
     targets.push_back(c);
   }
   if (targets.size() < need) {
-    metrics_.failed.add();
-    (void)sim_.schedule_after(1, [this, join] {
-      join->on_done(sim_.now(), RequestStatus::kNoReplica);
-    });
+    fail_next_tick(std::move(join->on_done));
     return;
   }
 
@@ -664,20 +649,8 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
                   ++join->acked;
                   if (t > join->last_ok) join->last_ok = t;
                 } else {
-                  if (st == RequestStatus::kDiskUnavailable) {
-                    unavailable_.insert({r.file, nid});
-                  } else if (st == RequestStatus::kNodeUnavailable) {
-                    mark_dead(nid);
-                  }
-                  metrics_.failovers.add();
+                  note_holder_failure(r.file, nid, st, t);
                   stale_files_[nid].insert(r.file);
-                  if (tracer_ && tracer_->wants(obs::kCatServer)) {
-                    tracer_->instant(t, obs::kCatServer,
-                                     obs::TraceLevel::kInfo, ev_failover_,
-                                     track_, tracer_->intern(to_string(st)),
-                                     static_cast<std::int64_t>(r.file),
-                                     static_cast<std::int64_t>(nid));
-                  }
                 }
                 if (join->outstanding == 0) {
                   if (join->acked >= need) {

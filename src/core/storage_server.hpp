@@ -10,8 +10,8 @@
 // (typed reply) the server remembers what went wrong — a dead node, or a
 // (file, node) pair whose disks are gone — and re-routes to the next
 // healthy replica.  A periodic heartbeat over the fabric marks nodes dead
-// after `miss_threshold` silent rounds and revives them when they answer
-// again, feeding the availability metrics (degraded time, MTTR).
+// after kHeartbeatMissThreshold silent rounds and revives them when they
+// answer again, feeding the availability metrics (degraded time, MTTR).
 //
 // Replica ordering: candidates the server believes healthy are tried
 // first (placement order), then heartbeat-dead-marked nodes as a last
@@ -166,10 +166,15 @@ class StorageServer {
   void begin_online_refresh(std::size_t k, Tick interval);
   void stop_online_refresh();
 
-  /// Health monitor: every `interval` the server pings each node over the
-  /// fabric; a node that stays silent for `miss_threshold` consecutive
-  /// rounds is marked dead (and routed around) until it answers again.
-  void begin_health_monitor(Tick interval, std::size_t miss_threshold);
+  /// Heartbeat period, and the consecutive silent rounds after which the
+  /// monitor marks a node dead.
+  static constexpr Tick kHeartbeatInterval = seconds_to_ticks(1.0);
+  static constexpr std::size_t kHeartbeatMissThreshold = 3;
+  /// Health monitor: every kHeartbeatInterval the server pings each node
+  /// over the fabric; a node that stays silent for kHeartbeatMissThreshold
+  /// consecutive rounds is marked dead (and routed around) until it
+  /// answers again.
+  void begin_health_monitor();
   /// Stops the heartbeat and adds the dead time of nodes still marked
   /// dead to server.degraded_time.us.  Call once, at run end.
   void stop_health_monitor();
@@ -259,6 +264,16 @@ class StorageServer {
   void ec_fail(const std::shared_ptr<EcReadOp>& op);
   void ec_write(const trace::TraceRecord& r, net::EndpointId client,
                 const ServerFileEntry& entry, RouteCallback on_done);
+  /// Marks an erasure read settled and cancels its pending hedge timers.
+  void settle(EcReadOp& op);
+  /// Node `n` failed a request for `f` with `st` at `t`: a
+  /// kDiskUnavailable pair is skipped from then on and a kNodeUnavailable
+  /// node is marked dead; counts and traces the failover.
+  void note_holder_failure(trace::FileId f, NodeId n, RequestStatus st,
+                           Tick t);
+  /// Counts a request no holder can serve and settles it kNoReplica on
+  /// the next tick.
+  void fail_next_tick(RouteCallback on_done);
   void mark_dead(NodeId n);
   void mark_alive(NodeId n);
   void heartbeat_round();
@@ -292,8 +307,6 @@ class StorageServer {
   /// skipped (dead or unavailable) — its copy is now behind.
   std::vector<std::set<trace::FileId>> stale_files_;
   sim::EventHandle heartbeat_timer_;
-  Tick heartbeat_interval_ = 0;
-  std::size_t miss_threshold_ = 3;
 
   // erasure coding
   ErasureParams ec_;

@@ -27,8 +27,8 @@ WriteJournal::WriteJournal(sim::Simulator& sim, JournalParams params,
   if (enabled() && media_.empty()) {
     throw std::invalid_argument("WriteJournal: enabled but no buffer disks");
   }
-  if (params_.header_bytes == 0 || params_.checkpoint_every == 0) {
-    throw std::invalid_argument("WriteJournal: zero-sized parameters");
+  if (params_.checkpoint_every == 0) {
+    throw std::invalid_argument("WriteJournal: checkpoint_every is zero");
   }
 }
 
@@ -49,7 +49,7 @@ void WriteJournal::append(
   rec.data_disk = data_disk;
   const std::uint64_t ep = epoch_;
   DiskRequest header;
-  header.bytes = params_.header_bytes;
+  header.bytes = kHeaderBytes;
   header.sequential = true;  // the log is append-only
   header.is_write = true;
   header.on_complete = [this, rec, ep, done = std::move(done)](
@@ -93,7 +93,7 @@ void WriteJournal::maybe_checkpoint() {
   marks_since_checkpoint_ = 0;
   const std::uint64_t ep = epoch_;
   DiskRequest cp;
-  cp.bytes = params_.checkpoint_bytes;
+  cp.bytes = kCheckpointBytes;
   cp.sequential = true;
   cp.is_write = true;
   cp.on_complete = [this, ep](Tick, IoStatus st) {
@@ -128,8 +128,7 @@ void WriteJournal::replay(
     });
     return;
   }
-  const Bytes scan =
-      params_.header_bytes * static_cast<Bytes>(durable_.size());
+  const Bytes scan = kHeaderBytes * static_cast<Bytes>(durable_.size());
   const std::uint64_t ep = epoch_;
   DiskRequest read;
   read.bytes = scan;

@@ -52,10 +52,6 @@ JournalMode parse_journal_mode(std::string_view s);
 
 struct JournalParams {
   JournalMode mode = JournalMode::kCommit;
-  /// Size of one commit-header append (one log sector group).
-  Bytes header_bytes = 4096;
-  /// Size of one checkpoint record (kCheckpoint only).
-  Bytes checkpoint_bytes = 4096;
   /// Destages between durable checkpoints (kCheckpoint only).
   std::uint64_t checkpoint_every = 8;
 };
@@ -73,6 +69,11 @@ struct JournalRecord {
 
 class WriteJournal {
  public:
+  /// Size of one commit-header append (one log sector group).
+  static constexpr Bytes kHeaderBytes = 4096;
+  /// Size of one checkpoint record (kCheckpoint only).
+  static constexpr Bytes kCheckpointBytes = 4096;
+
   /// `media` are the owning node's buffer disks; headers and checkpoints
   /// are appended to the same disk as the payload they cover.
   WriteJournal(sim::Simulator& sim, JournalParams params,

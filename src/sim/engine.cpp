@@ -203,7 +203,7 @@ std::uint64_t Simulator::run(Tick until) {
   // Deliberate wall-clock use: wall_seconds() is diagnostic-only meta
   // (run_report schema keeps it out of result comparisons), so the
   // determinism lint is waived here — the only engine-side use in the
-  // tree (bench/perf_smoke.cpp carries the other waivers).
+  // tree (docs/static_analysis.md lists every waiver).
   const auto wall_start = std::chrono::steady_clock::now();  // eevfs-lint: allow(D1)
   // Accumulate on every exit path; wall time is diagnostic-only.
   struct WallGuard {

@@ -243,13 +243,12 @@ TEST_F(NodeFaultTest, MediaErrorsAreRetriedWithBackoff) {
 }
 
 TEST_F(NodeFaultTest, RetryBudgetExhaustionFailsTyped) {
-  auto p = params();
-  p.max_io_retries = 2;
-  auto node = make_node(p);
+  auto node = make_node(params());
   setup_files(*node, 4, 10 * kMB);
   node->mutable_data_disk(0).inject_read_errors(100);
   EXPECT_EQ(serve(*node, 0), RequestStatus::kDiskUnavailable);
-  EXPECT_EQ(count(registry, "node.disk_io_retries.count"), 2u);
+  EXPECT_EQ(count(registry, "node.disk_io_retries.count"),
+            core::StorageNode::kMaxIoRetries);
   EXPECT_GE(count(registry, "node.failed_serves.count"), 1u);
 }
 

@@ -93,7 +93,8 @@ TEST_F(WriteJournalTest, CommitAppendsHeaderBeforeAck) {
   EXPECT_EQ(j->durable_records(), 2u);
   // Each record cost exactly one header-sized log write.
   EXPECT_EQ(log_disk.requests_completed(), 2u);
-  EXPECT_EQ(log_disk.bytes_transferred(), 2 * j->params().header_bytes);
+  EXPECT_EQ(log_disk.bytes_transferred(),
+            2 * disk::WriteJournal::kHeaderBytes);
 }
 
 TEST_F(WriteJournalTest, FullDrainTruncatesForFree) {
@@ -158,7 +159,8 @@ TEST_F(WriteJournalTest, ReplayIsRepeatable) {
     EXPECT_EQ(first[i].bytes, second[i].bytes);
   }
   // Each replay paid one sequential scan over the durable headers.
-  EXPECT_EQ(j->replay_scan_bytes(), 2 * 2 * j->params().header_bytes);
+  EXPECT_EQ(j->replay_scan_bytes(),
+            2 * 2 * disk::WriteJournal::kHeaderBytes);
 }
 
 TEST_F(WriteJournalTest, CrashDropsInFlightAppends) {

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Byte-compares the bench outputs of two build trees.
 
-Every bench that bench/CMakeLists.txt declares with eevfs_bench(), except
-perf_smoke (host timings), runs once in each tree, each in a fresh
-directory.  Its stdout and its bench_results/<bench>.csv must be
-byte-identical between the two trees:
+Every bench that bench/CMakeLists.txt declares with eevfs_bench() runs
+once in each tree, each in a fresh directory.  Its stdout and its
+bench_results/<bench>.csv must be byte-identical between the two trees:
 
     python3 tools/bench_vs.py --base-build ../base/build [--build build]
                               [--out DIR]
@@ -29,15 +28,13 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SKIP = {"perf_smoke"}
 SCHEMA_NOTE = re.compile(r"\(schema v\d+, ")
 
 
 def bench_names(root=ROOT):
-    """The eevfs_bench() targets of bench/CMakeLists.txt, minus SKIP."""
+    """The eevfs_bench() targets of bench/CMakeLists.txt."""
     with open(os.path.join(root, "bench", "CMakeLists.txt")) as f:
-        names = re.findall(r"^eevfs_bench\((\w+)\)", f.read(), re.M)
-    return [n for n in names if n not in SKIP]
+        return re.findall(r"^eevfs_bench\((\w+)\)", f.read(), re.M)
 
 
 def run_benches(build, out, names):

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-shot verification: configure, build, test, lint, and (optionally)
-# sanitizer builds and the perf smoke.  Run from anywhere inside the
+# sanitizer builds and the perfbench checks.  Run from anywhere inside the
 # repo.  CI (.github/workflows/ci.yml) drives every job through this
 # script so a green local run means a green pipeline.
 #
@@ -8,15 +8,10 @@
 #   tools/check.sh --asan       # ... plus an ASan+UBSan build & test run
 #   tools/check.sh --tsan       # ... plus a TSan build of the thread-pool
 #                               #     stress test (EEVFS_TSAN=ON)
-#   tools/check.sh --perf       # ... plus tools/perf_step.sh: emits
-#                               #     build/BENCH_perf.json (hard-fails if
-#                               #     missing) and, when a committed
-#                               #     BENCH_perf.json baseline exists, runs
-#                               #     tools/perf_compare.py (warn-only;
-#                               #     see docs/perf.md); then one short
-#                               #     perfbench run per BENCHMARK.json
-#                               #     workload, which fails on a build
-#                               #     error or a failed correctness check
+#   tools/check.sh --perf       # ... plus one short perfbench run per
+#                               #     BENCHMARK.json workload, which fails
+#                               #     on a build error or a failed
+#                               #     correctness check (docs/perf.md)
 #   tools/check.sh --digest-vs REF  # ... plus tools/digest_diff.py
 #                               #     --require-equal against git ref
 #                               #     REF, checked out in a temporary
@@ -179,12 +174,6 @@ if [ "$RUN_TSAN" = 1 ]; then
 fi
 
 if [ "$RUN_PERF" = 1 ]; then
-  step "perf smoke (tools/perf_step.sh -> build/BENCH_perf.json)"
-  # The step script owns the exit contract: a missing output JSON is a
-  # hard failure even though the baseline comparison is warn-only
-  # (tests/shell/test_perf_guard.sh pins this).
-  tools/perf_step.sh
-
   step "perfbench correctness checks (every BENCHMARK.json workload)"
   # Only the checks gate here (request conservation, traced digest equal
   # to untraced, repeatable allocation counts, no lost acked writes);
