@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   for (const double mu : {10.0, 100.0, 1000.0}) {
     const auto w = bench::paper_workload(10.0, mu);
     core::ClusterConfig npf_cfg = bench::paper_config();
-    npf_cfg.enable_prefetch = false;
+    npf_cfg.cache_policy = core::CachePolicy::kNone;
     core::Cluster npf_cluster(npf_cfg);
     const core::RunMetrics npf = npf_cluster.run(w);
     out->add_run(format("mu=%.0f/npf", mu), npf);

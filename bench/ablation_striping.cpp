@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     // NPF reference with the same disk count.
     core::ClusterConfig npf_cfg = bench::paper_config();
     npf_cfg.data_disks_per_node = 4;
-    npf_cfg.enable_prefetch = false;
+    npf_cfg.cache_policy = core::CachePolicy::kNone;
     npf_cfg.power_policy = core::PowerPolicy::kNone;
     core::RunMetrics npf;
     {

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   {
     core::Cluster c(bench::paper_config());
     core::ClusterConfig cfg = bench::paper_config();
-    cfg.enable_prefetch = false;
+    cfg.cache_policy = core::CachePolicy::kNone;
     core::Cluster n(cfg);
     npf = n.run(w);
   }

@@ -258,7 +258,7 @@ workload::Workload webtrace_10k() {
 
 core::ClusterConfig paper_npf_config() {
   core::ClusterConfig cfg = bench::paper_config();
-  cfg.enable_prefetch = false;
+  cfg.cache_policy = core::CachePolicy::kNone;
   return cfg;
 }
 

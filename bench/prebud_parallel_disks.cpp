@@ -1,16 +1,17 @@
-// Substrate bench: PRE-BUD on the single-node BUD architecture ([12]) —
-// the "extensive simulations" whose findings motivated EEVFS (§I: access
-// patterns, data size, inter-arrival delays and disk energy parameters
-// combine to produce sleep opportunities; savings grow with the number
-// of data disks behind one buffer disk).
+// Substrate bench: PRE-BUD on the single-node BUD architecture ([12]),
+// run as a policy over one core::StorageNode — the "extensive
+// simulations" whose findings motivated EEVFS (§I: access patterns, data
+// size, inter-arrival delays and disk energy parameters combine to
+// produce sleep opportunities; savings grow with the number of data disks
+// behind one buffer disk).
 #include <cstdio>
 
 #include "harness.hpp"
-#include "prebud/bud_simulator.hpp"
+#include "baseline/bud_simulator.hpp"
 #include "util/string_util.hpp"
 
 using namespace eevfs;
-using namespace eevfs::prebud;
+using namespace eevfs::baseline;
 
 namespace {
 
@@ -88,8 +89,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nexpected shape ([12] / §I): PRE-BUD < DPM-only < always-on "
-              "in energy,\nwith the PRE-BUD advantage growing with the "
-              "number of data disks and with\nthe look-ahead window.\n");
+              "in energy from 4 data\ndisks on (at 2, DPM-only's spin-ups "
+              "cost more than its sleeps save), with the\nPRE-BUD advantage "
+              "growing with the number of data disks and with the\n"
+              "look-ahead window.\n");
   out->finish();
   return 0;
 }

@@ -78,9 +78,7 @@ int run_datacenter() {
         DcCell cell;
         cell.requests = w.num_requests;
         {
-          core::ClusterConfig pf = cfg;
-          pf.enable_prefetch = true;
-          core::Cluster c(pf);
+          core::Cluster c(cfg);
           cell.cmp.pf = c.run_stream(w);
           cell.peak_resident = c.stream_peak_resident_records();
         }
@@ -88,7 +86,7 @@ int run_datacenter() {
           // Same NPF modeling as run_pf_npf: no prefetch plan means no
           // marked sleep points, so power management is off.
           core::ClusterConfig npf = cfg;
-          npf.enable_prefetch = false;
+          npf.cache_policy = core::CachePolicy::kNone;
           npf.power_policy = core::PowerPolicy::kNone;
           core::Cluster c(npf);
           cell.cmp.npf = c.run_stream(w);

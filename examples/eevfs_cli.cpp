@@ -154,6 +154,12 @@ void print_run(const char* name, const core::RunMetrics& m,
   std::printf("  makespan %.1f s, duty cycles %.2f per disk-hour\n",
               ticks_to_seconds(m.makespan),
               m.duty_cycles_per_disk_hour(num_data_disks));
+  const std::uint64_t failed = m.count("client.failed_requests.count");
+  if (failed > 0 || m.count("fault.injected.count") > 0) {
+    std::printf("  requests %llu, failed %llu, availability %.4f\n",
+                static_cast<unsigned long long>(m.requests),
+                static_cast<unsigned long long>(failed), m.availability());
+  }
   const std::uint64_t episodes = m.count("recovery.episodes.count");
   const std::uint64_t lost = m.count("fault.lost_acked_writes.count");
   if (episodes > 0 || lost > 0) {

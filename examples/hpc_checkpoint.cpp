@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
 
   for (const bool buffering : {true, false}) {
     core::ClusterConfig cfg = baseline::eevfs_pf();
-    cfg.enable_prefetch = false;  // write-dominated: nothing to prefetch
+    cfg.cache_policy = core::CachePolicy::kNone;  // write-dominated
     cfg.write_buffering = buffering;
     core::Cluster cluster(cfg);
     const core::RunMetrics m = cluster.run(w);

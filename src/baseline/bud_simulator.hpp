@@ -9,25 +9,35 @@
 // (application-provided hints) and copies the block into a buffer disk if
 // the energy model predicts the redirected future accesses will pay for
 // the copy.  EEVFS later lifted the idea to files and to a whole cluster;
-// this module reproduces the original substrate so the paper's "previous
-// studies on PRE-BUD ... extensive simulations" have a measurable
-// counterpart (bench/prebud_parallel_disks).
+// this policy reproduces the original so the paper's "previous studies
+// on PRE-BUD ... extensive simulations" have a measurable counterpart
+// (bench/prebud_parallel_disks).
+//
+// The node is a core::StorageNode like every cluster node: each block is
+// a file, placed round-robin over the data disks, read by one client
+// across the node's NIC.  The node's power manager is the DPM (kNone for
+// always-on, kIdleTimer otherwise), and an accepted copy is handed over
+// with update_prefetch, as the cluster's online refresh does.  What stays
+// here is PRE-BUD's one decision: on a miss, the look-ahead scan and the
+// EnergyPredictionModel::prefetch_benefit gate.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/energy_model.hpp"
-#include "disk/disk_model.hpp"
+#include "core/storage_node.hpp"
 #include "disk/disk_profile.hpp"
+#include "net/network.hpp"
+#include "obs/counters.hpp"
 #include "sim/engine.hpp"
+#include "trace/record.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
-namespace eevfs::prebud {
+namespace eevfs::baseline {
 
 using BlockId = std::uint32_t;
 
@@ -97,8 +107,8 @@ class BudSimulator {
  public:
   BudSimulator(BudConfig config, BudPolicy policy);
 
-  // The disks and the energy model refer to config_.profile, and the
-  // disks' callbacks to this object.
+  // The node and the energy model refer to config_.profile, and the
+  // node's callbacks to this object.
   BudSimulator(const BudSimulator&) = delete;
   BudSimulator& operator=(const BudSimulator&) = delete;
 
@@ -106,30 +116,30 @@ class BudSimulator {
   BudStats run(const std::vector<BlockRequest>& requests);
 
  private:
-  struct Pending;
-
-  std::size_t disk_of(BlockId b) const { return b % config_.data_disks; }
   void handle_request(std::size_t index);
+  /// PRE-BUD on a miss of `block` (request `index`): copy the block into
+  /// the buffer disk when the window ahead reuses it and the energy gate
+  /// says the copy pays.
   void consider_prefetch(BlockId block, std::size_t index);
-  void arm_idle_timer(std::size_t disk);
 
   BudConfig config_;
   BudPolicy policy_;
   core::EnergyPredictionModel model_;
 
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<disk::DiskModel>> data_disks_;
-  std::vector<std::unique_ptr<disk::DiskModel>> buffer_disks_;
-  std::vector<sim::EventHandle> idle_timers_;
+  net::NetworkFabric net_;
+  obs::Registry registry_;
+  net::EndpointId client_ = 0;
+  std::unique_ptr<core::StorageNode> node_;
 
   const std::vector<BlockRequest>* requests_ = nullptr;
-  std::unordered_set<BlockId> buffered_;
-  std::unordered_set<BlockId> copy_in_flight_;
-  std::size_t next_buffer_disk_ = 0;
+  /// Blocks PRE-BUD handed to the node, in the order it accepted them:
+  /// the buffered set the node is told to keep.
+  std::vector<trace::FileId> accepted_;
   std::size_t outstanding_ = 0;
   bool ran_ = false;
 
   BudStats stats_;
 };
 
-}  // namespace eevfs::prebud
+}  // namespace eevfs::baseline

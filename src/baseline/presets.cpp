@@ -8,14 +8,12 @@ using core::DiskPlacement;
 using core::PowerPolicy;
 
 ClusterConfig eevfs_pf() {
-  ClusterConfig c;  // defaults are the paper's testbed
-  c.enable_prefetch = true;
-  return c;
+  return ClusterConfig{};  // defaults are the paper's testbed
 }
 
 ClusterConfig eevfs_npf() {
   ClusterConfig c;
-  c.enable_prefetch = false;
+  c.cache_policy = CachePolicy::kNone;
   // Without a prefetch plan the node marks no standby points (§III-C):
   // the paper's NPF runs show no power-state transitions.
   c.power_policy = PowerPolicy::kNone;
@@ -24,7 +22,7 @@ ClusterConfig eevfs_npf() {
 
 ClusterConfig maid() {
   ClusterConfig c;
-  c.enable_prefetch = false;  // no offline popularity knowledge
+  // No offline popularity knowledge: the buffer caches on access.
   c.cache_policy = CachePolicy::kLruOnMiss;
   c.power_policy = PowerPolicy::kIdleTimer;
   c.prebud_gate = false;
@@ -33,7 +31,6 @@ ClusterConfig maid() {
 
 ClusterConfig pdc() {
   ClusterConfig c;
-  c.enable_prefetch = false;
   c.cache_policy = CachePolicy::kNone;
   c.disk_placement = DiskPlacement::kConcentrate;
   c.power_policy = PowerPolicy::kPredictive;
@@ -42,7 +39,6 @@ ClusterConfig pdc() {
 
 ClusterConfig always_on() {
   ClusterConfig c;
-  c.enable_prefetch = false;
   c.cache_policy = CachePolicy::kNone;
   c.power_policy = PowerPolicy::kNone;
   c.write_buffering = false;
@@ -57,7 +53,6 @@ ClusterConfig oracle() {
 
 ClusterConfig drpm() {
   ClusterConfig c;
-  c.enable_prefetch = false;
   c.cache_policy = CachePolicy::kNone;
   c.disk_profile_override = disk::DiskProfile::drpm();
   // Tiny break-even: a short idle threshold pays off, no look-ahead

@@ -55,11 +55,7 @@ void Cluster::build_infra() {
     params.power.policy = config_.power_policy;
     params.power.idle_threshold = seconds_to_ticks(config_.idle_threshold_sec);
     params.power.sleep_margin = config_.sleep_margin;
-    params.cache_policy = config_.enable_prefetch
-                              ? config_.cache_policy
-                              : (config_.cache_policy == CachePolicy::kPrefetch
-                                     ? CachePolicy::kNone
-                                     : config_.cache_policy);
+    params.cache_policy = config_.cache_policy;
     params.write_buffering = config_.write_buffering;
     params.prebud_gate = config_.prebud_gate;
     params.disk_placement = config_.disk_placement;
@@ -213,8 +209,7 @@ RunMetrics Cluster::run_phase() {
   // Step 3b: prefetch, then replay once every node is done (barrier).
   // In online mode nothing is known yet, so the initial prefetch is
   // empty and the periodic refresh does the work.
-  const bool prefetching = config_.enable_prefetch &&
-                           config_.cache_policy == CachePolicy::kPrefetch &&
+  const bool prefetching = config_.cache_policy == CachePolicy::kPrefetch &&
                            !config_.online_popularity;
   auto candidates =
       prefetching
@@ -240,7 +235,8 @@ RunMetrics Cluster::run_phase() {
           const Tick replay_start = sim_->now();
           metrics_.prefetch_duration = replay_start;
           for (auto& node : nodes_) node->begin_replay(replay_start);
-          if (config_.online_popularity && config_.enable_prefetch) {
+          if (config_.online_popularity &&
+              config_.cache_policy == CachePolicy::kPrefetch) {
             server_->begin_online_refresh(
                 config_.prefetch_file_count,
                 seconds_to_ticks(config_.refresh_interval_sec));
@@ -538,7 +534,7 @@ PfNpfComparison run_pf_npf(const ClusterConfig& config,
   PfNpfComparison out;
   {
     ClusterConfig pf = config;
-    pf.enable_prefetch = true;
+    pf.cache_policy = CachePolicy::kPrefetch;
     Cluster cluster(pf);
     out.pf = cluster.run(workload);
   }
@@ -549,7 +545,7 @@ PfNpfComparison run_pf_npf(const ClusterConfig& config,
     // transition or spin-up artifacts.  Model that by disabling power
     // management alongside prefetching.
     ClusterConfig npf = config;
-    npf.enable_prefetch = false;
+    npf.cache_policy = CachePolicy::kNone;
     npf.power_policy = PowerPolicy::kNone;
     Cluster cluster(npf);
     out.npf = cluster.run(workload);

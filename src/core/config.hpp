@@ -84,13 +84,13 @@ struct ClusterConfig {
   Watts node_base_watts = 50.0;
 
   // --- EEVFS policies ------------------------------------------------
-  bool enable_prefetch = true;           // PF vs NPF
   std::size_t prefetch_file_count = 70;  // Table II: 10, 40, 70, 100
   double idle_threshold_sec = 5.0;       // Table II
   PowerPolicy power_policy = PowerPolicy::kPredictive;
   /// kPredictive sleeps only when the predicted idle gap exceeds
   /// `sleep_margin` x break-even time (profit gate).
   double sleep_margin = 1.0;
+  /// kPrefetch is the paper's PF, kNone its NPF.
   CachePolicy cache_policy = CachePolicy::kPrefetch;
   PlacementPolicy placement = PlacementPolicy::kPopularityRoundRobin;
   DiskPlacement disk_placement = DiskPlacement::kRoundRobin;
@@ -104,7 +104,7 @@ struct ClusterConfig {
   /// every `refresh_interval_sec` the server re-ranks the per-file
   /// request counts it logged (§IV) and tells each node to update its
   /// buffered set — the adaptive system the paper's log-based design
-  /// implies.
+  /// implies.  The refresh runs only under CachePolicy::kPrefetch.
   bool online_popularity = false;
   double refresh_interval_sec = 60.0;
   /// Intra-node striping width (paper §VII future work): each file is

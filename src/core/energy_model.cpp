@@ -66,38 +66,46 @@ Joules EnergyPredictionModel::predicted_savings(std::span<const Tick> accesses,
   return total;
 }
 
+Joules EnergyPredictionModel::copy_cost(
+    Bytes bytes, std::size_t width, const disk::DiskProfile& buffer) const {
+  // The read is split over the stripe set (each disk moves bytes/W); the
+  // buffer write is one sequential stream of the whole file.  Each is
+  // priced at the *increment* over staying idle for that period (the
+  // disks are powered either way).
+  const auto w = static_cast<Bytes>(width);
+  const Bytes per_disk = (bytes + w - 1) / w;
+  const Tick read_time = profile_.service_time(per_disk, /*sequential=*/false);
+  const Tick write_time = buffer.service_time(bytes, /*sequential=*/true);
+  return static_cast<double>(width) *
+             energy(profile_.active_watts - profile_.idle_watts, read_time) +
+         energy(buffer.active_watts - buffer.idle_watts, write_time);
+}
+
 Joules EnergyPredictionModel::prefetch_benefit(
     std::span<const Tick> disk_accesses, std::span<const Tick> file_accesses,
     Bytes file_bytes, Tick start, Tick horizon,
     const disk::DiskProfile& buffer) const {
-  // Residual accesses = disk accesses minus the candidate file's
-  // (multiset difference over two sorted sequences).
-  std::vector<Tick> residual;
-  residual.reserve(disk_accesses.size());
-  std::size_t j = 0;
-  for (const Tick a : disk_accesses) {
-    if (j < file_accesses.size() && file_accesses[j] == a) {
-      ++j;
-      continue;
-    }
-    residual.push_back(a);
-  }
-  assert(j == file_accesses.size() &&
+  std::vector<Tick> residual(disk_accesses.begin(), disk_accesses.end());
+  remove_accesses(residual, file_accesses);
+  assert(residual.size() + file_accesses.size() == disk_accesses.size() &&
          "file accesses must be a subset of disk accesses");
 
   const Joules before = predicted_savings(disk_accesses, start, horizon);
   const Joules after = predicted_savings(residual, start, horizon);
+  return after - before - copy_cost(file_bytes, 1, buffer);
+}
 
-  // Copy cost: the data disk does one random read, the buffer disk one
-  // sequential write; each is priced at the *increment* over staying
-  // idle for that period (the disks are powered either way).
-  const Tick read_time = profile_.service_time(file_bytes, /*sequential=*/false);
-  const Tick write_time = buffer.service_time(file_bytes, /*sequential=*/true);
-  const Joules copy_cost =
-      energy(profile_.active_watts - profile_.idle_watts, read_time) +
-      energy(buffer.active_watts - buffer.idle_watts, write_time);
-
-  return after - before - copy_cost;
+void remove_accesses(std::vector<Tick>& disk, std::span<const Tick> file) {
+  std::size_t j = 0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < disk.size(); ++i) {
+    if (j < file.size() && file[j] == disk[i]) {
+      ++j;
+      continue;
+    }
+    disk[kept++] = disk[i];
+  }
+  disk.resize(kept);
 }
 
 }  // namespace eevfs::core

@@ -52,6 +52,12 @@ class EnergyPredictionModel {
   Joules predicted_savings(std::span<const Tick> accesses, Tick start,
                            Tick horizon) const;
 
+  /// PRE-BUD's price of copying a file of `bytes` into the buffer disk:
+  /// a random read split over `width` data disks of this profile plus
+  /// one sequential write of the whole file on `buffer`.
+  Joules copy_cost(Bytes bytes, std::size_t width,
+                   const disk::DiskProfile& buffer) const;
+
   /// PRE-BUD: net benefit (Joules) of moving one file to the buffer disk.
   /// `disk_accesses` are all future accesses of the file's data disk,
   /// `file_accesses` the subset belonging to the candidate file (both
@@ -74,5 +80,9 @@ class EnergyPredictionModel {
   const disk::DiskProfile& profile_;
   Tick min_gap_;
 };
+
+/// A disk's residual timeline: removes `file`'s accesses from the sorted
+/// timeline `disk` in place (sorted-multiset difference).
+void remove_accesses(std::vector<Tick>& disk, std::span<const Tick> file);
 
 }  // namespace eevfs::core

@@ -14,25 +14,6 @@ Prefetcher::Prefetcher(EnergyPredictionModel data_disk_model,
       buffer_profile_(std::move(buffer_profile)),
       prebud_gate_(prebud_gate) {}
 
-namespace {
-
-/// Sorted-multiset difference in place: a disk timeline minus one file's
-/// accesses.
-void remove_accesses(std::vector<Tick>& disk, std::span<const Tick> file) {
-  std::size_t j = 0;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < disk.size(); ++i) {
-    if (j < file.size() && file[j] == disk[i]) {
-      ++j;
-      continue;
-    }
-    disk[kept++] = disk[i];
-  }
-  disk.resize(kept);
-}
-
-}  // namespace
-
 PrefetchPlan Prefetcher::plan(std::span<const PrefetchCandidate> candidates,
                               std::span<const FileHints> file_accesses,
                               std::vector<std::vector<Tick>> disk_accesses,
@@ -92,24 +73,6 @@ PrefetchPlan Prefetcher::plan(std::span<const PrefetchCandidate> candidates,
     }
     return total;
   };
-  const auto copy_cost = [&](const PrefetchCandidate& c) {
-    // The read is split over the stripe set (each disk moves bytes/W);
-    // the buffer write is one sequential stream of the whole file.  Both
-    // are priced as the increment over staying idle.
-    const auto width = static_cast<Bytes>(c.disks.size());
-    const Bytes per_disk = (c.bytes + width - 1) / width;
-    const Tick read_time =
-        model_.profile().service_time(per_disk, /*sequential=*/false);
-    const Tick write_time =
-        buffer_profile_.service_time(c.bytes, /*sequential=*/true);
-    return static_cast<double>(c.disks.size()) *
-               energy(model_.profile().active_watts -
-                          model_.profile().idle_watts,
-                      read_time) +
-           energy(buffer_profile_.active_watts - buffer_profile_.idle_watts,
-                  write_time);
-  };
-
   Bytes remaining = capacity;
   // The priced disk set's working timelines, reused across groups: the
   // gate never copies the whole plan.
@@ -150,7 +113,8 @@ PrefetchPlan Prefetcher::plan(std::span<const PrefetchCandidate> candidates,
       for (std::vector<Tick>& timeline : work) {
         remove_accesses(timeline, accesses_of(c.file));
       }
-      copy_cost_sum += copy_cost(c);
+      copy_cost_sum +=
+          model_.copy_cost(c.bytes, c.disks.size(), buffer_profile_);
       const Joules benefit = set_savings(work) - base_savings - copy_cost_sum;
       if (benefit > best_benefit) {
         best_benefit = benefit;

@@ -112,22 +112,6 @@ void StorageNode::shutdown() {
   }
 }
 
-StorageNode::ServeCallback StorageNode::trace_serve(obs::StringId op,
-                                                    trace::FileId f,
-                                                    Bytes bytes,
-                                                    ServeCallback cb) {
-  if (!tracer_ || !tracer_->wants(obs::kCatNode)) return cb;
-  const Tick start = sim_.now();
-  return [this, op, f, bytes, start, inner = std::move(cb)](
-             Tick t, RequestStatus st) {
-    tracer_->complete(start, t - start, obs::kCatNode, obs::TraceLevel::kInfo,
-                      op, track_, tracer_->intern(to_string(st)),
-                      static_cast<std::int64_t>(f),
-                      static_cast<std::int64_t>(bytes));
-    inner(t, st);
-  };
-}
-
 void StorageNode::create_file(trace::FileId f, Bytes size) {
   std::size_t primary = 0;
   if (params_.disk_placement == DiskPlacement::kConcentrate) {
@@ -574,15 +558,6 @@ void StorageNode::on_data_disk_failed(std::size_t d) {
   }
 }
 
-void StorageNode::read_via_buffer(
-    trace::FileId f, Bytes bytes,
-    std::function<void(Tick, disk::IoStatus)> done) {
-  const LocalFileMeta& meta = meta_.at(f);
-  submit_with_retry(buffer_disks_[meta.buffer_disk].get(), bytes,
-                    /*sequential=*/true, /*is_write=*/false, sim_.now(), 0,
-                    std::move(done), kNotPowerManaged);
-}
-
 Joules StorageNode::degraded_read_energy_estimate(Bytes bytes) const {
   // Modeled, not measured: the active-power cost of a random stripe read
   // minus the sequential buffer-log read it replaced.  Spin-up energy is
@@ -599,13 +574,18 @@ void StorageNode::crash() {
   alive_ = false;
   ++epoch_;
   // Every open serve dies with the process: settle each with a typed
-  // connection-reset on the next tick.  The disk I/O it was waiting on
-  // still completes at media level, but the stale epoch drops its
-  // effects on node state.
+  // connection-reset on the next tick, in the order they opened.  The
+  // disk I/O it was waiting on still completes at media level, but the
+  // stale epoch drops its effects on node state; each serve is refused
+  // under a fresh id, so a delivery still in flight for its old id finds
+  // nothing to settle.
   auto open = std::move(open_serves_);
   open_serves_.clear();
-  for (auto& [id, cb] : open) {
-    refuse(std::move(cb), RequestStatus::kNodeUnavailable);
+  while (!open.empty()) {
+    auto serve = open.extract(open.begin());
+    serve.key() = next_serve_id_++;
+    refuse(serve.key(), RequestStatus::kNodeUnavailable);
+    open_serves_.insert(std::move(serve));
   }
   // Acked writes still parked on the buffer disk: without a journal the
   // RAM index was the only map of the parking lot — they are lost.
@@ -743,44 +723,21 @@ void StorageNode::rewarm_prefetch(
 
 void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
                              ServeCallback on_result) {
-  if (!on_result) on_result = [](Tick, RequestStatus) {};
-  on_result = trace_serve(ev_read_, f,
-                          meta_.find(f) ? meta_.find(f)->size : 0,
-                          std::move(on_result));
-  if (!alive_) {
-    // Connection refused: fail fast on the next tick, no disk touched.
-    refuse(std::move(on_result), RequestStatus::kNodeUnavailable);
-    return;
-  }
-  LocalFileMeta* found = meta_.find(f);
-  if (found == nullptr) {
+  const LocalFileMeta* meta = meta_.find(f);
+  if (alive_ && meta == nullptr) {
     throw std::logic_error("StorageNode: read for unknown file " +
                            std::to_string(f));
   }
-  LocalFileMeta& meta = *found;
-  const Bytes bytes = meta.size;
-
-  // Register the serve so a crash can settle it; capture the epoch so a
-  // disk completion that outlives the process mutates nothing.
-  on_result = guard_serve(std::move(on_result));
-  const std::uint64_t ep = epoch_;
-  auto shared_result =
-      std::make_shared<ServeCallback>(std::move(on_result));
-  auto ship = [this, f, ep, client, bytes, shared_result](Tick) {
-    if (ep != epoch_) return;
-    metrics_.bytes_served.add(bytes);
-    // Fill the RAM tier on the way out: every successful read below this
-    // point came off a disk, so the next access can be memory-speed.
-    if (ram_) ram_admit(f, bytes);
-    net_.send(self_, client, bytes, [shared_result](Tick t) {
-      (*shared_result)(t, RequestStatus::kOk);
-    });
-  };
-  auto fail = [this, ep, shared_result](Tick t) {
-    if (ep != epoch_) return;
-    metrics_.failed_serves.add();
-    (*shared_result)(t, RequestStatus::kDiskUnavailable);
-  };
+  const std::uint64_t id = open_serve(ev_read_, f, meta ? meta->size : 0,
+                                      std::move(on_result));
+  if (!alive_) {
+    // Connection refused: fail fast on the next tick, no disk touched.
+    refuse(id, RequestStatus::kNodeUnavailable);
+    return;
+  }
+  // The epoch lets a disk completion that outlives the process mutate
+  // nothing.
+  const Read read{id, epoch_, f, meta->size, client};
 
   // RAM tier first: a hit touches no spindle at all — the power manager
   // never hears about the access, which is exactly how the RAM tier
@@ -789,138 +746,136 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
     RamMetrics& rm = *ram_metrics_;
     const bool hit = ram_->lookup(f);
     (hit ? rm.hits : rm.misses).add();
-    (hit ? rm.hit_size : rm.miss_size).record(bytes);
+    (hit ? rm.hit_size : rm.miss_size).record(read.bytes);
     if (hit) {
-      const Tick service = transfer_ticks(bytes, kRamBytesPerSec);
-      (void)sim_.schedule_after(
-          service, [this, ep, client, bytes, shared_result] {
-            if (ep != epoch_) return;
-            metrics_.bytes_served.add(bytes);
-            net_.send(self_, client, bytes, [shared_result](Tick t) {
-              (*shared_result)(t, RequestStatus::kOk);
-            });
-          });
+      (void)sim_.schedule_after(transfer_ticks(read.bytes, kRamBytesPerSec),
+                                [this, read] { ship(read, /*admit=*/false); });
       return;
     }
   }
 
-  const bool buffered_copy = buffer_ && meta.buffered && buffer_->contains(f);
-  const bool buffer_alive =
-      buffered_copy && !buffer_disks_[meta.buffer_disk]->failed();
-
-  if (buffered_copy && buffer_alive) {
-    metrics_.buffer_hits.add();
-    if (!stripe_set_alive(meta)) {
-      // The data copy is gone; the buffered copy is carrying the file.
-      metrics_.buffered_rescues.add();
-      fault_energy_delta_ -= degraded_read_energy_estimate(bytes);
+  // Buffer disk next, when it holds a copy.
+  if (buffer_ && meta->buffered && buffer_->contains(f)) {
+    if (!buffer_disks_[meta->buffer_disk]->failed()) {
+      metrics_.buffer_hits.add();
+      if (!stripe_set_alive(*meta)) {
+        // The data copy is gone; the buffered copy is carrying the file.
+        metrics_.buffered_rescues.add();
+        fault_energy_delta_ -= degraded_read_energy_estimate(read.bytes);
+      }
+      buffer_->touch(f);
+      submit_with_retry(
+          buffer_disks_[meta->buffer_disk].get(), read.bytes,
+          /*sequential=*/true, /*is_write=*/false, sim_.now(), 0,
+          [this, read](Tick, disk::IoStatus st) {
+            if (read.epoch != epoch_) return;
+            if (st == disk::IoStatus::kOk) {
+              ship(read, /*admit=*/true);
+              return;
+            }
+            // The buffer disk died (or ran out of retries) mid-serve:
+            // degrade to the data-disk stripe set when it is still whole.
+            metrics_.buffer_fallback_reads.add();
+            fault_energy_delta_ += degraded_read_energy_estimate(read.bytes);
+            read_stripe(read, /*fallback=*/true);
+          },
+          kNotPowerManaged);
+      return;
     }
-    buffer_->touch(f);
-    read_via_buffer(f, bytes, [this, f, ep, ship, fail](Tick t,
-                                                        disk::IoStatus st) {
-      if (ep != epoch_) return;
-      if (st == disk::IoStatus::kOk) {
-        ship(t);
-        return;
-      }
-      // The buffer disk died (or ran out of retries) mid-serve: degrade
-      // to the data-disk stripe set when it is still whole.
-      LocalFileMeta& m = meta_.at(f);
-      metrics_.buffer_fallback_reads.add();
-      fault_energy_delta_ += degraded_read_energy_estimate(m.size);
-      if (!stripe_set_alive(m)) {
-        fail(t);
-        return;
-      }
-      metrics_.data_disk_reads.add();
-      stripe_io(m, m.size, /*is_write=*/false, /*notify_power_manager=*/true,
-                [ship, fail](Tick t2, disk::IoStatus st2) {
-                  if (st2 == disk::IoStatus::kOk) ship(t2);
-                  else fail(t2);
-                });
-    });
-    return;
-  }
-
-  if (buffered_copy && !buffer_alive) {
     // Degraded mode: the buffered copy exists but its disk is dead, so
     // the read falls back to the data disks — availability is kept, the
     // energy saving is sacrificed (and metered).
     metrics_.buffer_fallback_reads.add();
-    fault_energy_delta_ += degraded_read_energy_estimate(bytes);
+    fault_energy_delta_ += degraded_read_energy_estimate(read.bytes);
   }
 
+  read_stripe(read, /*fallback=*/false);
+}
+
+void StorageNode::read_stripe(const Read& read, bool fallback) {
+  const LocalFileMeta& meta = meta_.at(read.file);
   if (!stripe_set_alive(meta)) {
     // No live copy anywhere on this node: fail upward so the server can
     // re-route to a replica node.
-    refuse(*shared_result, RequestStatus::kDiskUnavailable);
+    if (fallback) {
+      metrics_.failed_serves.add();
+      settle(read.serve, sim_.now(), RequestStatus::kDiskUnavailable);
+    } else {
+      refuse(read.serve, RequestStatus::kDiskUnavailable);
+    }
     return;
   }
-
   metrics_.data_disk_reads.add();
-  const bool maid_copy =
-      buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss;
-  stripe_io(meta, bytes, /*is_write=*/false, /*notify_power_manager=*/true,
-            [this, stripe = meta, f, ep, maid_copy, ship = std::move(ship),
-             fail = std::move(fail)](Tick t, disk::IoStatus st) {
-    if (ep != epoch_) return;
+  stripe_io(meta, read.bytes, /*is_write=*/false,
+            /*notify_power_manager=*/true,
+            [this, read, fallback](Tick t, disk::IoStatus st) {
+    if (read.epoch != epoch_) return;
     if (st != disk::IoStatus::kOk) {
-      fail(t);
+      metrics_.failed_serves.add();
+      settle(read.serve, t, RequestStatus::kDiskUnavailable);
       return;
     }
-    ship(t);
-    for (std::size_t j = 0; j < stripe.width; ++j) {
+    ship(read, /*admit=*/true);
+    if (fallback) return;
+    const LocalFileMeta& m = meta_.at(read.file);
+    for (std::size_t j = 0; j < m.width; ++j) {
       // The platters are spinning: destage queued writes.
-      maybe_flush(stripe.disk(j, data_disks_.size()));
+      maybe_flush(m.disk(j, data_disks_.size()));
     }
-    if (maid_copy) {
+    if (buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss) {
       // MAID: cache on access.  The insert may evict colder files.
-      const auto res = buffer_->insert(f, meta_.at(f).size,
+      const auto res = buffer_->insert(read.file, m.size,
                                        /*allow_evict=*/true);
       for (const trace::FileId victim : res.evicted) {
         LocalFileMeta* vmeta = meta_.find(victim);
         if (vmeta != nullptr) vmeta->buffered = false;
         metrics_.evictions.add();
       }
-      if (res.inserted && !meta_.at(f).buffered) {
-        write_buffer_copy(f, [](bool) {});
+      if (res.inserted && !meta_.at(read.file).buffered) {
+        write_buffer_copy(read.file, [](bool) {});
       }
     }
+  });
+}
+
+void StorageNode::ship(const Read& read, bool admit) {
+  if (read.epoch != epoch_) return;
+  metrics_.bytes_served.add(read.bytes);
+  // Fill the RAM tier on the way out: the next access can be
+  // memory-speed.
+  if (admit && ram_) ram_admit(read.file, read.bytes);
+  net_.send(self_, read.client, read.bytes, [this, id = read.serve](Tick t) {
+    settle(id, t, RequestStatus::kOk);
   });
 }
 
 void StorageNode::serve_write(trace::FileId f, Bytes bytes,
                               net::EndpointId client,
                               ServeCallback on_result) {
-  if (!on_result) on_result = [](Tick, RequestStatus) {};
-  on_result = trace_serve(ev_write_, f, bytes, std::move(on_result));
-  if (!alive_) {
-    refuse(std::move(on_result), RequestStatus::kNodeUnavailable);
-    return;
-  }
   const LocalFileMeta* wmeta = meta_.find(f);
-  if (wmeta == nullptr) {
+  if (alive_ && wmeta == nullptr) {
     throw std::logic_error("StorageNode: write for unknown file " +
                            std::to_string(f));
   }
+  const std::uint64_t id = open_serve(ev_write_, f, bytes,
+                                      std::move(on_result));
+  if (!alive_) {
+    refuse(id, RequestStatus::kNodeUnavailable);
+    return;
+  }
   const std::size_t d = wmeta->first_disk;  // primary stripe disk
-  on_result = guard_serve(std::move(on_result));
   const std::uint64_t ep = epoch_;
-  auto shared_result =
-      std::make_shared<ServeCallback>(std::move(on_result));
   // Acks the client once the write landed (RAM staging, buffer log or
   // stripe set), or fails it typed.
-  auto done = [this, ep, client, shared_result](Tick t, bool ok) {
+  auto done = [this, id, ep, client](Tick t, bool ok) {
     if (ep != epoch_) return;
     if (!ok) {
       metrics_.failed_serves.add();
-      (*shared_result)(t, RequestStatus::kDiskUnavailable);
+      settle(id, t, RequestStatus::kDiskUnavailable);
       return;
     }
     net_.send(self_, client, net::kControlMessageBytes,
-              [shared_result](Tick t2) {
-                (*shared_result)(t2, RequestStatus::kOk);
-              });
+              [this, id](Tick t2) { settle(id, t2, RequestStatus::kOk); });
   };
 
   // RAM write-back tier: absorb the burst in memory and ack at RAM
@@ -942,29 +897,38 @@ void StorageNode::serve_write(trace::FileId f, Bytes bytes,
   }
   if (stage_write(f, bytes, d, done)) return;
   if (!stripe_set_alive(*wmeta)) {
-    refuse(*shared_result, RequestStatus::kDiskUnavailable);
+    refuse(id, RequestStatus::kDiskUnavailable);
     return;
   }
   write_through(f, bytes, std::move(done));
 }
 
-StorageNode::ServeCallback StorageNode::guard_serve(ServeCallback cb) {
+std::uint64_t StorageNode::open_serve(obs::StringId op, trace::FileId f,
+                                      Bytes bytes, ServeCallback on_result) {
   const std::uint64_t id = next_serve_id_++;
-  open_serves_.emplace(id, std::move(cb));
-  return [this, id](Tick t, RequestStatus st) {
-    auto it = open_serves_.find(id);
-    if (it == open_serves_.end()) return;  // settled by a crash already
-    ServeCallback inner = std::move(it->second);
-    open_serves_.erase(it);
-    inner(t, st);
-  };
+  open_serves_.emplace(id, OpenServe{std::move(on_result), sim_.now(), op, f,
+                                     bytes});
+  return id;
 }
 
-void StorageNode::refuse(ServeCallback cb, RequestStatus status) {
+void StorageNode::settle(std::uint64_t id, Tick t, RequestStatus status) {
+  auto entry = open_serves_.extract(id);
+  if (entry.empty()) return;  // settled already, or renumbered by a crash
+  const OpenServe& serve = entry.mapped();
+  if (tracer_ && tracer_->wants(obs::kCatNode)) {
+    tracer_->complete(serve.start, t - serve.start, obs::kCatNode,
+                      obs::TraceLevel::kInfo, serve.op, track_,
+                      tracer_->intern(to_string(status)),
+                      static_cast<std::int64_t>(serve.file),
+                      static_cast<std::int64_t>(serve.bytes));
+  }
+  if (serve.on_result) serve.on_result(t, status);
+}
+
+void StorageNode::refuse(std::uint64_t id, RequestStatus status) {
   metrics_.failed_serves.add();
-  (void)sim_.schedule_after(1, [this, cb = std::move(cb), status] {
-    cb(sim_.now(), status);
-  });
+  (void)sim_.schedule_after(
+      1, [this, id, status] { settle(id, sim_.now(), status); });
 }
 
 template <typename Done>

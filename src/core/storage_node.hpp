@@ -323,9 +323,25 @@ class StorageNode {
   /// Reacts to a data disk entering kFailed: strands its queued destages.
   void on_data_disk_failed(std::size_t d);
 
-  /// Serves `f` from its buffered copy (degraded path helper).
-  void read_via_buffer(trace::FileId f, Bytes bytes,
-                       std::function<void(Tick, disk::IoStatus)> done);
+  // --- read path: RAM, then buffer disk, then the stripe set ------------
+  /// One read in flight below serve_read: its open serve, the epoch it
+  /// was issued under, and what ship sends where.
+  struct Read {
+    std::uint64_t serve = 0;
+    std::uint64_t epoch = 0;
+    trace::FileId file = 0;
+    Bytes bytes = 0;
+    net::EndpointId client = 0;
+  };
+  /// Reads `read.file` off its stripe set and ships it.  A fallback read
+  /// (the buffered copy failed mid-serve) fails in the same tick when the
+  /// stripe set is dead, and neither destages nor MAID-copies on the way
+  /// out; a first read refuses on the next tick and does both.
+  void read_stripe(const Read& read, bool fallback);
+  /// Sends the read's bytes to its client and settles the serve on
+  /// delivery.  `admit` offers the file to the RAM tier first (the bytes
+  /// came off a disk).  Does nothing under a stale epoch.
+  void ship(const Read& read, bool admit);
 
   /// Modeled energy cost difference of serving `bytes` from the data-disk
   /// stripe set instead of the buffer log (positive = data path costs
@@ -367,11 +383,24 @@ class StorageNode {
   /// Fires flush waiters once nothing is queued or in flight.
   void notify_flush_waiters();
 
-  /// Registers a serve so crash() can settle it with kNodeUnavailable;
-  /// the returned wrapper no-ops if the serve was already settled.
-  ServeCallback guard_serve(ServeCallback cb);
+  // --- open serves --------------------------------------------------------
+  /// A serve from its start until it settles: what the caller is told
+  /// and what its node.read/node.write span records.
+  struct OpenServe {
+    ServeCallback on_result;
+    Tick start = 0;
+    obs::StringId op = 0;
+    trace::FileId file = 0;
+    Bytes bytes = 0;
+  };
+  /// Opens a serve so crash() can settle it; returns its id.
+  std::uint64_t open_serve(obs::StringId op, trace::FileId f, Bytes bytes,
+                           ServeCallback on_result);
+  /// Closes serve `id`: emits its span (when tracing) and tells the
+  /// caller.  A no-op when the serve is no longer open under that id.
+  void settle(std::uint64_t id, Tick t, RequestStatus status);
   /// Counts a failed serve and settles it with `status` on the next tick.
-  void refuse(ServeCallback cb, RequestStatus status);
+  void refuse(std::uint64_t id, RequestStatus status);
 
   // --- RAM cache tier ---------------------------------------------------
   struct RamStagedWrite {
@@ -420,8 +449,9 @@ class StorageNode {
   /// Bumped at every crash; disk/net completions capture the epoch they
   /// were issued under and drop their state effects when it is stale.
   std::uint64_t epoch_ = 0;
-  /// Serves awaiting completion, so crash() can settle them typed.
-  std::map<std::uint64_t, ServeCallback> open_serves_;
+  /// Serves awaiting completion by id, which ascends in opening order, so
+  /// crash() can settle them typed in that order.
+  std::map<std::uint64_t, OpenServe> open_serves_;
   std::uint64_t next_serve_id_ = 1;
   /// Journal LSNs currently queued or in flight toward data disks —
   /// the idempotence filter for replay_journal.
@@ -503,11 +533,6 @@ class StorageNode {
   void backlog_sub(Bytes b) {
     destage_backlog_ -= b < destage_backlog_ ? b : destage_backlog_;
   }
-  /// Wraps `cb` so a node.<op> complete event spanning the serve is
-  /// emitted when it fires; returns `cb` unchanged when not tracing.
-  ServeCallback trace_serve(obs::StringId op, trace::FileId f, Bytes bytes,
-                            ServeCallback cb);
-
   obs::Tracer* tracer_ = nullptr;
   obs::StringId track_ = 0;
   obs::StringId ev_read_ = 0;

@@ -356,27 +356,31 @@ void StorageServer::route(const trace::TraceRecord& r,
           }
           return;
         }
-        try_replica(r, client, ordered_replicas(r.file, entry.holders), 0,
-                    entry.node, std::move(on_done));
+        // The replicas in the order to try them, turned from holder
+        // positions into nodes in place.
+        std::vector<NodeId> replicas = holder_order(r.file, entry.holders);
+        for (NodeId& n : replicas) n = entry.holders[n];
+        try_replica(r, client, std::move(replicas), 0, entry.node,
+                    std::move(on_done));
       });
 }
 
-std::vector<NodeId> StorageServer::ordered_replicas(
+std::vector<std::size_t> StorageServer::holder_order(
     trace::FileId f, std::span<const NodeId> holders) const {
   // Believed-healthy nodes first in placement order; dead-marked nodes
   // are tried LAST instead of skipped, because a dead mark can be a
   // heartbeat false positive — this way a misjudged primary costs a
   // failover hop, never a client retry budget slot.  (file, node) pairs
   // that failed kDiskUnavailable are dropped: the platters are gone.
-  std::vector<NodeId> out;
+  std::vector<std::size_t> out;
   out.reserve(holders.size());
-  for (const NodeId n : holders) {
-    if (unavailable_.contains({f, n}) || health_[n].dead) continue;
-    out.push_back(n);
-  }
-  for (const NodeId n : holders) {
-    if (unavailable_.contains({f, n}) || !health_[n].dead) continue;
-    out.push_back(n);
+  for (const bool dead : {false, true}) {
+    for (std::size_t i = 0; i < holders.size(); ++i) {
+      const NodeId n = holders[i];
+      if (health_[n].dead == dead && !unavailable_.contains({f, n})) {
+        out.push_back(i);
+      }
+    }
   }
   return out;
 }
@@ -449,19 +453,9 @@ void StorageServer::ec_route(const trace::TraceRecord& r,
   op->chunk_bytes = ServerMetadata::chunk_bytes(entry.size, entry.ec_k);
   op->need = entry.ec_k;
   op->on_done = std::move(on_done);
-  // Candidate chunks in dispatch order: fetchable-believed chunks first
-  // (data before parity within each class — chunk order), dead-marked
-  // holders last, known-unavailable (file, node) pairs dropped.
-  for (std::size_t c = 0; c < op->chunk_node.size(); ++c) {
-    const NodeId n = op->chunk_node[c];
-    if (unavailable_.contains({r.file, n}) || health_[n].dead) continue;
-    op->candidates.push_back(c);
-  }
-  for (std::size_t c = 0; c < op->chunk_node.size(); ++c) {
-    const NodeId n = op->chunk_node[c];
-    if (unavailable_.contains({r.file, n}) || !health_[n].dead) continue;
-    op->candidates.push_back(c);
-  }
+  // Candidate chunks in dispatch order, the replicas' order: data before
+  // parity within each class (chunk order).
+  op->candidates = holder_order(r.file, op->chunk_node);
   if (op->candidates.size() < op->need) {
     ec_fail(op);
     return;

@@ -247,10 +247,11 @@ class StorageServer {
   /// holders (the data chunks; parity holders stay cold until a degraded
   /// read or repair pulls them in).
   std::span<const NodeId> serving_holders(trace::FileId f) const;
-  /// Candidate replica order for one request: believed-healthy nodes
-  /// first (placement order), heartbeat-dead-marked nodes last, known
+  /// The order to try `f`'s holders in, as positions in `holders`, for
+  /// replicas and erasure chunks alike: believed-healthy nodes first
+  /// (placement order), heartbeat-dead-marked nodes last, known
   /// (file, node) kDiskUnavailable pairs dropped.
-  std::vector<NodeId> ordered_replicas(
+  std::vector<std::size_t> holder_order(
       trace::FileId f, std::span<const NodeId> holders) const;
   void try_replica(const trace::TraceRecord& r, net::EndpointId client,
                    std::vector<NodeId> candidates, std::size_t idx,

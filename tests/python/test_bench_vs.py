@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Checks the comparison logic of tools/bench_vs.py on fixed files and a
-stand-in bench script; builds nothing and makes no worktree.
+"""Checks the comparison logic of tools/bench_vs.py on fixed files and
+stand-in bench and CLI scripts; builds nothing and makes no worktree.
 
     python3 tests/python/test_bench_vs.py
 """
@@ -78,6 +78,99 @@ class Compare(unittest.TestCase):
         for side in (self.base, self.change):
             os.remove(os.path.join(side, "b", "bench_results", "b.csv"))
         self.assertEqual(self.differing(), [])
+
+
+class CompareCli(unittest.TestCase):
+    CASES = [("plan", ["--requests", "1000"])]
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.base = os.path.join(self.tmp.name, "base")
+        self.change = os.path.join(self.tmp.name, "change")
+        for side in (self.base, self.change):
+            for f in bench_vs.CLI_FILES:
+                write(os.path.join(side, "cli", "plan", f), f + "\n")
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def differing(self):
+        return bench_vs.compare_cli(self.base, self.change, self.CASES)
+
+    def test_identical_runs_do_not_differ(self):
+        self.assertEqual(self.differing(), [])
+
+    def test_a_differing_trace_file_differs(self):
+        write(os.path.join(self.change, "cli", "plan", "run.trace.bin"),
+              "other\n")
+        self.assertEqual(self.differing(),
+                         [os.path.join("cli", "plan", "run.trace.bin")])
+
+    def test_a_missing_trace_file_differs(self):
+        os.remove(os.path.join(self.base, "cli", "plan", "run.trace.jsonl"))
+        self.assertEqual(self.differing(),
+                         [os.path.join("cli", "plan", "run.trace.jsonl")])
+
+    def test_the_schema_note_is_not_masked_in_cli_stdout(self):
+        write(os.path.join(self.change, "cli", "plan", "stdout.txt"),
+              "(schema v3, 1 runs)\n")
+        write(os.path.join(self.base, "cli", "plan", "stdout.txt"),
+              "(schema v2, 1 runs)\n")
+        self.assertEqual(self.differing(),
+                         [os.path.join("cli", "plan", "stdout.txt")])
+
+
+class CliCases(unittest.TestCase):
+    def test_the_fixed_case_list(self):
+        cases = dict(bench_vs.cli_cases())
+        self.assertEqual(list(cases), [
+            "defaults", "maid", "ec_chaos", "replicated_chaos", "plan",
+            "plan_ec", "plan_replicated_maid", "plan_web"])
+        plan = os.path.join(ROOT, "examples", "chaos_plan.txt")
+        self.assertTrue(os.path.exists(plan))
+        for name, args in cases.items():
+            # Every case sets its request count once; only the web case
+            # changes it.
+            self.assertEqual(args.count("--requests"), 1, name)
+            requests = args[args.index("--requests") + 1]
+            self.assertEqual(requests,
+                             "2000" if name == "plan_web" else "1000", name)
+            self.assertNotIn(bench_vs.PLAN, args)
+            self.assertEqual(plan in args, name.startswith("plan"), name)
+            self.assertNotIn("--trace-out", args)
+        self.assertEqual(cases["defaults"], ["--requests", "1000"])
+        self.assertEqual(cases["plan"][2:], [
+            "--chaos-plan", plan, "--journal", "off",
+            "--request-timeout", "3"])
+
+    def test_each_case_traces_to_run_in_its_own_directory(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            exe = os.path.join(tmp, "build", "examples", "eevfs_cli")
+            # Writes the three traces under the --trace-out prefix (the
+            # last argument) and echoes its arguments.
+            write(exe, '#!/bin/sh\necho "$@"\n'
+                       'for last; do :; done\n'
+                       'for s in jsonl json bin; do '
+                       'echo t > "$last.trace.$s"; done\n')
+            os.chmod(exe, os.stat(exe).st_mode | stat.S_IXUSR)
+            out = os.path.join(tmp, "out")
+            cases = [("a", ["--requests", "1000"]), ("b", ["--system", "x"])]
+            self.assertEqual(bench_vs.run_cli(os.path.join(tmp, "build"),
+                                              out, cases), {})
+            for name, args in cases:
+                cwd = os.path.join(out, "cli", name)
+                with open(os.path.join(cwd, "stdout.txt")) as f:
+                    self.assertEqual(f.read(),
+                                     " ".join(args) + " --trace-out run\n")
+                for f in bench_vs.CLI_FILES:
+                    self.assertTrue(os.path.exists(os.path.join(cwd, f)), f)
+
+    def test_a_missing_cli_is_reported_per_case(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            problems = bench_vs.run_cli(os.path.join(tmp, "build"),
+                                        os.path.join(tmp, "out"),
+                                        [("a", []), ("b", [])])
+            self.assertEqual(sorted(problems), ["cli/a", "cli/b"])
 
 
 class Run(unittest.TestCase):

@@ -14,8 +14,8 @@ TEST(Presets, AllValidateCleanly) {
 TEST(Presets, PfAndNpfDifferOnlyInPrefetchAndPower) {
   const auto pf = eevfs_pf();
   const auto npf = eevfs_npf();
-  EXPECT_TRUE(pf.enable_prefetch);
-  EXPECT_FALSE(npf.enable_prefetch);
+  EXPECT_EQ(pf.cache_policy, core::CachePolicy::kPrefetch);
+  EXPECT_EQ(npf.cache_policy, core::CachePolicy::kNone);
   EXPECT_EQ(npf.power_policy, core::PowerPolicy::kNone);
   EXPECT_EQ(pf.num_storage_nodes, npf.num_storage_nodes);
   EXPECT_EQ(pf.prefetch_file_count, npf.prefetch_file_count);
@@ -23,7 +23,6 @@ TEST(Presets, PfAndNpfDifferOnlyInPrefetchAndPower) {
 
 TEST(Presets, MaidHasNoForeknowledge) {
   const auto m = maid();
-  EXPECT_FALSE(m.enable_prefetch);
   EXPECT_EQ(m.cache_policy, core::CachePolicy::kLruOnMiss);
   EXPECT_EQ(m.power_policy, core::PowerPolicy::kIdleTimer);
 }
@@ -37,13 +36,13 @@ TEST(Presets, PdcConcentratesWithoutBufferCache) {
 TEST(Presets, AlwaysOnNeverManagesPower) {
   const auto a = always_on();
   EXPECT_EQ(a.power_policy, core::PowerPolicy::kNone);
-  EXPECT_FALSE(a.enable_prefetch);
+  EXPECT_EQ(a.cache_policy, core::CachePolicy::kNone);
   EXPECT_FALSE(a.write_buffering);
 }
 
 TEST(Presets, OracleIsPfWithPerfectForesight) {
   const auto o = oracle();
-  EXPECT_TRUE(o.enable_prefetch);
+  EXPECT_EQ(o.cache_policy, core::CachePolicy::kPrefetch);
   EXPECT_EQ(o.power_policy, core::PowerPolicy::kOracle);
 }
 
@@ -64,7 +63,7 @@ TEST(Presets, DrpmUsesMultiSpeedDisks) {
   EXPECT_LT(d.disk_profile_override->break_even_seconds(),
             disk::DiskProfile::ata133_fast().break_even_seconds() / 2);
   EXPECT_EQ(d.power_policy, core::PowerPolicy::kIdleTimer);
-  EXPECT_FALSE(d.enable_prefetch);
+  EXPECT_EQ(d.cache_policy, core::CachePolicy::kNone);
   // The low-RPM mode draws more than a stopped platter.
   EXPECT_GT(d.disk_profile_override->standby_watts,
             disk::DiskProfile::ata133_fast().standby_watts);

@@ -128,7 +128,7 @@ TEST(EngineGolden, PaperDefaultsPf) {
 
 TEST(EngineGolden, PaperDefaultsNpf) {
   ClusterConfig cfg;
-  cfg.enable_prefetch = false;
+  cfg.cache_policy = CachePolicy::kNone;
   expect_golden("defaults/npf", cfg, paper_workload(), 17285548362236137591ull);
 }
 
@@ -189,7 +189,6 @@ TEST(EngineGolden, MaidBaseline) {
   ClusterConfig cfg;
   cfg.cache_policy = CachePolicy::kLruOnMiss;
   cfg.power_policy = PowerPolicy::kIdleTimer;
-  cfg.enable_prefetch = false;
   expect_golden("maid", cfg, paper_workload(), 1319794970228591451ull);
 }
 

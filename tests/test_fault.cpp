@@ -6,6 +6,9 @@
 // never hang).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/presets.hpp"
@@ -308,6 +311,103 @@ TEST_F(NodeFaultTest, StrandedWritesAreNotLostAckedWrites) {
   node->replay_journal([&](std::size_t n) { replayed = n; });
   sim.run();
   EXPECT_EQ(replayed, 0u);
+}
+
+TEST_F(NodeFaultTest, CrashSettlesOpenServesOnceInOpeningOrder) {
+  auto node = make_node(params());
+  setup_files(*node, 4, 10 * kMB);
+  node->start_prefetch({}, [] {});
+  sim.run();
+  // Two reads and a staged write, all still on their disks when the
+  // process dies 1 ms later.
+  std::vector<std::pair<int, RequestStatus>> settled;
+  std::vector<Tick> settled_at;
+  const auto record = [&](int serve) {
+    return [&, serve](Tick t, RequestStatus s) {
+      settled.emplace_back(serve, s);
+      settled_at.push_back(t);
+    };
+  };
+  node->serve_read(1, client_ep, record(0));
+  node->serve_write(2, 10 * kMB, client_ep, record(1));
+  node->serve_read(3, client_ep, record(2));
+  const Tick crash_at = sim.now() + milliseconds_to_ticks(1.0);
+  (void)sim.schedule_at(crash_at, [&] { node->crash(); });
+  sim.run();
+  // The disk I/O the serves waited on still completes, but settles
+  // nothing and ships nothing.
+  const std::vector<std::pair<int, RequestStatus>> expected = {
+      {0, RequestStatus::kNodeUnavailable},
+      {1, RequestStatus::kNodeUnavailable},
+      {2, RequestStatus::kNodeUnavailable}};
+  EXPECT_EQ(settled, expected);
+  EXPECT_EQ(settled_at, std::vector<Tick>(3, crash_at + 1));
+  EXPECT_EQ(node->data_disk(1).requests_completed(), 2u);
+  EXPECT_EQ(count(registry, "node.bytes_served.bytes"), 0u);
+  EXPECT_EQ(count(registry, "node.failed_serves.count"), 3u);
+}
+
+TEST_F(NodeFaultTest, BufferDiskFailingMidReadFallsBackToStripes) {
+  auto node = make_node(params());
+  setup_files(*node, 4, 10 * kMB);
+  node->start_prefetch({0}, [] {});
+  sim.run();
+  ASSERT_TRUE(node->is_buffered(0));
+  RequestStatus st = RequestStatus::kNoReplica;
+  node->serve_read(0, client_ep, [&](Tick, RequestStatus s) { st = s; });
+  // The buffer disk dies under the buffered read.
+  (void)sim.schedule_after(milliseconds_to_ticks(1.0), [&] {
+    node->mutable_buffer_disk(0).fail();
+  });
+  sim.run();
+  EXPECT_EQ(st, RequestStatus::kOk);
+  EXPECT_EQ(count(registry, "prefetch.buffer_hits.count"), 1u);
+  EXPECT_EQ(count(registry, "node.buffer_fallback_reads.count"), 1u);
+  EXPECT_EQ(count(registry, "prefetch.data_disk_reads.count"), 1u);
+  EXPECT_EQ(count(registry, "node.bytes_served.bytes"), 10 * kMB);
+  EXPECT_EQ(count(registry, "node.failed_serves.count"), 0u);
+}
+
+TEST_F(NodeFaultTest, EveryServeEmitsOneSpanWithItsStatus) {
+  obs::TracerConfig trace;
+  trace.enabled = true;
+  obs::Tracer tracer(trace);
+  auto node = make_node(params());
+  node->set_observer(&tracer);
+  setup_files(*node, 4, 10 * kMB);
+  node->start_prefetch({}, [] {});
+  sim.run();
+  EXPECT_EQ(serve(*node, 1), RequestStatus::kOk);
+  RequestStatus wst = RequestStatus::kNoReplica;
+  node->serve_write(1, 10 * kMB, client_ep,
+                    [&](Tick, RequestStatus s) { wst = s; });
+  sim.run();
+  EXPECT_EQ(wst, RequestStatus::kOk);
+  node->mutable_data_disk(0).fail();
+  EXPECT_EQ(serve(*node, 2), RequestStatus::kDiskUnavailable);
+  // Open when the node crashes, then refused by the crashed node.
+  RequestStatus open_st = RequestStatus::kOk;
+  node->serve_read(3, client_ep, [&](Tick, RequestStatus s) { open_st = s; });
+  (void)sim.schedule_after(milliseconds_to_ticks(1.0),
+                           [&] { node->crash(); });
+  sim.run();
+  EXPECT_EQ(open_st, RequestStatus::kNodeUnavailable);
+  EXPECT_EQ(serve(*node, 1), RequestStatus::kNodeUnavailable);
+
+  std::vector<std::tuple<std::string, std::string, std::int64_t>> spans;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    const std::string& name = tracer.lookup(ev.name);
+    if (name != "node.read" && name != "node.write") continue;
+    EXPECT_GT(ev.dur, 0) << name;
+    spans.emplace_back(name, tracer.lookup(ev.detail), ev.a0);
+  }
+  const std::vector<std::tuple<std::string, std::string, std::int64_t>>
+      expected = {{"node.read", "ok", 1},
+                  {"node.write", "ok", 1},
+                  {"node.read", "disk_unavailable", 2},
+                  {"node.read", "node_unavailable", 3},
+                  {"node.read", "node_unavailable", 1}};
+  EXPECT_EQ(spans, expected);
 }
 
 // --- FaultPlan construction -------------------------------------------
@@ -698,8 +798,9 @@ TEST(ClusterFault, DeadMarkedPrimaryIsTriedNotSkipped) {
                        trace::Op::kRead});
   }
   core::ClusterConfig cfg = baseline::eevfs_pf();
-  cfg.enable_prefetch = false;  // replay starts at t=0: arrivals are
-                                // absolute sim times
+  // No prefetch: replay starts at t=0, so arrivals are absolute sim
+  // times.
+  cfg.cache_policy = core::CachePolicy::kNone;
   cfg.replication_degree = 1;
   cfg.fault_plan.crash_node(8.0, 0).restart_node(16.3, 0);
   core::Cluster c(cfg);

@@ -60,7 +60,7 @@ TEST(Lint, LayerDepsExposesTheModuleDag) {
   EXPECT_TRUE(deps.at("util").empty());
   EXPECT_EQ(deps.at("sim"), std::set<std::string>{"util"});
   EXPECT_NE(deps.at("core").count("disk"), 0u);
-  EXPECT_NE(deps.at("prebud").count("core"), 0u);
+  EXPECT_NE(deps.at("baseline").count("core"), 0u);
   EXPECT_EQ(deps.at("fault").count("core"), 0u);  // fault sits below core
 }
 

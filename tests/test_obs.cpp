@@ -454,7 +454,7 @@ TEST(Observability, CounterUniverseIsStableAcrossConfigs) {
     edit(cfg);
     variants.emplace_back(label, cfg);
   };
-  variant("npf", [](ClusterConfig& c) { c.enable_prefetch = false; });
+  variant("npf", [](ClusterConfig& c) { c.cache_policy = CachePolicy::kNone; });
   variant("replicated disk fault", [](ClusterConfig& c) {
     c.replication_degree = 2;
     c.fault_plan.fail_data_disk(0.0, 0, 0);
@@ -477,7 +477,6 @@ TEST(Observability, CounterUniverseIsStableAcrossConfigs) {
   variant("maid", [](ClusterConfig& c) {
     c.cache_policy = CachePolicy::kLruOnMiss;
     c.power_policy = PowerPolicy::kIdleTimer;
-    c.enable_prefetch = false;
   });
   for (const auto& [label, cfg] : variants) {
     EXPECT_EQ(names(cfg), universe) << label;

@@ -123,7 +123,7 @@ TEST(OnlineMode, RejectsNonPositiveInterval) {
 
 TEST(OnlineMode, NpfOnlineDoesNothing) {
   ClusterConfig cfg = online_config();
-  cfg.enable_prefetch = false;
+  cfg.cache_policy = CachePolicy::kNone;
   cfg.power_policy = PowerPolicy::kNone;
   Cluster c(cfg);
   const RunMetrics m = c.run(skewed(300));

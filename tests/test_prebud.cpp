@@ -1,9 +1,9 @@
 // The BUD/PRE-BUD substrate ([12]) that EEVFS builds on.
-#include "prebud/bud_simulator.hpp"
+#include "baseline/bud_simulator.hpp"
 
 #include <gtest/gtest.h>
 
-namespace eevfs::prebud {
+namespace eevfs::baseline {
 namespace {
 
 std::vector<BlockRequest> workload(std::uint64_t seed = 11,
@@ -204,4 +204,4 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(1, 2, 4, 8)));
 
 }  // namespace
-}  // namespace eevfs::prebud
+}  // namespace eevfs::baseline

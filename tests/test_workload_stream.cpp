@@ -72,7 +72,7 @@ TEST(StreamWorkload, RunStreamMatchesRunWithoutHints) {
   wcfg.inter_arrival_ms = 700.0;
 
   core::ClusterConfig ccfg = baseline::eevfs_pf();
-  ccfg.enable_prefetch = false;
+  ccfg.cache_policy = core::CachePolicy::kNone;
   ccfg.power_policy = core::PowerPolicy::kNone;
 
   core::Cluster eager(ccfg);

@@ -21,10 +21,12 @@
 #                               #     row also shows both peak_rss_mb
 #                               #     figures (warn-only)
 #   tools/check.sh --bench-vs REF   # ... plus tools/bench_vs.py: builds
-#                               #     REF's benches in a temporary
-#                               #     worktree, runs every bench in both
+#                               #     REF's benches and eevfs_cli in a
+#                               #     temporary worktree, runs every
+#                               #     bench and traced CLI case in both
 #                               #     trees and fails unless each one's
-#                               #     stdout and CSV are byte-identical
+#                               #     stdout, CSV and traces are
+#                               #     byte-identical
 #   tools/check.sh --build-type Debug   # configure with another build type
 #   tools/check.sh --no-tidy    # skip clang-tidy even if installed
 #   tools/check.sh --label-timing   # split ctest by label, time each
@@ -210,10 +212,11 @@ if [ -n "$BENCH_REF" ]; then
   cmake -B "$BENCH_TREE/build" -S "$BENCH_TREE" \
     -DCMAKE_BUILD_TYPE="$BUILD_TYPE" > /dev/null
   # Only the benches REF declares: one this tree adds is reported missing
-  # from the base by bench_vs.py instead of failing the build here.
+  # from the base by bench_vs.py instead of failing the build here.  The
+  # traced CLI cases run REF's eevfs_cli.
   # shellcheck disable=SC2046
   cmake --build "$BENCH_TREE/build" -j "$JOBS" \
-    --target $(python3 tools/bench_vs.py --list "$BENCH_TREE")
+    --target $(python3 tools/bench_vs.py --list "$BENCH_TREE") eevfs_cli
   python3 tools/bench_vs.py --base-build "$BENCH_TREE/build" --build build
 fi
 

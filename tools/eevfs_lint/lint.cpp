@@ -35,9 +35,6 @@ const std::map<std::string, std::set<std::string>>& layer_deps_impl() {
       {"fault", {"disk", "net", "obs", "sim", "util"}},
       {"core",
        {"disk", "fault", "net", "obs", "sim", "trace", "util", "workload"}},
-      {"prebud",
-       {"core", "disk", "fault", "net", "obs", "sim", "trace", "util",
-        "workload"}},
       {"baseline",
        {"core", "disk", "fault", "net", "obs", "sim", "trace", "util",
         "workload"}},

@@ -12,7 +12,7 @@
 //                      container iteration in files that emit results
 //   L  layering      — #include edges must follow the module DAG
 //                      (util -> {obs,sim,trace} -> {disk,net,workload}
-//                       -> fault -> core -> {prebud,baseline})
+//                       -> fault -> core -> baseline)
 //   O  observability — metric-name literals follow `component.metric.unit`
 //                      and are documented in docs/observability.md
 //   H  header hygiene— #pragma once, no `using namespace` in headers,
