@@ -135,7 +135,6 @@ class CliCases(unittest.TestCase):
             requests = args[args.index("--requests") + 1]
             self.assertEqual(requests,
                              "2000" if name == "plan_web" else "1000", name)
-            self.assertNotIn(bench_vs.PLAN, args)
             self.assertEqual(plan in args, name.startswith("plan"), name)
             self.assertNotIn("--trace-out", args)
         self.assertEqual(cases["defaults"], ["--requests", "1000"])

@@ -4,8 +4,8 @@
 Every bench that bench/CMakeLists.txt declares with eevfs_bench() runs
 once in each tree, each in a fresh directory.  Its stdout and its
 bench_results/<bench>.csv must be byte-identical between the two trees.
-So must each case of CLI_CASES: eevfs_cli runs it with --trace-out run in
-a fresh directory, and its stdout and its run.trace.{jsonl,json,bin}
+So must each case of cli_cases(): eevfs_cli runs it with --trace-out run
+in a fresh directory, and its stdout and its run.trace.{jsonl,json,bin}
 files are compared:
 
     python3 tools/bench_vs.py --base-build ../base/build [--build build]
@@ -33,28 +33,6 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_NOTE = re.compile(r"\(schema v\d+, ")
 
-# The traced eevfs_cli cases: (name, arguments).  PLAN stands for this
-# checkout's examples/chaos_plan.txt, which both trees read.  A case runs
-# --requests 1000 unless it sets --requests.  The plan cases reach the
-# buffer-disk fallback and the settlement of a crashed node's serves.
-PLAN = "<plan>"
-CLI_CASES = [
-    ("defaults", []),
-    ("maid", ["--system", "maid"]),
-    ("ec_chaos", ["--ec", "4,2", "--chaos-seed", "3", "--journal", "commit"]),
-    ("replicated_chaos", ["--replication", "2", "--chaos-seed", "7",
-                          "--chaos-crashes", "4"]),
-    ("plan", ["--chaos-plan", PLAN, "--journal", "off",
-              "--request-timeout", "3"]),
-    ("plan_ec", ["--chaos-plan", PLAN, "--journal", "off",
-                 "--request-timeout", "3", "--ec", "4,2"]),
-    ("plan_replicated_maid", ["--chaos-plan", PLAN, "--journal", "off",
-                              "--request-timeout", "3", "--replication", "2",
-                              "--system", "maid"]),
-    ("plan_web", ["--workload", "web", "--requests", "2000",
-                  "--chaos-plan", PLAN, "--request-timeout", "3",
-                  "--replication", "2"]),
-]
 # What each CLI case leaves in its directory, and compares.
 CLI_FILES = ("stdout.txt", "run.trace.jsonl", "run.trace.json",
              "run.trace.bin")
@@ -67,16 +45,28 @@ def bench_names(root=ROOT):
 
 
 def cli_cases(root=ROOT):
-    """CLI_CASES with the plan path filled in and --requests 1000 added
-    where a case does not set it."""
-    plan = os.path.join(root, "examples", "chaos_plan.txt")
-    cases = []
-    for name, args in CLI_CASES:
-        args = [plan if a == PLAN else a for a in args]
-        if "--requests" not in args:
-            args = ["--requests", "1000"] + args
-        cases.append((name, args))
-    return cases
+    """The traced eevfs_cli cases, (name, arguments).  Both trees read
+    this checkout's chaos plan, whose cases reach the buffer-disk
+    fallback and the settlement of a crashed node's serves.  A case runs
+    --requests 1000 unless it sets --requests."""
+    plan = ["--chaos-plan", os.path.join(root, "examples", "chaos_plan.txt")]
+    lossy = plan + ["--journal", "off", "--request-timeout", "3"]
+    cases = [
+        ("defaults", []),
+        ("maid", ["--system", "maid"]),
+        ("ec_chaos", ["--ec", "4,2", "--chaos-seed", "3",
+                      "--journal", "commit"]),
+        ("replicated_chaos", ["--replication", "2", "--chaos-seed", "7",
+                              "--chaos-crashes", "4"]),
+        ("plan", lossy),
+        ("plan_ec", lossy + ["--ec", "4,2"]),
+        ("plan_replicated_maid",
+         lossy + ["--replication", "2", "--system", "maid"]),
+        ("plan_web", ["--workload", "web", "--requests", "2000"] + plan +
+         ["--request-timeout", "3", "--replication", "2"]),
+    ]
+    return [(name, args if "--requests" in args
+             else ["--requests", "1000"] + args) for name, args in cases]
 
 
 def run_in(cwd, argv):
