@@ -6,8 +6,8 @@
 // behind one buffer disk).
 #include <cstdio>
 
-#include "harness.hpp"
 #include "baseline/bud_simulator.hpp"
+#include "harness.hpp"
 #include "util/string_util.hpp"
 
 using namespace eevfs;

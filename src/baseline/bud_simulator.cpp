@@ -41,7 +41,6 @@ std::string to_string(BudPolicy p) {
 BudSimulator::BudSimulator(BudConfig config, BudPolicy policy)
     : config_(std::move(config)),
       policy_(policy),
-      model_(config_.profile, config_.idle_threshold, config_.sleep_margin),
       net_(sim_) {
   if (config_.data_disks == 0) {
     throw std::invalid_argument("BudSimulator: need data disks");
@@ -96,7 +95,7 @@ void BudSimulator::consider_prefetch(BlockId block, std::size_t index) {
     ++stats_.prefetches_rejected;  // no reuse inside the window
     return;
   }
-  const Joules benefit = model_.prefetch_benefit(
+  const Joules benefit = node_->power_manager().model().prefetch_benefit(
       disk_accesses, block_accesses, config_.block_bytes, now, horizon,
       config_.profile);
   if (benefit <= 0.0) {

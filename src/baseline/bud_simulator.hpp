@@ -19,7 +19,7 @@
 // always-on, kIdleTimer otherwise), and an accepted copy is handed over
 // with update_prefetch, as the cluster's online refresh does.  What stays
 // here is PRE-BUD's one decision: on a miss, the look-ahead scan and the
-// EnergyPredictionModel::prefetch_benefit gate.
+// prefetch_benefit gate of the power manager's energy model.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "core/energy_model.hpp"
 #include "core/storage_node.hpp"
 #include "disk/disk_profile.hpp"
 #include "net/network.hpp"
@@ -107,8 +106,7 @@ class BudSimulator {
  public:
   BudSimulator(BudConfig config, BudPolicy policy);
 
-  // The node and the energy model refer to config_.profile, and the
-  // node's callbacks to this object.
+  // The node's callbacks refer to this object.
   BudSimulator(const BudSimulator&) = delete;
   BudSimulator& operator=(const BudSimulator&) = delete;
 
@@ -124,7 +122,6 @@ class BudSimulator {
 
   BudConfig config_;
   BudPolicy policy_;
-  core::EnergyPredictionModel model_;
 
   sim::Simulator sim_;
   net::NetworkFabric net_;

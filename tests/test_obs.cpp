@@ -454,7 +454,8 @@ TEST(Observability, CounterUniverseIsStableAcrossConfigs) {
     edit(cfg);
     variants.emplace_back(label, cfg);
   };
-  variant("npf", [](ClusterConfig& c) { c.cache_policy = CachePolicy::kNone; });
+  variant("npf",
+          [](ClusterConfig& c) { c.cache_policy = CachePolicy::kNone; });
   variant("replicated disk fault", [](ClusterConfig& c) {
     c.replication_degree = 2;
     c.fault_plan.fail_data_disk(0.0, 0, 0);
