@@ -17,8 +17,8 @@
 // a file, placed round-robin over the data disks, read by one client
 // across the node's NIC.  The node's power manager is the DPM (kNone for
 // always-on, kIdleTimer otherwise), and an accepted copy is handed over
-// with update_prefetch, as the cluster's online refresh does.  What stays
-// here is PRE-BUD's one decision: on a miss, the look-ahead scan and the
+// with update_prefetch, as the cluster's online refresh does.  The policy
+// is PRE-BUD's one decision: on a miss, the look-ahead scan and the
 // prefetch_benefit gate of the power manager's energy model.
 #pragma once
 
