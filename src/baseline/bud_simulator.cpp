@@ -116,7 +116,6 @@ void BudSimulator::handle_request(std::size_t index) {
                     [this, issued](Tick done, core::RequestStatus) {
                       stats_.response_time_sec.add(
                           ticks_to_seconds(done - issued));
-                      stats_.makespan = std::max(stats_.makespan, done);
                       --outstanding_;
                     });
   if (miss && policy_ == BudPolicy::kPreBud) {
@@ -157,7 +156,9 @@ BudStats BudSimulator::run(const std::vector<BlockRequest>& requests) {
     throw std::logic_error("BudSimulator: requests left unserved");
   }
 
-  // The run ends when the last idle timer has put its disk to sleep.
+  // The run ends when the last idle timer has put its disk to sleep;
+  // the node meters every disk up to then.
+  stats_.makespan = sim_.now();
   const core::NodeMetrics m = node_->collect_metrics();
   stats_.data_disk_joules = m.data_disk_meter.total_joules();
   stats_.buffer_disk_joules = m.buffer_disk_meter.total_joules();

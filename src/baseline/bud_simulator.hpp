@@ -91,6 +91,9 @@ struct BudStats {
   std::uint64_t blocks_prefetched = 0;
   std::uint64_t prefetches_rejected = 0;  // gate said no
   OnlineStats response_time_sec;
+  /// Simulated time from 0 to the end of the simulation, after the last
+  /// idle timer has put its disk to sleep: the interval every disk is
+  /// metered over, so the joules above cover exactly this span.
   Tick makespan = 0;
 
   double hit_rate() const {

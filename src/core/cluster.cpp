@@ -112,16 +112,24 @@ void Cluster::build(const std::vector<Bytes>& file_sizes,
   build_infra();
   // Step 2: one pass folds every request into its file's popularity.  In
   // online mode the server knows the files (sizes) but nothing about the
-  // access pattern — popularity is learned from the request log.
+  // access pattern — popularity is learned from the request log.  Only
+  // accessed files get a summary, in first-access order (the ranking
+  // sorts them); `summary` maps a declared file to its summary's index
+  // plus one, 0 while it has none.
   std::vector<trace::FilePopularity> pop;
   std::size_t total = 0;
   Tick horizon = 0;
   if (!config_.online_popularity) {
-    pop.resize(file_sizes.size());
+    std::vector<std::uint32_t> summary(file_sizes.size(), 0);
     const auto pass = open();
     trace::TraceRecord r;
     while (pass->next(&r)) {
-      pop.at(r.file).add(r);
+      std::uint32_t& s = summary.at(r.file);
+      if (s == 0) {
+        pop.emplace_back();
+        s = static_cast<std::uint32_t>(pop.size());
+      }
+      pop[s - 1].add(r);
       ++total;
       horizon = r.arrival;  // arrivals are non-decreasing
     }
@@ -262,7 +270,7 @@ void Cluster::start_replay(Tick replay_start) {
   // previous request completed.  This bounds queues at zero inter-arrival
   // delay and stretches the run when service times exceed the spacing
   // (the paper's 50 MB "test ran longer than the original trace time").
-  queues_.assign(clients_.size(), {});
+  queues_ = std::vector<FifoRing<trace::TraceRecord>>(clients_.size());
   for (std::size_t c = 0; c < clients_.size(); ++c) {
     if (const trace::TraceRecord* first = next_record(c)) {
       (void)sim_->schedule_at(replay_start + first->arrival,
@@ -272,7 +280,7 @@ void Cluster::start_replay(Tick replay_start) {
 }
 
 const trace::TraceRecord* Cluster::next_record(std::size_t client_idx) {
-  std::deque<trace::TraceRecord>& queue = queues_[client_idx];
+  FifoRing<trace::TraceRecord>& queue = queues_[client_idx];
   trace::TraceRecord r;
   while (queue.empty() && replay_) {
     if (!replay_->next(&r)) {

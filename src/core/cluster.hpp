@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "trace/record.hpp"
+#include "util/fifo_ring.hpp"
 #include "util/units.hpp"
 #include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
@@ -182,7 +182,7 @@ class Cluster {
   // Replay state: the pass being replayed (null once exhausted) and each
   // client's records read from it but not yet issued.
   std::unique_ptr<workload::RequestStream> replay_;
-  std::vector<std::deque<trace::TraceRecord>> queues_;
+  std::vector<FifoRing<trace::TraceRecord>> queues_;
   std::size_t resident_ = 0;
   std::size_t peak_resident_ = 0;
 };

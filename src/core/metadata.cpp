@@ -1,7 +1,6 @@
 #include "core/metadata.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,9 +9,7 @@ namespace eevfs::core {
 
 ServerMetadata::ServerMetadata(std::vector<NodeId> primaries,
                                std::size_t num_nodes, std::size_t copies,
-                               std::span<const Bytes> sizes,
-                               std::span<const trace::FileId> creation_order,
-                               std::size_t ec_k)
+                               std::span<const Bytes> sizes, std::size_t ec_k)
     : node_of(std::move(primaries)),
       size_(sizes.begin(), sizes.end()),
       copies_(copies),
@@ -25,9 +22,8 @@ ServerMetadata::ServerMetadata(std::vector<NodeId> primaries,
     throw std::invalid_argument(
         "ServerMetadata: erasure needs ec_k < chunk count");
   }
-  if (size_.size() != n_files || creation_order.size() != n_files) {
-    throw std::invalid_argument(
-        "ServerMetadata: need one size and one creation slot per file");
+  if (size_.size() != n_files) {
+    throw std::invalid_argument("ServerMetadata: need one size per file");
   }
   if (std::any_of(node_of.begin(), node_of.end(),
                   [num_nodes](NodeId n) { return n >= num_nodes; })) {
@@ -41,25 +37,6 @@ ServerMetadata::ServerMetadata(std::vector<NodeId> primaries,
       }
     }
   }
-  // Per-node creation lists, cut from one flat array: count each node's
-  // copies, then deal the files out in creation order.
-  node_begin_.assign(num_nodes + 1, 0);
-  for (trace::FileId f = 0; f < n_files; ++f) {
-    for (const NodeId n : holders(f)) ++node_begin_[n + 1];
-  }
-  std::partial_sum(node_begin_.begin(), node_begin_.end(),
-                   node_begin_.begin());
-  node_files_.resize(n_files * copies);
-  std::vector<std::size_t> next(node_begin_.begin(), node_begin_.end() - 1);
-  std::vector<bool> seen(n_files, false);
-  for (const trace::FileId f : creation_order) {
-    if (f >= n_files || seen[f]) {
-      throw std::invalid_argument(
-          "ServerMetadata: creation order must list every file once");
-    }
-    seen[f] = true;
-    for (const NodeId n : holders(f)) node_files_[next[n]++] = f;
-  }
 }
 
 std::span<const NodeId> ServerMetadata::holders(trace::FileId f) const {
@@ -69,12 +46,6 @@ std::span<const NodeId> ServerMetadata::holders(trace::FileId f) const {
   }
   if (copies_ == 1) return std::span<const NodeId>(node_of).subspan(f, 1);
   return std::span<const NodeId>(holder_arena_).subspan(f * copies_, copies_);
-}
-
-std::span<const trace::FileId> ServerMetadata::files_on_node(NodeId n) const {
-  const std::size_t begin = node_begin_.at(n);
-  return std::span<const trace::FileId>(node_files_)
-      .subspan(begin, node_begin_.at(n + 1) - begin);
 }
 
 std::optional<ServerFileEntry> ServerMetadata::lookup(
@@ -91,9 +62,7 @@ std::optional<ServerFileEntry> ServerMetadata::lookup(
 Bytes ServerMetadata::memory_footprint() const {
   return static_cast<Bytes>(
       node_of.size() * sizeof(NodeId) + size_.size() * sizeof(Bytes) +
-      holder_arena_.size() * sizeof(NodeId) +
-      node_files_.size() * sizeof(trace::FileId) +
-      node_begin_.size() * sizeof(std::size_t));
+      holder_arena_.size() * sizeof(NodeId));
 }
 
 namespace {
@@ -118,7 +87,8 @@ void NodeMetadata::insert(trace::FileId file, LocalFileMeta meta) {
     }
     sorted_ = false;
   }
-  entries_.push_back(Entry{file, meta});
+  meta.file = file;
+  entries_.push_back(meta);
 }
 
 void NodeMetadata::sort_entries() const {
@@ -138,7 +108,7 @@ LocalFileMeta* NodeMetadata::locate(trace::FileId file) const {
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), file,
       [](const Entry& e, trace::FileId key) { return e.file < key; });
-  return it == entries_.end() || it->file != file ? nullptr : &it->meta;
+  return it == entries_.end() || it->file != file ? nullptr : &*it;
 }
 
 LocalFileMeta& NodeMetadata::at(trace::FileId file) {

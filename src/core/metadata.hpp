@@ -11,17 +11,21 @@
 // against per-block maps (PDC, §II-A):
 //   - ServerMetadata is indexed by FileId: a primary-node column, a size
 //     column, and every file's holders in one flat arena whose stride is
-//     the copies-per-file count (the replication degree, or ec_n).
-//     place_files builds it, and it never changes afterwards.
-//   - NodeMetadata is one flat array of 24-byte (FileId, LocalFileMeta)
-//     entries sorted by FileId; each entry stores its stripe set as
-//     (first disk, width).
+//     the copies-per-file count (the replication degree, or ec_n).  It
+//     keeps no per-node file lists: the server creates each node's files
+//     in one pass over placement's creation order.  place_files builds
+//     it, and it never changes afterwards.
+//   - NodeMetadata is one flat array of 16-byte LocalFileMeta entries
+//     (file id, first stripe disk, buffer disk, size) sorted by FileId.
+//     The stripe width is the node's, the same for every file.
 //
 // Both count their lookups; the server's also models its probe cost, so
 // the scalability bench can show the routing tier staying thin as nodes
 // are added.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -63,13 +67,10 @@ class ServerMetadata {
   ServerMetadata() = default;
   /// Lays out `primaries.size()` files over `num_nodes` nodes with
   /// `copies` copies each (1 <= copies <= num_nodes).  `sizes` holds one
-  /// logical size per file.  `creation_order` lists every FileId once, in
-  /// the order the server issues create-file calls; it fixes each node's
-  /// files_on_node() order.  `ec_k > 0` marks every file (copies, ec_k)
+  /// logical size per file.  `ec_k > 0` marks every file (copies, ec_k)
   /// erasure-coded (requires ec_k < copies).
   ServerMetadata(std::vector<NodeId> primaries, std::size_t num_nodes,
                  std::size_t copies, std::span<const Bytes> sizes,
-                 std::span<const trace::FileId> creation_order,
                  std::size_t ec_k = 0);
 
   /// Primary owning node per file, indexed by FileId (holders()[0]).
@@ -83,9 +84,6 @@ class ServerMetadata {
   /// Every node holding a copy of `f`, primary first; throws
   /// std::out_of_range for unknown files.
   std::span<const NodeId> holders(trace::FileId f) const;
-  /// Files node `n` holds a copy (or chunk) of, in creation order — the
-  /// popularity order that drives the node-local disk round-robin.
-  std::span<const trace::FileId> files_on_node(NodeId n) const;
 
   /// Erasure mode: holders are ec_n = copies() chunk nodes per file and
   /// each stores a chunk_bytes()-sized image instead of the whole file.
@@ -120,27 +118,39 @@ class ServerMetadata {
   std::vector<NodeId> holder_arena_;
   std::size_t copies_ = 1;
   std::size_t ec_k_ = 0;
-  /// files_on_node(n) is node_files_[node_begin_[n], node_begin_[n + 1]).
-  std::vector<trace::FileId> node_files_;
-  std::vector<std::size_t> node_begin_;
   mutable std::uint64_t lookups_ = 0;
   mutable std::uint64_t misses_ = 0;
 };
 
-/// Node-side entry: local placement of one file.  Trivially copyable, so
-/// the node table is one flat array with no per-file heap block.  Disk
-/// indices are 16-bit (StorageNode refuses more disks than that), which
-/// packs them and the buffered flag into the 8 bytes before the size.
+/// Node-side entry: local placement of one file, 16 bytes.  Trivially
+/// copyable, so the node table is one flat array with no per-file heap
+/// block.  Disk indices are 16-bit (StorageNode refuses more disks than
+/// NodeMetadata::kMaxDisks), and the stripe width is the node's, the same
+/// for every file, so the file id, both disk indices and the size are the
+/// whole entry.
 struct LocalFileMeta {
-  /// Stripe set: `width` data disks from `first_disk` on, wrapping around
-  /// the node's data disks; width 1 for whole-file placement.
+  /// The buffer disk of a file with no buffered copy.  A node has at most
+  /// NodeMetadata::kMaxDisks buffer disks, so no real index reaches it.
+  static constexpr std::uint16_t kNoBufferDisk =
+      std::numeric_limits<std::uint16_t>::max();
+
+  /// Set by NodeMetadata::insert.
+  trace::FileId file = 0;
+  /// Stripe set: the node's stripe width in data disks from `first_disk`
+  /// on, wrapping around the node's data disks.
   std::uint16_t first_disk = 0;
-  std::uint16_t width = 1;
-  bool buffered = false;
-  std::uint16_t buffer_disk = 0;
+  /// Where the buffered copy is, or kNoBufferDisk.
+  std::uint16_t buffer_disk = kNoBufferDisk;
   Bytes size = 0;
 
-  /// Stripe member j (j < width) on a node with `data_disks` data disks.
+  bool buffered() const { return buffer_disk != kNoBufferDisk; }
+  void set_buffer_disk(std::size_t d) {
+    assert(d < kNoBufferDisk);
+    buffer_disk = static_cast<std::uint16_t>(d);
+  }
+  void clear_buffer_disk() { buffer_disk = kNoBufferDisk; }
+
+  /// Stripe member j on a node with `data_disks` data disks.
   std::size_t disk(std::size_t j, std::size_t data_disks) const {
     return (first_disk + j) % data_disks;
   }
@@ -154,18 +164,16 @@ static_assert(std::is_trivially_copyable_v<LocalFileMeta>);
 class NodeMetadata {
  public:
   /// The most data or buffer disks a node may have: entries store disk
-  /// indices and the stripe width in 16 bits.
-  static constexpr std::size_t kMaxDisks =
-      std::numeric_limits<std::uint16_t>::max();
+  /// indices in 16 bits, and a buffer disk index stays below
+  /// LocalFileMeta::kNoBufferDisk.
+  static constexpr std::size_t kMaxDisks = LocalFileMeta::kNoBufferDisk;
 
-  struct Entry {
-    trace::FileId file = 0;
-    LocalFileMeta meta;
-  };
+  using Entry = LocalFileMeta;
 
-  /// Registers a file.  Registering an id twice is an error, reported
-  /// as std::invalid_argument: by insert while the table is sorted,
-  /// otherwise by every lookup (the sort finds it).
+  /// Registers `file`, storing its id in the entry.  Registering an id
+  /// twice is an error, reported as std::invalid_argument: by insert
+  /// while the table is sorted, otherwise by every lookup (the sort
+  /// finds it).
   void insert(trace::FileId file, LocalFileMeta meta);
   void reserve(std::size_t files) { entries_.reserve(files); }
 
@@ -208,8 +216,8 @@ class NodeMetadata {
   mutable bool sorted_ = true;
   mutable std::uint64_t lookups_ = 0;
 };
-// 24 bytes per file: the node tables of a 1024-node cell hold one entry
+// 16 bytes per file: the node tables of a 1024-node cell hold one entry
 // per placed file.
-static_assert(sizeof(NodeMetadata::Entry) == 24);
+static_assert(sizeof(NodeMetadata::Entry) == 16);
 
 }  // namespace eevfs::core

@@ -5,9 +5,6 @@
 
 namespace eevfs::core {
 
-namespace {
-
-/// Ranked files first, then never-accessed files by ascending id.
 std::vector<trace::FileId> creation_order(
     std::size_t num_files, const trace::PopularityAnalyzer& popularity) {
   std::vector<trace::FileId> order;
@@ -24,8 +21,6 @@ std::vector<trace::FileId> creation_order(
   }
   return order;
 }
-
-}  // namespace
 
 PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
                          std::size_t num_files,
@@ -81,7 +76,7 @@ PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
     }
   }
   return PlacementMap(std::move(primary), num_nodes, degree,
-                      std::span<const Bytes>(sizes).first(num_files), order,
+                      std::span<const Bytes>(sizes).first(num_files),
                       ec_n > 0 ? ec_k : 0);
 }
 

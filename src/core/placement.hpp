@@ -4,15 +4,18 @@
 // share over its data disks in the same order.
 //
 // The placement is the server's file table itself: place_files returns a
-// ServerMetadata (metadata.hpp) — primary and size columns, the holder
-// arena, and each node's creation list — which the server routes with
-// for the rest of the run.
+// ServerMetadata (metadata.hpp) — primary and size columns and the holder
+// arena — which the server routes with for the rest of the run.  It keeps
+// no per-node creation lists: the server walks creation_order once and
+// creates each file on its holders, so every node receives its files in
+// that order.
 #pragma once
 
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/metadata.hpp"
+#include "trace/record.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -22,10 +25,15 @@ namespace eevfs::core {
 /// What place_files returns: the server's file table.
 using PlacementMap = ServerMetadata;
 
-/// Places `num_files` files (ids 0..num_files-1).  `popularity` ranks the
-/// accessed files; files absent from the ranking (never accessed) are
-/// placed after all ranked files, in id order; that creation order fixes
-/// each node's files_on_node() list.  `sizes` is indexed by FileId: the
+/// The order files are placed and created in: the ranked files that are
+/// below `num_files`, in rank order, then the files absent from the
+/// ranking (never accessed), in id order.  Lists every id below
+/// `num_files` once.
+std::vector<trace::FileId> creation_order(
+    std::size_t num_files, const trace::PopularityAnalyzer& popularity);
+
+/// Places `num_files` files (ids 0..num_files-1), dealing them out in
+/// creation_order.  `sizes` is indexed by FileId: the
 /// table keeps the first `num_files` and the size-balanced policy weighs
 /// them.  `replication_degree`
 /// copies land on distinct consecutive nodes (mod the node count) past

@@ -38,6 +38,8 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
     throw std::invalid_argument(
         "StorageNode: more disks than the file table can index");
   }
+  stripe_width_ = std::min(std::max<std::size_t>(params_.stripe_width, 1),
+                           params_.data_disks);
   for (std::size_t i = 0; i < params_.data_disks; ++i) {
     data_disks_.push_back(std::make_unique<disk::DiskModel>(
         sim_, params_.disk_profile,
@@ -127,11 +129,7 @@ void StorageNode::create_file(trace::FileId f, Bytes size) {
   } else {
     primary = files_created_ % data_disks_.size();
   }
-  const std::size_t width =
-      std::min(std::max<std::size_t>(params_.stripe_width, 1),
-               data_disks_.size());
   meta_.insert(f, {.first_disk = static_cast<std::uint16_t>(primary),
-                   .width = static_cast<std::uint16_t>(width),
                    .size = size});
   ++files_created_;
 }
@@ -165,7 +163,7 @@ void StorageNode::plan_prefetch(const std::vector<trace::FileId>& candidates) {
   for (const FileHints& h : hints) {
     const LocalFileMeta* file_meta = meta_.find(h.file);
     if (file_meta == nullptr) continue;
-    for (std::size_t j = 0; j < file_meta->width; ++j) {
+    for (std::size_t j = 0; j < stripe_width_; ++j) {
       timeline_size[file_meta->disk(j, num_disks)] += h.offsets.size();
     }
   }
@@ -176,7 +174,7 @@ void StorageNode::plan_prefetch(const std::vector<trace::FileId>& candidates) {
   for (const FileHints& h : hints) {
     const LocalFileMeta* file_meta = meta_.find(h.file);
     if (file_meta == nullptr) continue;
-    for (std::size_t j = 0; j < file_meta->width; ++j) {
+    for (std::size_t j = 0; j < stripe_width_; ++j) {
       auto& timeline = disk_accesses[file_meta->disk(j, num_disks)];
       timeline.insert(timeline.end(), h.offsets.begin(), h.offsets.end());
     }
@@ -281,7 +279,7 @@ void StorageNode::warm_tiers(const std::vector<trace::FileId>& hot,
     copy_into_buffer(f, [this, f, ep, arrive] {
       const bool current = ep == epoch_;
       if (current) copies_in_flight_.erase(f);
-      arrive(current && meta_.at(f).buffered);
+      arrive(current && meta_.at(f).buffered());
     });
   }
 }
@@ -332,13 +330,13 @@ void StorageNode::submit_with_retry(
 void StorageNode::stripe_io(const LocalFileMeta& file, Bytes bytes,
                             bool is_write, bool notify_power_manager,
                             std::function<void(Tick, disk::IoStatus)> done) {
-  const Bytes per_disk = (bytes + file.width - 1) / file.width;
-  auto outstanding = std::make_shared<std::size_t>(file.width);
+  const Bytes per_disk = (bytes + stripe_width_ - 1) / stripe_width_;
+  auto outstanding = std::make_shared<std::size_t>(stripe_width_);
   auto worst = std::make_shared<disk::IoStatus>(disk::IoStatus::kOk);
   auto shared_done =
       std::make_shared<std::function<void(Tick, disk::IoStatus)>>(
           std::move(done));
-  for (std::size_t j = 0; j < file.width; ++j) {
+  for (std::size_t j = 0; j < stripe_width_; ++j) {
     const std::size_t d = file.disk(j, data_disks_.size());
     submit_with_retry(
         data_disks_[d].get(), per_disk, /*sequential=*/false, is_write,
@@ -427,9 +425,7 @@ void StorageNode::write_buffer_copy(trace::FileId f, Done done) {
       done(false);
       return;
     }
-    LocalFileMeta& meta = meta_.at(f);
-    meta.buffered = true;
-    meta.buffer_disk = static_cast<std::uint16_t>(bd);
+    meta_.at(f).set_buffer_disk(bd);
     done(true);
   };
   ++buffered_count_;
@@ -491,10 +487,10 @@ void StorageNode::update_prefetch(const std::vector<trace::FileId>& wanted) {
   const std::set<trace::FileId> target(wanted.begin(), wanted.end());
   // Evict buffered files that fell out of the top set — dropping a cached
   // copy is metadata-only, no I/O.
-  for (auto& [f, meta] : meta_) {
-    if (meta.buffered && !target.contains(f)) {
-      buffer_->erase(f);
-      meta.buffered = false;
+  for (LocalFileMeta& meta : meta_) {
+    if (meta.buffered() && !target.contains(meta.file)) {
+      buffer_->erase(meta.file);
+      meta.clear_buffer_disk();
       metrics_.evictions.add();
     }
   }
@@ -506,7 +502,7 @@ void StorageNode::update_prefetch(const std::vector<trace::FileId>& wanted) {
       throw std::invalid_argument("StorageNode: update_prefetch candidate " +
                                   std::to_string(f) + " not on this node");
     }
-    if (file_meta->buffered || copies_in_flight_.contains(f)) continue;
+    if (file_meta->buffered() || copies_in_flight_.contains(f)) continue;
     copies_in_flight_.insert(f);
     copy_into_buffer(f, [this, f] { copies_in_flight_.erase(f); });
   }
@@ -532,7 +528,7 @@ std::optional<std::size_t> StorageNode::healthy_buffer_disk(
 }
 
 bool StorageNode::stripe_set_alive(const LocalFileMeta& file) const {
-  for (std::size_t j = 0; j < file.width; ++j) {
+  for (std::size_t j = 0; j < stripe_width_; ++j) {
     if (data_disks_[file.disk(j, data_disks_.size())]->failed()) return false;
   }
   return true;
@@ -540,8 +536,8 @@ bool StorageNode::stripe_set_alive(const LocalFileMeta& file) const {
 
 std::vector<std::size_t> StorageNode::stripe_set(
     const LocalFileMeta& file) const {
-  std::vector<std::size_t> disks(file.width);
-  for (std::size_t j = 0; j < file.width; ++j) {
+  std::vector<std::size_t> disks(stripe_width_);
+  for (std::size_t j = 0; j < stripe_width_; ++j) {
     disks[j] = file.disk(j, data_disks_.size());
   }
   return disks;
@@ -605,7 +601,7 @@ void StorageNode::crash() {
   // without the index — re-warm re-copies what matters.
   if (buffer_) {
     buffer_ = std::make_unique<BufferManager>(buffer_->capacity());
-    for (auto& [f, m] : meta_) m.buffered = false;
+    for (LocalFileMeta& m : meta_) m.clear_buffer_disk();
   }
   // The RAM tier dies wholesale.  Clean cached bytes are re-fetchable,
   // but staged write-backs were ACKED and are lost no matter what the
@@ -702,7 +698,7 @@ void StorageNode::rewarm_prefetch(
   if (alive_ && buffer_ && params_.cache_policy == CachePolicy::kPrefetch) {
     for (const trace::FileId f : candidates) {
       const LocalFileMeta* m = meta_.find(f);
-      if (m != nullptr && !m->buffered && !copies_in_flight_.contains(f) &&
+      if (m != nullptr && !m->buffered() && !copies_in_flight_.contains(f) &&
           stripe_set_alive(*m)) {
         warm.push_back(f);
       }
@@ -755,7 +751,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   }
 
   // Buffer disk next, when it holds a copy.
-  if (buffer_ && meta->buffered && buffer_->contains(f)) {
+  if (buffer_ && meta->buffered() && buffer_->contains(f)) {
     if (!buffer_disks_[meta->buffer_disk]->failed()) {
       metrics_.buffer_hits.add();
       if (!stripe_set_alive(*meta)) {
@@ -818,7 +814,7 @@ void StorageNode::read_stripe(const Read& read, bool fallback) {
     ship(read, /*admit=*/true);
     if (fallback) return;
     const LocalFileMeta& m = meta_.at(read.file);
-    for (std::size_t j = 0; j < m.width; ++j) {
+    for (std::size_t j = 0; j < stripe_width_; ++j) {
       // The platters are spinning: destage queued writes.
       maybe_flush(m.disk(j, data_disks_.size()));
     }
@@ -828,10 +824,10 @@ void StorageNode::read_stripe(const Read& read, bool fallback) {
                                        /*allow_evict=*/true);
       for (const trace::FileId victim : res.evicted) {
         LocalFileMeta* vmeta = meta_.find(victim);
-        if (vmeta != nullptr) vmeta->buffered = false;
+        if (vmeta != nullptr) vmeta->clear_buffer_disk();
         metrics_.evictions.add();
       }
-      if (res.inserted && !meta_.at(read.file).buffered) {
+      if (res.inserted && !meta_.at(read.file).buffered()) {
         write_buffer_copy(read.file, [](bool) {});
       }
     }
@@ -1182,7 +1178,7 @@ NodeMetrics StorageNode::collect_metrics() {
 
 bool StorageNode::is_buffered(trace::FileId f) const {
   const LocalFileMeta* meta = meta_.find(f);
-  return meta != nullptr && meta->buffered;
+  return meta != nullptr && meta->buffered();
 }
 
 std::optional<std::size_t> StorageNode::data_disk_of(trace::FileId f) const {

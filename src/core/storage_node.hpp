@@ -432,6 +432,9 @@ class StorageNode {
   std::unique_ptr<disk::WriteJournal> journal_;
 
   NodeMetadata meta_;
+  /// Data disks per file stripe: params_.stripe_width clamped to
+  /// [1, data disks], the same for every file on the node.
+  std::size_t stripe_width_ = 1;
   std::size_t files_created_ = 0;
   std::size_t expected_files_ = 0;
   std::size_t buffered_count_ = 0;  // round-robins files over buffer disks

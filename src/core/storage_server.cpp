@@ -1,7 +1,7 @@
 #include "core/storage_server.hpp"
 
+#include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -46,17 +46,23 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
                           file_sizes.size(), *analyzer_, file_sizes, rng_,
                           replication_degree_, ec_.n, ec_.k);
   // Create-file calls happen in popularity order per node, which is what
-  // makes the node-local disk round-robin load balance (§III-B); the
-  // per-node lists include replica copies.  Under erasure coding each
-  // node stores a chunk-sized image, not the whole file.
+  // makes the node-local disk round-robin load balance (§III-B).  Every
+  // node learns its copy count first (PDC's disk bands need it), then one
+  // pass over the creation order creates each file on all its holders,
+  // replicas included, so each node sees its own files in that order.
+  // Under erasure coding each node stores a chunk-sized image, not the
+  // whole file.
+  std::vector<std::size_t> copies(nodes_.size(), 0);
+  for (trace::FileId f = 0; f < metadata_.files(); ++f) {
+    for (const NodeId n : metadata_.holders(f)) ++copies[n];
+  }
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const std::span<const trace::FileId> files = metadata_.files_on_node(n);
-    nodes_[n]->expect_files(files.size());
-    for (const trace::FileId f : files) {
-      const Bytes size = file_sizes[f];
-      nodes_[n]->create_file(
-          f, ServerMetadata::chunk_bytes(size, metadata_.ec_k()));
-    }
+    nodes_[n]->expect_files(copies[n]);
+  }
+  for (const trace::FileId f : creation_order(file_sizes.size(), *analyzer_)) {
+    const Bytes chunk =
+        ServerMetadata::chunk_bytes(file_sizes[f], metadata_.ec_k());
+    for (const NodeId n : metadata_.holders(f)) nodes_[n]->create_file(f, chunk);
   }
 }
 
@@ -70,56 +76,77 @@ void StorageServer::distribute_patterns(
   if (metadata_.files() == 0) {
     throw std::logic_error("StorageServer: place_and_create first");
   }
-  // File f's slot in the arena is [slot[f], slot[f + 1]), sized from its
-  // ingested access count.
+  // The arena holds the accessed files' slots in FileId order, each
+  // sized from the file's ingested access count; files never accessed
+  // have no slot.
   const std::size_t files = metadata_.files();
   const auto unknown = [](trace::FileId f) {
     return std::out_of_range("StorageServer: unknown file " +
                              std::to_string(f));
   };
-  std::vector<std::size_t> slot(files + 1, 0);
+  struct Slot {
+    trace::FileId file = 0;
+    std::size_t count = 0;
+    std::size_t begin = 0;
+    std::size_t end() const { return begin + count; }
+  };
+  std::vector<Slot> slots;
+  slots.reserve(analyzer_->ranked().size());
   for (const trace::FilePopularity& p : analyzer_->ranked()) {
     if (p.file >= files) throw unknown(p.file);
-    slot[p.file + 1] = p.accesses;
+    slots.push_back({.file = p.file, .count = p.accesses});
   }
-  std::partial_sum(slot.begin(), slot.end(), slot.begin());
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return a.file < b.file; });
+  std::size_t arena_size = 0;
+  for (Slot& slot : slots) {
+    slot.begin = arena_size;
+    arena_size = slot.end();
+  }
 
-  hint_arena_ = std::vector<Tick>(exact || horizon > 0 ? slot.back() : 0);
+  hint_arena_ = std::vector<Tick>(exact || horizon > 0 ? arena_size : 0);
   if (exact) {
     const auto miscount = [](trace::FileId f) {
       return std::invalid_argument(
           "StorageServer: the hint pass disagrees with the ingested "
           "access count of file " + std::to_string(f));
     };
-    std::vector<std::size_t> next(slot.begin(), slot.end() - 1);
+    // A request finds its file's slot through a 4-byte index per file.
+    constexpr auto kNoSlot = static_cast<std::uint32_t>(-1);
+    std::vector<std::uint32_t> slot_of(files, kNoSlot);
+    std::vector<std::size_t> next(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      slot_of[slots[i].file] = static_cast<std::uint32_t>(i);
+      next[i] = slots[i].begin;
+    }
     trace::TraceRecord r;
     while (exact->next(&r)) {
       if (r.file >= files) throw unknown(r.file);
-      if (next[r.file] == slot[r.file + 1]) throw miscount(r.file);
-      hint_arena_[next[r.file]++] = r.arrival;
+      const std::uint32_t i = slot_of[r.file];
+      if (i == kNoSlot || next[i] == slots[i].end()) throw miscount(r.file);
+      hint_arena_[next[i]++] = r.arrival;
     }
-    for (trace::FileId f = 0; f < files; ++f) {
-      if (next[f] != slot[f + 1]) throw miscount(f);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (next[i] != slots[i].end()) throw miscount(slots[i].file);
     }
   } else if (horizon > 0) {
-    for (trace::FileId f = 0; f < files; ++f) {
+    for (const Slot& slot : slots) {
       // Midpoint spacing keeps the first expected access off t=0 and the
       // last off the horizon edge, so modeled idle windows stay
       // symmetric.  (2i+1)·H/2c is computed as (2i+1)·q + (2i+1)·r/2c
       // with H = q·2c + r: the same value, but no product reaches H·2c,
       // and (2i+1)·r < 4c² fits 64 unsigned bits for c ≤ 2^31.
-      const auto c = static_cast<Tick>(slot[f + 1] - slot[f]);
+      const auto c = static_cast<Tick>(slot.count);
       if (c > (Tick{1} << 31)) {
         throw std::invalid_argument(
             "StorageServer: over 2^31 modeled accesses to file " +
-            std::to_string(f));
+            std::to_string(slot.file));
       }
-      if (c == 0) continue;
       const Tick q = horizon / (2 * c);
       const auto r = static_cast<std::uint64_t>(horizon % (2 * c));
       for (Tick i = 0; i < c; ++i) {
         const Tick odd = 2 * i + 1;
-        hint_arena_[slot[f] + static_cast<std::size_t>(i)] =
+        hint_arena_[slot.begin + static_cast<std::size_t>(i)] =
             odd * q + static_cast<Tick>(static_cast<std::uint64_t>(odd) * r /
                                         static_cast<std::uint64_t>(2 * c));
       }
@@ -129,12 +156,11 @@ void StorageServer::distribute_patterns(
   // Every serving holder gets a view of the file's slot, not a copy.
   std::vector<std::vector<FileHints>> per_node(nodes_.size());
   if (!hint_arena_.empty()) {
-    for (trace::FileId f = 0; f < files; ++f) {
-      if (slot[f] == slot[f + 1]) continue;
-      const std::span<const Tick> offsets(hint_arena_.data() + slot[f],
-                                          slot[f + 1] - slot[f]);
-      for (const NodeId n : serving_holders(f)) {
-        per_node[n].push_back({f, offsets});
+    for (const Slot& slot : slots) {
+      const std::span<const Tick> offsets(hint_arena_.data() + slot.begin,
+                                          slot.count);
+      for (const NodeId n : serving_holders(slot.file)) {
+        per_node[n].push_back({slot.file, offsets});
       }
     }
   }

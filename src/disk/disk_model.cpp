@@ -190,9 +190,9 @@ void DiskModel::fail() {
 }
 
 void DiskModel::drain_queue_unavailable() {
-  std::deque<DiskRequest> stranded = std::move(queue_);
-  queue_.clear();
-  for (DiskRequest& req : stranded) {
+  for (FifoRing<DiskRequest> stranded = std::move(queue_); !stranded.empty();
+       stranded.pop_front()) {
+    DiskRequest& req = stranded.front();
     ++requests_failed_;
     if (!req.on_complete) continue;
     (void)sim_.schedule_after(1, [this, cb = std::move(req.on_complete)] {

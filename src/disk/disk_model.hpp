@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -28,6 +27,7 @@
 #include "obs/counters.hpp"
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
+#include "util/fifo_ring.hpp"
 #include "util/units.hpp"
 
 namespace eevfs::disk {
@@ -168,7 +168,7 @@ class DiskModel {
   Tick state_entry_ = 0;
   EnergyMeter meter_;
 
-  std::deque<DiskRequest> queue_;
+  FifoRing<DiskRequest> queue_;
   bool wake_when_down_ = false;  // request arrived mid-spin-down
   sim::EventHandle pending_event_;  // in-flight transfer or transition
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/presets.hpp"
+#include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/webtrace.hpp"
 
@@ -44,6 +47,24 @@ TEST(Cluster, RejectsEmptyWorkload) {
   workload::Workload empty;
   empty.file_sizes.assign(10, kMB);
   EXPECT_THROW(c.run(empty), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsRequestsForUndeclaredFilesAndMiscounts) {
+  // The popularity pass refuses a request for a file past the declared
+  // ones, and a stream that yields another count than it declares.
+  workload::Workload w = small_workload(50);
+  trace::FileId last = 0;
+  for (const trace::TraceRecord& r : w.requests.records()) {
+    last = std::max(last, r.file);
+  }
+  w.file_sizes.resize(last);
+  EXPECT_THROW(Cluster(baseline::eevfs_pf()).run(w), std::out_of_range);
+  workload::SyntheticConfig wcfg;
+  wcfg.num_requests = 50;
+  workload::StreamingWorkload stream = workload::make_synthetic_stream(wcfg);
+  ++stream.num_requests;
+  EXPECT_THROW(Cluster(baseline::eevfs_pf()).run_stream(stream),
+               std::invalid_argument);
 }
 
 TEST(Cluster, AllRequestsAreServedAndBytesConserved) {

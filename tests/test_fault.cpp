@@ -6,6 +6,7 @@
 // never hang).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -68,6 +69,37 @@ TEST_F(DiskFaultTest, FailMidFlightDrainsEveryQueuedRequestTyped) {
   }
   EXPECT_EQ(disk.requests_failed(), 3u);
   EXPECT_EQ(disk.requests_completed(), 0u);
+}
+
+TEST_F(DiskFaultTest, FailWithWrappedQueueDrainsInSubmissionOrder) {
+  // Four requests fill the queue's buffer (capacity 4).  When the second
+  // completes, two more are queued behind the other two, so they wrap to
+  // the front of the buffer; then the drive fails with request 2 in
+  // flight.  Every queued request completes kUnavailable, in the order
+  // it was submitted.
+  disk::DiskModel disk(sim, profile, "d");
+  std::vector<std::pair<int, disk::IoStatus>> seen;
+  std::function<void(int)> submit = [&](int id) {
+    disk::DiskRequest req;
+    req.bytes = 10 * kMB;
+    req.on_complete = [&, id](Tick, disk::IoStatus s) {
+      seen.emplace_back(id, s);
+      if (id != 1) return;
+      submit(4);
+      submit(5);
+      (void)sim.schedule_after(1, [&] { disk.fail(); });
+    };
+    disk.submit(std::move(req));
+  };
+  for (int id = 0; id < 4; ++id) submit(id);
+  sim.run();
+  const std::vector<std::pair<int, disk::IoStatus>> expected{
+      {0, disk::IoStatus::kOk},          {1, disk::IoStatus::kOk},
+      {2, disk::IoStatus::kUnavailable}, {3, disk::IoStatus::kUnavailable},
+      {4, disk::IoStatus::kUnavailable}, {5, disk::IoStatus::kUnavailable}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(disk.requests_failed(), 4u);
+  EXPECT_EQ(disk.requests_completed(), 2u);
 }
 
 TEST_F(DiskFaultTest, LatentReadErrorsAreTransient) {

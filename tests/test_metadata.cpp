@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -13,15 +12,11 @@
 namespace eevfs::core {
 namespace {
 
-/// A table over `sizes.size()` files with primaries `primaries`, created
-/// in id order.
+/// A table over `sizes.size()` files with primaries `primaries`.
 ServerMetadata table(std::vector<NodeId> primaries, std::size_t nodes,
                      std::size_t copies, const std::vector<Bytes>& sizes,
                      std::size_t ec_k = 0) {
-  std::vector<trace::FileId> order(sizes.size());
-  std::iota(order.begin(), order.end(), trace::FileId{0});
-  return ServerMetadata(std::move(primaries), nodes, copies, sizes, order,
-                        ec_k);
+  return ServerMetadata(std::move(primaries), nodes, copies, sizes, ec_k);
 }
 
 TEST(ServerMetadata, InsertAndLookup) {
@@ -46,18 +41,14 @@ TEST(ServerMetadata, MissIsCountedNotFatal) {
 }
 
 TEST(ServerMetadata, DuplicateInsertThrows) {
-  // Every file is created exactly once: a creation order that lists a
-  // file twice (and so misses another) is rejected, as are primaries
-  // past the node count and more copies than nodes.
+  // The table takes one primary and one size per file: a primary past
+  // the node count, more copies than nodes and a size column of another
+  // length are rejected.  (A file created twice is the node table's
+  // duplicate, see NodeMetadata.DuplicateInsertThrows.)
   const std::vector<Bytes> sizes{1, 2};
-  const std::vector<trace::FileId> twice{1, 1};
-  EXPECT_THROW(ServerMetadata({0, 1}, 2, 1, sizes, twice),
-               std::invalid_argument);
-  const std::vector<trace::FileId> order{0, 1};
-  EXPECT_THROW(ServerMetadata({0, 2}, 2, 1, sizes, order),
-               std::invalid_argument);
-  EXPECT_THROW(ServerMetadata({0, 1}, 2, 3, sizes, order),
-               std::invalid_argument);
+  EXPECT_THROW(ServerMetadata({0, 2}, 2, 1, sizes), std::invalid_argument);
+  EXPECT_THROW(ServerMetadata({0, 1}, 2, 3, sizes), std::invalid_argument);
+  EXPECT_THROW(ServerMetadata({0, 1, 1}, 2, 1, sizes), std::invalid_argument);
 }
 
 TEST(ServerMetadata, ErasureEntryKeepsFullSizeAndChunkHolders) {
@@ -95,14 +86,14 @@ TEST(ServerMetadata, FootprintGrowsLinearly) {
 
 TEST(NodeMetadata, InsertFindUpdate) {
   NodeMetadata m;
-  m.insert(5, LocalFileMeta{.first_disk = 1, .width = 2, .size = 4 * kMB});
+  m.insert(5, LocalFileMeta{.first_disk = 1, .size = 4 * kMB});
   ASSERT_TRUE(m.contains(5));
   EXPECT_EQ(m.at(5).first_disk, 1u);
-  EXPECT_EQ(m.at(5).width, 2u);
+  EXPECT_EQ(m.at(5).size, 4 * kMB);
   EXPECT_EQ(m.at(5).disk(1, 3), 2u);
   EXPECT_EQ(m.at(5).disk(1, 2), 0u);  // the stripe set wraps around
-  m.at(5).buffered = true;
-  EXPECT_TRUE(m.at(5).buffered);
+  m.at(5).set_buffer_disk(0);
+  EXPECT_TRUE(m.at(5).buffered());
   EXPECT_EQ(m.find(99), nullptr);
   EXPECT_GE(m.lookups(), 3u);
 }
@@ -132,11 +123,45 @@ TEST(NodeMetadata, IterationCoversAllFiles) {
                               .size = kMB});
   }
   trace::FileId expected = 0;
-  for (const auto& [f, meta] : m) {
-    EXPECT_EQ(f, expected++);
-    EXPECT_EQ(meta.first_disk, f % 2);
+  for (const LocalFileMeta& meta : m) {
+    EXPECT_EQ(meta.file, expected++);
+    EXPECT_EQ(meta.first_disk, meta.file % 2);
   }
   EXPECT_EQ(expected, 10u);
+}
+
+TEST(NodeMetadata, BufferDiskSentinelMarksTheBufferedCopy) {
+  // No flag: a file is buffered exactly when its buffer disk is not the
+  // sentinel.  Every index a node may have stays below it.
+  NodeMetadata m;
+  m.insert(2, LocalFileMeta{.size = kMB});
+  LocalFileMeta& meta = m.at(2);
+  EXPECT_FALSE(meta.buffered());
+  EXPECT_EQ(meta.buffer_disk, LocalFileMeta::kNoBufferDisk);
+  meta.set_buffer_disk(0);
+  EXPECT_TRUE(m.at(2).buffered());
+  EXPECT_EQ(m.at(2).buffer_disk, 0u);
+  meta.set_buffer_disk(NodeMetadata::kMaxDisks - 1);
+  EXPECT_TRUE(m.at(2).buffered());
+  EXPECT_EQ(m.at(2).buffer_disk, NodeMetadata::kMaxDisks - 1);
+  meta.clear_buffer_disk();
+  EXPECT_FALSE(m.at(2).buffered());
+  EXPECT_EQ(m.at(2).buffer_disk, LocalFileMeta::kNoBufferDisk);
+}
+
+TEST(NodeMetadata, InsertStoresTheFileIdInTheEntry) {
+  // The entry carries its own id: insert overwrites whatever id the
+  // caller's entry held, and lookups and iteration find it there.
+  NodeMetadata m;
+  m.insert(7, LocalFileMeta{.file = 99, .first_disk = 3, .size = kMB});
+  m.insert(4, LocalFileMeta{.file = 99, .size = 2 * kMB});
+  EXPECT_EQ(m.at(7).file, 7u);
+  EXPECT_EQ(m.at(7).first_disk, 3u);
+  EXPECT_EQ(m.at(4).file, 4u);
+  EXPECT_EQ(m.find(99), nullptr);
+  std::vector<trace::FileId> ids;
+  for (const LocalFileMeta& meta : m) ids.push_back(meta.file);
+  EXPECT_EQ(ids, (std::vector<trace::FileId>{4, 7}));
 }
 
 TEST(MetadataIntegration, ServerKnowsNodesButNotDisks) {

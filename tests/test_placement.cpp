@@ -2,12 +2,82 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <vector>
 
+#include "core/storage_node.hpp"
+#include "core/storage_server.hpp"
+#include "disk/disk_profile.hpp"
+#include "net/network.hpp"
+#include "obs/counters.hpp"
+#include "sim/engine.hpp"
 #include "workload/synthetic.hpp"
 
 namespace eevfs::core {
 namespace {
+
+/// Storage nodes whose files a StorageServer placed and created
+/// (place_and_create), for tests that read the creation order back off
+/// the node tables.  Each node has more data disks than any test puts
+/// files on it, so round-robin gives its i-th created file data disk i.
+class PlacedCell {
+ public:
+  static constexpr std::size_t kDataDisks = 16;
+
+  PlacedCell(PlacementPolicy policy, std::size_t num_nodes,
+             const trace::PopularityAnalyzer& pop,
+             const std::vector<Bytes>& sizes)
+      : server_(sim_, net_,
+                net_.add_endpoint("server", net::mbps_to_bytes_per_sec(1000)),
+                policy, 1, registry_) {
+    std::vector<StorageNode*> raw;
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      NodeParams p;
+      p.id = n;
+      p.data_disks = kDataDisks;
+      p.disk_profile = disk::DiskProfile::ata133_fast();
+      nodes_.push_back(std::make_unique<StorageNode>(
+          sim_, net_,
+          net_.add_endpoint("node", net::mbps_to_bytes_per_sec(1000)), p,
+          registry_));
+      raw.push_back(nodes_.back().get());
+    }
+    server_.register_nodes(std::move(raw));
+    server_.ingest_popularity(pop);
+    server_.place_and_create(sizes);
+  }
+
+  const ServerMetadata& table() const { return server_.metadata(); }
+  const NodeMetadata& node_table(NodeId n) const {
+    return nodes_.at(n)->metadata();
+  }
+
+  /// Node `n`'s files in creation order: the file on data disk i was
+  /// created i-th.  Fails the test unless the first disks are exactly
+  /// 0, 1, ..., files - 1.
+  std::vector<trace::FileId> created(NodeId n) const {
+    const NodeMetadata& files = node_table(n);
+    std::vector<trace::FileId> order(files.files(), trace::kInvalidFile);
+    for (const LocalFileMeta& meta : files) {
+      if (meta.first_disk >= order.size() ||
+          order[meta.first_disk] != trace::kInvalidFile) {
+        ADD_FAILURE() << "node " << n << ": file " << meta.file
+                      << " on data disk " << meta.first_disk;
+        continue;
+      }
+      order[meta.first_disk] = meta.file;
+    }
+    return order;
+  }
+
+ private:
+  sim::Simulator sim_;
+  net::NetworkFabric net_{sim_};
+  obs::Registry registry_;
+  std::vector<std::unique_ptr<StorageNode>> nodes_;
+  StorageServer server_;
+};
 
 trace::Trace skewed_trace() {
   // File 9 gets 4 accesses, file 4 gets 3, file 1 gets 2, file 6 gets 1.
@@ -42,10 +112,12 @@ TEST(Placement, PopularityRoundRobinFollowsRank) {
   EXPECT_EQ(map.node(0), 1u);
   EXPECT_EQ(map.node(2), 2u);
 
-  // Creation order on node 0 starts with its most popular file.
-  ASSERT_FALSE(map.files_on_node(0).empty());
-  EXPECT_EQ(map.files_on_node(0)[0], 9u);
-  EXPECT_EQ(map.files_on_node(0)[1], 6u);
+  // Creation order on node 0 starts with its most popular file: node 0
+  // deals positions 0, 3, 6 and 9 of the creation order.
+  const PlacedCell cell(PlacementPolicy::kPopularityRoundRobin, 3, pop, sizes);
+  EXPECT_EQ(cell.created(0), (std::vector<trace::FileId>{9, 6, 3, 8}));
+  EXPECT_EQ(cell.created(1), (std::vector<trace::FileId>{4, 0, 5}));
+  EXPECT_EQ(cell.created(2), (std::vector<trace::FileId>{1, 2, 7}));
 }
 
 TEST(Placement, EveryFileIsPlacedExactlyOnce) {
@@ -57,15 +129,19 @@ TEST(Placement, EveryFileIsPlacedExactlyOnce) {
        {PlacementPolicy::kPopularityRoundRobin, PlacementPolicy::kRandom,
         PlacementPolicy::kSizeBalanced}) {
     const PlacementMap map = place_files(policy, 4, 10, pop, sizes, rng);
-    std::size_t total = 0;
-    for (NodeId n = 0; n < 4; ++n) total += map.files_on_node(n).size();
-    EXPECT_EQ(total, 10u);
     EXPECT_EQ(map.node_of.size(), 10u);
+    for (trace::FileId f = 0; f < 10; ++f) EXPECT_LT(map.node(f), 4u);
+    // Created on its primary's node table and no other.
+    const PlacedCell cell(policy, 4, pop, sizes);
+    std::size_t total = 0;
+    for (NodeId n = 0; n < 4; ++n) total += cell.node_table(n).files();
+    EXPECT_EQ(total, 10u);
     for (trace::FileId f = 0; f < 10; ++f) {
-      const NodeId n = map.node(f);
-      EXPECT_LT(n, 4u);
-      const auto files = map.files_on_node(n);
-      EXPECT_NE(std::find(files.begin(), files.end(), f), files.end());
+      const NodeId owner = cell.table().node(f);
+      EXPECT_LT(owner, 4u);
+      for (NodeId n = 0; n < 4; ++n) {
+        EXPECT_EQ(cell.node_table(n).contains(f), n == owner);
+      }
     }
   }
 }
@@ -79,8 +155,13 @@ TEST(Placement, RoundRobinBalancesFileCounts) {
   const PlacementMap map =
       place_files(PlacementPolicy::kPopularityRoundRobin, 8,
                   cfg.num_files, pop, w.file_sizes, rng);
+  std::vector<std::size_t> primaries(8, 0);
+  for (const NodeId n : map.node_of) ++primaries[n];
+  const PlacedCell cell(PlacementPolicy::kPopularityRoundRobin, 8, pop,
+                        w.file_sizes);
   for (NodeId n = 0; n < 8; ++n) {
-    EXPECT_EQ(map.files_on_node(n).size(), cfg.num_files / 8);
+    EXPECT_EQ(primaries[n], cfg.num_files / 8);
+    EXPECT_EQ(cell.node_table(n).files(), cfg.num_files / 8);
   }
 }
 
@@ -193,8 +274,11 @@ TEST(Placement, SingleNodeTakesEverything) {
   Rng rng(1);
   const auto map = place_files(PlacementPolicy::kPopularityRoundRobin, 1, 10,
                                pop, sizes, rng);
-  EXPECT_EQ(map.files_on_node(0).size(), 10u);
-  EXPECT_EQ(map.files_on_node(0)[0], 9u);  // ranked first
+  EXPECT_EQ(map.node_of, std::vector<NodeId>(10, 0));
+  // Ranked files first, then the rest by id.
+  const PlacedCell cell(PlacementPolicy::kPopularityRoundRobin, 1, pop, sizes);
+  EXPECT_EQ(cell.created(0),
+            (std::vector<trace::FileId>{9, 4, 1, 6, 0, 2, 3, 5, 7, 8}));
 }
 
 }  // namespace

@@ -167,6 +167,22 @@ TEST(BudSimulator, RejectsUnsortedRequests) {
 }
 
 
+TEST(BudSimulator, OneRequestMakespanIsTheMeteredInterval) {
+  // One read under idle-timer DPM: the data disk serves it, idles until
+  // its timer puts it to sleep, and every disk is metered until the
+  // simulation ends.  The makespan is that interval, so the energy lies
+  // between every disk in standby and every disk spinning up over it.
+  const BudConfig cfg;
+  BudSimulator sim(cfg, BudPolicy::kDpmOnly);
+  const BudStats s = sim.run({BlockRequest{.arrival = 0, .block = 0}});
+  ASSERT_EQ(s.response_time_sec.count(), 1u);
+  EXPECT_GT(s.makespan, cfg.idle_threshold);  // past the sleep
+  const double seconds = ticks_to_seconds(s.makespan);
+  const auto disks = static_cast<double>(cfg.data_disks + cfg.buffer_disks);
+  EXPECT_GE(s.total_joules, cfg.profile.standby_watts * disks * seconds);
+  EXPECT_LE(s.total_joules, cfg.profile.spin_up_watts * disks * seconds);
+}
+
 class BudPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
 
@@ -182,11 +198,12 @@ TEST_P(BudPropertyTest, InvariantsAcrossPoliciesAndDiskCounts) {
   // Everything served, exactly once.
   EXPECT_EQ(s.buffer_hits + s.data_disk_reads, reqs.size());
   EXPECT_EQ(s.response_time_sec.count(), reqs.size());
-  // Physical bounds: between all-standby and all-spin-up power.
+  // Physical bounds: between all-standby and all-spin-up power over the
+  // metered interval.
   const double seconds = ticks_to_seconds(s.makespan);
   const auto total_disks = static_cast<double>(disks + cfg.buffer_disks);
-  EXPECT_GT(s.total_joules, 2.5 * total_disks * seconds * 0.5);
-  EXPECT_LT(s.total_joules, 24.0 * total_disks * seconds * 1.5);
+  EXPECT_GE(s.total_joules, cfg.profile.standby_watts * total_disks * seconds);
+  EXPECT_LE(s.total_joules, cfg.profile.spin_up_watts * total_disks * seconds);
   // Policy-specific structure.
   if (policy == BudPolicy::kAlwaysOn) {
     EXPECT_EQ(s.power_transitions, 0u);

@@ -181,6 +181,33 @@ TEST_F(StorageServerTest, LifecycleOrderIsEnforced) {
   server->distribute_patterns(w.requests.duration(), pass());  // now fine
 }
 
+TEST_F(StorageServerTest, HintPassMustRepeatTheIngestedCounts) {
+  // Four files; the ingested pass reads file 0 twice and file 2 once.
+  // An exact hint pass must name only placed files (else out of range)
+  // and repeat each accessed file's count: one request short or one
+  // over, or a request for a file never ingested, is a miscount.
+  trace::Trace ingested;
+  for (const trace::FileId f : {0u, 2u, 0u}) {
+    ingested.append({ingested.duration() + 1000, kMB, f, 0, trace::Op::kRead});
+  }
+  server->register_nodes(raw);
+  server->ingest_popularity(trace::PopularityAnalyzer(ingested));
+  server->place_and_create(std::vector<Bytes>(4, kMB));
+  const auto hints = [&](const std::vector<trace::FileId>& files) {
+    std::vector<trace::TraceRecord> records;
+    for (const trace::FileId f : files) {
+      records.push_back({Tick{1000}, kMB, f, 0, trace::Op::kRead});
+    }
+    server->distribute_patterns(
+        ingested.duration(), std::make_unique<workload::SpanStream>(records));
+  };
+  EXPECT_THROW(hints({0, 2}), std::invalid_argument);
+  EXPECT_THROW(hints({0, 0, 2, 2}), std::invalid_argument);
+  EXPECT_THROW(hints({0, 1, 0, 2}), std::invalid_argument);
+  EXPECT_THROW(hints({0, 0, 4, 2}), std::out_of_range);
+  EXPECT_NO_THROW(hints({2, 0, 0}));
+}
+
 TEST_F(StorageServerTest, RegisterRejectsEmptyNodeList) {
   EXPECT_THROW(server->register_nodes({}), std::invalid_argument);
 }
@@ -398,7 +425,8 @@ TEST_F(StorageServerTest, OnlineRefreshBuffersEveryDataChunkHolder) {
 struct ReferencePlacement {
   std::vector<NodeId> primary;
   std::vector<std::vector<NodeId>> holders;
-  std::vector<std::vector<trace::FileId>> files_on_node;
+  /// Per node, the files it holds in creation order.
+  std::vector<std::vector<trace::FileId>> created_on_node;
 };
 
 ReferencePlacement reference_placement(PlacementPolicy policy,
@@ -414,7 +442,7 @@ ReferencePlacement reference_placement(PlacementPolicy policy,
   ReferencePlacement ref;
   ref.primary.assign(sizes.size(), 0);
   ref.holders.assign(sizes.size(), {});
-  ref.files_on_node.assign(nodes, {});
+  ref.created_on_node.assign(nodes, {});
   std::vector<Bytes> load(nodes, 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const trace::FileId f = order[i];
@@ -435,7 +463,7 @@ ReferencePlacement reference_placement(PlacementPolicy policy,
     for (std::size_t j = 0; j < copies; ++j) {
       const NodeId h = (n + j) % nodes;
       ref.holders[f].push_back(h);
-      ref.files_on_node[h].push_back(f);
+      ref.created_on_node[h].push_back(f);
       load[h] += sizes[f];
     }
   }
@@ -445,11 +473,12 @@ ReferencePlacement reference_placement(PlacementPolicy policy,
 // The dense tables hold what the per-file ones did.  For every placement
 // policy, layout (replication 1-3, erasure (4, 2)), stripe width and
 // disk placement, built through place_and_create: the server's
-// primaries, holders and per-node creation lists match the reference
-// rule, its lookup reports the primary, the logical size and the erasure
-// parameters through a view of the holders, and each holder node has the
-// file on the stripe set (first + j) mod data_disks, with `first`
-// following the node's disk rule in creation order.
+// primaries and holders match the reference rule, its lookup reports the
+// primary, the logical size and the erasure parameters through a view of
+// the holders, each node's table holds exactly the reference files, and
+// the file at position i of the node's reference creation order is on
+// the stripe set (first + j) mod data_disks, with `first` following the
+// node's disk rule for position i.
 TEST(StorageServerTable, EveryLayoutMatchesTheNodeTables) {
   constexpr std::size_t kNodes = 5;
   constexpr std::size_t kDataDisks = 3;
@@ -533,11 +562,15 @@ TEST(StorageServerTable, EveryLayoutMatchesTheNodeTables) {
             }
           }
           for (NodeId n = 0; n < kNodes; ++n) {
-            const std::span<const trace::FileId> created =
-                table.files_on_node(n);
-            EXPECT_EQ(std::vector<trace::FileId>(created.begin(),
-                                                 created.end()),
-                      ref.files_on_node[n]);
+            const std::vector<trace::FileId>& created =
+                ref.created_on_node[n];
+            std::vector<trace::FileId> held;
+            for (const LocalFileMeta& meta : nodes[n]->metadata()) {
+              held.push_back(meta.file);
+            }
+            std::vector<trace::FileId> expected = created;
+            std::sort(expected.begin(), expected.end());
+            EXPECT_EQ(held, expected);
             for (std::size_t i = 0; i < created.size(); ++i) {
               const std::size_t first =
                   disk_placement == DiskPlacement::kRoundRobin
