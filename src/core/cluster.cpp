@@ -179,8 +179,8 @@ void Cluster::arm_faults() {
     };
     targets.restart_node = [this](std::size_t node) {
       // The recovery manager owns the restart lifecycle: it brings the
-      // node back and then runs journal replay -> replica resync ->
-      // prefetch re-warm, timing each phase.
+      // node back and then runs journal replay -> repair -> prefetch
+      // re-warm, timing each phase.
       if (node < nodes_.size()) recovery_->on_restart(node);
     };
     injector_->set_observer(observer());
@@ -223,18 +223,17 @@ RunMetrics Cluster::run_phase() {
       prefetching
           ? server_->prefetch_candidates(config_.prefetch_file_count)
           : std::vector<std::vector<trace::FileId>>(nodes_.size());
-  // The recovery pipeline re-warms the same slices after a crash wipes a
-  // node's buffer index (empty slices in NPF/online mode: no-op phase).
-  if (recovery_) recovery_->set_rewarm_candidates(candidates);
 
   auto barrier = std::make_shared<std::size_t>(nodes_.size());
-  (void)sim_->schedule_at(0, [this, candidates, barrier] {
+  (void)sim_->schedule_at(0, [this, candidates = std::move(candidates),
+                              barrier]() mutable {
     // Every node plans before any copy starts, so the hint arena, which
     // only planning reads, is gone before the copies' state builds up.
     // Planning schedules no event: the event order is that of planning
-    // and copying node by node.
+    // and copying node by node.  Each node keeps its slice: recovery
+    // re-warms it after a crash wipes the buffer index.
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      nodes_[n]->plan_prefetch(candidates[n]);
+      nodes_[n]->plan_prefetch(std::move(candidates[n]));
     }
     server_->release_hints();
     for (std::size_t n = 0; n < nodes_.size(); ++n) {

@@ -1,5 +1,7 @@
 #include "core/recovery_manager.hpp"
 
+#include "core/metadata.hpp"
+#include "core/metrics.hpp"
 #include "util/logging.hpp"
 
 namespace eevfs::core {
@@ -10,22 +12,8 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, StorageServer& server,
     : sim_(sim),
       server_(server),
       nodes_(std::move(nodes)),
-      metrics_{registry} {
-  crash_time_.assign(nodes_.size(), 0);
-  generation_.assign(nodes_.size(), 0);
-  recovering_.assign(nodes_.size(), 0);
-  rewarm_candidates_.assign(nodes_.size(), {});
-  ep_replayed_.assign(nodes_.size(), 0);
-  ep_resynced_.assign(nodes_.size(), 0);
-  ep_replay_ticks_.assign(nodes_.size(), 0);
-  ep_resync_ticks_.assign(nodes_.size(), 0);
-}
-
-void RecoveryManager::set_rewarm_candidates(
-    std::vector<std::vector<trace::FileId>> per_node) {
-  rewarm_candidates_ = std::move(per_node);
-  rewarm_candidates_.resize(nodes_.size());
-}
+      episodes_(nodes_.size()),
+      metrics_{registry} {}
 
 void RecoveryManager::set_observer(obs::Tracer* tracer) {
   tracer_ = tracer;
@@ -49,228 +37,140 @@ void RecoveryManager::trace_instant(obs::StringId ev, NodeId n,
 }
 
 void RecoveryManager::on_crash(NodeId n) {
-  if (n >= generation_.size()) return;
-  ++generation_[n];  // invalidates any pipeline still in flight
-  crash_time_[n] = sim_.now();
-  if (recovering_[n]) {
+  if (n >= episodes_.size()) return;
+  Episode& ep = episodes_[n];
+  ++ep.generation;  // invalidates any pipeline still in flight
+  ep.crash_time = sim_.now();
+  if (ep.recovering) {
     metrics_.abandoned.add();
-    recovering_[n] = 0;
+    ep.recovering = false;
   }
 }
 
 void RecoveryManager::on_restart(NodeId n) {
-  if (n >= generation_.size()) return;
-  StorageNode* node = nodes_[n];
-  if (node->alive()) return;
-  const std::uint64_t gen = generation_[n];
-  recovering_[n] = 1;
-  node->restart();
+  if (n >= episodes_.size() || nodes_[n]->alive()) return;
+  episodes_[n].recovering = true;
+  nodes_[n]->restart();
   trace_instant(ev_begin_, n, 0);
-  const Tick t0 = sim_.now();
-  node->replay_journal([this, n, gen, t0](std::size_t replayed) {
-    if (gen != generation_[n]) return;
-    ep_replayed_[n] = replayed;
-    ep_replay_ticks_[n] = sim_.now() - t0;
+  episodes_[n].phase_start = sim_.now();
+  nodes_[n]->replay_journal([this, n, gen = episodes_[n].generation](
+                                std::size_t replayed) {
+    Episode& ep = episodes_[n];
+    if (gen != ep.generation) return;
+    ep.replayed = replayed;
+    ep.replay_ticks = sim_.now() - ep.phase_start;
     trace_instant(ev_replay_, n, static_cast<std::int64_t>(replayed));
-    begin_resync(n, gen, replayed, sim_.now());
+    // The server hands over (and forgets) the files whose latest write
+    // landed elsewhere while this node was out.
+    ep.stale = server_.take_stale_files(n);
+    ep.next = 0;
+    ep.resynced = 0;
+    ep.phase_start = sim_.now();
+    repair_next(n);
   });
 }
 
-void RecoveryManager::begin_resync(NodeId n, std::uint64_t gen,
-                                   std::size_t /*replayed*/,
-                                   Tick replay_done) {
-  // The server hands over (and forgets) the files whose latest write
-  // landed elsewhere while this node was out.  Under erasure coding the
-  // work list is the same but the mechanics differ: this node's CHUNK is
-  // lost, so it must be rebuilt from any k surviving chunks.
-  std::vector<trace::FileId> files = server_.take_stale_files(n);
-  if (server_.erasure_enabled()) {
-    ec_repair_next(n, gen, std::move(files), 0, 0, replay_done);
-  } else {
-    resync_next(n, gen, std::move(files), 0, 0, replay_done);
-  }
-}
-
-void RecoveryManager::resync_next(NodeId n, std::uint64_t gen,
-                                  std::vector<trace::FileId> files,
-                                  std::size_t idx, std::size_t ok,
-                                  Tick resync_start) {
-  if (gen != generation_[n]) return;
-  if (idx >= files.size()) {
-    ep_resynced_[n] = ok;
-    ep_resync_ticks_[n] = sim_.now() - resync_start;
-    trace_instant(ev_resync_, n, static_cast<std::int64_t>(ok));
-    begin_rewarm(n, gen, sim_.now());
-    return;
-  }
-  StorageNode* node = nodes_[n];
-  const trace::FileId f = files[idx];
-  StorageNode* source = source_for(n, f);
-  if (source == nullptr) {
-    // Every other replica is down too; the copy stays stale.  The server
-    // routes reads to the freshest replica it can reach, so this is a
-    // durability gap only while the outage lasts.
-    resync_next(n, gen, std::move(files), idx + 1, ok, resync_start);
-    return;
-  }
-  // Pull the file image over the fabric from the healthy replica, then
-  // write it down onto the local stripe set.  Serial on purpose: recovery
-  // traffic should trickle, not storm a cluster that is already degraded.
-  source->serve_read(
-      f, node->endpoint(),
-      [this, n, gen, f, files = std::move(files), idx, ok,
-       resync_start](Tick, RequestStatus st) mutable {
-        if (gen != generation_[n]) return;
-        if (!request_ok(st)) {
-          resync_next(n, gen, std::move(files), idx + 1, ok, resync_start);
-          return;
-        }
-        nodes_[n]->resync_write(
-            f, [this, n, gen, files = std::move(files), idx, ok,
-                resync_start](Tick, bool wrote) mutable {
-              if (gen != generation_[n]) return;
-              resync_next(n, gen, std::move(files), idx + 1,
-                          ok + (wrote ? 1 : 0), resync_start);
-            });
-      });
-}
-
-void RecoveryManager::ec_repair_next(NodeId n, std::uint64_t gen,
-                                     std::vector<trace::FileId> files,
-                                     std::size_t idx, std::size_t ok,
-                                     Tick resync_start) {
-  if (gen != generation_[n]) return;
-  if (idx >= files.size()) {
-    ep_resynced_[n] = ok;
-    ep_resync_ticks_[n] = sim_.now() - resync_start;
-    trace_instant(ev_resync_, n, static_cast<std::int64_t>(ok));
-    begin_rewarm(n, gen, sim_.now());
-    return;
-  }
-  const trace::FileId f = files[idx];
-  const auto entry = server_.metadata().lookup(f);
-  if (!entry || !entry->erasure) {
-    ec_repair_next(n, gen, std::move(files), idx + 1, ok, resync_start);
-    return;
-  }
-  // Any k surviving chunk holders (other than the node being repaired)
-  // can donate; parity chunks decode just as well as data chunks.
-  std::vector<StorageNode*> sources;
-  for (const NodeId r : entry->holders) {
-    if (r == n || r >= nodes_.size()) continue;
-    if (nodes_[r]->alive() && !server_.node_dead(r)) {
-      sources.push_back(nodes_[r]);
-      if (sources.size() == server_.ec_k()) break;
+void RecoveryManager::repair_next(NodeId n) {
+  Episode& ep = episodes_[n];
+  const ServerMetadata& table = server_.metadata();
+  const std::size_t need = table.erasure() ? table.ec_k() : 1;
+  for (; ep.next < ep.stale.size(); ++ep.next) {
+    ep.donors.clear();
+    for (const NodeId h : table.holders(ep.stale[ep.next])) {
+      if (h != n && nodes_[h]->alive() && !server_.node_dead(h)) {
+        ep.donors.push_back(h);
+        if (ep.donors.size() == need) break;
+      }
     }
+    if (ep.donors.size() == need) {
+      ep.file_start = sim_.now();
+      read_donor(n, ep.generation, 0);
+      return;
+    }
+    // Too few healthy holders: the copy stays stale.
   }
-  if (sources.size() < server_.ec_k()) {
-    // Not enough survivors to decode; the chunk stays lost until more
-    // nodes come back (a later episode re-discovers it via stale marks).
-    ec_repair_next(n, gen, std::move(files), idx + 1, ok, resync_start);
-    return;
-  }
-  ec_repair_read(n, gen, std::move(files), idx, ok, resync_start,
-                 std::move(sources), 0, sim_.now());
-}
-
-void RecoveryManager::ec_repair_read(NodeId n, std::uint64_t gen,
-                                     std::vector<trace::FileId> files,
-                                     std::size_t idx, std::size_t ok,
-                                     Tick resync_start,
-                                     std::vector<StorageNode*> sources,
-                                     std::size_t si, Tick file_start) {
-  if (gen != generation_[n]) return;
-  const trace::FileId f = files[idx];
-  if (si >= sources.size()) {
-    // All k source chunks are in: pay the decode, then write the rebuilt
-    // chunk down onto the local stripe set.
-    const auto entry = server_.metadata().lookup(f);
-    const Bytes chunk_bytes =
-        entry ? server_.ec_chunk_bytes(entry->size) : 0;
-    const Tick decode = server_.ec_decode_ticks(
-        chunk_bytes * static_cast<Bytes>(server_.ec_k()));
-    (void)sim_.schedule_after(decode, [this, n, gen, f, decode,
-                                 files = std::move(files), idx, ok,
-                                 resync_start, file_start]() mutable {
-      if (gen != generation_[n]) return;
-      nodes_[n]->resync_write(
-          f, [this, n, gen, f, decode, files = std::move(files), idx, ok,
-              resync_start, file_start](Tick, bool wrote) mutable {
-            if (gen != generation_[n]) return;
-            if (wrote) {
-              server_.note_chunk_repaired(decode);
-              const Tick took = sim_.now() - file_start;
-              metrics_.ec_repair_time.record(
-                  static_cast<std::uint64_t>(took));
-              trace_instant(ev_ec_repair_, n, static_cast<std::int64_t>(f));
-            }
-            ec_repair_next(n, gen, std::move(files), idx + 1,
-                           ok + (wrote ? 1 : 0), resync_start);
-          });
-    });
-    return;
-  }
-  // Serial trickle, like replica resync: one source chunk in flight at a
-  // time, so repair never storms a cluster that is already degraded.
-  StorageNode* source = sources[si];
-  source->serve_read(
-      f, nodes_[n]->endpoint(),
-      [this, n, gen, files = std::move(files), idx, ok, resync_start,
-       sources = std::move(sources), si,
-       file_start](Tick, RequestStatus st) mutable {
-        if (gen != generation_[n]) return;
-        if (!request_ok(st)) {
-          // A donor failed mid-repair; this chunk stays lost for now.
-          ec_repair_next(n, gen, std::move(files), idx + 1, ok,
-                         resync_start);
-          return;
-        }
-        ec_repair_read(n, gen, std::move(files), idx, ok, resync_start,
-                       std::move(sources), si + 1, file_start);
-      });
-}
-
-void RecoveryManager::begin_rewarm(NodeId n, std::uint64_t gen,
-                                   Tick rewarm_start) {
+  ep.resync_ticks = sim_.now() - ep.phase_start;
+  trace_instant(ev_resync_, n, static_cast<std::int64_t>(ep.resynced));
+  ep.phase_start = sim_.now();
   nodes_[n]->rewarm_prefetch(
-      rewarm_candidates_[n],
-      [this, n, gen, rewarm_start](std::size_t rewarmed) {
-        if (gen != generation_[n]) return;
+      [this, n, gen = ep.generation](std::size_t rewarmed) {
+        if (gen != episodes_[n].generation) return;
         trace_instant(ev_rewarm_, n, static_cast<std::int64_t>(rewarmed));
-        finish_episode(n, gen, rewarmed, rewarm_start);
+        finish_episode(n, rewarmed);
       });
 }
 
-void RecoveryManager::finish_episode(NodeId n, std::uint64_t gen,
-                                     std::size_t rewarmed, Tick rewarm_start) {
-  if (gen != generation_[n]) return;
-  recovering_[n] = 0;
-  const Tick mttr = sim_.now() - crash_time_[n];
-  const Tick rewarm_ticks = sim_.now() - rewarm_start;
+void RecoveryManager::read_donor(NodeId n, std::uint64_t gen, std::size_t i) {
+  const Episode& ep = episodes_[n];
+  const trace::FileId f = ep.stale[ep.next];
+  if (i < ep.donors.size()) {
+    nodes_[ep.donors[i]]->serve_read(
+        f, nodes_[n]->endpoint(), [this, n, gen, i](Tick, RequestStatus st) {
+          if (gen != episodes_[n].generation) return;
+          if (request_ok(st)) {
+            read_donor(n, gen, i + 1);
+            return;
+          }
+          // The donor failed mid-repair: this copy stays stale.
+          ++episodes_[n].next;
+          repair_next(n);
+        });
+    return;
+  }
+  const ServerMetadata& table = server_.metadata();
+  if (!table.erasure()) {
+    write_back(n, gen, 0);
+    return;
+  }
+  // All k chunks are in: pay the decode, then write the rebuilt chunk.
+  const Bytes chunk =
+      ServerMetadata::chunk_bytes(table.lookup(f).value().size, table.ec_k());
+  const Tick decode =
+      server_.ec_decode_ticks(chunk * static_cast<Bytes>(table.ec_k()));
+  (void)sim_.schedule_after(decode, [this, n, gen, decode] {
+    if (gen == episodes_[n].generation) write_back(n, gen, decode);
+  });
+}
+
+void RecoveryManager::write_back(NodeId n, std::uint64_t gen, Tick decode) {
+  const trace::FileId f = episodes_[n].stale[episodes_[n].next];
+  nodes_[n]->resync_write(f, [this, n, gen, decode](Tick, bool wrote) {
+    Episode& ep = episodes_[n];
+    if (gen != ep.generation) return;
+    if (wrote) {
+      ++ep.resynced;
+      if (server_.metadata().erasure()) {
+        server_.note_chunk_repaired(decode);
+        metrics_.ec_repair_time.record(
+            static_cast<std::uint64_t>(sim_.now() - ep.file_start));
+        trace_instant(ev_ec_repair_, n,
+                      static_cast<std::int64_t>(ep.stale[ep.next]));
+      }
+    }
+    ++ep.next;
+    repair_next(n);
+  });
+}
+
+void RecoveryManager::finish_episode(NodeId n, std::size_t rewarmed) {
+  Episode& ep = episodes_[n];
+  ep.recovering = false;
+  const Tick mttr = sim_.now() - ep.crash_time;
   metrics_.episodes.add();
-  metrics_.replayed_writes.add(ep_replayed_[n]);
-  metrics_.resynced_files.add(ep_resynced_[n]);
+  metrics_.replayed_writes.add(ep.replayed);
+  metrics_.resynced_files.add(ep.resynced);
   metrics_.rewarmed_files.add(rewarmed);
   metrics_.mttr.record(static_cast<std::uint64_t>(mttr));
-  metrics_.replay_time.record(static_cast<std::uint64_t>(ep_replay_ticks_[n]));
-  metrics_.resync_time.record(static_cast<std::uint64_t>(ep_resync_ticks_[n]));
-  metrics_.rewarm_time.record(static_cast<std::uint64_t>(rewarm_ticks));
+  metrics_.replay_time.record(static_cast<std::uint64_t>(ep.replay_ticks));
+  metrics_.resync_time.record(static_cast<std::uint64_t>(ep.resync_ticks));
+  metrics_.rewarm_time.record(
+      static_cast<std::uint64_t>(sim_.now() - ep.phase_start));
   trace_instant(ev_complete_, n, static_cast<std::int64_t>(mttr));
   EEVFS_DEBUG() << "node " << n << ": recovery complete at t="
                 << ticks_to_seconds(sim_.now()) << " (mttr="
-                << ticks_to_seconds(mttr) << "s, replayed="
-                << ep_replayed_[n] << ", resynced=" << ep_resynced_[n]
-                << ", rewarmed=" << rewarmed << ")";
-}
-
-StorageNode* RecoveryManager::source_for(NodeId n, trace::FileId f) const {
-  const auto entry = server_.metadata().lookup(f);
-  if (!entry) return nullptr;
-  for (const NodeId r : entry->holders) {
-    if (r == n || r >= nodes_.size()) continue;
-    if (nodes_[r]->alive() && !server_.node_dead(r)) return nodes_[r];
-  }
-  return nullptr;
+                << ticks_to_seconds(mttr) << "s, replayed=" << ep.replayed
+                << ", resynced=" << ep.resynced << ", rewarmed=" << rewarmed
+                << ")";
 }
 
 }  // namespace eevfs::core

@@ -4,12 +4,21 @@
 // platters survive.  When the fault schedule restarts the node, this
 // manager drives the rejoin lifecycle:
 //
-//   phase 1  journal replay  — scan the buffer-disk log, re-queue every
-//                              acked-but-undestaged write (idempotent)
-//   phase 2  replica resync  — pull files whose latest write landed on a
-//                              failover replica while the node was out
+//   phase 1  journal replay   — scan the buffer-disk log, re-queue every
+//                               acked-but-undestaged write (idempotent)
+//   phase 2  repair           — rebuild each copy whose latest write
+//                               landed elsewhere while the node was out
 //   phase 3  prefetch re-warm — re-copy the node's prefetch slice onto
-//                              the buffer disk (optional, config-gated)
+//                               the buffer disk
+//
+// Phase 2 has one rule for replicas and erasure chunks: an r-way replica
+// set is the k = 1 case of an (n, k) code.  A stale copy is rebuilt from
+// the first `need` healthy holders other than the node (alive, and not
+// dead-marked by the server's heartbeat), where need is 1 for a replica
+// and k for a chunk.  The donors are read one at a time, so repair
+// trickles instead of storming a cluster that is already degraded; a
+// chunk then pays the decode, and the node writes the copy down.  A copy
+// with fewer healthy holders, or whose donor read fails, stays stale.
 //
 // Each phase is timed on the simulation clock; per-episode durations land
 // in the recovery.*.us histograms, whose sums are the run's totals.
@@ -28,7 +37,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/metrics.hpp"
 #include "core/storage_node.hpp"
 #include "core/storage_server.hpp"
 #include "obs/counters.hpp"
@@ -52,10 +60,6 @@ class RecoveryManager {
     (void)Metrics{registry};
   }
 
-  /// The per-node prefetch slices (rank order) phase 3 restores; empty
-  /// when prefetching is off.
-  void set_rewarm_candidates(std::vector<std::vector<trace::FileId>> per_node);
-
   void set_observer(obs::Tracer* tracer);
 
   /// Fault-injector hooks.  on_crash stamps the episode clock and
@@ -78,52 +82,50 @@ class RecoveryManager {
     obs::Histogram& replay_time = r.histogram("recovery.replay_time.us");
     obs::Histogram& resync_time = r.histogram("recovery.resync_time.us");
     obs::Histogram& rewarm_time = r.histogram("recovery.rewarm_time.us");
-    /// Per rebuilt chunk: k-source read + decode + local write time
+    /// Per rebuilt chunk: k donor reads + decode + local write time
     /// (erasure mode only).
     obs::Histogram& ec_repair_time = r.histogram("ec.repair_time.us");
   };
 
-  void begin_resync(NodeId n, std::uint64_t gen, std::size_t replayed,
-                    Tick replay_done);
-  void resync_next(NodeId n, std::uint64_t gen,
-                   std::vector<trace::FileId> files, std::size_t idx,
-                   std::size_t ok, Tick resync_start);
-  /// Erasure-mode phase 2: rebuild this node's lost/stale chunks from any
-  /// k surviving chunk holders (serial trickle, like replica resync).
-  void ec_repair_next(NodeId n, std::uint64_t gen,
-                      std::vector<trace::FileId> files, std::size_t idx,
-                      std::size_t ok, Tick resync_start);
-  void ec_repair_read(NodeId n, std::uint64_t gen,
-                      std::vector<trace::FileId> files, std::size_t idx,
-                      std::size_t ok, Tick resync_start,
-                      std::vector<StorageNode*> sources, std::size_t si,
-                      Tick file_start);
-  void begin_rewarm(NodeId n, std::uint64_t gen, Tick rewarm_start);
-  void finish_episode(NodeId n, std::uint64_t gen, std::size_t rewarmed,
-                      Tick rewarm_start);
-  /// First alive replica of `f` other than `n`, or null.
-  StorageNode* source_for(NodeId n, trace::FileId f) const;
+  /// One node's recovery episode.  Continuations reach it through the
+  /// node index instead of carrying its state; the generation they began
+  /// under tells them whether it is still theirs.
+  struct Episode {
+    /// Bumped at every crash; a continuation that began under an older
+    /// one belongs to an abandoned episode and does nothing.
+    std::uint64_t generation = 0;
+    bool recovering = false;
+    Tick crash_time = 0;
+    /// When the running phase began.
+    Tick phase_start = 0;
+    std::size_t replayed = 0;
+    Tick replay_ticks = 0;
+    std::size_t resynced = 0;
+    Tick resync_ticks = 0;
+    /// Phase 2: the stale files in ascending id order, the one being
+    /// repaired, when its repair began, and its donors.
+    std::vector<trace::FileId> stale;
+    std::size_t next = 0;
+    Tick file_start = 0;
+    std::vector<NodeId> donors;
+  };
+
+  /// Phase 2: finds the next stale file with enough healthy holders and
+  /// starts its repair; past the last file, starts phase 3.
+  void repair_next(NodeId n);
+  /// Reads the current file from donor `i` on, then rebuilds it.
+  void read_donor(NodeId n, std::uint64_t gen, std::size_t i);
+  /// Writes the rebuilt copy down and moves on to the next file.
+  void write_back(NodeId n, std::uint64_t gen, Tick decode);
+  void finish_episode(NodeId n, std::size_t rewarmed);
   void trace_instant(obs::StringId ev, NodeId n, std::int64_t value);
 
   sim::Simulator& sim_;
   StorageServer& server_;
   std::vector<StorageNode*> nodes_;
-  std::vector<std::vector<trace::FileId>> rewarm_candidates_;
-  // Per-node episode state, struct-of-arrays (indexed by NodeId).  Every
-  // pipeline continuation re-checks its node's generation stamp; keeping
-  // the stamps in one dense column means those checks share cache lines
-  // across nodes instead of striding over per-node structs.
-  std::vector<Tick> crash_time_;
-  /// Bumped at every crash; stale pipeline continuations compare.
-  std::vector<std::uint64_t> generation_;
-  std::vector<std::uint8_t> recovering_;
-
+  /// Indexed by NodeId.
+  std::vector<Episode> episodes_;
   Metrics metrics_;
-  // Scratch carried across one node's phases (indexed like state_).
-  std::vector<std::size_t> ep_replayed_;
-  std::vector<std::size_t> ep_resynced_;
-  std::vector<Tick> ep_replay_ticks_;
-  std::vector<Tick> ep_resync_ticks_;
 
   obs::Tracer* tracer_ = nullptr;
   obs::StringId track_ = 0;

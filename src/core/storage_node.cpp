@@ -107,7 +107,6 @@ void StorageNode::set_observer(obs::Tracer* tracer) {
 void StorageNode::shutdown() {
   power_->stop();
   ram_flush_timer_.cancel();
-  ram_flush_scheduled_ = false;
   metrics_.fault_energy_delta.add(fault_energy_delta_);
   if (ram_) {
     ram_metrics_->pinned.add(static_cast<double>(ram_->pinned_bytes()));
@@ -153,7 +152,7 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
   warm_prefetch(std::move(done));
 }
 
-void StorageNode::plan_prefetch(const std::vector<trace::FileId>& candidates) {
+void StorageNode::plan_prefetch(std::vector<trace::FileId> candidates) {
   // Planning is the views' one reader; they go when it returns.
   const std::vector<FileHints> hints = std::move(hints_);
   // Each data disk's access timeline, built once at its final size: a
@@ -192,6 +191,7 @@ void StorageNode::plan_prefetch(const std::vector<trace::FileId>& candidates) {
     cands.push_back(
         PrefetchCandidate{f, file_meta->size, stripe_set(*file_meta)});
   }
+  prefetch_slice_ = std::move(candidates);
 
   const bool can_prefetch =
       buffer_ && params_.cache_policy == CachePolicy::kPrefetch;
@@ -616,7 +616,6 @@ void StorageNode::crash() {
     ram_staged_.clear();
     ram_flushes_in_flight_ = 0;
     ram_flush_timer_.cancel();
-    ram_flush_scheduled_ = false;
     ram_ = std::make_unique<RamCache>(params_.ram_cache_bytes,
                                       params_.ram_cache_policy);
   }
@@ -689,14 +688,12 @@ void StorageNode::resync_write(trace::FileId f,
             });
 }
 
-void StorageNode::rewarm_prefetch(
-    const std::vector<trace::FileId>& candidates,
-    std::function<void(std::size_t)> done) {
+void StorageNode::rewarm_prefetch(std::function<void(std::size_t)> done) {
   if (!done) done = [](std::size_t) {};
   std::vector<trace::FileId> hot;
   std::vector<trace::FileId> warm;
   if (alive_ && buffer_ && params_.cache_policy == CachePolicy::kPrefetch) {
-    for (const trace::FileId f : candidates) {
+    for (const trace::FileId f : prefetch_slice_) {
       const LocalFileMeta* m = meta_.find(f);
       if (m != nullptr && !m->buffered() && !copies_in_flight_.contains(f) &&
           stripe_set_alive(*m)) {
@@ -1011,11 +1008,9 @@ void StorageNode::force_destage(std::size_t d) {
 }
 
 void StorageNode::schedule_ram_flush() {
-  if (ram_flush_scheduled_) return;
-  ram_flush_scheduled_ = true;
+  if (ram_flush_timer_.pending()) return;
   ram_flush_timer_ =
       sim_.schedule_after(kRamFlushInterval, [this] {
-        ram_flush_scheduled_ = false;
         flush_ram_writes();
         // Writes staged while this flush dispatched re-arm the timer.
         if (!ram_staged_.empty()) schedule_ram_flush();

@@ -140,9 +140,10 @@ class StorageNode {
   /// views and then drops them: only each file's access count is kept,
   /// as its RAM admission weight.  The residual timelines outlive
   /// planning only under kHints/kOracle, whose power manager takes them
-  /// in begin_replay; other policies keep just the expected gap.
-  /// Schedules no event.
-  void plan_prefetch(const std::vector<trace::FileId>& candidates);
+  /// in begin_replay; other policies keep just the expected gap.  The
+  /// node keeps `candidates`: rewarm_prefetch re-copies them after a
+  /// crash.  Schedules no event.
+  void plan_prefetch(std::vector<trace::FileId> candidates);
 
   /// Starts the copies plan_prefetch chose: pins the RAM share and
   /// copies the buffer share.  `done` fires when all of them settled.
@@ -193,17 +194,17 @@ class StorageNode {
   /// of records re-queued (0 with the journal off or on scan failure).
   void replay_journal(std::function<void(std::size_t replayed)> done);
 
-  /// Recovery phase 2 helper — replica resync: writes one full file image
-  /// to the local stripe set (the bytes just arrived over the fabric from
-  /// a healthy replica).  `done` reports whether the stripe write landed.
+  /// Recovery phase 2 helper — repair: writes the node's copy of `f` (the
+  /// file image, or under erasure its chunk) to the local stripe set; the
+  /// bytes just arrived over the fabric from the donors.  `done` reports
+  /// whether the stripe write landed.
   void resync_write(trace::FileId f, std::function<void(Tick, bool)> done);
 
-  /// Recovery phase 3 — prefetch re-warm: re-copies `candidates` (the
-  /// node's prefetch slice) onto the buffer disk; the crash wiped the
+  /// Recovery phase 3 — prefetch re-warm: re-copies the prefetch slice
+  /// plan_prefetch received onto the buffer disk; the crash wiped the
   /// buffer index, so the hot set serves from data disks until this
   /// completes.  `done` fires with the number of files re-buffered.
-  void rewarm_prefetch(const std::vector<trace::FileId>& candidates,
-                       std::function<void(std::size_t rewarmed)> done);
+  void rewarm_prefetch(std::function<void(std::size_t rewarmed)> done);
 
   // --- teardown ----------------------------------------------------------
 
@@ -441,6 +442,8 @@ class StorageNode {
 
   /// The received hint views, until plan_prefetch plans from them.
   std::vector<FileHints> hints_;
+  /// The candidates plan_prefetch received, for rewarm_prefetch.
+  std::vector<trace::FileId> prefetch_slice_;
   /// (file, hinted access count) sorted by file, kept from planning on.
   std::vector<std::pair<trace::FileId, std::size_t>> hint_counts_;
   std::set<trace::FileId> copies_in_flight_;
@@ -470,7 +473,6 @@ class StorageNode {
   std::vector<RamStagedWrite> ram_staged_;
   std::size_t ram_flushes_in_flight_ = 0;
   sim::EventHandle ram_flush_timer_;
-  bool ram_flush_scheduled_ = false;
 
   std::uint64_t undestaged_acked_ = 0;
   Bytes destage_backlog_ = 0;

@@ -90,10 +90,18 @@ void StorageServer::distribute_patterns(
     std::size_t begin = 0;
     std::size_t end() const { return begin + count; }
   };
+  // Modeled offsets are exact up to 2^31 accesses per file (see below);
+  // a larger count is refused here, before the arena is allocated.
+  const bool modeled = !exact && horizon > 0;
   std::vector<Slot> slots;
   slots.reserve(analyzer_->ranked().size());
   for (const trace::FilePopularity& p : analyzer_->ranked()) {
     if (p.file >= files) throw unknown(p.file);
+    if (modeled && p.accesses > (std::size_t{1} << 31)) {
+      throw std::invalid_argument(
+          "StorageServer: over 2^31 modeled accesses to file " +
+          std::to_string(p.file));
+    }
     slots.push_back({.file = p.file, .count = p.accesses});
   }
   std::sort(slots.begin(), slots.end(),
@@ -104,7 +112,7 @@ void StorageServer::distribute_patterns(
     arena_size = slot.end();
   }
 
-  hint_arena_ = std::vector<Tick>(exact || horizon > 0 ? arena_size : 0);
+  hint_arena_ = std::vector<Tick>(exact || modeled ? arena_size : 0);
   if (exact) {
     const auto miscount = [](trace::FileId f) {
       return std::invalid_argument(
@@ -129,7 +137,7 @@ void StorageServer::distribute_patterns(
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (next[i] != slots[i].end()) throw miscount(slots[i].file);
     }
-  } else if (horizon > 0) {
+  } else if (modeled) {
     for (const Slot& slot : slots) {
       // Midpoint spacing keeps the first expected access off t=0 and the
       // last off the horizon edge, so modeled idle windows stay
@@ -137,11 +145,6 @@ void StorageServer::distribute_patterns(
       // with H = q·2c + r: the same value, but no product reaches H·2c,
       // and (2i+1)·r < 4c² fits 64 unsigned bits for c ≤ 2^31.
       const auto c = static_cast<Tick>(slot.count);
-      if (c > (Tick{1} << 31)) {
-        throw std::invalid_argument(
-            "StorageServer: over 2^31 modeled accesses to file " +
-            std::to_string(slot.file));
-      }
       const Tick q = horizon / (2 * c);
       const auto r = static_cast<std::uint64_t>(horizon % (2 * c));
       for (Tick i = 0; i < c; ++i) {
@@ -625,7 +628,7 @@ void StorageServer::ec_write(const trace::TraceRecord& r,
   // holder; the ack needs all dispatched chunk writes settled with at
   // least k successes.  Holders the server cannot reach (dead-marked or
   // known-unavailable) miss the write and are recorded stale for the
-  // recovery manager's chunk-repair phase.
+  // recovery manager's repair phase.
   const Bytes chunk =
       ServerMetadata::chunk_bytes(r.bytes > 0 ? r.bytes : entry.size,
                                   entry.ec_k);

@@ -31,7 +31,7 @@
 // books the extra spindle energy the parity transfer cost.  Writes fan
 // out to every reachable chunk holder and ack once all dispatched chunk
 // writes settle with at least k successes; missed holders are recorded
-// stale for the recovery manager's chunk-repair phase.
+// stale for the recovery manager's repair phase.
 //
 // Counts go straight into the obs::Registry the server is built with: the
 // server.* and ec.* names (docs/observability.md).
@@ -109,21 +109,14 @@ class StorageServer {
 
   /// Switches place_and_create + route into (n, k) erasure mode.  Call
   /// before place_and_create; mutually exclusive with a replication
-  /// degree > 1 (ClusterConfig::validate enforces that).
+  /// degree > 1 (ClusterConfig::validate enforces that).  The file table
+  /// then says which files are coded and their k (metadata()).
   void set_erasure(ErasureParams params);
-  bool erasure_enabled() const { return ec_.n > 0; }
-  std::size_t ec_n() const { return ec_.n; }
-  std::size_t ec_k() const { return ec_.k; }
   /// Modeled decode time for reconstructing `bytes` of payload.
   Tick ec_decode_ticks(Bytes bytes) const;
-  /// Chunk size of file `f` (full size for non-erasure entries).
-  Bytes ec_chunk_bytes(Bytes file_size) const {
-    return ServerMetadata::chunk_bytes(file_size, ec_.k);
-  }
 
-  /// Recovery's chunk-repair phase reports each rebuilt chunk (and the
-  /// decode time it paid) here so the erasure accounting stays in one
-  /// place.
+  /// Recovery's repair phase reports each rebuilt chunk (and the decode
+  /// time it paid) here so the erasure accounting stays in one place.
   void note_chunk_repaired(Tick decode_ticks);
 
   /// Step 3: place every file and issue create-file calls to the nodes
@@ -193,7 +186,7 @@ class StorageServer {
   void set_observer(obs::Tracer* tracer);
 
   /// The file table place_and_create built: routing, the recovery
-  /// manager's replica sources and the tests all read this one copy.
+  /// manager's repair donors and the tests all read this one copy.
   const ServerMetadata& metadata() const { return metadata_; }
   /// Per-file counts of the requests routed while online refresh ran
   /// (over no files on offline runs).
@@ -203,10 +196,10 @@ class StorageServer {
   }
 
   bool node_dead(NodeId n) const { return health_.at(n).dead; }
-  /// Files whose latest write landed on a failover replica while node `n`
-  /// was out — the replica-resync work list for `n`'s recovery.  Returns
-  /// the files in ascending id order and clears the list (the caller owns
-  /// the resync from here).
+  /// Files whose latest write landed elsewhere while node `n` was out
+  /// (on a failover replica, or on the other chunk holders) — the repair
+  /// work list for `n`'s recovery.  Returns the files in ascending id
+  /// order and clears the list (the caller owns the repair from here).
   std::vector<trace::FileId> take_stale_files(NodeId n);
 
  private:

@@ -6,7 +6,10 @@
 // never hang).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -14,9 +17,12 @@
 
 #include "baseline/presets.hpp"
 #include "core/cluster.hpp"
+#include "core/recovery_manager.hpp"
 #include "core/storage_node.hpp"
+#include "core/storage_server.hpp"
 #include "disk/disk_model.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/tracer.hpp"
 #include "workload/synthetic.hpp"
 
 #include "hint_views.hpp"
@@ -25,6 +31,7 @@
 namespace eevfs {
 namespace {
 
+using core::NodeId;
 using core::RequestStatus;
 
 // --- DiskModel fault machinery ---------------------------------------
@@ -440,6 +447,40 @@ TEST_F(NodeFaultTest, EveryServeEmitsOneSpanWithItsStatus) {
                   {"node.read", "node_unavailable", 3},
                   {"node.read", "node_unavailable", 1}};
   EXPECT_EQ(spans, expected);
+}
+
+TEST_F(NodeFaultTest, RewarmRecopiesThePlannedSliceAfterACrash) {
+  // Files 0 and 1 are hot, one on each data disk, and make up the slice;
+  // 2 and 3 are cold and outside it.
+  auto node = make_node(params());
+  const Tick horizon = seconds_to_ticks(600);
+  for (trace::FileId f = 0; f < 4; ++f) {
+    node->create_file(f, 10 * kMB);
+    if (f < 2) {
+      for (Tick t = 0; t < horizon; t += seconds_to_ticks(1)) {
+        pattern[f].push_back(t);
+      }
+    } else {
+      pattern[f].push_back(horizon - seconds_to_ticks(1));
+    }
+  }
+  node->receive_access_pattern(core::hint_views(pattern), horizon);
+  node->start_prefetch({0, 1}, [] {});
+  sim.run();
+  ASSERT_TRUE(node->is_buffered(0));
+  ASSERT_TRUE(node->is_buffered(1));
+  // The crash wipes the buffer index; the restart does not refill it.
+  node->crash();
+  node->restart();
+  for (trace::FileId f = 0; f < 4; ++f) EXPECT_FALSE(node->is_buffered(f));
+  std::size_t rewarmed = 99;
+  node->rewarm_prefetch([&](std::size_t n) { rewarmed = n; });
+  sim.run();
+  EXPECT_EQ(rewarmed, 2u);
+  EXPECT_TRUE(node->is_buffered(0));
+  EXPECT_TRUE(node->is_buffered(1));
+  EXPECT_FALSE(node->is_buffered(2));
+  EXPECT_FALSE(node->is_buffered(3));
 }
 
 // --- FaultPlan construction -------------------------------------------
@@ -973,6 +1014,219 @@ TEST(ClusterFault, ValidateRejectsNonsensicalFaultConfigs) {
   cfg.ec_hedge_ms = 250.0;
   cfg.ec_decode_mbps = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+// --- Recovery's repair rule ---------------------------------------------
+
+/// A server, its storage nodes and a recovery manager wired by hand, so a
+/// test can crash, dead-mark and restart nodes between requests.  A
+/// restarted node's stale copy is repaired from the first `need` healthy
+/// holders (alive and not dead-marked): one under replication, k under
+/// erasure.
+class RepairTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kFiles = 20;
+
+  RepairTest() : net(sim) {
+    server_ep = net.add_endpoint("server", net::mbps_to_bytes_per_sec(1000));
+    client_ep = net.add_endpoint("client", net::mbps_to_bytes_per_sec(1000));
+  }
+
+  /// `num_nodes` nodes holding kFiles 1 MB files, each on `copies`
+  /// consecutive nodes: replicas, or (copies, ec_k) chunks when ec_k > 0.
+  void build(std::size_t num_nodes, std::size_t copies, std::size_t ec_k) {
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      core::NodeParams p;
+      p.id = n;
+      p.data_disks = 2;
+      p.buffer_disks = 1;
+      p.disk_profile = disk::DiskProfile::ata133_fast();
+      nodes.push_back(std::make_unique<core::StorageNode>(
+          sim, net, net.add_endpoint("node", net::mbps_to_bytes_per_sec(1000)),
+          p, registry));
+      raw.push_back(nodes.back().get());
+    }
+    server = std::make_unique<core::StorageServer>(
+        sim, net, server_ep, core::PlacementPolicy::kPopularityRoundRobin, 1,
+        registry);
+    if (ec_k > 0) {
+      core::StorageServer::ErasureParams ec;
+      ec.n = copies;
+      ec.k = ec_k;
+      server->set_erasure(ec);
+    } else {
+      server->set_replication_degree(copies);
+    }
+    server->register_nodes(raw);
+    server->ingest_popularity(trace::PopularityAnalyzer({}, 0));
+    server->place_and_create(std::vector<Bytes>(kFiles, kMB));
+    server->distribute_patterns(0, nullptr);
+    for (core::StorageNode* n : raw) n->start_prefetch({}, [] {});
+    sim.run();
+    for (core::StorageNode* n : raw) n->begin_replay(sim.now());
+    recovery =
+        std::make_unique<core::RecoveryManager>(sim, *server, raw, registry);
+    recovery->set_observer(&tracer);
+  }
+
+  RequestStatus route(trace::FileId f, trace::Op op) {
+    RequestStatus st = RequestStatus::kNoReplica;
+    server->route({sim.now(), kMB, f, 0, op}, client_ep,
+                  [&](Tick, RequestStatus s) { st = s; });
+    sim.run();
+    return st;
+  }
+
+  bool holds(trace::FileId f, NodeId n) const {
+    const std::span<const NodeId> holders = server->metadata().holders(f);
+    return std::find(holders.begin(), holders.end(), n) != holders.end();
+  }
+
+  /// The holders of `f` other than `n`, in placement order.
+  std::vector<NodeId> others(trace::FileId f, NodeId n) const {
+    std::vector<NodeId> out;
+    for (const NodeId h : server->metadata().holders(f)) {
+      if (h != n) out.push_back(h);
+    }
+    return out;
+  }
+
+  /// Crashes node `n` and writes every file it holds while it is down, so
+  /// each of its copies goes stale.  Returns those files, ascending.
+  std::vector<trace::FileId> miss_writes(NodeId n) {
+    raw[n]->crash();
+    recovery->on_crash(n);
+    // A read of a file `n` is primary for fails over and dead-marks `n`;
+    // every write after it skips `n` and marks its copy stale.
+    trace::FileId first = 0;
+    while (server->metadata().node(first) != n) ++first;
+    EXPECT_EQ(route(first, trace::Op::kRead), RequestStatus::kOk);
+    std::vector<trace::FileId> files;
+    for (trace::FileId f = 0; f < kFiles; ++f) {
+      if (!holds(f, n)) continue;
+      EXPECT_EQ(route(f, trace::Op::kWrite), RequestStatus::kOk) << f;
+      files.push_back(f);
+    }
+    return files;
+  }
+
+  /// Restarts `n` through the recovery manager and runs its episode.
+  void recover(NodeId n) {
+    recovery->on_restart(n);
+    sim.run();
+    EXPECT_EQ(count(registry, "recovery.episodes.count"), 1u);
+    EXPECT_EQ(count(registry, "recovery.episodes_abandoned.count"), 0u);
+  }
+
+  /// The files whose chunk repair the trace records, ascending.
+  std::vector<trace::FileId> rebuilt_chunks() const {
+    std::vector<trace::FileId> out;
+    for (const obs::TraceEvent& ev : tracer.events()) {
+      if (tracer.lookup(ev.name) == "recovery.ec_repair") {
+        out.push_back(static_cast<trace::FileId>(ev.a1));
+      }
+    }
+    return out;
+  }
+
+  sim::Simulator sim;
+  net::NetworkFabric net;
+  obs::Registry registry;
+  obs::Tracer tracer{obs::TracerConfig{.enabled = true}};
+  net::EndpointId server_ep{}, client_ep{};
+  std::vector<std::unique_ptr<core::StorageNode>> nodes;
+  std::vector<core::StorageNode*> raw;
+  std::unique_ptr<core::StorageServer> server;
+  std::unique_ptr<core::RecoveryManager> recovery;
+};
+
+TEST_F(RepairTest, ReplicaWithoutALiveHolderStaysStale) {
+  build(3, 2, 0);
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  raw[1]->crash();
+  // Exactly the files whose other copy is on node 2 have a donor.
+  std::size_t expected = 0;
+  for (const trace::FileId f : stale) {
+    if (others(f, 0)[0] == 2) ++expected;
+  }
+  ASSERT_GT(expected, 0u);
+  ASSERT_LT(expected, stale.size());
+  recover(0);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"), expected);
+}
+
+TEST_F(RepairTest, ReplicaOnADeadMarkedHolderStaysStale) {
+  build(3, 2, 0);
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  // Node 1 fails one read, which dead-marks it, and comes back without a
+  // heartbeat to clear the mark: alive, but not a donor.
+  raw[1]->crash();
+  trace::FileId on_1 = 0;
+  while (server->metadata().node(on_1) != 1) ++on_1;
+  ASSERT_EQ(route(on_1, trace::Op::kRead), RequestStatus::kOk);
+  ASSERT_TRUE(server->node_dead(1));
+  raw[1]->restart();
+  // Exactly the files whose other copy is on node 2 have a donor.
+  std::size_t expected = 0;
+  for (const trace::FileId f : stale) {
+    if (others(f, 0)[0] == 2) ++expected;
+  }
+  ASSERT_GT(expected, 0u);
+  ASSERT_LT(expected, stale.size());
+  recover(0);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"), expected);
+}
+
+TEST_F(RepairTest, ChunkWithFewerThanKLiveHoldersStaysStale) {
+  build(5, 4, 2);  // (4, 2) over five nodes
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  raw[1]->crash();
+  raw[2]->crash();
+  std::vector<trace::FileId> expected;
+  for (const trace::FileId f : stale) {
+    const std::vector<NodeId> holders = others(f, 0);
+    if (std::count_if(holders.begin(), holders.end(),
+                      [](NodeId h) { return h > 2; }) >= 2) {
+      expected.push_back(f);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(expected.size(), stale.size());
+  recover(0);
+  EXPECT_EQ(rebuilt_chunks(), expected);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"), expected.size());
+  EXPECT_EQ(count(registry, "ec.repaired_chunks.count"), expected.size());
+}
+
+TEST_F(RepairTest, FailedDonorReadLeavesTheFileStaleAndRepairMovesOn) {
+  build(5, 4, 2);
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  // Node 1 is down, so each file's donors are its first two holders past
+  // nodes 0 and 1.  Every read from node 4 fails: its disks are gone.
+  raw[1]->crash();
+  for (std::size_t d = 0; d < raw[4]->num_data_disks(); ++d) {
+    raw[4]->mutable_data_disk(d).fail();
+  }
+  raw[4]->mutable_buffer_disk(0).fail();
+  std::vector<trace::FileId> expected;
+  std::vector<trace::FileId> failed_second;
+  for (const trace::FileId f : stale) {
+    std::vector<NodeId> donors;
+    for (const NodeId h : others(f, 0)) {
+      if (h != 1 && donors.size() < 2) donors.push_back(h);
+    }
+    if (donors[1] == 4) failed_second.push_back(f);
+    if (donors[0] != 4 && donors[1] != 4) expected.push_back(f);
+  }
+  // Some repair fails on its second donor, after the first was read, and
+  // a later file is still rebuilt.
+  ASSERT_FALSE(failed_second.empty());
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(failed_second.front(), expected.back());
+  recover(0);
+  EXPECT_EQ(rebuilt_chunks(), expected);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"), expected.size());
+  EXPECT_EQ(count(registry, "ec.repaired_chunks.count"), expected.size());
 }
 
 }  // namespace

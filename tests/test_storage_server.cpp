@@ -96,9 +96,9 @@ class StorageServerTest : public ::testing::Test {
   /// Whether node `n` serves reads of `f`: its primary or, under
   /// erasure, one of its first k holders.
   bool serves(NodeId n, trace::FileId f) const {
+    const ServerMetadata& table = server->metadata();
     const std::span<const NodeId> serving =
-        server->metadata().holders(f).first(
-            server->erasure_enabled() ? server->ec_k() : 1);
+        table.holders(f).first(table.erasure() ? table.ec_k() : 1);
     return std::find(serving.begin(), serving.end(), n) != serving.end();
   }
 
@@ -357,6 +357,28 @@ TEST_F(StorageServerTest, CountHintsStayExactPastTwoToThe63) {
   }
   EXPECT_EQ(wrong, 0u);
   EXPECT_LT(timeline.back(), kHorizon);
+}
+
+// Midpoint offsets are exact only up to 2^31 accesses per file.  A count
+// past that is refused while the slots are laid out, before the arena
+// that would hold its offsets (8 bytes each, 16 GiB here) is allocated.
+TEST_F(StorageServerTest, CountHintsPastTwoToThe31AreRefusedBeforeTheArena) {
+  server->register_nodes(raw);
+  constexpr std::size_t kAccesses = (std::size_t{1} << 31) + 1;
+  trace::FilePopularity hot;
+  hot.file = 7;
+  hot.accesses = kAccesses;
+  server->ingest_popularity(trace::PopularityAnalyzer({hot}, kAccesses));
+  server->place_and_create(w.file_sizes);
+  try {
+    server->distribute_patterns(seconds_to_ticks(600), nullptr);
+    ADD_FAILURE() << "a count past 2^31 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "over 2^31 modeled accesses to file 7"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // The arena is sized from the ingested counts, so a hint pass that counts

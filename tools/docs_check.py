@@ -6,7 +6,9 @@ Three rules:
   DOC1  every relative markdown link in a tracked *.md file must point
         at a file (or directory) that exists; `#fragment` suffixes are
         stripped first.  External links (http/https/mailto) and pure
-        in-page anchors are ignored.
+        in-page anchors are ignored.  In a tree git cannot list, such as
+        a `git archive` export, every *.md outside the directories
+        .gitignore names is checked instead.
 
   DOC2  every metric name documented in docs/observability.md
         (`component.metric.unit` spans in backticks — the same grammar
@@ -26,9 +28,11 @@ Usage: tools/docs_check.py [REPO_ROOT]   (default: parent of tools/)
 Exit 0 when clean, 1 with a findings listing otherwise.
 """
 
+import os
 import re
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 # [text](target) — good enough for the repo's hand-written markdown;
@@ -38,14 +42,35 @@ METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*){2,})`")
 EXTERNAL = ("http://", "https://", "mailto:")
 
 
-def tracked_markdown(root: Path) -> list[Path]:
-    """Tracked *.md files present in the worktree.  A tracked file deleted
-    but not yet staged has no links to check; links to it still fail."""
-    out = subprocess.run(
-        ["git", "ls-files", "*.md"], cwd=root, check=True,
-        capture_output=True, text=True)
+def markdown_files(root: Path) -> list[Path]:
+    """The *.md files to check.  In a git checkout, the tracked ones
+    present in the worktree: a tracked file deleted but not yet staged
+    has no links to check, and links to it still fail.  Where git cannot
+    list them, as in a `git archive` export, every *.md under the root
+    outside the directories .gitignore names."""
+    try:
+        out = subprocess.run(
+            ["git", "ls-files", "*.md"], cwd=root, check=True,
+            capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError):
+        return markdown_outside_git(root)
     return [root / line for line in out.stdout.splitlines()
             if line and (root / line).is_file()]
+
+
+def markdown_outside_git(root: Path) -> list[Path]:
+    gitignore = root / ".gitignore"
+    lines = (gitignore.read_text(encoding="utf-8").splitlines()
+             if gitignore.is_file() else [])
+    ignored = [line.strip().strip("/") for line in lines
+               if line.strip() and not line.startswith(("#", "!"))]
+    found = []
+    for top, dirs, files in os.walk(root):
+        # Pruned in place, so os.walk never enters an ignored directory.
+        dirs[:] = [d for d in dirs
+                   if not any(fnmatch(d, name) for name in ignored)]
+        found += [Path(top) / f for f in files if f.endswith(".md")]
+    return sorted(found)
 
 
 def check_links(root: Path, files: list[Path]) -> list[str]:
@@ -169,7 +194,7 @@ def check_dag_drift(root: Path) -> list[str]:
 def main() -> int:
     root = (Path(sys.argv[1]) if len(sys.argv) > 1
             else Path(__file__).resolve().parent.parent)
-    files = tracked_markdown(root)
+    files = markdown_files(root)
     findings = (check_links(root, files) + check_metric_drift(root)
                 + check_dag_drift(root))
     for f in findings:
