@@ -63,11 +63,11 @@ int main(int argc, char** argv) {
               "disk bandwidth", "NIC");
   const core::ClusterConfig cfg = bench::paper_config();
   print_profile("storage server", disk::DiskProfile::sata_server(),
-                cfg.server_nic_mbps);
+                core::kServerNicMbps);
   print_profile("storage node type 1", disk::DiskProfile::ata133_fast(),
-                cfg.type1_nic_mbps);
+                core::kType1NicMbps);
   print_profile("storage node type 2", disk::DiskProfile::ata133_slow(),
-                cfg.type2_nic_mbps);
+                core::kType2NicMbps);
 
   std::printf("\npower model (calibrated; the paper metered wall power):\n");
   const disk::DiskProfile p = disk::DiskProfile::ata133_fast();
@@ -94,12 +94,12 @@ int main(int argc, char** argv) {
   std::printf("  type 1: disk %.0f ms + 1 Gb/s transfer %.0f ms\n",
               ticks_to_seconds(fast.service_time(10 * kMB, false)) * kMillisPerSecond,
               10.0 * static_cast<double>(kMB) /
-                  (net::mbps_to_bytes_per_sec(1000) * cfg.nic_efficiency) *
+                  (net::mbps_to_bytes_per_sec(core::kType1NicMbps) * cfg.nic_efficiency) *
                   kMillisPerSecond);
   std::printf("  type 2: disk %.0f ms + 100 Mb/s transfer %.0f ms\n",
               ticks_to_seconds(slow.service_time(10 * kMB, false)) * kMillisPerSecond,
               10.0 * static_cast<double>(kMB) /
-                  (net::mbps_to_bytes_per_sec(100) * cfg.nic_efficiency) *
+                  (net::mbps_to_bytes_per_sec(core::kType2NicMbps) * cfg.nic_efficiency) *
                   kMillisPerSecond);
   return 0;
 }

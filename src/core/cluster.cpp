@@ -33,7 +33,7 @@ void Cluster::build_infra() {
   net_->set_observer(observer());
 
   const auto server_ep = net_->add_endpoint(
-      "server", net::mbps_to_bytes_per_sec(config_.server_nic_mbps) *
+      "server", net::mbps_to_bytes_per_sec(kServerNicMbps) *
           config_.nic_efficiency);
   server_ = std::make_unique<StorageServer>(*sim_, *net_, server_ep,
                                             config_.placement, config_.seed,
@@ -73,7 +73,7 @@ void Cluster::build_infra() {
   for (std::uint32_t c = 0; c < config_.num_clients; ++c) {
     const auto ep = net_->add_endpoint(
         format("client%u", c),
-        net::mbps_to_bytes_per_sec(config_.client_nic_mbps) *
+        net::mbps_to_bytes_per_sec(kClientNicMbps) *
             config_.nic_efficiency);
     clients_.emplace_back(ep);
   }
@@ -88,8 +88,6 @@ void Cluster::build_infra() {
     ec.n = config_.ec_n;
     ec.k = config_.ec_k;
     ec.hedge_delay = milliseconds_to_ticks(config_.ec_hedge_ms);
-    ec.decode_bytes_per_sec =
-        config_.ec_decode_mbps * static_cast<double>(kMB);
     // Spindle energy per transferred byte, from the node disk profile:
     // what a 1 MiB sequential transfer costs at active power.  Used for
     // the degraded-read energy estimate (parity bytes a healthy read
@@ -230,8 +228,9 @@ RunMetrics Cluster::run_phase() {
     // Every node plans before any copy starts, so the hint arena, which
     // only planning reads, is gone before the copies' state builds up.
     // Planning schedules no event: the event order is that of planning
-    // and copying node by node.  Each node keeps its slice: recovery
-    // re-warms it after a crash wipes the buffer index.
+    // and copying node by node.  Each node keeps its slice and plan:
+    // recovery restores the plan in slice order after a crash wipes the
+    // RAM and buffer tiers.
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
       nodes_[n]->plan_prefetch(std::move(candidates[n]));
     }

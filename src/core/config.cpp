@@ -44,8 +44,7 @@ std::string to_string(PlacementPolicy p) {
 }
 
 bool ClusterConfig::is_type2(NodeId node) const {
-  if (type2_stride == 0) return false;
-  return node % type2_stride == type2_stride - 1;
+  return node % kType2Stride == kType2Stride - 1;
 }
 
 disk::DiskProfile ClusterConfig::node_disk_profile(NodeId node) const {
@@ -55,7 +54,7 @@ disk::DiskProfile ClusterConfig::node_disk_profile(NodeId node) const {
 }
 
 double ClusterConfig::node_nic_mbps(NodeId node) const {
-  return is_type2(node) ? type2_nic_mbps : type1_nic_mbps;
+  return is_type2(node) ? kType2NicMbps : kType1NicMbps;
 }
 
 void ClusterConfig::validate() const {
@@ -92,10 +91,6 @@ void ClusterConfig::validate() const {
   }
   if (nic_efficiency <= 0.0 || nic_efficiency > 1.0) {
     throw std::invalid_argument("ClusterConfig: nic_efficiency in (0, 1]");
-  }
-  if (type1_nic_mbps <= 0.0 || type2_nic_mbps <= 0.0 ||
-      server_nic_mbps <= 0.0 || client_nic_mbps <= 0.0) {
-    throw std::invalid_argument("ClusterConfig: NIC rates must be positive");
   }
   if (replication_degree == 0) {
     throw std::invalid_argument("ClusterConfig: replication_degree >= 1");
@@ -136,9 +131,8 @@ void ClusterConfig::validate() const {
           "ClusterConfig: erasure coding and replication are mutually "
           "exclusive");
     }
-    if (ec_hedge_ms < 0.0 || ec_decode_mbps <= 0.0) {
-      throw std::invalid_argument(
-          "ClusterConfig: ec_hedge_ms must be >= 0 and ec_decode_mbps > 0");
+    if (ec_hedge_ms < 0.0) {
+      throw std::invalid_argument("ClusterConfig: ec_hedge_ms must be >= 0");
     }
   }
 }

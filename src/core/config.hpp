@@ -59,18 +59,23 @@ std::string to_string(CachePolicy p);
 std::string to_string(PlacementPolicy p);
 std::string to_string(DiskPlacement p);
 
+// --- Table I hardware ------------------------------------------------------
+// Fixed like the disk profiles ClusterConfig::node_disk_profile picks.
+
+/// Every kType2Stride-th node (odd ids) is a slow type-2 node: 100 Mb/s
+/// NIC and the 34 MB/s ATA disk.
+inline constexpr std::size_t kType2Stride = 2;
+/// NIC line rates in Mb/s, before ClusterConfig::nic_efficiency.
+inline constexpr double kType1NicMbps = 1000.0;
+inline constexpr double kType2NicMbps = 100.0;
+inline constexpr double kServerNicMbps = 1000.0;
+inline constexpr double kClientNicMbps = 1000.0;
+
 struct ClusterConfig {
   // --- topology (Table I) ------------------------------------------------
   std::size_t num_storage_nodes = 8;
   std::size_t data_disks_per_node = 2;
   std::size_t buffer_disks_per_node = 1;
-  /// Every `type2_stride`-th node is a slow type-2 node (100 Mb/s NIC,
-  /// 34 MB/s disk); 2 = half the nodes, 0 = none.
-  std::size_t type2_stride = 2;
-  double type1_nic_mbps = 1000.0;
-  double type2_nic_mbps = 100.0;
-  double server_nic_mbps = 1000.0;
-  double client_nic_mbps = 1000.0;
   /// Fraction of the NIC line rate TCP actually delivers (protocol
   /// overhead + the P4-era CPU bound); applied to every endpoint.
   double nic_efficiency = 0.7;
@@ -148,9 +153,6 @@ struct ClusterConfig {
   /// for genuinely slow chunks — chunk FAILURES promote the next spare
   /// immediately and never wait on this timer.
   double ec_hedge_ms = 250.0;
-  /// Modeled erasure decode throughput (reconstruction CPU cost charged
-  /// to degraded reads and background chunk repair).
-  double ec_decode_mbps = 400.0;
 
   // --- RAM cache tier (multi-tier extension) ---------------------------
   /// Per-node in-memory cache above the buffer disk.  0 = disabled: the

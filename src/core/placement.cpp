@@ -5,23 +5,6 @@
 
 namespace eevfs::core {
 
-std::vector<trace::FileId> creation_order(
-    std::size_t num_files, const trace::PopularityAnalyzer& popularity) {
-  std::vector<trace::FileId> order;
-  order.reserve(num_files);
-  std::vector<bool> placed(num_files, false);
-  for (const auto& p : popularity.ranked()) {
-    if (p.file < num_files) {
-      order.push_back(p.file);
-      placed[p.file] = true;
-    }
-  }
-  for (trace::FileId f = 0; f < num_files; ++f) {
-    if (!placed[f]) order.push_back(f);
-  }
-  return order;
-}
-
 PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
                          std::size_t num_files,
                          const trace::PopularityAnalyzer& popularity,
@@ -45,25 +28,25 @@ PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
       ec_n > 0 ? ec_n
                : std::min(std::max<std::size_t>(replication_degree, 1),
                           num_nodes);
-  const std::vector<trace::FileId> order = creation_order(num_files, popularity);
   std::vector<NodeId> primary(num_files, 0);
 
   switch (policy) {
     case PlacementPolicy::kPopularityRoundRobin: {
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        primary[order[i]] = i % num_nodes;
-      }
+      std::size_t i = 0;
+      for_each_in_creation_order(num_files, popularity, [&](trace::FileId f) {
+        primary[f] = i++ % num_nodes;
+      });
       break;
     }
     case PlacementPolicy::kRandom: {
-      for (const trace::FileId f : order) {
+      for_each_in_creation_order(num_files, popularity, [&](trace::FileId f) {
         primary[f] = static_cast<NodeId>(rng.next_below(num_nodes));
-      }
+      });
       break;
     }
     case PlacementPolicy::kSizeBalanced: {
       std::vector<Bytes> load(num_nodes, 0);
-      for (const trace::FileId f : order) {
+      for_each_in_creation_order(num_files, popularity, [&](trace::FileId f) {
         const auto it = std::min_element(load.begin(), load.end());
         const auto n = static_cast<NodeId>(
             std::distance(load.begin(), it));
@@ -71,7 +54,7 @@ PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
         for (std::size_t j = 0; j < degree; ++j) {
           load[(n + j) % num_nodes] += sizes[f];
         }
-      }
+      });
       break;
     }
   }

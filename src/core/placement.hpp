@@ -6,11 +6,12 @@
 // The placement is the server's file table itself: place_files returns a
 // ServerMetadata (metadata.hpp) — primary and size columns and the holder
 // arena — which the server routes with for the rest of the run.  It keeps
-// no per-node creation lists: the server walks creation_order once and
-// creates each file on its holders, so every node receives its files in
-// that order.
+// no per-node creation lists: the server walks the creation order once
+// (for_each_in_creation_order) and creates each file on its holders, so
+// every node receives its files in that order.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/config.hpp"
@@ -25,15 +26,28 @@ namespace eevfs::core {
 /// What place_files returns: the server's file table.
 using PlacementMap = ServerMetadata;
 
-/// The order files are placed and created in: the ranked files that are
-/// below `num_files`, in rank order, then the files absent from the
-/// ranking (never accessed), in id order.  Lists every id below
-/// `num_files` once.
-std::vector<trace::FileId> creation_order(
-    std::size_t num_files, const trace::PopularityAnalyzer& popularity);
+/// Calls `visit(f)` once for every id below `num_files`, in the order
+/// files are placed and created: the ranked files that are below
+/// `num_files`, in rank order, then the files absent from the ranking
+/// (never accessed), in id order.  Keeps one mark bit per file.
+template <typename Visit>
+void for_each_in_creation_order(std::size_t num_files,
+                                const trace::PopularityAnalyzer& popularity,
+                                Visit&& visit) {
+  std::vector<bool> ranked(num_files, false);
+  for (const trace::FilePopularity& p : popularity.ranked()) {
+    if (p.file < num_files) {
+      ranked[p.file] = true;
+      visit(p.file);
+    }
+  }
+  for (trace::FileId f = 0; f < num_files; ++f) {
+    if (!ranked[f]) visit(f);
+  }
+}
 
 /// Places `num_files` files (ids 0..num_files-1), dealing them out in
-/// creation_order.  `sizes` is indexed by FileId: the
+/// creation order.  `sizes` is indexed by FileId: the
 /// table keeps the first `num_files` and the size-balanced policy weighs
 /// them.  `replication_degree`
 /// copies land on distinct consecutive nodes (mod the node count) past

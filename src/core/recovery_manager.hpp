@@ -8,7 +8,8 @@
 //                               acked-but-undestaged write (idempotent)
 //   phase 2  repair           — rebuild each copy whose latest write
 //                               landed elsewhere while the node was out
-//   phase 3  prefetch re-warm — re-copy the node's prefetch slice onto
+//   phase 3  prefetch re-warm — re-pin the planned RAM share and
+//                               re-copy the gate-accepted files onto
 //                               the buffer disk
 //
 // Phase 2 has one rule for replicas and erasure chunks: an r-way replica

@@ -5,6 +5,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "obs/json.hpp"
 #include "util/string_util.hpp"
 
 namespace eevfs::core {
@@ -80,14 +81,6 @@ void append_run(obs::JsonWriter& w, const RunReportInfo& info,
 }
 
 }  // namespace
-
-void append_run_report_object(obs::JsonWriter& w, const RunReportInfo& info,
-                              const RunMetrics& m, const obs::Tracer* tracer) {
-  const bool traced = tracer != nullptr && tracer->enabled();
-  append_run(w, info, m, traced,
-             traced ? static_cast<std::uint64_t>(tracer->recorded()) : 0,
-             traced ? tracer->dropped() : 0);
-}
 
 void RunReportWriter::add_run(RunReportInfo info, const RunMetrics& m,
                               const obs::Tracer* tracer) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/metrics.hpp"
-#include "obs/json.hpp"
 #include "obs/tracer.hpp"
 
 namespace eevfs::core {
@@ -71,13 +70,6 @@ class RunReportWriter {
   std::string bench_;
   std::vector<Entry> entries_;
 };
-
-/// Appends the report object for one run to `w` (the building block of
-/// RunReportWriter::json(), exposed for embedding runs in other
-/// documents).
-void append_run_report_object(obs::JsonWriter& w, const RunReportInfo& info,
-                              const RunMetrics& m,
-                              const obs::Tracer* tracer = nullptr);
 
 /// Structural validation of a report document against schema v3: parses
 /// the JSON and checks every required key and type (top-level

@@ -693,10 +693,17 @@ void StorageNode::rewarm_prefetch(std::function<void(std::size_t)> done) {
   std::vector<trace::FileId> hot;
   std::vector<trace::FileId> warm;
   if (alive_ && buffer_ && params_.cache_policy == CachePolicy::kPrefetch) {
+    // The gate's accepted files, in the slice's rank order (the plan
+    // groups them by disk set).
+    const auto accepted = [this](trace::FileId f) {
+      return std::any_of(
+          plan_.accepted.begin(), plan_.accepted.end(),
+          [f](const PrefetchCandidate& c) { return c.file == f; });
+    };
     for (const trace::FileId f : prefetch_slice_) {
       const LocalFileMeta* m = meta_.find(f);
-      if (m != nullptr && !m->buffered() && !copies_in_flight_.contains(f) &&
-          stripe_set_alive(*m)) {
+      if (m != nullptr && accepted(f) && !m->buffered() &&
+          !copies_in_flight_.contains(f) && stripe_set_alive(*m)) {
         warm.push_back(f);
       }
     }

@@ -141,8 +141,8 @@ class StorageNode {
   /// as its RAM admission weight.  The residual timelines outlive
   /// planning only under kHints/kOracle, whose power manager takes them
   /// in begin_replay; other policies keep just the expected gap.  The
-  /// node keeps `candidates`: rewarm_prefetch re-copies them after a
-  /// crash.  Schedules no event.
+  /// node keeps `candidates` and the plan: rewarm_prefetch restores the
+  /// plan after a crash.  Schedules no event.
   void plan_prefetch(std::vector<trace::FileId> candidates);
 
   /// Starts the copies plan_prefetch chose: pins the RAM share and
@@ -200,10 +200,12 @@ class StorageNode {
   /// whether the stripe write landed.
   void resync_write(trace::FileId f, std::function<void(Tick, bool)> done);
 
-  /// Recovery phase 3 — prefetch re-warm: re-copies the prefetch slice
-  /// plan_prefetch received onto the buffer disk; the crash wiped the
-  /// buffer index, so the hot set serves from data disks until this
-  /// completes.  `done` fires with the number of files re-buffered.
+  /// Recovery phase 3 — prefetch re-warm: restores what warm_prefetch
+  /// placed — re-pins the plan's RAM share and re-copies the files the
+  /// PRE-BUD gate accepted onto the buffer disk, in the slice's rank
+  /// order; the crash wiped both tiers, so the hot set serves from data
+  /// disks until this completes.  `done` fires with the number of files
+  /// re-pinned or re-buffered.
   void rewarm_prefetch(std::function<void(std::size_t rewarmed)> done);
 
   // --- teardown ----------------------------------------------------------
@@ -442,7 +444,8 @@ class StorageNode {
 
   /// The received hint views, until plan_prefetch plans from them.
   std::vector<FileHints> hints_;
-  /// The candidates plan_prefetch received, for rewarm_prefetch.
+  /// The candidates plan_prefetch received, in rank order: rewarm_prefetch
+  /// re-copies the accepted ones in this order.
   std::vector<trace::FileId> prefetch_slice_;
   /// (file, hinted access count) sorted by file, kept from planning on.
   std::vector<std::pair<trace::FileId, std::size_t>> hint_counts_;

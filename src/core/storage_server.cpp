@@ -59,11 +59,14 @@ void StorageServer::place_and_create(const std::vector<Bytes>& file_sizes) {
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     nodes_[n]->expect_files(copies[n]);
   }
-  for (const trace::FileId f : creation_order(file_sizes.size(), *analyzer_)) {
-    const Bytes chunk =
-        ServerMetadata::chunk_bytes(file_sizes[f], metadata_.ec_k());
-    for (const NodeId n : metadata_.holders(f)) nodes_[n]->create_file(f, chunk);
-  }
+  for_each_in_creation_order(
+      file_sizes.size(), *analyzer_, [&](trace::FileId f) {
+        const Bytes chunk =
+            ServerMetadata::chunk_bytes(file_sizes[f], metadata_.ec_k());
+        for (const NodeId n : metadata_.holders(f)) {
+          nodes_[n]->create_file(f, chunk);
+        }
+      });
 }
 
 std::span<const NodeId> StorageServer::serving_holders(trace::FileId f) const {
@@ -191,10 +194,12 @@ void StorageServer::set_erasure(ErasureParams params) {
   ec_ = params;
 }
 
+/// Modeled decode throughput for reconstruction (degraded reads and
+/// background repair): 400 MB/s.
+constexpr double kEcDecodeBytesPerSec = 400.0e6;
+
 Tick StorageServer::ec_decode_ticks(Bytes bytes) const {
-  if (ec_.decode_bytes_per_sec <= 0.0) return 0;
-  return seconds_to_ticks(static_cast<double>(bytes) /
-                          ec_.decode_bytes_per_sec);
+  return seconds_to_ticks(static_cast<double>(bytes) / kEcDecodeBytesPerSec);
 }
 
 void StorageServer::note_chunk_repaired(Tick decode_ticks) {

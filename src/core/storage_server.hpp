@@ -98,9 +98,6 @@ class StorageServer {
     std::size_t k = 0;
     /// Stagger between hedge dispatches past the first k chunks.
     Tick hedge_delay = 0;
-    /// Modeled decode throughput for reconstruction (degraded reads and
-    /// background repair).
-    double decode_bytes_per_sec = 400.0e6;
     /// Modeled spindle energy per byte transferred off a platter — the
     /// degraded-read energy estimate charges this for every parity byte
     /// a join pulled in.

@@ -27,9 +27,6 @@ WriteJournal::WriteJournal(sim::Simulator& sim, JournalParams params,
   if (enabled() && media_.empty()) {
     throw std::invalid_argument("WriteJournal: enabled but no buffer disks");
   }
-  if (params_.checkpoint_every == 0) {
-    throw std::invalid_argument("WriteJournal: checkpoint_every is zero");
-  }
 }
 
 void WriteJournal::append(
@@ -86,7 +83,7 @@ void WriteJournal::mark_destaged(std::uint64_t lsn) {
 
 void WriteJournal::maybe_checkpoint() {
   if (checkpoint_in_flight_ ||
-      marks_since_checkpoint_ < params_.checkpoint_every) {
+      marks_since_checkpoint_ < kCheckpointEvery) {
     return;
   }
   checkpoint_in_flight_ = true;

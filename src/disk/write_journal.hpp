@@ -16,7 +16,7 @@
 //                 so the log is durably truncated only when it fully
 //                 drains.  Cheapest steady state, longest replay.
 //   kCheckpoint — like kCommit, plus a durable checkpoint record every
-//                 `checkpoint_every` destages that truncates the destaged
+//                 kCheckpointEvery destages that truncates the destaged
 //                 prefix.  Extra steady-state I/O, shortest replay.
 //
 // The journal tracks *durable platter state* (headers, checkpoints) and
@@ -52,8 +52,6 @@ JournalMode parse_journal_mode(std::string_view s);
 
 struct JournalParams {
   JournalMode mode = JournalMode::kCommit;
-  /// Destages between durable checkpoints (kCheckpoint only).
-  std::uint64_t checkpoint_every = 8;
 };
 
 /// One journaled write, as recovered by replay().  `file` is the owning
@@ -73,6 +71,8 @@ class WriteJournal {
   static constexpr Bytes kHeaderBytes = 4096;
   /// Size of one checkpoint record (kCheckpoint only).
   static constexpr Bytes kCheckpointBytes = 4096;
+  /// Destages between durable checkpoints (kCheckpoint only).
+  static constexpr std::uint64_t kCheckpointEvery = 8;
 
   /// `media` are the owning node's buffer disks; headers and checkpoints
   /// are appended to the same disk as the payload they cover.
@@ -94,7 +94,7 @@ class WriteJournal {
 
   /// Marks one record destaged.  kCommit: RAM-only; the log truncates
   /// durably when every durable record is marked.  kCheckpoint: every
-  /// `checkpoint_every` marks a checkpoint record is appended and the
+  /// kCheckpointEvery marks a checkpoint record is appended and the
   /// marked records are durably truncated when it lands.  Unknown or
   /// already-truncated LSNs are ignored (replayed destages are idempotent).
   void mark_destaged(std::uint64_t lsn);

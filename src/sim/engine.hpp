@@ -11,38 +11,11 @@
 //    arena recycled through a free list, a handle is a (slot, generation)
 //    ticket — not a shared_ptr liveness flag — and callbacks keep their
 //    captures in InlineCallback's inline buffer instead of std::function
-//    heap storage.  Queue entries are plain 24-byte PODs, so ordering
-//    never moves a callback.
-//
-// Two-level scheduler (the datacenter-scale rework):
-//  * a small binary min-heap holds only the *near-horizon* events — the
-//    ones that will fire before `horizon_`;
-//  * everything at or past the horizon parks in a hierarchical timing
-//    wheel (the FreeBSD callout-wheel idiom): kWheelLevels levels of
-//    kWheelSlots buckets, level-0 buckets kWheelShift bits (~4 ms) wide
-//    and each higher level kWheelBits bits coarser, plus an overflow
-//    list for times beyond the top level's reach.  Insert and cancel
-//    are O(1); a bucket is touched again only when the clock reaches
-//    its window, when it either dumps into the heap (level 0) or
-//    cascades one level down.
-//  * cancelled far-future timers (idle spin-down deadlines, hedge
-//    timers, heartbeats) therefore never pay heap sifts: they rot in
-//    their bucket and are discarded by the usual lazy generation check
-//    after the dump.  This is what keeps a 1024-node cluster's ~1e5
-//    resident dead timers off the hot path — see the datacenter_churn
-//    perf scenario.
-//  * firing order is bit-identical to a single global heap: the heap
-//    top is only claimed while `top.time < wheel_bound()`, where
-//    wheel_bound() is a lower bound on every wheeled event's time, and
-//    buckets are dumped (higher levels cascading first) until that
-//    holds.  Ties on (time, seq) are impossible across the boundary
-//    because seq is globally monotone and times below the bound are
-//    heap-only.
+//    heap storage.  The heap itself holds plain 24-byte entries, so
+//    ordering never moves a callback.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -55,9 +28,7 @@ class Simulator;
 /// Cancellable ticket for a scheduled event.  Default-constructed handles
 /// are inert; cancel() on an already-fired, already-cancelled, or
 /// recycled event is a no-op (the generation check tells a stale ticket
-/// from the slot's current occupant).  The check is position-blind: it
-/// behaves identically whether the entry still sits in a wheel bucket,
-/// has cascaded into the near heap, or has already been recycled.
+/// from the slot's current occupant).
 ///
 /// A handle is a non-owning reference: it is only meaningful while its
 /// Simulator is alive.  Every holder in the tree is a component torn
@@ -104,9 +75,9 @@ class Simulator {
   /// empty.  Useful for tests that step the simulation.
   bool step();
 
-  /// Number of pending (possibly cancelled-but-unpopped) events, summed
-  /// over the near heap and the timing wheel.
-  std::size_t pending_events() const { return heap_.size() + wheel_count_; }
+  /// Number of pending heap entries, cancelled-but-unpopped ones
+  /// included.
+  std::size_t pending_events() const { return heap_.size(); }
 
   std::uint64_t executed_events() const { return executed_; }
 
@@ -117,10 +88,6 @@ class Simulator {
   /// diagnostic, bounded by the queue's high-water mark.
   std::size_t pool_slots() const { return pool_.size(); }
 
-  /// Pending entries currently parked in the timing wheel (as opposed to
-  /// the near heap) — diagnostic, exercised by the wheel tests.
-  std::size_t wheel_events() const { return wheel_count_; }
-
   /// Wall-clock seconds spent inside run()/step() so far.  Diagnostic
   /// only — never feed this back into sim state or metrics that must be
   /// reproducible.
@@ -129,24 +96,6 @@ class Simulator {
  private:
   friend class EventHandle;
 
-  // Timing-wheel geometry.  Level-0 buckets span 2^kWheelShift ticks
-  // (4096 us ~ 4 ms); each level is 2^kWheelBits coarser and kWheelSlots
-  // wide, so six levels cover 2^(12+6*6) ticks ~ 8.9 simulated years.
-  // Anything later still goes to the overflow list.
-  static constexpr int kWheelShift = 12;
-  static constexpr int kWheelBits = 6;
-  static constexpr int kWheelLevels = 6;
-  static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
-  static constexpr Tick kNoBound = std::numeric_limits<Tick>::max();
-  /// Events this close to `now` go straight to the near heap even when
-  /// they lie past the horizon: staging an imminent event through a
-  /// bucket it would leave almost immediately costs more than one heap
-  /// sift.  The heap invariant is one-directional (everything below the
-  /// horizon is in the heap; the heap may also hold later events), so
-  /// this only changes where an entry waits, never the firing order or
-  /// the pending count.
-  static constexpr Tick kNearWindow = Tick{1} << (kWheelShift + 2);
-
   /// Pooled event record.  `gen` is bumped every time the slot is
   /// released (fire or cancel), instantly invalidating stale tickets.
   struct Record {
@@ -154,10 +103,9 @@ class Simulator {
     std::uint32_t gen = 0;
   };
 
-  /// Heap/bucket entry: plain data, cheap to sift and to cascade.
-  /// Carries the generation so a cancelled slot can be recycled while
-  /// its entry still sits in a bucket or the heap — a mismatch on pop
-  /// means "skip".
+  /// Heap entry: plain data, cheap to sift.  Carries the generation so a
+  /// cancelled slot can be recycled while its entry still sits in the
+  /// heap — a mismatch on pop means "skip".
   struct QueueItem {
     Tick time;
     std::uint64_t seq;
@@ -182,35 +130,11 @@ class Simulator {
     return pool_[heap_.front().slot].gen != heap_.front().gen;
   }
   void pop_top();
-  void push_heap_item(const QueueItem& item);
   void release(std::uint32_t slot);
-
-  /// Files `item` (time >= horizon_) into the shallowest level whose
-  /// current window covers it, or the overflow list.
-  void insert_wheel(const QueueItem& item);
-
-  /// Processes the earliest wheel bucket: a level-0 bucket dumps into
-  /// the near heap (advancing horizon_ past it), a higher-level bucket
-  /// cascades its entries down, and the overflow list redistributes
-  /// after jumping the horizon.  Pre: wheel_count_ > 0.  Each call makes
-  /// progress; after enough calls wheel_bound_ exceeds any target time.
-  void advance_wheel();
-
-  /// Exact lower bound on every wheeled event's time (kNoBound when the
-  /// wheel is empty).  Maintained incrementally on insert, recomputed
-  /// after advance_wheel() — reading it is O(1) on the pop hot path.
-  Tick wheel_bound() const { return wheel_bound_; }
-  Tick compute_wheel_bound() const;
-  Tick level_bound(int lvl, std::size_t* slot) const;
 
   void do_cancel(std::uint32_t slot, std::uint32_t gen);
   bool is_pending(std::uint32_t slot, std::uint32_t gen) const {
     return pool_[slot].gen == gen;
-  }
-
-  void note_depth() {
-    const std::size_t depth = heap_.size() + wheel_count_;
-    if (depth > max_queue_depth_) max_queue_depth_ = depth;
   }
 
   Tick now_ = 0;
@@ -218,24 +142,9 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::size_t max_queue_depth_ = 0;
   double wall_seconds_ = 0.0;
-  // Wheel hot fields live next to the heap so the pop/schedule paths
-  // touch one cache line in the pure-heap (wheel-empty) case.
-  /// Everything scheduled before horizon_ lives in the heap; everything
-  /// at or past it lives in the wheel.  Monotone, level-0 aligned.
-  Tick horizon_ = 0;
-  Tick wheel_bound_ = kNoBound;
-  std::size_t wheel_count_ = 0;
-  std::vector<QueueItem> heap_;  // near-horizon binary min-heap (time, seq)
+  std::vector<QueueItem> heap_;  // binary min-heap on (time, seq)
   std::vector<Record> pool_;
   std::vector<std::uint32_t> free_;  // released slots, ready for reuse
-
-  // --- timing wheel ----------------------------------------------------
-  std::array<std::uint64_t, kWheelLevels> occupied_{};  // per-level bitmaps
-  std::array<std::array<std::vector<QueueItem>, kWheelSlots>, kWheelLevels>
-      buckets_{};
-  std::vector<QueueItem> overflow_;  // beyond top-level reach
-  Tick overflow_min_ = kNoBound;
-  std::vector<QueueItem> cascade_scratch_;  // reused bucket storage
 };
 
 inline void EventHandle::cancel() {

@@ -258,9 +258,6 @@ TEST(Cluster, ConfigValidationRejectsNonsense) {
   cfg = {};
   cfg.idle_threshold_sec = -1;
   EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.type1_nic_mbps = 0;
-  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
 // Client ids are 16-bit: 65,535 clients is the most a cell may have.
@@ -280,8 +277,6 @@ TEST(Cluster, Type2NodesAreSlower) {
   EXPECT_DOUBLE_EQ(cfg.node_nic_mbps(1), 100.0);
   EXPECT_DOUBLE_EQ(cfg.node_disk_profile(0).bandwidth_bytes_per_sec, 58e6);
   EXPECT_DOUBLE_EQ(cfg.node_disk_profile(1).bandwidth_bytes_per_sec, 34e6);
-  cfg.type2_stride = 0;
-  EXPECT_FALSE(cfg.is_type2(1));
 }
 
 TEST(Cluster, SingleNodeSingleClientWorks) {

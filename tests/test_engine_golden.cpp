@@ -24,6 +24,7 @@
 
 #include "core/cluster.hpp"
 #include "fault/fault_injector.hpp"
+#include "harness.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/webtrace.hpp"
 
@@ -197,15 +198,7 @@ TEST(EngineGolden, CrashRecovery) {
   // replicated placement, journal on (commit).  Pins the whole recovery
   // timeline — crash-stop settlement, journal replay, replica resync,
   // prefetch re-warm, and the per-phase tick accounting.
-  workload::Workload w = paper_workload();
-  trace::Trace mixed;
-  std::size_t i = 0;
-  for (const auto& r : w.requests.records()) {
-    trace::TraceRecord copy = r;
-    if (++i % 4 == 0) copy.op = trace::Op::kWrite;
-    mixed.append(copy);
-  }
-  w.requests = std::move(mixed);
+  const workload::Workload w = bench::with_writes(paper_workload(), 0.25);
   ClusterConfig cfg;
   cfg.replication_degree = 2;
   cfg.fault_plan = fault::random_crash_schedule(
@@ -220,15 +213,7 @@ TEST(EngineGolden, TieredRamCache) {
   // write-mixed workload.  Pins the three-tier serve path — RAM pin split
   // at prefetch time, RAM-first reads, write absorption + interval
   // flush-back — and the ramcache.* counter block.
-  workload::Workload w = paper_workload();
-  trace::Trace mixed;
-  std::size_t i = 0;
-  for (const auto& r : w.requests.records()) {
-    trace::TraceRecord copy = r;
-    if (++i % 4 == 0) copy.op = trace::Op::kWrite;
-    mixed.append(copy);
-  }
-  w.requests = std::move(mixed);
+  const workload::Workload w = bench::with_writes(paper_workload(), 0.25);
   ClusterConfig cfg;
   cfg.ram_cache_bytes = 512 * kMB;
   cfg.ram_cache_policy = RamCachePolicy::kTinyLfu;
@@ -240,15 +225,7 @@ TEST(EngineGolden, ErasureCoded) {
   // two-node outage, write-mixed workload.  Pins the k-of-n fork-join
   // (hedge launches/cancels, stragglers), degraded reads with decode
   // accounting, k-of-n write acks, and background chunk repair.
-  workload::Workload w = paper_workload();
-  trace::Trace mixed;
-  std::size_t i = 0;
-  for (const auto& r : w.requests.records()) {
-    trace::TraceRecord copy = r;
-    if (++i % 4 == 0) copy.op = trace::Op::kWrite;
-    mixed.append(copy);
-  }
-  w.requests = std::move(mixed);
+  const workload::Workload w = bench::with_writes(paper_workload(), 0.25);
   ClusterConfig cfg;
   cfg.ec_n = 4;
   cfg.ec_k = 2;

@@ -210,13 +210,15 @@ class NodeFaultTest : public ::testing::Test {
   }
 
   /// Registers `n` files (round-robin over the two data disks: even ids
-  /// on disk 0).  File 0 is hot — accessed every second, so the PRE-BUD
-  /// gate accepts it as a prefetch candidate — the rest are cold.
-  void setup_files(core::StorageNode& node, std::size_t n, Bytes size) {
+  /// on disk 0).  The first `hot` files are hot — accessed every second,
+  /// so the PRE-BUD gate accepts them as prefetch candidates — the rest
+  /// are cold.
+  void setup_files(core::StorageNode& node, std::size_t n, Bytes size,
+                   std::size_t hot = 1) {
     const Tick horizon = seconds_to_ticks(600);
     for (trace::FileId f = 0; f < n; ++f) {
       node.create_file(f, size);
-      if (f == 0) {
+      if (f < hot) {
         for (Tick t = 0; t < horizon; t += seconds_to_ticks(1)) {
           pattern[f].push_back(t);
         }
@@ -453,18 +455,7 @@ TEST_F(NodeFaultTest, RewarmRecopiesThePlannedSliceAfterACrash) {
   // Files 0 and 1 are hot, one on each data disk, and make up the slice;
   // 2 and 3 are cold and outside it.
   auto node = make_node(params());
-  const Tick horizon = seconds_to_ticks(600);
-  for (trace::FileId f = 0; f < 4; ++f) {
-    node->create_file(f, 10 * kMB);
-    if (f < 2) {
-      for (Tick t = 0; t < horizon; t += seconds_to_ticks(1)) {
-        pattern[f].push_back(t);
-      }
-    } else {
-      pattern[f].push_back(horizon - seconds_to_ticks(1));
-    }
-  }
-  node->receive_access_pattern(core::hint_views(pattern), horizon);
+  setup_files(*node, 4, 10 * kMB, /*hot=*/2);
   node->start_prefetch({0, 1}, [] {});
   sim.run();
   ASSERT_TRUE(node->is_buffered(0));
@@ -481,6 +472,58 @@ TEST_F(NodeFaultTest, RewarmRecopiesThePlannedSliceAfterACrash) {
   EXPECT_TRUE(node->is_buffered(1));
   EXPECT_FALSE(node->is_buffered(2));
   EXPECT_FALSE(node->is_buffered(3));
+}
+
+TEST_F(NodeFaultTest, RewarmSkipsFilesTheGateRejected) {
+  // Slice {0, 1}: file 0 is hot, file 1 is cold and the PRE-BUD gate
+  // rejects it.  Re-warm restores the plan, not the slice.
+  auto node = make_node(params());
+  setup_files(*node, 4, 10 * kMB);
+  node->start_prefetch({0, 1}, [] {});
+  sim.run();
+  const auto& rejected = node->prefetch_plan().rejected_by_gate;
+  ASSERT_EQ(rejected.size(), 1u);
+  ASSERT_EQ(rejected.front(), 1u);
+  ASSERT_TRUE(node->is_buffered(0));
+  ASSERT_FALSE(node->is_buffered(1));
+  node->crash();
+  node->restart();
+  std::size_t rewarmed = 99;
+  node->rewarm_prefetch([&](std::size_t n) { rewarmed = n; });
+  sim.run();
+  EXPECT_EQ(rewarmed, 1u);
+  EXPECT_TRUE(node->is_buffered(0));
+  EXPECT_FALSE(node->is_buffered(1));
+}
+
+TEST_F(NodeFaultTest, RewarmRepinsRamFilesWithoutBufferingThem) {
+  // Hot files 0 and 1 make up the slice; the RAM pin budget (half of
+  // 20 MB) holds one, so file 0 is pinned and file 1 is buffered.
+  core::NodeParams p = params();
+  p.ram_cache_bytes = 20 * kMB;
+  auto node = make_node(p);
+  setup_files(*node, 4, 10 * kMB, /*hot=*/2);
+  node->start_prefetch({0, 1}, [] {});
+  sim.run();
+  // The crash replaces the RAM tier, so each check asks the node for it.
+  const auto in_ram = [&](trace::FileId f) {
+    return node->ram_cache()->contains(f);
+  };
+  ASSERT_EQ(node->prefetch_plan().ram_pinned.size(), 1u);
+  ASSERT_TRUE(in_ram(0));
+  ASSERT_FALSE(node->is_buffered(0));
+  ASSERT_TRUE(node->is_buffered(1));
+  node->crash();
+  node->restart();
+  ASSERT_FALSE(in_ram(0));
+  std::size_t rewarmed = 99;
+  node->rewarm_prefetch([&](std::size_t n) { rewarmed = n; });
+  sim.run();
+  EXPECT_EQ(rewarmed, 2u);
+  EXPECT_TRUE(in_ram(0));
+  EXPECT_FALSE(node->is_buffered(0));
+  EXPECT_TRUE(node->is_buffered(1));
+  EXPECT_FALSE(in_ram(1));
 }
 
 // --- FaultPlan construction -------------------------------------------
@@ -1010,9 +1053,6 @@ TEST(ClusterFault, ValidateRejectsNonsensicalFaultConfigs) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.replication_degree = 1;
   cfg.ec_hedge_ms = -1.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.ec_hedge_ms = 250.0;
-  cfg.ec_decode_mbps = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 

@@ -173,7 +173,7 @@ TEST(Footprint, PlacedFile) {
   for (const auto& n : nodes) raw.push_back(n.get());
   StorageServer server(sim, net,
                        net.add_endpoint("server", net::mbps_to_bytes_per_sec(
-                                                      cfg.server_nic_mbps)),
+                                                      kServerNicMbps)),
                        cfg.placement, cfg.seed, registry);
   server.register_nodes(std::move(raw));
   server.ingest_popularity(trace::PopularityAnalyzer({}, 0));

@@ -36,11 +36,9 @@ TEST(JournalMode, ParseRoundTrips) {
 
 class WriteJournalTest : public ::testing::Test {
  protected:
-  disk::JournalParams params(JournalMode mode,
-                             std::uint64_t checkpoint_every = 8) {
+  disk::JournalParams params(JournalMode mode) {
     disk::JournalParams p;
     p.mode = mode;
-    p.checkpoint_every = checkpoint_every;
     return p;
   }
 
@@ -128,17 +126,18 @@ TEST_F(WriteJournalTest, CrashLosesRamMarksButNotDurableRecords) {
 }
 
 TEST_F(WriteJournalTest, CheckpointDurablyTruncatesTheDestagedPrefix) {
-  auto j = make(params(JournalMode::kCheckpoint, /*checkpoint_every=*/2));
-  const std::uint64_t a = append(*j), b = append(*j);
-  append(*j);
-  j->mark_destaged(a);
-  j->mark_destaged(b);  // second mark triggers the checkpoint record
+  constexpr std::uint64_t kEvery = disk::WriteJournal::kCheckpointEvery;
+  auto j = make(params(JournalMode::kCheckpoint));
+  std::vector<std::uint64_t> lsns;
+  for (std::uint64_t i = 0; i <= kEvery; ++i) lsns.push_back(append(*j));
+  // The kEvery-th mark triggers the checkpoint record.
+  for (std::uint64_t i = 0; i < kEvery; ++i) j->mark_destaged(lsns[i]);
   sim.run();
   EXPECT_EQ(j->checkpoints(), 1u);
-  EXPECT_EQ(j->truncated_records(), 2u);
+  EXPECT_EQ(j->truncated_records(), kEvery);
   EXPECT_EQ(j->durable_records(), 1u);
-  // The checkpoint record is real I/O: 3 headers + 1 checkpoint.
-  EXPECT_EQ(log_disk.requests_completed(), 4u);
+  // The checkpoint record is real I/O: kEvery + 1 headers + 1 checkpoint.
+  EXPECT_EQ(log_disk.requests_completed(), kEvery + 2);
   // And it survives a crash: replay sees only the un-truncated tail.
   j->crash();
   EXPECT_EQ(replay(*j).size(), 1u);

@@ -1,15 +1,13 @@
-// Timing-wheel scheduler tests: the two-level engine (near heap +
-// hierarchical wheel) must be observationally identical to a single
-// global binary heap with lazy cancellation — same firing order, same
-// pending counts at schedule time, same high-water mark.  The reference
-// model below is a line-for-line port of the pre-wheel engine's queue
-// discipline; the randomized traces drive both and compare.
+// Event-queue tests: the engine's binary heap with lazy cancellation
+// must be observationally identical to the reference queue below — same
+// firing order, same pending counts at schedule time (cancelled entries
+// included), same high-water mark.  The randomized traces drive both
+// and compare, with delays from the same tick out past 2^48 ticks.
 //
-// Also covered: the EventHandle slot/generation semantics across the
-// wheel boundary — cancel of an entry still parked in a bucket, cancel
-// after its bucket cascaded into the heap, cancel through a recycled
-// slot whose stale entry is still wheeled, and wrap-around past the
-// wheel's top-level coverage (overflow redistribution).
+// Also covered: the EventHandle slot/generation semantics for far-future
+// timers — cancel before the clock nears them, cancel from an earlier
+// event, cancel through a recycled slot whose stale entry is still
+// queued — and FIFO order among equal timestamps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +23,10 @@ namespace {
 
 constexpr Tick kMs = kTicksPerSecond / 1000;
 
-/// The pre-wheel engine's queue: one binary heap over (time, seq) with
-/// lazily skipped cancellations.  Drives the expected firing order and
-/// the expected pending/high-water accounting.
+/// A minimal model of the engine's queue: one binary heap over
+/// (time, seq) with lazily skipped cancellations, tracking liveness by
+/// id instead of by slot generation.  Drives the expected firing order
+/// and the expected pending/high-water accounting.
 class ReferenceQueue {
  public:
   int schedule(Tick at) {
@@ -98,8 +97,8 @@ class ReferenceQueue {
   std::size_t max_depth_ = 0;
 };
 
-/// Delay distribution spanning every routing path: direct-to-heap near
-/// window, level-0 buckets, mid levels, and the overflow list.
+/// Delay distribution from the same tick through milliseconds, seconds
+/// and years to past 2^48 ticks.
 Tick random_delay(Rng& rng) {
   switch (rng.next_below(20)) {
     case 0:
@@ -110,13 +109,13 @@ Tick random_delay(Rng& rng) {
     case 4:
     case 5:
     case 6:
-      return static_cast<Tick>(rng.next_below(16000));  // near window
+      return static_cast<Tick>(rng.next_below(16000));
     case 7:
     case 8:
     case 9:
     case 10:
     case 11:
-      return static_cast<Tick>(rng.next_below(300 * kMs));  // level 0/1
+      return static_cast<Tick>(rng.next_below(300 * kMs));
     case 12:
     case 13:
     case 14:
@@ -124,18 +123,18 @@ Tick random_delay(Rng& rng) {
       return static_cast<Tick>(rng.next_below(30 * kTicksPerSecond));
     case 16:
     case 17:
-      return static_cast<Tick>(rng.next_below(Tick{1} << 40));  // high levels
+      return static_cast<Tick>(rng.next_below(Tick{1} << 40));
     case 18:
       return static_cast<Tick>(rng.next_below(Tick{1} << 44));
     default:
-      // Past the six-level coverage: exercises the overflow list.
+      // Past 2^48 ticks (about 8.9 simulated years).
       return (Tick{1} << 48) + static_cast<Tick>(rng.next_below(Tick{1} << 30));
   }
 }
 
 /// Randomized trace against the reference: schedules, cancels, and
-/// partial runs interleaved; firing order and handle liveness must match
-/// the single-heap model exactly.
+/// partial runs interleaved; firing order, handle liveness and the
+/// pending count must match the reference exactly.
 void run_equivalence_trace(std::uint64_t seed, bool partial_runs) {
   Rng rng(seed);
   Simulator sim;
@@ -170,17 +169,13 @@ void run_equivalence_trace(std::uint64_t seed, bool partial_runs) {
       EXPECT_EQ(sim.now(), until);
       EXPECT_EQ(fired_sim, fired_ref);
     }
-    if (!partial_runs) {
-      EXPECT_EQ(sim.pending_events(), ref.pending());
-    }
+    EXPECT_EQ(sim.pending_events(), ref.pending());
   }
 
   // Stepped drain with schedule-inside-callback reactions — the pattern
-  // every cluster component uses.  Firing order must match event by
-  // event; without run(until) in the trace, the pending count must also
-  // track the single-heap model at every instant (the invariant that
-  // keeps the sim.queue_depth_peak golden gauge bit-identical across
-  // the engine rework).
+  // every cluster component uses.  Firing order and the pending count
+  // must match event by event (the count, cancelled entries included,
+  // is what the sim.queue_depth_peak golden gauge pins).
   for (;;) {
     const bool fired = sim.step();
     if (fired) ref.step_one(&fired_ref);
@@ -192,17 +187,12 @@ void run_equivalence_trace(std::uint64_t seed, bool partial_runs) {
       handles.push_back(
           {id, sim.schedule_at(at, [id, &fired_sim] { fired_sim.push_back(id); })});
     }
-    if (!partial_runs) {
-      EXPECT_EQ(sim.pending_events(), ref.pending());
-    }
+    EXPECT_EQ(sim.pending_events(), ref.pending());
   }
   EXPECT_EQ(fired_sim, fired_ref);
   EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.wheel_events(), 0u);
   EXPECT_EQ(sim.executed_events(), fired_sim.size());
-  if (!partial_runs) {
-    EXPECT_EQ(sim.max_queue_depth(), ref.max_depth());
-  }
+  EXPECT_EQ(sim.max_queue_depth(), ref.max_depth());
 }
 
 TEST(SimWheel, MatchesReferenceHeapOrder) {
@@ -218,11 +208,10 @@ TEST(SimWheel, MatchesReferencePendingCountsAndHighWater) {
 }
 
 TEST(SimWheel, NearEventsBypassTheWheel) {
+  // Near and far events share the one queue; both count as pending.
   Simulator sim;
   (void)sim.schedule_after(1 * kMs, [] {});
-  EXPECT_EQ(sim.wheel_events(), 0u);  // inside the near window
   (void)sim.schedule_after(10 * kTicksPerSecond, [] {});
-  EXPECT_EQ(sim.wheel_events(), 1u);
   EXPECT_EQ(sim.pending_events(), 2u);
 }
 
@@ -230,32 +219,27 @@ TEST(SimWheel, CancelInWheelNeverFires) {
   Simulator sim;
   int fired = 0;
   EventHandle h = sim.schedule_after(10 * kTicksPerSecond, [&] { ++fired; });
-  EXPECT_EQ(sim.wheel_events(), 1u);
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
+  EXPECT_EQ(sim.pending_events(), 1u);  // the entry stays until popped
   EXPECT_EQ(sim.run(), 0u);
   EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.wheel_events(), 0u);  // tombstone swept out
-  EXPECT_EQ(sim.now(), 0);            // nothing executed, clock untouched
+  EXPECT_EQ(sim.pending_events(), 0u);  // tombstone swept out
+  EXPECT_EQ(sim.now(), 0);              // nothing executed, clock untouched
 }
 
 TEST(SimWheel, CancelAfterCascadeIsSafeNoop) {
-  // A far timer cascades from its wheel bucket into the near heap when
-  // an earlier event in the same bucket window fires; cancelling it
-  // *after* that migration must still prevent it from firing.
+  // A far timer cancelled by an earlier event one millisecond before it
+  // is due must not fire, and a second cancel is a no-op.
   Simulator sim;
   int fired_far = 0;
   EventHandle far = sim.schedule_at(100 * kMs, [&] { ++fired_far; });
-  EXPECT_EQ(sim.wheel_events(), 1u);
   (void)sim.schedule_at(99 * kMs, [&] {
-    // 99 ms and 100 ms share a level-0 bucket, so by now the far timer
-    // has been dumped into the heap.
-    EXPECT_EQ(sim.wheel_events(), 0u);
     EXPECT_TRUE(far.pending());
     far.cancel();
     EXPECT_FALSE(far.pending());
-    far.cancel();  // double-cancel after cascade: still a no-op
+    far.cancel();  // double-cancel: still a no-op
   });
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(fired_far, 0);
@@ -263,22 +247,22 @@ TEST(SimWheel, CancelAfterCascadeIsSafeNoop) {
 }
 
 TEST(SimWheel, RecycledSlotAcrossWheelBoundary) {
-  // Cancel a wheeled timer, let its slot be recycled by a new event,
-  // then drive the clock through the dead entry's bucket: the stale
-  // entry must neither fire nor disturb the slot's new occupant, and
-  // the old handle must stay inert throughout.
+  // Cancel a far timer, let its slot be recycled by a new event, then
+  // drive the clock past the dead entry's time: the stale entry must
+  // neither fire nor disturb the slot's new occupant, and the old
+  // handle must stay inert throughout.
   Simulator sim;
   int fired_a = 0;
   int fired_b = 0;
   EventHandle a = sim.schedule_at(100 * kMs, [&] { ++fired_a; });
-  a.cancel();  // slot released while its entry still sits in a bucket
+  a.cancel();  // slot released while its entry still sits in the heap
   EventHandle b =
       sim.schedule_at(200 * kMs, [&] { ++fired_b; });  // recycles the slot
   EXPECT_FALSE(a.pending());
   EXPECT_TRUE(b.pending());
   a.cancel();  // stale ticket aimed at B's slot: generation check rejects
   EXPECT_TRUE(b.pending());
-  EXPECT_EQ(sim.run(150 * kMs), 0u);  // crosses A's bucket: tombstone swept
+  EXPECT_EQ(sim.run(150 * kMs), 0u);  // passes A's time: tombstone swept
   EXPECT_EQ(fired_a, 0);
   EXPECT_TRUE(b.pending());
   EXPECT_EQ(sim.run(), 1u);
@@ -288,9 +272,8 @@ TEST(SimWheel, RecycledSlotAcrossWheelBoundary) {
 }
 
 TEST(SimWheel, CascadeAcrossLevelsKeepsOrder) {
-  // Events spread over several level-0 revolutions and higher levels:
-  // every bucket dump and cascade must preserve global (time, seq)
-  // order.
+  // Events 5 ms apart over 600 ms, scheduled in reverse time order,
+  // must fire in global (time, seq) order.
   Simulator sim;
   std::vector<int> fired;
   std::vector<int> expected;
@@ -304,20 +287,17 @@ TEST(SimWheel, CascadeAcrossLevelsKeepsOrder) {
 }
 
 TEST(SimWheel, WrapAroundPastWheelCoverage) {
-  // Times beyond the top level's reach go to the overflow list and are
-  // redistributed once the horizon jumps; order across the boundary
-  // must hold.
+  // Times past 2^48 ticks order exactly like near ones.
   Simulator sim;
   std::vector<int> fired;
-  const Tick beyond = Tick{1} << 50;  // past 2^48-tick coverage
+  const Tick beyond = Tick{1} << 50;
   (void)sim.schedule_at(beyond + 1, [&] { fired.push_back(3); });
   (void)sim.schedule_at(beyond, [&] { fired.push_back(2); });
   (void)sim.schedule_at(5 * kTicksPerSecond, [&] { fired.push_back(1); });
-  EXPECT_EQ(sim.wheel_events(), 3u);
   EXPECT_EQ(sim.run(), 3u);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), beyond + 1);
-  EXPECT_EQ(sim.wheel_events(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimWheel, OverflowEntriesCancellable) {
@@ -332,22 +312,20 @@ TEST(SimWheel, OverflowEntriesCancellable) {
 }
 
 TEST(SimWheel, RunUntilLeavesWheelUntouchedBeyondHorizon) {
-  // run(until) must not cascade buckets whose window lies wholly past
-  // `until` — a 1024-node run parks ~1e5 dead timers out there and
-  // touching them would be wasted work.
+  // run(until) stops before the first live event past `until`, leaves
+  // later events queued, and sets the clock to `until`.
   Simulator sim;
   (void)sim.schedule_after(10 * kTicksPerSecond, [] {});
   (void)sim.schedule_after(20 * kTicksPerSecond, [] {});
   EXPECT_EQ(sim.run(1 * kTicksPerSecond), 0u);
   EXPECT_EQ(sim.now(), 1 * kTicksPerSecond);
-  EXPECT_EQ(sim.wheel_events(), 2u);  // still parked
+  EXPECT_EQ(sim.pending_events(), 2u);  // still queued
   EXPECT_EQ(sim.run(), 2u);
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimWheel, SameTickSameBucketFifo) {
-  // Equal timestamps landing in the same far bucket must still pop in
-  // schedule order after the dump.
+  // Equal far-future timestamps must pop in schedule order.
   Simulator sim;
   std::vector<int> fired;
   const Tick at = 300 * kMs;
