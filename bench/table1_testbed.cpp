@@ -80,10 +80,10 @@ int main(int argc, char** argv) {
               p.transition_energy());
   std::printf("  break-even idle window: %.1f s (idle threshold: %.1f s)\n",
               p.break_even_seconds(), cfg.idle_threshold_sec);
-  std::printf("  node base power: %.1f W; %zu nodes x (%zu data + %zu "
+  std::printf("  node base power: %.1f W; %zu nodes x (%zu data + 1 "
               "buffer disks)\n",
               cfg.node_base_watts, cfg.num_storage_nodes,
-              cfg.data_disks_per_node, cfg.buffer_disks_per_node);
+              cfg.data_disks_per_node);
   std::printf("  spin-up time matches the paper's quoted ~2 s average "
               "(§VI-C)\n");
 

@@ -45,16 +45,12 @@ BudSimulator::BudSimulator(BudConfig config, BudPolicy policy)
   if (config_.data_disks == 0) {
     throw std::invalid_argument("BudSimulator: need data disks");
   }
-  if (policy_ == BudPolicy::kPreBud && config_.buffer_disks == 0) {
-    throw std::invalid_argument("BudSimulator: PRE-BUD needs a buffer disk");
-  }
   // One GigE link from the node to its one client.
   const double nic = net::mbps_to_bytes_per_sec(1000.0);
   const net::EndpointId node_ep = net_.add_endpoint("bud", nic);
   client_ = net_.add_endpoint("client", nic);
   core::NodeParams params;
   params.data_disks = config_.data_disks;
-  params.buffer_disks = config_.buffer_disks;
   params.disk_profile = config_.profile;
   params.power.policy = policy_ == BudPolicy::kAlwaysOn
                             ? core::PowerPolicy::kNone

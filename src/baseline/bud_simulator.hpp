@@ -19,7 +19,8 @@
 // always-on, kIdleTimer otherwise), and an accepted copy is handed over
 // with update_prefetch, as the cluster's online refresh does.  The policy
 // is PRE-BUD's one decision: on a miss, the look-ahead scan and the
-// prefetch_benefit gate of the power manager's energy model.
+// prefetch_benefit gate of the power manager's energy model.  Like every
+// StorageNode, it has one buffer disk (m = 1).
 #pragma once
 
 #include <cstdint>
@@ -69,7 +70,6 @@ std::string to_string(BudPolicy p);
 
 struct BudConfig {
   std::size_t data_disks = 4;
-  std::size_t buffer_disks = 1;
   Bytes block_bytes = 4 * kMB;
   /// Look-ahead window PRE-BUD scans on each miss.
   Tick lookahead = seconds_to_ticks(300.0);

@@ -49,7 +49,6 @@ void Cluster::build_infra() {
     NodeParams params;
     params.id = n;
     params.data_disks = config_.data_disks_per_node;
-    params.buffer_disks = config_.buffer_disks_per_node;
     params.disk_profile = config_.node_disk_profile(n);
     params.base_watts = config_.node_base_watts;
     params.power.policy = config_.power_policy;
@@ -164,10 +163,7 @@ void Cluster::arm_faults() {
                              std::size_t d) -> disk::DiskModel* {
       if (node >= nodes_.size()) return nullptr;
       StorageNode& sn = *nodes_[node];
-      if (buffer_disk) {
-        return d < sn.num_buffer_disks() ? &sn.mutable_buffer_disk(d)
-                                         : nullptr;
-      }
+      if (buffer_disk) return d == 0 ? &sn.mutable_buffer_disk() : nullptr;
       return d < sn.num_data_disks() ? &sn.mutable_data_disk(d) : nullptr;
     };
     targets.crash_node = [this](std::size_t node) {
@@ -224,15 +220,15 @@ RunMetrics Cluster::run_phase() {
 
   auto barrier = std::make_shared<std::size_t>(nodes_.size());
   (void)sim_->schedule_at(0, [this, candidates = std::move(candidates),
-                              barrier]() mutable {
+                              barrier] {
     // Every node plans before any copy starts, so the hint arena, which
     // only planning reads, is gone before the copies' state builds up.
     // Planning schedules no event: the event order is that of planning
-    // and copying node by node.  Each node keeps its slice and plan:
-    // recovery restores the plan in slice order after a crash wipes the
-    // RAM and buffer tiers.
+    // and copying node by node.  Each node keeps its plan: recovery
+    // restores it in rank order after a crash wipes the RAM and buffer
+    // tiers.
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      nodes_[n]->plan_prefetch(std::move(candidates[n]));
+      nodes_[n]->plan_prefetch(candidates[n]);
     }
     server_->release_hints();
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
@@ -468,9 +464,7 @@ void Cluster::snapshot_counters() {
       for (std::size_t d = 0; d < node->num_data_disks(); ++d) {
         fn(node->data_disk(d));
       }
-      for (std::size_t d = 0; d < node->num_buffer_disks(); ++d) {
-        fn(node->buffer_disk(d));
-      }
+      fn(node->buffer_disk());
     }
   };
   obs::Counter& spin_ups = reg.counter("disk.spin_ups.count");
@@ -499,12 +493,11 @@ void Cluster::snapshot_counters() {
   for (const auto& node : nodes_) {
     sleeps.add(node->power_manager().sleeps_initiated());
     wake_marks.add(node->power_manager().wake_marks());
-    if (const disk::WriteJournal* j = node->journal()) {
-      j_appends += j->appends();
-      j_checkpoints += j->checkpoints();
-      j_truncated += j->truncated_records();
-      j_scan_bytes += j->replay_scan_bytes();
-    }
+    const disk::WriteJournal& j = node->journal();
+    j_appends += j.appends();
+    j_checkpoints += j.checkpoints();
+    j_truncated += j.truncated_records();
+    j_scan_bytes += j.replay_scan_bytes();
   }
   reg.counter("journal.appends.count").add(j_appends);
   reg.counter("journal.checkpoints.count").add(j_checkpoints);

@@ -38,7 +38,6 @@ std::string to_string(PlacementPolicy p) {
   switch (p) {
     case PlacementPolicy::kPopularityRoundRobin: return "popularity_rr";
     case PlacementPolicy::kRandom: return "random";
-    case PlacementPolicy::kSizeBalanced: return "size_balanced";
   }
   return "?";
 }
@@ -63,11 +62,6 @@ void ClusterConfig::validate() const {
   }
   if (data_disks_per_node == 0) {
     throw std::invalid_argument("ClusterConfig: need at least one data disk");
-  }
-  if (buffer_disks_per_node == 0 &&
-      (cache_policy != CachePolicy::kNone || write_buffering)) {
-    throw std::invalid_argument(
-        "ClusterConfig: caching/write buffering requires a buffer disk");
   }
   if (num_clients == 0) {
     throw std::invalid_argument("ClusterConfig: need at least one client");

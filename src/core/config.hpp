@@ -44,7 +44,6 @@ enum class CachePolicy {
 enum class PlacementPolicy {
   kPopularityRoundRobin,  // paper §III-B
   kRandom,                // ablation: popularity-blind
-  kSizeBalanced,          // ablation: balance bytes, ignore popularity
 };
 
 /// How a storage node spreads its files over its data disks.
@@ -74,8 +73,8 @@ inline constexpr double kClientNicMbps = 1000.0;
 struct ClusterConfig {
   // --- topology (Table I) ------------------------------------------------
   std::size_t num_storage_nodes = 8;
+  /// Each node also has one buffer disk (the paper's m = 1).
   std::size_t data_disks_per_node = 2;
-  std::size_t buffer_disks_per_node = 1;
   /// Fraction of the NIC line rate TCP actually delivers (protocol
   /// overhead + the P4-era CPU bound); applied to every endpoint.
   double nic_efficiency = 0.7;

@@ -16,7 +16,7 @@
 //     in one pass over placement's creation order.  place_files builds
 //     it, and it never changes afterwards.
 //   - NodeMetadata is one flat array of 16-byte LocalFileMeta entries
-//     (file id, first stripe disk, buffer disk, size) sorted by FileId.
+//     (file id, first stripe disk, buffered flag, size) sorted by FileId.
 //     The stripe width is the node's, the same for every file.
 //
 // Both count their lookups; the server's also models its probe cost, so
@@ -24,7 +24,6 @@
 // are added.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -124,31 +123,19 @@ class ServerMetadata {
 
 /// Node-side entry: local placement of one file, 16 bytes.  Trivially
 /// copyable, so the node table is one flat array with no per-file heap
-/// block.  Disk indices are 16-bit (StorageNode refuses more disks than
-/// NodeMetadata::kMaxDisks), and the stripe width is the node's, the same
-/// for every file, so the file id, both disk indices and the size are the
-/// whole entry.
+/// block.  The first stripe disk is a 16-bit index (StorageNode refuses
+/// more data disks than NodeMetadata::kMaxDisks), and the stripe width is
+/// the node's, the same for every file, so the file id, that index, the
+/// buffered flag and the size are the whole entry.
 struct LocalFileMeta {
-  /// The buffer disk of a file with no buffered copy.  A node has at most
-  /// NodeMetadata::kMaxDisks buffer disks, so no real index reaches it.
-  static constexpr std::uint16_t kNoBufferDisk =
-      std::numeric_limits<std::uint16_t>::max();
-
   /// Set by NodeMetadata::insert.
   trace::FileId file = 0;
   /// Stripe set: the node's stripe width in data disks from `first_disk`
   /// on, wrapping around the node's data disks.
   std::uint16_t first_disk = 0;
-  /// Where the buffered copy is, or kNoBufferDisk.
-  std::uint16_t buffer_disk = kNoBufferDisk;
+  /// A copy of the file is on the node's buffer disk.
+  bool buffered = false;
   Bytes size = 0;
-
-  bool buffered() const { return buffer_disk != kNoBufferDisk; }
-  void set_buffer_disk(std::size_t d) {
-    assert(d < kNoBufferDisk);
-    buffer_disk = static_cast<std::uint16_t>(d);
-  }
-  void clear_buffer_disk() { buffer_disk = kNoBufferDisk; }
 
   /// Stripe member j on a node with `data_disks` data disks.
   std::size_t disk(std::size_t j, std::size_t data_disks) const {
@@ -163,10 +150,10 @@ static_assert(std::is_trivially_copyable_v<LocalFileMeta>);
 /// one O(n log n) sort rather than a sorted insert per file.
 class NodeMetadata {
  public:
-  /// The most data or buffer disks a node may have: entries store disk
-  /// indices in 16 bits, and a buffer disk index stays below
-  /// LocalFileMeta::kNoBufferDisk.
-  static constexpr std::size_t kMaxDisks = LocalFileMeta::kNoBufferDisk;
+  /// The most data disks a node may have: entries store the first stripe
+  /// disk in 16 bits.
+  static constexpr std::size_t kMaxDisks =
+      std::numeric_limits<std::uint16_t>::max();
 
   using Entry = LocalFileMeta;
 

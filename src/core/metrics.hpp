@@ -52,7 +52,7 @@ struct NodeMetrics {
   std::uint64_t spin_downs = 0;
   Tick data_disk_standby_ticks = 0;
   disk::EnergyMeter data_disk_meter;    // aggregated over the node's data disks
-  disk::EnergyMeter buffer_disk_meter;  // aggregated over buffer disks
+  disk::EnergyMeter buffer_disk_meter;  // the node's one buffer disk
 
   Joules total_joules() const { return disk_joules + base_joules; }
   std::uint64_t power_transitions() const { return spin_ups + spin_downs; }

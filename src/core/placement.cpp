@@ -44,19 +44,6 @@ PlacementMap place_files(PlacementPolicy policy, std::size_t num_nodes,
       });
       break;
     }
-    case PlacementPolicy::kSizeBalanced: {
-      std::vector<Bytes> load(num_nodes, 0);
-      for_each_in_creation_order(num_files, popularity, [&](trace::FileId f) {
-        const auto it = std::min_element(load.begin(), load.end());
-        const auto n = static_cast<NodeId>(
-            std::distance(load.begin(), it));
-        primary[f] = n;
-        for (std::size_t j = 0; j < degree; ++j) {
-          load[(n + j) % num_nodes] += sizes[f];
-        }
-      });
-      break;
-    }
   }
   return PlacementMap(std::move(primary), num_nodes, degree,
                       std::span<const Bytes>(sizes).first(num_files),

@@ -47,9 +47,8 @@ void for_each_in_creation_order(std::size_t num_files,
 }
 
 /// Places `num_files` files (ids 0..num_files-1), dealing them out in
-/// creation order.  `sizes` is indexed by FileId: the
-/// table keeps the first `num_files` and the size-balanced policy weighs
-/// them.  `replication_degree`
+/// creation order.  `sizes` is indexed by FileId: the table keeps the
+/// first `num_files`.  `replication_degree`
 /// copies land on distinct consecutive nodes (mod the node count) past
 /// the policy-chosen primary; it is clamped to the node count.
 ///

@@ -34,6 +34,9 @@ struct PrefetchCandidate {
   /// Data disks holding the file — one entry for whole-file placement,
   /// `stripe_width` entries when the node stripes (§VII extension).
   std::vector<std::size_t> disks;
+  /// Position in the node's candidate list (0 = most popular): the plan
+  /// groups candidates by disk set, and re-warm restores rank order.
+  std::size_t rank = 0;
 };
 
 struct PrefetchPlan {

@@ -44,6 +44,11 @@ void RecoveryManager::on_crash(NodeId n) {
   if (ep.recovering) {
     metrics_.abandoned.add();
     ep.recovering = false;
+    // Phase 2's unrepaired copies go back to the server for the next
+    // episode (a crash before or after phase 2 finds none left).
+    for (; ep.next < ep.stale.size(); ++ep.next) {
+      server_.mark_stale(n, ep.stale[ep.next]);
+    }
   }
 }
 
@@ -88,6 +93,7 @@ void RecoveryManager::repair_next(NodeId n) {
       return;
     }
     // Too few healthy holders: the copy stays stale.
+    server_.mark_stale(n, ep.stale[ep.next]);
   }
   ep.resync_ticks = sim_.now() - ep.phase_start;
   trace_instant(ev_resync_, n, static_cast<std::int64_t>(ep.resynced));
@@ -112,6 +118,7 @@ void RecoveryManager::read_donor(NodeId n, std::uint64_t gen, std::size_t i) {
             return;
           }
           // The donor failed mid-repair: this copy stays stale.
+          server_.mark_stale(n, episodes_[n].stale[episodes_[n].next]);
           ++episodes_[n].next;
           repair_next(n);
         });
@@ -146,6 +153,9 @@ void RecoveryManager::write_back(NodeId n, std::uint64_t gen, Tick decode) {
         trace_instant(ev_ec_repair_, n,
                       static_cast<std::int64_t>(ep.stale[ep.next]));
       }
+    } else {
+      // The local write failed: the copy stays stale.
+      server_.mark_stale(n, ep.stale[ep.next]);
     }
     ++ep.next;
     repair_next(n);

@@ -19,7 +19,9 @@
 // and k for a chunk.  The donors are read one at a time, so repair
 // trickles instead of storming a cluster that is already degraded; a
 // chunk then pays the decode, and the node writes the copy down.  A copy
-// with fewer healthy holders, or whose donor read fails, stays stale.
+// with fewer healthy holders, or whose donor read or local write fails,
+// stays stale: it is handed back to the server (mark_stale), and the
+// node's next episode retries it.
 //
 // Each phase is timed on the simulation clock; per-episode durations land
 // in the recovery.*.us histograms, whose sums are the run's totals.
@@ -31,7 +33,8 @@
 // A node that crashes again mid-recovery abandons the episode: every
 // continuation carries the generation it started under and no-ops when a
 // newer crash bumped it.  The next restart begins a fresh pipeline (the
-// journal still holds anything the dead one did not finish).
+// journal still holds anything the dead one did not finish, and the
+// copies phase 2 had not rebuilt are handed back to the server).
 #pragma once
 
 #include <cstdint>
@@ -64,8 +67,9 @@ class RecoveryManager {
   void set_observer(obs::Tracer* tracer);
 
   /// Fault-injector hooks.  on_crash stamps the episode clock and
-  /// invalidates any recovery already running for `n`; on_restart brings
-  /// the node back and runs the three-phase pipeline.
+  /// invalidates any recovery already running for `n`, handing its
+  /// unrepaired copies back; on_restart brings the node back and runs the
+  /// three-phase pipeline.
   void on_crash(NodeId n);
   void on_restart(NodeId n);
 

@@ -29,12 +29,15 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
       net_(net),
       self_(self),
       params_(std::move(params)),
+      buffer_disk_(sim_, params_.disk_profile,
+                   format("node%zu/buffer0", params_.id)),
+      buffer_(params_.disk_profile.capacity),
+      journal_(sim_, params_.journal, buffer_disk_),
       metrics_{registry} {
   if (params_.data_disks == 0) {
     throw std::invalid_argument("StorageNode: need at least one data disk");
   }
-  if (params_.data_disks > NodeMetadata::kMaxDisks ||
-      params_.buffer_disks > NodeMetadata::kMaxDisks) {
+  if (params_.data_disks > NodeMetadata::kMaxDisks) {
     throw std::invalid_argument(
         "StorageNode: more disks than the file table can index");
   }
@@ -46,23 +49,7 @@ StorageNode::StorageNode(sim::Simulator& sim, net::NetworkFabric& net,
         format("node%zu/data%zu", params_.id, i)));
     data_disks_.back()->set_observer(nullptr, &metrics_.disk_queue_wait);
   }
-  for (std::size_t i = 0; i < params_.buffer_disks; ++i) {
-    buffer_disks_.push_back(std::make_unique<disk::DiskModel>(
-        sim_, params_.disk_profile,
-        format("node%zu/buffer%zu", params_.id, i)));
-    buffer_disks_.back()->set_observer(nullptr, &metrics_.disk_queue_wait);
-  }
-
-  if (!buffer_disks_.empty()) {
-    buffer_ = std::make_unique<BufferManager>(
-        params_.disk_profile.capacity *
-        static_cast<Bytes>(buffer_disks_.size()));
-    std::vector<disk::DiskModel*> media;
-    media.reserve(buffer_disks_.size());
-    for (auto& b : buffer_disks_) media.push_back(b.get());
-    journal_ = std::make_unique<disk::WriteJournal>(sim_, params_.journal,
-                                                    std::move(media));
-  }
+  buffer_disk_.set_observer(nullptr, &metrics_.disk_queue_wait);
 
   if (params_.ram_cache_bytes > 0) {
     ram_ = std::make_unique<RamCache>(params_.ram_cache_bytes,
@@ -100,7 +87,7 @@ void StorageNode::set_observer(obs::Tracer* tracer) {
   }
   obs::Histogram* queue_wait = &metrics_.disk_queue_wait;
   for (auto& d : data_disks_) d->set_observer(tracer, queue_wait);
-  for (auto& b : buffer_disks_) b->set_observer(tracer, queue_wait);
+  buffer_disk_.set_observer(tracer, queue_wait);
   power_->set_observer(tracer);
 }
 
@@ -152,7 +139,7 @@ void StorageNode::start_prefetch(const std::vector<trace::FileId>& candidates,
   warm_prefetch(std::move(done));
 }
 
-void StorageNode::plan_prefetch(std::vector<trace::FileId> candidates) {
+void StorageNode::plan_prefetch(const std::vector<trace::FileId>& candidates) {
   // Planning is the views' one reader; they go when it returns.
   const std::vector<FileHints> hints = std::move(hints_);
   // Each data disk's access timeline, built once at its final size: a
@@ -182,25 +169,22 @@ void StorageNode::plan_prefetch(std::vector<trace::FileId> candidates) {
 
   std::vector<PrefetchCandidate> cands;
   cands.reserve(candidates.size());
-  for (const trace::FileId f : candidates) {
+  for (std::size_t rank = 0; rank < candidates.size(); ++rank) {
+    const trace::FileId f = candidates[rank];
     const LocalFileMeta* file_meta = meta_.find(f);
     if (file_meta == nullptr) {
       throw std::invalid_argument("StorageNode: prefetch candidate " +
                                   std::to_string(f) + " not on this node");
     }
-    cands.push_back(
-        PrefetchCandidate{f, file_meta->size, stripe_set(*file_meta)});
+    cands.push_back(PrefetchCandidate{f, file_meta->size,
+                                      stripe_set(*file_meta), rank});
   }
-  prefetch_slice_ = std::move(candidates);
 
-  const bool can_prefetch =
-      buffer_ && params_.cache_policy == CachePolicy::kPrefetch;
-  const Bytes capacity =
-      can_prefetch ? buffer_->capacity() - buffer_->used() : 0;
+  const bool can_prefetch = params_.cache_policy == CachePolicy::kPrefetch;
+  const Bytes capacity = can_prefetch ? buffer_.capacity() - buffer_.used() : 0;
   // Tier-aware split: a slice of the RAM capacity is pinned with the
   // hottest candidates before the buffer tier is planned.
-  const bool ram_prefetch =
-      ram_ && params_.cache_policy == CachePolicy::kPrefetch;
+  const bool ram_prefetch = ram_ && can_prefetch;
   const Bytes ram_budget =
       ram_prefetch ? static_cast<Bytes>(
                          static_cast<double>(ram_->capacity()) *
@@ -210,7 +194,7 @@ void StorageNode::plan_prefetch(std::vector<trace::FileId> candidates) {
       EnergyPredictionModel(params_.disk_profile, params_.power.idle_threshold,
                             params_.power.sleep_margin),
       params_.disk_profile, params_.prebud_gate);
-  plan_ = prefetcher.plan(can_prefetch || ram_prefetch
+  plan_ = prefetcher.plan(can_prefetch
                               ? std::span<const PrefetchCandidate>(cands)
                               : std::span<const PrefetchCandidate>(),
                           hints, std::move(disk_accesses), horizon_,
@@ -275,11 +259,8 @@ void StorageNode::warm_tiers(const std::vector<trace::FileId>& hot,
     });
   }
   for (const trace::FileId f : warm) {
-    copies_in_flight_.insert(f);
     copy_into_buffer(f, [this, f, ep, arrive] {
-      const bool current = ep == epoch_;
-      if (current) copies_in_flight_.erase(f);
-      arrive(current && meta_.at(f).buffered());
+      arrive(ep == epoch_ && meta_.at(f).buffered);
     });
   }
 }
@@ -351,7 +332,6 @@ void StorageNode::stripe_io(const LocalFileMeta& file, Bytes bytes,
 
 void StorageNode::copy_into_buffer(trace::FileId f,
                                    std::function<void()> done) {
-  assert(buffer_);
   const LocalFileMeta& lf = meta_.at(f);
   const Bytes bytes = lf.size;
   if (tracer_ && tracer_->wants(obs::kCatPrefetch)) {
@@ -364,7 +344,7 @@ void StorageNode::copy_into_buffer(trace::FileId f,
       inner();
     };
   }
-  const auto inserted = buffer_->insert(f, bytes, /*allow_evict=*/false);
+  const auto inserted = buffer_.insert(f, bytes, /*allow_evict=*/false);
   if (!inserted.inserted) {
     // Space accounting said no (planned capacity should prevent this).
     (void)sim_.schedule_after(0, std::move(done));
@@ -372,7 +352,7 @@ void StorageNode::copy_into_buffer(trace::FileId f,
   }
   if (!stripe_set_alive(lf)) {
     // Source disk already gone — nothing to copy from.
-    buffer_->erase(f);
+    buffer_.erase(f);
     (void)sim_.schedule_after(0, std::move(done));
     return;
   }
@@ -389,7 +369,7 @@ void StorageNode::copy_into_buffer(trace::FileId f,
               }
               if (read_st != disk::IoStatus::kOk) {
                 // A faulted copy just leaves the file unbuffered.
-                buffer_->erase(f);
+                buffer_.erase(f);
                 done();
                 return;
               }
@@ -403,33 +383,31 @@ void StorageNode::copy_into_buffer(trace::FileId f,
 
 template <typename Done>
 void StorageNode::write_buffer_copy(trace::FileId f, Done done) {
-  const auto bd = healthy_buffer_disk(buffered_count_ % buffer_disks_.size());
-  if (!bd) {
-    buffer_->erase(f);  // no live buffer disk to hold the copy
+  if (buffer_disk_.failed()) {
+    buffer_.erase(f);  // no live buffer disk to hold the copy
     done(false);
     return;
   }
   const std::uint64_t ep = epoch_;
   disk::DiskRequest write;
   write.bytes = meta_.at(f).size;
-  write.sequential = true;  // buffer disks are log-structured
+  write.sequential = true;  // the buffer disk is log-structured
   write.is_write = true;
-  write.on_complete = [this, f, ep, bd = *bd, done = std::move(done)](
+  write.on_complete = [this, f, ep, done = std::move(done)](
                           Tick, disk::IoStatus st) {
     if (ep != epoch_) {
       done(false);
       return;
     }
     if (st != disk::IoStatus::kOk) {
-      buffer_->erase(f);
+      buffer_.erase(f);
       done(false);
       return;
     }
-    meta_.at(f).set_buffer_disk(bd);
+    meta_.at(f).buffered = true;
     done(true);
   };
-  ++buffered_count_;
-  buffer_disks_[*bd]->submit(std::move(write));
+  buffer_disk_.submit(std::move(write));
 }
 
 void StorageNode::pin_into_ram(trace::FileId f, std::function<void()> done) {
@@ -483,28 +461,26 @@ void StorageNode::begin_replay(Tick replay_start) {
 }
 
 void StorageNode::update_prefetch(const std::vector<trace::FileId>& wanted) {
-  if (!buffer_ || params_.cache_policy != CachePolicy::kPrefetch) return;
+  if (params_.cache_policy != CachePolicy::kPrefetch) return;
   const std::set<trace::FileId> target(wanted.begin(), wanted.end());
   // Evict buffered files that fell out of the top set — dropping a cached
   // copy is metadata-only, no I/O.
   for (LocalFileMeta& meta : meta_) {
-    if (meta.buffered() && !target.contains(meta.file)) {
-      buffer_->erase(meta.file);
-      meta.clear_buffer_disk();
+    if (meta.buffered && !target.contains(meta.file)) {
+      buffer_.erase(meta.file);
+      meta.buffered = false;
       metrics_.evictions.add();
     }
   }
   // Copy in newly popular files (rank order), skipping ones already
-  // buffered or already on their way.
+  // buffered or already on their way: the buffer index holds both.
   for (const trace::FileId f : wanted) {
-    const LocalFileMeta* file_meta = meta_.find(f);
-    if (file_meta == nullptr) {
+    if (meta_.find(f) == nullptr) {
       throw std::invalid_argument("StorageNode: update_prefetch candidate " +
                                   std::to_string(f) + " not on this node");
     }
-    if (file_meta->buffered() || copies_in_flight_.contains(f)) continue;
-    copies_in_flight_.insert(f);
-    copy_into_buffer(f, [this, f] { copies_in_flight_.erase(f); });
+    if (buffer_.contains(f)) continue;
+    copy_into_buffer(f, [] {});
   }
 }
 
@@ -515,16 +491,6 @@ void StorageNode::submit_to_data_disk(std::size_t disk,
     metrics_.wakeups_on_demand.add();
   }
   data_disks_[disk]->submit(std::move(request));
-}
-
-std::optional<std::size_t> StorageNode::healthy_buffer_disk(
-    std::size_t preferred) const {
-  if (buffer_disks_.empty()) return std::nullopt;
-  if (!buffer_disks_[preferred]->failed()) return preferred;
-  for (std::size_t i = 0; i < buffer_disks_.size(); ++i) {
-    if (!buffer_disks_[i]->failed()) return i;
-  }
-  return std::nullopt;
 }
 
 bool StorageNode::stripe_set_alive(const LocalFileMeta& file) const {
@@ -585,7 +551,7 @@ void StorageNode::crash() {
   }
   // Acked writes still parked on the buffer disk: without a journal the
   // RAM index was the only map of the parking lot — they are lost.
-  if (!journal_ || !journal_->enabled()) {
+  if (!journal_.enabled()) {
     metrics_.lost_acked_writes.add(undestaged_acked_);
   }
   undestaged_acked_ = 0;
@@ -594,15 +560,12 @@ void StorageNode::crash() {
   destages_in_flight_ = 0;
   destage_backlog_ = 0;
   live_lsns_.clear();
-  copies_in_flight_.clear();
-  if (journal_) journal_->crash();
-  // The buffer-manager index is RAM: rebuild it empty and forget every
+  journal_.crash();
+  // The buffer-manager index is RAM: reset it empty and forget every
   // buffered flag.  The platter bytes survive but are unreachable
   // without the index — re-warm re-copies what matters.
-  if (buffer_) {
-    buffer_ = std::make_unique<BufferManager>(buffer_->capacity());
-    for (LocalFileMeta& m : meta_) m.clear_buffer_disk();
-  }
+  buffer_ = BufferManager(buffer_.capacity());
+  for (LocalFileMeta& m : meta_) m.buffered = false;
   // The RAM tier dies wholesale.  Clean cached bytes are re-fetchable,
   // but staged write-backs were ACKED and are lost no matter what the
   // journal mode is — the journal only covers bytes that reached the
@@ -635,14 +598,14 @@ void StorageNode::restart() {
 
 void StorageNode::replay_journal(std::function<void(std::size_t)> done) {
   if (!done) done = [](std::size_t) {};
-  if (!alive_ || !journal_ || !journal_->enabled() || !buffer_) {
+  if (!alive_ || !journal_.enabled()) {
     (void)sim_.schedule_after(0, [done = std::move(done)] { done(0); });
     return;
   }
   const std::uint64_t ep = epoch_;
-  journal_->replay([this, ep, done = std::move(done)](
-                       Tick, disk::IoStatus st,
-                       std::vector<disk::JournalRecord> records) {
+  journal_.replay([this, ep, done = std::move(done)](
+                      Tick, disk::IoStatus st,
+                      std::vector<disk::JournalRecord> records) {
     if (ep != epoch_) return;  // re-crashed mid-scan; next restart retries
     if (st != disk::IoStatus::kOk) {
       // Log disk unreadable: the records stay durable in the journal for
@@ -654,13 +617,12 @@ void StorageNode::replay_journal(std::function<void(std::size_t)> done) {
     for (const disk::JournalRecord& rec : records) {
       if (live_lsns_.contains(rec.lsn)) continue;  // idempotent re-replay
       if (meta_.find(rec.file) == nullptr) continue;
-      if (!buffer_->reserve_write(rec.bytes)) {
+      if (!buffer_.reserve_write(rec.bytes)) {
         // No room to re-stage (cannot happen on a fresh index); leave
         // the record durable rather than dropping it silently.
         continue;
       }
-      book_destage(PendingWrite{rec.file, rec.bytes, rec.buffer_disk, rec.lsn},
-                   rec.data_disk);
+      book_destage(PendingWrite{rec.file, rec.bytes, rec.lsn}, rec.data_disk);
       ++replayed;
     }
     // Spinning disks can start destaging right away; sleeping ones pick
@@ -692,21 +654,17 @@ void StorageNode::rewarm_prefetch(std::function<void(std::size_t)> done) {
   if (!done) done = [](std::size_t) {};
   std::vector<trace::FileId> hot;
   std::vector<trace::FileId> warm;
-  if (alive_ && buffer_ && params_.cache_policy == CachePolicy::kPrefetch) {
-    // The gate's accepted files, in the slice's rank order (the plan
-    // groups them by disk set).
-    const auto accepted = [this](trace::FileId f) {
-      return std::any_of(
-          plan_.accepted.begin(), plan_.accepted.end(),
-          [f](const PrefetchCandidate& c) { return c.file == f; });
-    };
-    for (const trace::FileId f : prefetch_slice_) {
-      const LocalFileMeta* m = meta_.find(f);
-      if (m != nullptr && accepted(f) && !m->buffered() &&
-          !copies_in_flight_.contains(f) && stripe_set_alive(*m)) {
-        warm.push_back(f);
+  if (alive_ && params_.cache_policy == CachePolicy::kPrefetch) {
+    // The gate's accepted files not in the buffer index (buffered, or
+    // on their way), back in rank order: the plan groups them by disk set.
+    std::vector<std::pair<std::size_t, trace::FileId>> ranked;
+    for (const PrefetchCandidate& c : plan_.accepted) {
+      if (!buffer_.contains(c.file) && stripe_set_alive(meta_.at(c.file))) {
+        ranked.emplace_back(c.rank, c.file);
       }
     }
+    std::sort(ranked.begin(), ranked.end());
+    for (const auto& [rank, f] : ranked) warm.push_back(f);
     // The crash wiped the RAM tier too: re-pin the planned hot set so
     // post-recovery serving returns to three-tier behaviour.
     if (ram_) {
@@ -755,18 +713,18 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   }
 
   // Buffer disk next, when it holds a copy.
-  if (buffer_ && meta->buffered() && buffer_->contains(f)) {
-    if (!buffer_disks_[meta->buffer_disk]->failed()) {
+  if (meta->buffered && buffer_.contains(f)) {
+    if (!buffer_disk_.failed()) {
       metrics_.buffer_hits.add();
       if (!stripe_set_alive(*meta)) {
         // The data copy is gone; the buffered copy is carrying the file.
         metrics_.buffered_rescues.add();
         fault_energy_delta_ -= degraded_read_energy_estimate(read.bytes);
       }
-      buffer_->touch(f);
+      buffer_.touch(f);
       submit_with_retry(
-          buffer_disks_[meta->buffer_disk].get(), read.bytes,
-          /*sequential=*/true, /*is_write=*/false, sim_.now(), 0,
+          &buffer_disk_, read.bytes, /*sequential=*/true, /*is_write=*/false,
+          sim_.now(), 0,
           [this, read](Tick, disk::IoStatus st) {
             if (read.epoch != epoch_) return;
             if (st == disk::IoStatus::kOk) {
@@ -822,16 +780,16 @@ void StorageNode::read_stripe(const Read& read, bool fallback) {
       // The platters are spinning: destage queued writes.
       maybe_flush(m.disk(j, data_disks_.size()));
     }
-    if (buffer_ && params_.cache_policy == CachePolicy::kLruOnMiss) {
+    if (params_.cache_policy == CachePolicy::kLruOnMiss) {
       // MAID: cache on access.  The insert may evict colder files.
-      const auto res = buffer_->insert(read.file, m.size,
-                                       /*allow_evict=*/true);
+      const auto res = buffer_.insert(read.file, m.size,
+                                      /*allow_evict=*/true);
       for (const trace::FileId victim : res.evicted) {
         LocalFileMeta* vmeta = meta_.find(victim);
-        if (vmeta != nullptr) vmeta->clear_buffer_disk();
+        if (vmeta != nullptr) vmeta->buffered = false;
         metrics_.evictions.add();
       }
-      if (res.inserted && !meta_.at(read.file).buffered()) {
+      if (res.inserted && !meta_.at(read.file).buffered) {
         write_buffer_copy(read.file, [](bool) {});
       }
     }
@@ -934,9 +892,8 @@ void StorageNode::refuse(std::uint64_t id, RequestStatus status) {
 template <typename Done>
 bool StorageNode::stage_write(trace::FileId f, Bytes bytes, std::size_t d,
                               const Done& done) {
-  const auto bd =
-      buffer_ ? healthy_buffer_disk(d % buffer_disks_.size()) : std::nullopt;
-  if (!params_.write_buffering || !bd || !buffer_->reserve_write(bytes)) {
+  if (!params_.write_buffering || buffer_disk_.failed() ||
+      !buffer_.reserve_write(bytes)) {
     return false;
   }
   const std::uint64_t ep = epoch_;
@@ -944,31 +901,31 @@ bool StorageNode::stage_write(trace::FileId f, Bytes bytes, std::size_t d,
   // settled.  A failed log I/O leaves the write not provably recoverable
   // from the log, so it is never acked from there: the reservation is
   // released and the write goes through to the stripe set.
-  auto logged = [this, f, bytes, d, ep, bd = *bd, done](
+  auto logged = [this, f, bytes, d, ep, done](
                     Tick t, disk::IoStatus st, std::uint64_t lsn) mutable {
     if (ep != epoch_) return;
     if (st != disk::IoStatus::kOk) {
-      buffer_->release_write(bytes);
+      buffer_.release_write(bytes);
       write_through(f, bytes, std::move(done));
       return;
     }
     metrics_.writes_buffered.add();
-    book_destage(PendingWrite{f, bytes, bd, lsn}, d);
+    book_destage(PendingWrite{f, bytes, lsn}, d);
     // Booked before `done` runs, so an end-of-run waiter cannot fire
     // between the two.
     done(t, true);
     start_destage(d);
   };
   submit_with_retry(
-      buffer_disks_[*bd].get(), bytes, /*sequential=*/true,
-      /*is_write=*/true, sim_.now(), 0,
-      [this, f, bytes, d, ep, bd = *bd, logged = std::move(logged)](
+      &buffer_disk_, bytes, /*sequential=*/true, /*is_write=*/true,
+      sim_.now(), 0,
+      [this, f, bytes, d, ep, logged = std::move(logged)](
           Tick t, disk::IoStatus st) mutable {
         if (ep != epoch_) return;
-        if (st == disk::IoStatus::kOk && journal_ && journal_->enabled()) {
+        if (st == disk::IoStatus::kOk && journal_.enabled()) {
           // Append-before-ack: nothing is acked until the commit header
           // is durable on the buffer-disk log.
-          journal_->append(f, bytes, bd, d, std::move(logged));
+          journal_.append(f, bytes, d, std::move(logged));
           return;
         }
         // journal=off ablation: legacy lossy behaviour, booked as soon as
@@ -1110,18 +1067,18 @@ void StorageNode::flush_one(const PendingWrite& w,
                 finish(wst == disk::IoStatus::kOk);
               });
   };
-  buffer_disks_[w.buffer_disk]->submit(std::move(read));
+  buffer_disk_.submit(std::move(read));
 }
 
 void StorageNode::retire_destage(const PendingWrite& w, bool landed) {
   (landed ? metrics_.destages : metrics_.writes_stranded).add();
-  if (w.lsn != 0 && journal_) {
-    journal_->mark_destaged(w.lsn);
+  if (w.lsn != 0) {
+    journal_.mark_destaged(w.lsn);
     live_lsns_.erase(w.lsn);
   }
   if (undestaged_acked_ > 0) --undestaged_acked_;
   backlog_sub(w.bytes);
-  buffer_->release_write(w.bytes);
+  buffer_.release_write(w.bytes);
 }
 
 void StorageNode::notify_flush_waiters() {
@@ -1166,12 +1123,10 @@ NodeMetrics StorageNode::collect_metrics() {
     m.spin_downs += d->spin_downs();
     m.data_disk_standby_ticks += d->meter().ticks(disk::PowerState::kStandby);
   }
-  for (auto& b : buffer_disks_) {
-    b->finalize();
-    m.buffer_disk_meter.merge(b->meter());
-    m.spin_ups += b->spin_ups();
-    m.spin_downs += b->spin_downs();
-  }
+  buffer_disk_.finalize();
+  m.buffer_disk_meter.merge(buffer_disk_.meter());
+  m.spin_ups += buffer_disk_.spin_ups();
+  m.spin_downs += buffer_disk_.spin_downs();
   m.disk_joules =
       m.data_disk_meter.total_joules() + m.buffer_disk_meter.total_joules();
   m.base_joules = energy(params_.base_watts, sim_.now());
@@ -1180,7 +1135,7 @@ NodeMetrics StorageNode::collect_metrics() {
 
 bool StorageNode::is_buffered(trace::FileId f) const {
   const LocalFileMeta* meta = meta_.find(f);
-  return meta != nullptr && meta->buffered();
+  return meta != nullptr && meta->buffered;
 }
 
 std::optional<std::size_t> StorageNode::data_disk_of(trace::FileId f) const {

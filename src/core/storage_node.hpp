@@ -1,8 +1,9 @@
-// A storage node (paper §III-A): owns n data disks and m buffer disks,
-// keeps the node-local metadata (file -> disk, buffered?), executes the
-// prefetch plan, serves reads/writes, and runs the power manager over its
-// data disks.  The storage server never learns which disk inside a node
-// holds a file (§IV-D, distributed metadata management).
+// A storage node (paper §III-A): owns n data disks and one buffer disk
+// (the paper's m = 1, Table I), keeps the node-local metadata (file ->
+// disk, buffered?), executes the prefetch plan, serves reads/writes, and
+// runs the power manager over its data disks.  The storage server never
+// learns which disk inside a node holds a file (§IV-D, distributed
+// metadata management).
 //
 // Fault behaviour (robustness extension): every serve carries a typed
 // RequestStatus.  Disk I/O goes through a bounded-retry policy (media
@@ -60,7 +61,6 @@ namespace eevfs::core {
 struct NodeParams {
   NodeId id = 0;
   std::size_t data_disks = 2;
-  std::size_t buffer_disks = 1;
   disk::DiskProfile disk_profile;
   Watts base_watts = 50.0;
   PowerManager::Params power;
@@ -141,9 +141,9 @@ class StorageNode {
   /// as its RAM admission weight.  The residual timelines outlive
   /// planning only under kHints/kOracle, whose power manager takes them
   /// in begin_replay; other policies keep just the expected gap.  The
-  /// node keeps `candidates` and the plan: rewarm_prefetch restores the
-  /// plan after a crash.  Schedules no event.
-  void plan_prefetch(std::vector<trace::FileId> candidates);
+  /// node keeps the plan, each candidate with its rank in `candidates`:
+  /// rewarm_prefetch restores the plan after a crash.  Schedules no event.
+  void plan_prefetch(const std::vector<trace::FileId>& candidates);
 
   /// Starts the copies plan_prefetch chose: pins the RAM share and
   /// copies the buffer share.  `done` fires when all of them settled.
@@ -202,10 +202,10 @@ class StorageNode {
 
   /// Recovery phase 3 — prefetch re-warm: restores what warm_prefetch
   /// placed — re-pins the plan's RAM share and re-copies the files the
-  /// PRE-BUD gate accepted onto the buffer disk, in the slice's rank
-  /// order; the crash wiped both tiers, so the hot set serves from data
-  /// disks until this completes.  `done` fires with the number of files
-  /// re-pinned or re-buffered.
+  /// PRE-BUD gate accepted onto the buffer disk, in rank order; the
+  /// crash wiped both tiers, so the hot set serves from data disks until
+  /// this completes.  `done` fires with the number of files re-pinned or
+  /// re-buffered.
   void rewarm_prefetch(std::function<void(std::size_t rewarmed)> done);
 
   // --- teardown ----------------------------------------------------------
@@ -243,22 +243,16 @@ class StorageNode {
   disk::DiskModel& mutable_data_disk(std::size_t i) {
     return *data_disks_.at(i);
   }
-  const disk::DiskModel& buffer_disk(std::size_t i) const {
-    return *buffer_disks_.at(i);
-  }
-  disk::DiskModel& mutable_buffer_disk(std::size_t i) {
-    return *buffer_disks_.at(i);
-  }
+  const disk::DiskModel& buffer_disk() const { return buffer_disk_; }
+  disk::DiskModel& mutable_buffer_disk() { return buffer_disk_; }
   std::size_t num_data_disks() const { return data_disks_.size(); }
-  std::size_t num_buffer_disks() const { return buffer_disks_.size(); }
   const PowerManager& power_manager() const { return *power_; }
   const NodeMetadata& metadata() const { return meta_; }
   const PrefetchPlan& prefetch_plan() const { return plan_; }
   /// Acked buffered writes currently awaiting destage (at risk in a
   /// crash when the journal is off).
   std::uint64_t undestaged_acked() const { return undestaged_acked_; }
-  /// Null when the node has no buffer disks.
-  const disk::WriteJournal* journal() const { return journal_.get(); }
+  const disk::WriteJournal& journal() const { return journal_; }
   /// Null when the RAM tier is disabled.
   const RamCache* ram_cache() const { return ram_.get(); }
 
@@ -266,7 +260,6 @@ class StorageNode {
   struct PendingWrite {
     trace::FileId file = 0;
     Bytes bytes = 0;
-    std::size_t buffer_disk = 0;
     /// Journal LSN covering this write; 0 = unjournaled (journal off).
     std::uint64_t lsn = 0;
   };
@@ -297,9 +290,9 @@ class StorageNode {
   /// area (prefetch, online re-ranking, re-warm).  Faults abort the copy
   /// (the file just stays unbuffered); `done` always fires.
   void copy_into_buffer(trace::FileId f, std::function<void()> done);
-  /// Writes `f`'s copy onto a healthy buffer disk and marks it buffered.
-  /// The caller has already inserted `f` into the buffer index; the entry
-  /// is dropped again when no disk can hold the copy or the write fails.
+  /// Writes `f`'s copy onto the buffer disk and marks it buffered.  The
+  /// caller has already inserted `f` into the buffer index; the entry is
+  /// dropped again when the disk is dead or the write fails.
   /// `done(landed)` always fires, with false under a stale epoch.
   template <typename Done>
   void write_buffer_copy(trace::FileId f, Done done);
@@ -317,8 +310,6 @@ class StorageNode {
            params_.power.policy == PowerPolicy::kOracle;
   }
 
-  /// First buffer disk that is still spinning, or nullopt.
-  std::optional<std::size_t> healthy_buffer_disk(std::size_t preferred) const;
   /// True when every stripe disk of `file` is alive.
   bool stripe_set_alive(const LocalFileMeta& file) const;
   /// The data disks of `file`'s stripe set, in stripe order.
@@ -357,7 +348,8 @@ class StorageNode {
   /// destage is booked and `done(t, true)` fires.  If either log I/O
   /// fails, the reservation is released and the write goes through to
   /// the stripe set instead.  Returns false, having started nothing,
-  /// when no healthy log disk can reserve the bytes.
+  /// when write buffering is off, the buffer disk is dead or it cannot
+  /// reserve the bytes.
   template <typename Done>
   bool stage_write(trace::FileId f, Bytes bytes, std::size_t d,
                    const Done& done);
@@ -429,10 +421,11 @@ class StorageNode {
   NodeParams params_;
 
   std::vector<std::unique_ptr<disk::DiskModel>> data_disks_;
-  std::vector<std::unique_ptr<disk::DiskModel>> buffer_disks_;
-  std::unique_ptr<BufferManager> buffer_;
+  disk::DiskModel buffer_disk_;
+  /// The buffer disk's contents: cached files and the write-buffer region.
+  BufferManager buffer_;
   std::unique_ptr<PowerManager> power_;
-  std::unique_ptr<disk::WriteJournal> journal_;
+  disk::WriteJournal journal_;
 
   NodeMetadata meta_;
   /// Data disks per file stripe: params_.stripe_width clamped to
@@ -440,16 +433,11 @@ class StorageNode {
   std::size_t stripe_width_ = 1;
   std::size_t files_created_ = 0;
   std::size_t expected_files_ = 0;
-  std::size_t buffered_count_ = 0;  // round-robins files over buffer disks
 
   /// The received hint views, until plan_prefetch plans from them.
   std::vector<FileHints> hints_;
-  /// The candidates plan_prefetch received, in rank order: rewarm_prefetch
-  /// re-copies the accepted ones in this order.
-  std::vector<trace::FileId> prefetch_slice_;
   /// (file, hinted access count) sorted by file, kept from planning on.
   std::vector<std::pair<trace::FileId, std::size_t>> hint_counts_;
-  std::set<trace::FileId> copies_in_flight_;
   Tick horizon_ = 0;
   PrefetchPlan plan_;
   bool plan_ready_ = false;

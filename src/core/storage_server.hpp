@@ -31,7 +31,8 @@
 // books the extra spindle energy the parity transfer cost.  Writes fan
 // out to every reachable chunk holder and ack once all dispatched chunk
 // writes settle with at least k successes; missed holders are recorded
-// stale for the recovery manager's repair phase.
+// stale for the recovery manager's repair phase, which hands back
+// (mark_stale) every copy it does not rebuild.
 //
 // Counts go straight into the obs::Registry the server is built with: the
 // server.* and ec.* names (docs/observability.md).
@@ -198,6 +199,10 @@ class StorageServer {
   /// work list for `n`'s recovery.  Returns the files in ascending id
   /// order and clears the list (the caller owns the repair from here).
   std::vector<trace::FileId> take_stale_files(NodeId n);
+  /// Hands node `n`'s stale copy of `f` back after take_stale_files: a
+  /// repair that was skipped, failed or abandoned.  The next
+  /// take_stale_files(n) returns it again.
+  void mark_stale(NodeId n, trace::FileId f) { stale_files_.at(n).insert(f); }
 
  private:
   struct NodeHealth {

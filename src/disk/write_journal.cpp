@@ -22,16 +22,11 @@ JournalMode parse_journal_mode(std::string_view s) {
 }
 
 WriteJournal::WriteJournal(sim::Simulator& sim, JournalParams params,
-                           std::vector<DiskModel*> media)
-    : sim_(sim), params_(params), media_(std::move(media)) {
-  if (enabled() && media_.empty()) {
-    throw std::invalid_argument("WriteJournal: enabled but no buffer disks");
-  }
-}
+                           DiskModel& log)
+    : sim_(sim), params_(params), log_(log) {}
 
 void WriteJournal::append(
-    std::uint32_t file, Bytes bytes, std::size_t buffer_disk,
-    std::size_t data_disk,
+    std::uint32_t file, Bytes bytes, std::size_t data_disk,
     std::function<void(Tick, IoStatus, std::uint64_t)> done) {
   if (!enabled()) {
     (void)sim_.schedule_after(0, [this, done = std::move(done)] {
@@ -42,7 +37,6 @@ void WriteJournal::append(
   JournalRecord rec;
   rec.file = file;
   rec.bytes = bytes;
-  rec.buffer_disk = buffer_disk;
   rec.data_disk = data_disk;
   const std::uint64_t ep = epoch_;
   DiskRequest header;
@@ -62,7 +56,7 @@ void WriteJournal::append(
     ++appends_;
     done(t, st, durable.lsn);
   };
-  media_[buffer_disk]->submit(std::move(header));
+  log_.submit(std::move(header));
 }
 
 void WriteJournal::mark_destaged(std::uint64_t lsn) {
@@ -100,7 +94,7 @@ void WriteJournal::maybe_checkpoint() {
     ++checkpoints_;
     truncate_marked();
   };
-  media_.front()->submit(std::move(cp));
+  log_.submit(std::move(cp));
 }
 
 void WriteJournal::truncate_marked() {
@@ -147,7 +141,7 @@ void WriteJournal::replay(
     }
     done(t, st, std::move(out));
   };
-  media_.front()->submit(std::move(read));
+  log_.submit(std::move(read));
 }
 
 }  // namespace eevfs::disk

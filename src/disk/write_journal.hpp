@@ -61,8 +61,7 @@ struct JournalRecord {
   std::uint64_t lsn = 0;
   std::uint32_t file = 0;
   Bytes bytes = 0;
-  std::size_t buffer_disk = 0;  // log disk holding the payload
-  std::size_t data_disk = 0;    // destage target (primary stripe disk)
+  std::size_t data_disk = 0;  // destage target (primary stripe disk)
 };
 
 class WriteJournal {
@@ -74,22 +73,23 @@ class WriteJournal {
   /// Destages between durable checkpoints (kCheckpoint only).
   static constexpr std::uint64_t kCheckpointEvery = 8;
 
-  /// `media` are the owning node's buffer disks; headers and checkpoints
-  /// are appended to the same disk as the payload they cover.
-  WriteJournal(sim::Simulator& sim, JournalParams params,
-               std::vector<DiskModel*> media);
+  /// `log` is the owning node's buffer disk: payloads, headers and
+  /// checkpoints are all appended to it.
+  WriteJournal(sim::Simulator& sim, JournalParams params, DiskModel& log);
+  /// Its disk completions hold its address.
+  WriteJournal(const WriteJournal&) = delete;
+  WriteJournal& operator=(const WriteJournal&) = delete;
 
   bool enabled() const { return params_.mode != JournalMode::kOff; }
   const JournalParams& params() const { return params_; }
 
   /// Appends the commit header for one buffered write (payload already on
-  /// buffer disk `buffer_disk`).  `done` fires with the header-append
-  /// outcome and the record's LSN; the caller must only ack the write
-  /// after kOk.  kOff mode: completes kOk on the next tick with no I/O.
-  /// If the node crashes while the header is in flight, `done` is dropped
-  /// (the ack never happened, so nothing was promised).
-  void append(std::uint32_t file, Bytes bytes, std::size_t buffer_disk,
-              std::size_t data_disk,
+  /// the log disk).  `done` fires with the header-append outcome and the
+  /// record's LSN; the caller must only ack the write after kOk.  kOff
+  /// mode: completes kOk on the next tick with no I/O.  If the node
+  /// crashes while the header is in flight, `done` is dropped (the ack
+  /// never happened, so nothing was promised).
+  void append(std::uint32_t file, Bytes bytes, std::size_t data_disk,
               std::function<void(Tick, IoStatus, std::uint64_t lsn)> done);
 
   /// Marks one record destaged.  kCommit: RAM-only; the log truncates
@@ -127,7 +127,7 @@ class WriteJournal {
 
   sim::Simulator& sim_;
   JournalParams params_;
-  std::vector<DiskModel*> media_;
+  DiskModel& log_;
 
   // Durable platter state: survives crash().
   std::map<std::uint64_t, JournalRecord> durable_;

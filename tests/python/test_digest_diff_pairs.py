@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Checks the paired-run arithmetic of tools/digest_diff.py --pairs
 (quartiles, wins, verdicts, the failed-operation count, digest agreement)
-on fixed numbers, and its run-report field diff on fixed reports; runs
-no perfbench.
+on fixed numbers, its run-report field diff on fixed reports, and its
+--workloads filter; runs no perfbench.
 
     python3 tests/python/test_digest_diff_pairs.py
 """
@@ -10,6 +10,8 @@ no perfbench.
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import unittest
 
@@ -90,6 +92,34 @@ class PairStats(unittest.TestCase):
         this = [1.5, 1.5, 1.5, 1.5]
         stats = digest_diff.pair_stats(base, this, "lower", 0.25)
         self.assertEqual(stats["verdict"], "unresolved")
+
+
+class WorkloadFilter(unittest.TestCase):
+    NAMES = ["paper_pf", "hot_read_ram", "ec_write_crash", "dc_stream_1024"]
+
+    def test_keeps_the_declared_order(self):
+        self.assertEqual(
+            digest_diff.select_workloads(self.NAMES,
+                                         "dc_stream_1024,paper_pf"),
+            ["paper_pf", "dc_stream_1024"])
+        self.assertEqual(
+            digest_diff.select_workloads(self.NAMES, "ec_write_crash"),
+            ["ec_write_crash"])
+
+    def test_an_unknown_name_is_named(self):
+        with self.assertRaisesRegex(ValueError, "unknown workload nosuch"):
+            digest_diff.select_workloads(self.NAMES, "paper_pf,nosuch")
+
+    def test_an_unknown_name_exits_2_before_any_run(self):
+        # The checkout itself is a valid --base; the filter refuses the
+        # name before perfbench is built or run.
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "digest_diff.py"),
+             "--base", ROOT, "--workloads", "nosuch", "--pairs", "1"],
+            capture_output=True, text=True, timeout=30)
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("unknown workload nosuch", proc.stderr)
+        self.assertEqual(proc.stdout, "")
 
 
 class DigestAgreement(unittest.TestCase):

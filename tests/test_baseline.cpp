@@ -81,8 +81,7 @@ TEST(Presets, ConfigEnumNamesRoundTrip) {
   EXPECT_EQ(core::to_string(core::PowerPolicy::kPredictive), "predictive");
   EXPECT_EQ(core::to_string(core::PowerPolicy::kNone), "none");
   EXPECT_EQ(core::to_string(core::CachePolicy::kLruOnMiss), "lru_on_miss");
-  EXPECT_EQ(core::to_string(core::PlacementPolicy::kSizeBalanced),
-            "size_balanced");
+  EXPECT_EQ(core::to_string(core::PlacementPolicy::kRandom), "random");
   EXPECT_EQ(core::to_string(core::DiskPlacement::kConcentrate),
             "concentrate");
 }

@@ -115,8 +115,7 @@ TEST(Cluster, EnergyMeterCoversEveryDiskForTheWholeRun) {
   for (const NodeMetrics& nm : m.per_node) {
     EXPECT_EQ(nm.data_disk_meter.total_ticks(),
               m.makespan * static_cast<Tick>(cfg.data_disks_per_node));
-    EXPECT_EQ(nm.buffer_disk_meter.total_ticks(),
-              m.makespan * static_cast<Tick>(cfg.buffer_disks_per_node));
+    EXPECT_EQ(nm.buffer_disk_meter.total_ticks(), m.makespan);  // one disk
   }
 }
 
@@ -248,9 +247,6 @@ TEST(Cluster, ConfigValidationRejectsNonsense) {
   EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
   cfg = {};
   cfg.data_disks_per_node = 0;
-  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.buffer_disks_per_node = 0;  // but caching on
   EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
   cfg = {};
   cfg.num_clients = 0;

@@ -198,7 +198,6 @@ class NodeFaultTest : public ::testing::Test {
     core::NodeParams p;
     p.id = 0;
     p.data_disks = 2;
-    p.buffer_disks = 1;
     p.disk_profile = disk::DiskProfile::ata133_fast();
     p.power.policy = core::PowerPolicy::kPredictive;
     return p;
@@ -268,7 +267,7 @@ TEST_F(NodeFaultTest, DeadBufferDiskFallsBackToDataDisks) {
   node->start_prefetch({0}, [] {});
   sim.run();
   ASSERT_TRUE(node->is_buffered(0));
-  node->mutable_buffer_disk(0).fail();
+  node->mutable_buffer_disk().fail();
   // Availability is kept — the read degrades to the data-disk copy — at
   // an energy cost the node meters.
   EXPECT_EQ(serve(*node, 0), RequestStatus::kOk);
@@ -342,8 +341,7 @@ TEST_F(NodeFaultTest, StrandedWritesAreNotLostAckedWrites) {
   EXPECT_EQ(count(registry, "buffer.writes_stranded.count"), 1u);
   EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
   EXPECT_EQ(node->undestaged_acked(), 0u);
-  ASSERT_NE(node->journal(), nullptr);
-  EXPECT_EQ(node->journal()->durable_records(), 0u);
+  EXPECT_EQ(node->journal().durable_records(), 0u);
   // A later crash/restart replays nothing: the strand already settled.
   node->crash();
   EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
@@ -398,7 +396,7 @@ TEST_F(NodeFaultTest, BufferDiskFailingMidReadFallsBackToStripes) {
   node->serve_read(0, client_ep, [&](Tick, RequestStatus s) { st = s; });
   // The buffer disk dies under the buffered read.
   (void)sim.schedule_after(milliseconds_to_ticks(1.0), [&] {
-    node->mutable_buffer_disk(0).fail();
+    node->mutable_buffer_disk().fail();
   });
   sim.run();
   EXPECT_EQ(st, RequestStatus::kOk);
@@ -452,11 +450,13 @@ TEST_F(NodeFaultTest, EveryServeEmitsOneSpanWithItsStatus) {
 }
 
 TEST_F(NodeFaultTest, RewarmRecopiesThePlannedSliceAfterACrash) {
-  // Files 0 and 1 are hot, one on each data disk, and make up the slice;
-  // 2 and 3 are cold and outside it.
+  // Files 0 and 1 are hot, one on each data disk, and make up the slice,
+  // file 1 ranked first; 2 and 3 are cold and outside it.
   auto node = make_node(params());
+  obs::Tracer tracer{obs::TracerConfig{.enabled = true}};
+  node->set_observer(&tracer);
   setup_files(*node, 4, 10 * kMB, /*hot=*/2);
-  node->start_prefetch({0, 1}, [] {});
+  node->start_prefetch({1, 0}, [] {});
   sim.run();
   ASSERT_TRUE(node->is_buffered(0));
   ASSERT_TRUE(node->is_buffered(1));
@@ -472,6 +472,16 @@ TEST_F(NodeFaultTest, RewarmRecopiesThePlannedSliceAfterACrash) {
   EXPECT_TRUE(node->is_buffered(1));
   EXPECT_FALSE(node->is_buffered(2));
   EXPECT_FALSE(node->is_buffered(3));
+  // The plan groups the files by disk set (disk 0 first), so the first
+  // warm copies file 0 first; re-warm copies in rank order.  The two
+  // reads take equal time, so the copies land in the order they began.
+  std::vector<std::int64_t> copied;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (tracer.lookup(ev.name) == "node.prefetch_copy") {
+      copied.push_back(ev.a0);
+    }
+  }
+  EXPECT_EQ(copied, (std::vector<std::int64_t>{0, 1, 1, 0}));
 }
 
 TEST_F(NodeFaultTest, RewarmSkipsFilesTheGateRejected) {
@@ -820,10 +830,11 @@ TEST(ClusterFault, MisaddressedFaultsAreCountedNotApplied) {
   const auto w = small_workload(100);
   core::ClusterConfig cfg = baseline::eevfs_pf();
   cfg.fault_plan.fail_data_disk(0.0, 99, 0);  // node out of range
+  cfg.fault_plan.fail_buffer_disk(0.0, 0, 1);  // a node has one buffer disk
   core::Cluster c(cfg);
   const core::RunMetrics m = c.run(w);
   ASSERT_NE(c.injector(), nullptr);
-  EXPECT_EQ(c.injector()->faults_misaddressed(), 1u);
+  EXPECT_EQ(c.injector()->faults_misaddressed(), 2u);
   EXPECT_EQ(c.injector()->faults_injected(), 0u);
   EXPECT_EQ(m.count("client.failed_requests.count"), 0u);
 }
@@ -1079,7 +1090,6 @@ class RepairTest : public ::testing::Test {
       core::NodeParams p;
       p.id = n;
       p.data_disks = 2;
-      p.buffer_disks = 1;
       p.disk_profile = disk::DiskProfile::ata133_fast();
       nodes.push_back(std::make_unique<core::StorageNode>(
           sim, net, net.add_endpoint("node", net::mbps_to_bytes_per_sec(1000)),
@@ -1158,7 +1168,7 @@ class RepairTest : public ::testing::Test {
     EXPECT_EQ(count(registry, "recovery.episodes_abandoned.count"), 0u);
   }
 
-  /// The files whose chunk repair the trace records, ascending.
+  /// The files whose chunk repair the trace records, in repair order.
   std::vector<trace::FileId> rebuilt_chunks() const {
     std::vector<trace::FileId> out;
     for (const obs::TraceEvent& ev : tracer.events()) {
@@ -1247,16 +1257,21 @@ TEST_F(RepairTest, FailedDonorReadLeavesTheFileStaleAndRepairMovesOn) {
   for (std::size_t d = 0; d < raw[4]->num_data_disks(); ++d) {
     raw[4]->mutable_data_disk(d).fail();
   }
-  raw[4]->mutable_buffer_disk(0).fail();
+  raw[4]->mutable_buffer_disk().fail();
   std::vector<trace::FileId> expected;
   std::vector<trace::FileId> failed_second;
+  std::vector<trace::FileId> left_stale;
   for (const trace::FileId f : stale) {
     std::vector<NodeId> donors;
     for (const NodeId h : others(f, 0)) {
       if (h != 1 && donors.size() < 2) donors.push_back(h);
     }
     if (donors[1] == 4) failed_second.push_back(f);
-    if (donors[0] != 4 && donors[1] != 4) expected.push_back(f);
+    if (donors[0] != 4 && donors[1] != 4) {
+      expected.push_back(f);
+    } else {
+      left_stale.push_back(f);
+    }
   }
   // Some repair fails on its second donor, after the first was read, and
   // a later file is still rebuilt.
@@ -1267,6 +1282,71 @@ TEST_F(RepairTest, FailedDonorReadLeavesTheFileStaleAndRepairMovesOn) {
   EXPECT_EQ(rebuilt_chunks(), expected);
   EXPECT_EQ(count(registry, "recovery.resynced_files.count"), expected.size());
   EXPECT_EQ(count(registry, "ec.repaired_chunks.count"), expected.size());
+  // Every copy that was not rebuilt is handed back for the next episode.
+  EXPECT_EQ(server->take_stale_files(0), left_stale);
+}
+
+TEST_F(RepairTest, CopiesLeftStaleAreKeptForTheNextEpisode) {
+  build(3, 2, 0);
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  raw[1]->crash();
+  // The files whose other copy is on node 1 have no healthy donor.
+  std::vector<trace::FileId> skipped;
+  for (const trace::FileId f : stale) {
+    if (others(f, 0)[0] == 1) skipped.push_back(f);
+  }
+  ASSERT_FALSE(skipped.empty());
+  ASSERT_LT(skipped.size(), stale.size());
+  recover(0);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"),
+            stale.size() - skipped.size());
+  // The server hands exactly the skipped copies to the next episode.
+  EXPECT_EQ(server->take_stale_files(0), skipped);
+}
+
+TEST_F(RepairTest, CopyWhoseLocalWriteFailsIsKeptForTheNextEpisode) {
+  build(3, 2, 0);
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  // Node 0's data disk 1 is gone: the copies it held there are read from
+  // a donor but cannot be written back.
+  raw[0]->mutable_data_disk(1).fail();
+  std::vector<trace::FileId> on_failed_disk;
+  for (const trace::FileId f : stale) {
+    if (raw[0]->data_disk_of(f) == 1) on_failed_disk.push_back(f);
+  }
+  ASSERT_FALSE(on_failed_disk.empty());
+  ASSERT_LT(on_failed_disk.size(), stale.size());
+  recover(0);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"),
+            stale.size() - on_failed_disk.size());
+  EXPECT_EQ(server->take_stale_files(0), on_failed_disk);
+}
+
+TEST_F(RepairTest, RecrashHandsTheUnrepairedCopiesToTheNextEpisode) {
+  build(5, 4, 2);
+  const std::vector<trace::FileId> stale = miss_writes(0);
+  ASSERT_GT(stale.size(), 3u);
+  // Step the episode until two chunks are rebuilt, then crash node 0
+  // again: the third repair is in flight and the rest have not begun.
+  recovery->on_restart(0);
+  while (rebuilt_chunks().size() < 2 && sim.step()) {
+  }
+  const std::vector<trace::FileId> rebuilt = rebuilt_chunks();
+  ASSERT_EQ(rebuilt.size(), 2u);
+  raw[0]->crash();
+  recovery->on_crash(0);
+  sim.run();
+  EXPECT_EQ(count(registry, "recovery.episodes_abandoned.count"), 1u);
+  EXPECT_EQ(count(registry, "recovery.episodes.count"), 0u);
+  // The next episode rebuilds every copy the abandoned one did not, so
+  // each stale copy is rebuilt exactly once over the two.
+  recovery->on_restart(0);
+  sim.run();
+  EXPECT_EQ(count(registry, "recovery.episodes.count"), 1u);
+  EXPECT_EQ(count(registry, "recovery.resynced_files.count"),
+            stale.size() - rebuilt.size());
+  EXPECT_EQ(rebuilt_chunks(), stale);
+  EXPECT_TRUE(server->take_stale_files(0).empty());
 }
 
 }  // namespace

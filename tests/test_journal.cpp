@@ -43,14 +43,13 @@ class WriteJournalTest : public ::testing::Test {
   }
 
   std::unique_ptr<disk::WriteJournal> make(disk::JournalParams p) {
-    return std::make_unique<disk::WriteJournal>(
-        sim, p, std::vector<disk::DiskModel*>{&log_disk});
+    return std::make_unique<disk::WriteJournal>(sim, p, log_disk);
   }
 
   /// Appends one record and runs the sim; returns the LSN `done` saw.
   std::uint64_t append(disk::WriteJournal& j, std::uint32_t file = 0) {
     std::uint64_t lsn = ~0ull;
-    j.append(file, kMB, /*buffer_disk=*/0, /*data_disk=*/0,
+    j.append(file, kMB, /*data_disk=*/0,
              [&](Tick, IoStatus st, std::uint64_t l) {
                EXPECT_EQ(st, IoStatus::kOk);
                lsn = l;
@@ -165,7 +164,7 @@ TEST_F(WriteJournalTest, ReplayIsRepeatable) {
 TEST_F(WriteJournalTest, CrashDropsInFlightAppends) {
   auto j = make(params(JournalMode::kCommit));
   bool fired = false;
-  j->append(0, kMB, 0, 0,
+  j->append(0, kMB, 0,
             [&](Tick, IoStatus, std::uint64_t) { fired = true; });
   j->crash();  // header still in flight: the ack never happened
   sim.run();
@@ -179,7 +178,7 @@ TEST_F(WriteJournalTest, DeadLogDiskFailsAppendsAndReplaysTyped) {
   append(*j);
   log_disk.fail();
   IoStatus append_st = IoStatus::kOk;
-  j->append(0, kMB, 0, 0,
+  j->append(0, kMB, 0,
             [&](Tick, IoStatus st, std::uint64_t lsn) {
               append_st = st;
               EXPECT_EQ(lsn, 0u);
@@ -211,7 +210,6 @@ class NodeJournalTest : public ::testing::Test {
     core::NodeParams p;
     p.id = 0;
     p.data_disks = 2;
-    p.buffer_disks = 1;
     p.disk_profile = disk::DiskProfile::ata133_fast();
     p.power.policy = core::PowerPolicy::kPredictive;
     p.journal.mode = mode;
@@ -290,8 +288,7 @@ TEST_F(NodeJournalTest, JournalReplayRecoversAckedWrites) {
   node->crash();
   // The journal holds the IOU.
   EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
-  ASSERT_NE(node->journal(), nullptr);
-  EXPECT_EQ(node->journal()->durable_records(), 1u);
+  EXPECT_EQ(node->journal().durable_records(), 1u);
   node->restart();
   EXPECT_EQ(replay(*node), 1u);
   EXPECT_TRUE(node->has_pending_writes());
@@ -301,7 +298,7 @@ TEST_F(NodeJournalTest, JournalReplayRecoversAckedWrites) {
   EXPECT_TRUE(flushed);
   // The destage landed on the platters and retired the journal record.
   EXPECT_EQ(node->data_disk(0).requests_completed(), 1u);
-  EXPECT_EQ(node->journal()->durable_records(), 0u);
+  EXPECT_EQ(node->journal().durable_records(), 0u);
   EXPECT_EQ(node->undestaged_acked(), 0u);
 }
 
@@ -324,7 +321,7 @@ TEST_F(NodeJournalTest, ReplayingTwiceIsIdempotent) {
   EXPECT_TRUE(flushed);
   EXPECT_EQ(node->data_disk(0).requests_completed(), 1u);
   EXPECT_EQ(node->data_disk(1).requests_completed(), 1u);
-  EXPECT_EQ(node->journal()->durable_records(), 0u);
+  EXPECT_EQ(node->journal().durable_records(), 0u);
 }
 
 TEST_F(NodeJournalTest, CrashDuringPowerTransitionDropsTheRacingDestage) {
@@ -343,15 +340,14 @@ TEST_F(NodeJournalTest, CrashDuringPowerTransitionDropsTheRacingDestage) {
   EXPECT_TRUE(drained);
   EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
   EXPECT_EQ(node->undestaged_acked(), 0u);
-  ASSERT_NE(node->journal(), nullptr);
-  EXPECT_EQ(node->journal()->durable_records(), 1u);  // retire never ran
+  EXPECT_EQ(node->journal().durable_records(), 1u);  // retire never ran
   node->restart();
   EXPECT_EQ(replay(*node), 1u);
   bool flushed = false;
   node->flush_pending_writes([&] { flushed = true; });
   sim.run();
   EXPECT_TRUE(flushed);
-  EXPECT_EQ(node->journal()->durable_records(), 0u);
+  EXPECT_EQ(node->journal().durable_records(), 0u);
   EXPECT_FALSE(node->has_pending_writes());
   // At-least-once, not at-most-once: the platter may have seen the
   // dropped pre-crash destage too, but bookkeeping counts exactly one.
@@ -406,8 +402,7 @@ TEST_F(NodeJournalTest, RamFlushedWriteIsRecoveredByTheJournal) {
   // Past the durability window: the flushed write is journal-covered.
   EXPECT_EQ(count(registry, "ramcache.lost_writes.count"), 0u);
   EXPECT_EQ(count(registry, "fault.lost_acked_writes.count"), 0u);
-  ASSERT_NE(node->journal(), nullptr);
-  EXPECT_EQ(node->journal()->durable_records(), 1u);
+  EXPECT_EQ(node->journal().durable_records(), 1u);
   node->restart();
   EXPECT_EQ(replay(*node), 1u);
   bool flushed = false;
@@ -415,7 +410,7 @@ TEST_F(NodeJournalTest, RamFlushedWriteIsRecoveredByTheJournal) {
   sim.run();
   EXPECT_TRUE(flushed);
   EXPECT_EQ(node->data_disk(0).requests_completed(), 1u);
-  EXPECT_EQ(node->journal()->durable_records(), 0u);
+  EXPECT_EQ(node->journal().durable_records(), 0u);
 }
 
 }  // namespace

@@ -92,8 +92,8 @@ TEST(NodeMetadata, InsertFindUpdate) {
   EXPECT_EQ(m.at(5).size, 4 * kMB);
   EXPECT_EQ(m.at(5).disk(1, 3), 2u);
   EXPECT_EQ(m.at(5).disk(1, 2), 0u);  // the stripe set wraps around
-  m.at(5).set_buffer_disk(0);
-  EXPECT_TRUE(m.at(5).buffered());
+  m.at(5).buffered = true;
+  EXPECT_TRUE(m.at(5).buffered);
   EXPECT_EQ(m.find(99), nullptr);
   EXPECT_GE(m.lookups(), 3u);
 }
@@ -131,22 +131,21 @@ TEST(NodeMetadata, IterationCoversAllFiles) {
 }
 
 TEST(NodeMetadata, BufferDiskSentinelMarksTheBufferedCopy) {
-  // No flag: a file is buffered exactly when its buffer disk is not the
-  // sentinel.  Every index a node may have stays below it.
+  // A node has one buffer disk, so the entry's flag says all there is
+  // about the buffered copy; setting and clearing it leaves the rest of
+  // the entry alone.
   NodeMetadata m;
-  m.insert(2, LocalFileMeta{.size = kMB});
+  m.insert(2, LocalFileMeta{.first_disk = 1, .size = kMB});
   LocalFileMeta& meta = m.at(2);
-  EXPECT_FALSE(meta.buffered());
-  EXPECT_EQ(meta.buffer_disk, LocalFileMeta::kNoBufferDisk);
-  meta.set_buffer_disk(0);
-  EXPECT_TRUE(m.at(2).buffered());
-  EXPECT_EQ(m.at(2).buffer_disk, 0u);
-  meta.set_buffer_disk(NodeMetadata::kMaxDisks - 1);
-  EXPECT_TRUE(m.at(2).buffered());
-  EXPECT_EQ(m.at(2).buffer_disk, NodeMetadata::kMaxDisks - 1);
-  meta.clear_buffer_disk();
-  EXPECT_FALSE(m.at(2).buffered());
-  EXPECT_EQ(m.at(2).buffer_disk, LocalFileMeta::kNoBufferDisk);
+  EXPECT_FALSE(meta.buffered);
+  meta.buffered = true;
+  EXPECT_TRUE(m.at(2).buffered);
+  EXPECT_EQ(m.at(2).first_disk, 1u);
+  EXPECT_EQ(m.at(2).size, kMB);
+  EXPECT_EQ(m.at(2).file, 2u);
+  meta.buffered = false;
+  EXPECT_FALSE(m.at(2).buffered);
+  EXPECT_EQ(m.at(2).first_disk, 1u);
 }
 
 TEST(NodeMetadata, InsertStoresTheFileIdInTheEntry) {

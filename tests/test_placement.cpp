@@ -126,8 +126,7 @@ TEST(Placement, EveryFileIsPlacedExactlyOnce) {
   const std::vector<Bytes> sizes(10, kMB);
   Rng rng(1);
   for (const auto policy :
-       {PlacementPolicy::kPopularityRoundRobin, PlacementPolicy::kRandom,
-        PlacementPolicy::kSizeBalanced}) {
+       {PlacementPolicy::kPopularityRoundRobin, PlacementPolicy::kRandom}) {
     const PlacementMap map = place_files(policy, 4, 10, pop, sizes, rng);
     EXPECT_EQ(map.node_of.size(), 10u);
     for (trace::FileId f = 0; f < 10; ++f) EXPECT_LT(map.node(f), 4u);
@@ -185,19 +184,6 @@ TEST(Placement, RoundRobinBalancesHotLoad) {
   // Within 30% of each other (popularity-ordered dealing is near-optimal).
   EXPECT_LT(static_cast<double>(*hi - *lo),
             0.3 * static_cast<double>(*hi));
-}
-
-TEST(Placement, SizeBalancedEqualizesBytes) {
-  trace::Trace empty;
-  const trace::PopularityAnalyzer pop(empty);
-  std::vector<Bytes> sizes = {100, 1, 1, 1, 97, 1, 1, 1};
-  Rng rng(1);
-  const PlacementMap map =
-      place_files(PlacementPolicy::kSizeBalanced, 2, 8, pop, sizes, rng);
-  Bytes load[2] = {0, 0};
-  for (trace::FileId f = 0; f < 8; ++f) load[map.node(f)] += sizes[f];
-  const auto diff = load[0] > load[1] ? load[0] - load[1] : load[1] - load[0];
-  EXPECT_LE(diff, 100u);
 }
 
 TEST(Placement, RandomIsDeterministicGivenRngState) {

@@ -147,10 +147,6 @@ TEST(BudSimulator, InvalidUsageThrows) {
   cfg.data_disks = 0;
   EXPECT_THROW(BudSimulator(cfg, BudPolicy::kDpmOnly),
                std::invalid_argument);
-  cfg = {};
-  cfg.buffer_disks = 0;
-  EXPECT_THROW(BudSimulator(cfg, BudPolicy::kPreBud),
-               std::invalid_argument);
 
   BudSimulator sim(BudConfig{}, BudPolicy::kDpmOnly);
   EXPECT_THROW(sim.run({}), std::invalid_argument);
@@ -178,7 +174,8 @@ TEST(BudSimulator, OneRequestMakespanIsTheMeteredInterval) {
   ASSERT_EQ(s.response_time_sec.count(), 1u);
   EXPECT_GT(s.makespan, cfg.idle_threshold);  // past the sleep
   const double seconds = ticks_to_seconds(s.makespan);
-  const auto disks = static_cast<double>(cfg.data_disks + cfg.buffer_disks);
+  // The data disks and the one buffer disk.
+  const auto disks = static_cast<double>(cfg.data_disks + 1);
   EXPECT_GE(s.total_joules, cfg.profile.standby_watts * disks * seconds);
   EXPECT_LE(s.total_joules, cfg.profile.spin_up_watts * disks * seconds);
 }
@@ -201,7 +198,7 @@ TEST_P(BudPropertyTest, InvariantsAcrossPoliciesAndDiskCounts) {
   // Physical bounds: between all-standby and all-spin-up power over the
   // metered interval.
   const double seconds = ticks_to_seconds(s.makespan);
-  const auto total_disks = static_cast<double>(disks + cfg.buffer_disks);
+  const auto total_disks = static_cast<double>(disks + 1);  // + buffer
   EXPECT_GE(s.total_joules, cfg.profile.standby_watts * total_disks * seconds);
   EXPECT_LE(s.total_joules, cfg.profile.spin_up_watts * total_disks * seconds);
   // Policy-specific structure.

@@ -25,7 +25,6 @@ class StorageNodeTest : public ::testing::Test {
     NodeParams p;
     p.id = 0;
     p.data_disks = 2;
-    p.buffer_disks = 1;
     p.disk_profile = disk::DiskProfile::ata133_fast();
     p.power.policy = PowerPolicy::kPredictive;
     return p;
@@ -134,8 +133,8 @@ TEST_F(StorageNodeTest, PrefetchCopiesAndMarksBuffered) {
   EXPECT_EQ(node->prefetch_plan().accepted.size(), 1u);
   // The copy did one data-disk read and one buffer-disk write.
   EXPECT_EQ(node->data_disk(0).requests_completed(), 1u);
-  EXPECT_EQ(node->buffer_disk(0).requests_completed(), 1u);
-  EXPECT_EQ(node->buffer_disk(0).bytes_transferred(), 10 * kMB);
+  EXPECT_EQ(node->buffer_disk().requests_completed(), 1u);
+  EXPECT_EQ(node->buffer_disk().bytes_transferred(), 10 * kMB);
 }
 
 TEST_F(StorageNodeTest, EmptyPrefetchStillCompletesAndSetsExpectations) {
@@ -157,13 +156,10 @@ TEST_F(StorageNodeTest, PrefetchCandidateNotOnNodeThrows) {
   EXPECT_THROW(node->start_prefetch({42}, [] {}), std::invalid_argument);
 }
 
-// The file table stores disk indices and stripe widths in 16 bits.
+// The file table stores the first stripe disk in 16 bits.
 TEST_F(StorageNodeTest, RejectsMoreDisksThanTheFileTableIndexes) {
   NodeParams p = params();
   p.data_disks = NodeMetadata::kMaxDisks + 1;
-  EXPECT_THROW(make_node(p), std::invalid_argument);
-  p = params();
-  p.buffer_disks = NodeMetadata::kMaxDisks + 1;
   EXPECT_THROW(make_node(p), std::invalid_argument);
 }
 
@@ -184,7 +180,7 @@ TEST_F(StorageNodeTest, ServeReadHitUsesBufferDiskOnly) {
   sim.run();
   EXPECT_GT(delivered, 0);
   EXPECT_EQ(node->data_disk(0).requests_completed(), data_reads_before);
-  EXPECT_EQ(node->buffer_disk(0).requests_completed(), 2u);  // copy + hit
+  EXPECT_EQ(node->buffer_disk().requests_completed(), 2u);  // copy + hit
 }
 
 TEST_F(StorageNodeTest, ServeReadMissUsesDataDisk) {

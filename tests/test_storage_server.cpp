@@ -47,7 +47,6 @@ class StorageServerTest : public ::testing::Test {
       NodeParams p;
       p.id = n;
       p.data_disks = 2;
-      p.buffer_disks = 1;
       p.disk_profile = disk::DiskProfile::ata133_fast();
       p.power.policy = policy;
       nodes.push_back(std::make_unique<StorageNode>(sim, net, node_eps[n], p,
@@ -465,7 +464,6 @@ ReferencePlacement reference_placement(PlacementPolicy policy,
   ref.primary.assign(sizes.size(), 0);
   ref.holders.assign(sizes.size(), {});
   ref.created_on_node.assign(nodes, {});
-  std::vector<Bytes> load(nodes, 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const trace::FileId f = order[i];
     NodeId n = 0;
@@ -476,17 +474,12 @@ ReferencePlacement reference_placement(PlacementPolicy policy,
       case PlacementPolicy::kRandom:
         n = rng.next_below(nodes);
         break;
-      case PlacementPolicy::kSizeBalanced:
-        n = static_cast<NodeId>(std::distance(
-            load.begin(), std::min_element(load.begin(), load.end())));
-        break;
     }
     ref.primary[f] = n;
     for (std::size_t j = 0; j < copies; ++j) {
       const NodeId h = (n + j) % nodes;
       ref.holders[f].push_back(h);
       ref.created_on_node[h].push_back(f);
-      load[h] += sizes[f];
     }
   }
   return ref;
@@ -512,8 +505,7 @@ TEST(StorageServerTable, EveryLayoutMatchesTheNodeTables) {
     std::size_t replication, ec_n, ec_k;
   };
   for (const auto policy :
-       {PlacementPolicy::kPopularityRoundRobin, PlacementPolicy::kRandom,
-        PlacementPolicy::kSizeBalanced}) {
+       {PlacementPolicy::kPopularityRoundRobin, PlacementPolicy::kRandom}) {
     for (const Layout layout : {Layout{1, 0, 0}, Layout{2, 0, 0},
                                 Layout{3, 0, 0}, Layout{1, 4, 2}}) {
       for (const std::size_t width : {std::size_t{1}, std::size_t{2},

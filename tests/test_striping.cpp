@@ -121,7 +121,7 @@ TEST_F(StripingNodeTest, PrefetchOfStripedFileReadsAllStripes) {
   // Stripe reads on disks 0 and 1, one buffer write.
   EXPECT_GE(node->data_disk(0).requests_completed(), 1u);
   EXPECT_GE(node->data_disk(1).requests_completed(), 1u);
-  EXPECT_EQ(node->buffer_disk(0).bytes_transferred(), 40 * kMB);
+  EXPECT_EQ(node->buffer_disk().bytes_transferred(), 40 * kMB);
 }
 
 TEST(StripingCluster, EndToEndTradeoffHolds) {

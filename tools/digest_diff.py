@@ -2,10 +2,11 @@
 """Compares the perfbench RunMetrics digests of two source checkouts.
 
     python3 tools/digest_diff.py --base <checkout> [--seeds 1,2] \
-        [--require-equal] [--pairs N]
+        [--workloads W[,W...]] [--require-equal] [--pairs N]
 
-For every workload named in BENCHMARK.json (read from this checkout) and
-every seed, runs
+For every workload named in BENCHMARK.json (read from this checkout), or
+only those --workloads names (still in BENCHMARK.json order), and every
+seed, runs
 
     python3 <root>/perfbench/run.py --workload W --seed S --seconds 1 --trace 0
 
@@ -50,7 +51,8 @@ verdict, and after each table how many of the N pairs had equal digests
 
 Exit codes: 0 when every run produced a digest (and, with --require-equal,
 every pair matches; with --pairs, no row is worse); 1 when a run failed,
-a required pair differs or a row is worse; 2 on bad arguments.
+a required pair differs or a row is worse; 2 on bad arguments, such as a
+--workloads name BENCHMARK.json does not declare.
 """
 
 import argparse
@@ -67,6 +69,17 @@ DIGEST_RE = re.compile(r"^digest ([0-9a-f]+)\b", re.MULTILINE)
 def workloads(root):
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         return [w["name"] for w in json.load(f)["workloads"]]
+
+
+def select_workloads(names, wanted):
+    """The members of `names` that the comma-separated `wanted` lists, in
+    the order of `names`; ValueError naming any that `names` lacks."""
+    chosen = wanted.split(",")
+    unknown = [w for w in chosen if w not in names]
+    if unknown:
+        raise ValueError("unknown workload %s (BENCHMARK.json declares %s)" %
+                         (", ".join(unknown), ", ".join(names)))
+    return [w for w in names if w in chosen]
 
 
 def end_to_end(root):
@@ -298,6 +311,9 @@ def main():
                         help="source checkout to compare against")
     parser.add_argument("--seeds", default="1,2",
                         help="comma-separated seeds (default 1,2)")
+    parser.add_argument("--workloads",
+                        help="comma-separated workloads to run (default: "
+                        "every one BENCHMARK.json declares)")
     parser.add_argument("--require-equal", action="store_true",
                         help="exit 1 unless every digest pair matches")
     parser.add_argument("--pairs", type=int, default=0,
@@ -314,6 +330,11 @@ def main():
     if args.pairs < 0 or (args.pairs and args.require_equal):
         parser.error("--pairs takes N >= 1 and excludes --require-equal")
     names = workloads(ROOT)
+    if args.workloads is not None:
+        try:
+            names = select_workloads(names, args.workloads)
+        except ValueError as e:
+            parser.error(str(e))
     if args.pairs:
         return main_pairs(base, names, seeds, args.pairs)
 
