@@ -13,14 +13,15 @@
 //       with a small dip at 1000 ms.
 //   (d) 3 % at K=10; significant savings once K >= 40.
 //
-// All 16 sweep points run in parallel (one self-contained simulator
-// pair per point); output order is deterministic.
+// bench::run_table2_figure runs all 16 sweep points in parallel (one
+// self-contained simulator pair per point); output order is
+// deterministic.
 #include <cstdio>
+#include <functional>
 
 #include "harness.hpp"
 
 using namespace eevfs;
-using bench::Defaults;
 
 namespace {
 
@@ -48,65 +49,19 @@ int main(int argc, char** argv) {
   auto out = bench::open_output(
       "fig3_energy",
       {"panel", "x", "pf_joules", "npf_joules", "gain", "paper_gain"});
-
-  // Build all sweep points up front, then fan out.
-  std::vector<bench::SweepPoint> points;
-  const char* paper_a[] = {"11%", "~13%", "~14%", "15%"};
-  int i = 0;
-  for (const double mb : {1.0, 10.0, 25.0, 50.0}) {
-    points.push_back({std::to_string(static_cast<int>(mb)),
-                      bench::paper_config(), bench::paper_workload(mb),
-                      paper_a[i++]});
-  }
-  const char* paper_b[] = {"~15%", "~15%", "~15%", "~12%"};
-  i = 0;
-  for (const double mu : {1.0, 10.0, 100.0, 1000.0}) {
-    points.push_back({std::to_string(static_cast<int>(mu)),
-                      bench::paper_config(),
-                      bench::paper_workload(Defaults::kDataMb, mu),
-                      paper_b[i++]});
-  }
-  const char* paper_c[] = {"small", "~10%", "~13%", "~12%"};
-  i = 0;
-  for (const double ia : {0.0, 350.0, 700.0, 1000.0}) {
-    points.push_back(
-        {std::to_string(static_cast<int>(ia)), bench::paper_config(),
-         bench::paper_workload(Defaults::kDataMb, Defaults::kMu, ia),
-         paper_c[i++]});
-  }
-  const char* paper_d[] = {"3%", "significant", "~13%", "~14%"};
-  i = 0;
-  for (const std::size_t k : {10u, 40u, 70u, 100u}) {
-    points.push_back({std::to_string(k), bench::paper_config(k),
-                      bench::paper_workload(), paper_d[i++]});
-  }
-
-  const auto results = bench::run_sweep(points);
-
-  const struct {
-    const char* title;
-    const char* what;
-    const char* fixed;
-    const char* panel;
-  } panels[] = {
-      {"Fig. 3(a)", "energy vs data size (MB)",
-       "MU=1000, K=70, inter-arrival=700ms, 1000 requests", "a_data_size"},
-      {"Fig. 3(b)", "energy vs popularity rate (MU)",
-       "data=10MB, K=70, inter-arrival=700ms", "b_mu"},
-      {"Fig. 3(c)", "energy vs inter-arrival delay (ms)",
-       "data=10MB, K=70, MU=1000", "c_inter_arrival"},
-      {"Fig. 3(d)", "energy vs number of files to prefetch",
-       "data=10MB, MU=1000, inter-arrival=700ms", "d_prefetch_count"},
-  };
-  for (std::size_t p = 0; p < 4; ++p) {
-    bench::banner(panels[p].title, panels[p].what, panels[p].fixed);
-    print_header();
-    for (std::size_t j = 0; j < 4; ++j) {
-      const std::size_t idx = p * 4 + j;
-      print_point(*out, panels[p].panel, points[idx], results[idx]);
-    }
-  }
-
+  bench::run_table2_figure(
+      {{{"Fig. 3(a)", "energy vs data size (MB)",
+         "MU=1000, K=70, inter-arrival=700ms, 1000 requests",
+         {"11%", "~13%", "~14%", "15%"}},
+        {"Fig. 3(b)", "energy vs popularity rate (MU)",
+         "data=10MB, K=70, inter-arrival=700ms",
+         {"~15%", "~15%", "~15%", "~12%"}},
+        {"Fig. 3(c)", "energy vs inter-arrival delay (ms)",
+         "data=10MB, K=70, MU=1000", {"small", "~10%", "~13%", "~12%"}},
+        {"Fig. 3(d)", "energy vs number of files to prefetch",
+         "data=10MB, MU=1000, inter-arrival=700ms",
+         {"3%", "significant", "~13%", "~14%"}}}},
+      print_header, std::bind_front(print_point, std::ref(*out)));
   out->finish();
   return 0;
 }

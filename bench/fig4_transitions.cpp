@@ -11,15 +11,15 @@
 //   (d) K=10 produces the maximum of all tests — 447 — matching its
 //       minimal 3 % energy gain; few transitions at K >= 40.
 //
-// All 16 sweep points run through the parallel cell runner (one
-// self-contained simulator pair per point); output order is
-// deterministic and byte-identical to --serial.
+// bench::run_table2_figure runs all 16 sweep points through the
+// parallel cell runner (one self-contained simulator pair per point);
+// output order is deterministic and byte-identical to --serial.
 #include <cstdio>
+#include <functional>
 
 #include "harness.hpp"
 
 using namespace eevfs;
-using bench::Defaults;
 
 namespace {
 
@@ -50,65 +50,20 @@ int main(int argc, char** argv) {
       "fig4_transitions",
       {"panel", "x", "pf_transitions", "npf_transitions",
        "pf_wakeups_on_demand", "paper"});
-
-  std::vector<bench::SweepPoint> points;
-  const char* paper_a[] = {"~300", "~250", "~150", "~50"};
-  int i = 0;
-  for (const double mb : {1.0, 10.0, 25.0, 50.0}) {
-    points.push_back({std::to_string(static_cast<int>(mb)),
-                      bench::paper_config(), bench::paper_workload(mb),
-                      paper_a[i++]});
-  }
-  const char* paper_b[] = {"~16 (whole trace)", "~16 (whole trace)",
-                           "~16 (whole trace)", "~250"};
-  i = 0;
-  for (const double mu : {1.0, 10.0, 100.0, 1000.0}) {
-    points.push_back({std::to_string(static_cast<int>(mu)),
-                      bench::paper_config(),
-                      bench::paper_workload(Defaults::kDataMb, mu),
-                      paper_b[i++]});
-  }
-  const char* paper_c[] = {"~250", "~200", "~150", "~100"};
-  i = 0;
-  for (const double ia : {0.0, 350.0, 700.0, 1000.0}) {
-    points.push_back(
-        {std::to_string(static_cast<int>(ia)), bench::paper_config(),
-         bench::paper_workload(Defaults::kDataMb, Defaults::kMu, ia),
-         paper_c[i++]});
-  }
-  const char* paper_d[] = {"447 (maximum)", "~100", "~250", "~50"};
-  i = 0;
-  for (const std::size_t k : {10u, 40u, 70u, 100u}) {
-    points.push_back({std::to_string(k), bench::paper_config(k),
-                      bench::paper_workload(), paper_d[i++]});
-  }
-
-  const auto results = bench::run_sweep(points);
-
-  const struct {
-    const char* title;
-    const char* what;
-    const char* fixed;
-    const char* panel;
-  } panels[] = {
-      {"Fig. 4(a)", "power state transitions vs data size (MB)",
-       "MU=1000, K=70, inter-arrival=700ms", "a_data_size"},
-      {"Fig. 4(b)", "transitions vs popularity rate (MU)",
-       "data=10MB, K=70, inter-arrival=700ms", "b_mu"},
-      {"Fig. 4(c)", "transitions vs inter-arrival delay (ms)",
-       "data=10MB, K=70, MU=1000", "c_inter_arrival"},
-      {"Fig. 4(d)", "transitions vs number of files to prefetch",
-       "data=10MB, MU=1000, inter-arrival=700ms", "d_prefetch_count"},
-  };
-  for (std::size_t p = 0; p < 4; ++p) {
-    bench::banner(panels[p].title, panels[p].what, panels[p].fixed);
-    print_header();
-    for (std::size_t j = 0; j < 4; ++j) {
-      const std::size_t idx = p * 4 + j;
-      print_point(*out, panels[p].panel, points[idx], results[idx]);
-    }
-  }
-
+  bench::run_table2_figure(
+      {{{"Fig. 4(a)", "power state transitions vs data size (MB)",
+         "MU=1000, K=70, inter-arrival=700ms",
+         {"~300", "~250", "~150", "~50"}},
+        {"Fig. 4(b)", "transitions vs popularity rate (MU)",
+         "data=10MB, K=70, inter-arrival=700ms",
+         {"~16 (whole trace)", "~16 (whole trace)", "~16 (whole trace)",
+          "~250"}},
+        {"Fig. 4(c)", "transitions vs inter-arrival delay (ms)",
+         "data=10MB, K=70, MU=1000", {"~250", "~200", "~150", "~100"}},
+        {"Fig. 4(d)", "transitions vs number of files to prefetch",
+         "data=10MB, MU=1000, inter-arrival=700ms",
+         {"447 (maximum)", "~100", "~250", "~50"}}}},
+      print_header, std::bind_front(print_point, std::ref(*out)));
   out->finish();
   return 0;
 }

@@ -9,14 +9,15 @@
 //   (c) 31 % at 0 ms, a 37 % anomaly at 700 ms, 16 % at 1000 ms;
 //   (d) penalty tracks the number of transitions (largest near K=10).
 //
-// All 15 sweep points run through the parallel cell runner; output
-// order is deterministic and byte-identical to --serial.
+// bench::run_table2_figure runs all 15 sweep points through the
+// parallel cell runner; output order is deterministic and
+// byte-identical to --serial.
 #include <cstdio>
+#include <functional>
 
 #include "harness.hpp"
 
 using namespace eevfs;
-using bench::Defaults;
 
 namespace {
 
@@ -46,66 +47,20 @@ int main(int argc, char** argv) {
   auto out = bench::open_output(
       "fig5_response", {"panel", "x", "pf_mean_s", "npf_mean_s", "pf_p95_s",
                         "penalty", "paper"});
-
-  std::vector<bench::SweepPoint> points;
-  const char* paper_a[] = {"121%", "~40%", "4%"};
-  int i = 0;
-  for (const double mb : {1.0, 10.0, 25.0}) {
-    points.push_back({std::to_string(static_cast<int>(mb)),
-                      bench::paper_config(), bench::paper_workload(mb),
-                      paper_a[i++]});
-  }
-  const char* paper_b[] = {"~0%", "~0%", "~0%", "~13%"};
-  i = 0;
-  for (const double mu : {1.0, 10.0, 100.0, 1000.0}) {
-    points.push_back({std::to_string(static_cast<int>(mu)),
-                      bench::paper_config(),
-                      bench::paper_workload(Defaults::kDataMb, mu),
-                      paper_b[i++]});
-  }
-  const char* paper_c[] = {"31%", "~25%", "37% (anomaly)", "16%"};
-  i = 0;
-  for (const double ia : {0.0, 350.0, 700.0, 1000.0}) {
-    points.push_back(
-        {std::to_string(static_cast<int>(ia)), bench::paper_config(),
-         bench::paper_workload(Defaults::kDataMb, Defaults::kMu, ia),
-         paper_c[i++]});
-  }
-  const char* paper_d[] = {"large (447 trans)", "~30%", "~35%", "~20%"};
-  i = 0;
-  for (const std::size_t k : {10u, 40u, 70u, 100u}) {
-    points.push_back({std::to_string(k), bench::paper_config(k),
-                      bench::paper_workload(), paper_d[i++]});
-  }
-
-  const auto results = bench::run_sweep(points);
-
-  const struct {
-    const char* title;
-    const char* what;
-    const char* fixed;
-    const char* panel;
-    std::size_t first, count;
-  } panels[] = {
-      {"Fig. 5(a)", "response time vs data size (MB)",
-       "MU=1000, K=70, inter-arrival=700ms; paper omits 50MB",
-       "a_data_size", 0, 3},
-      {"Fig. 5(b)", "response time vs popularity rate (MU)",
-       "data=10MB, K=70, inter-arrival=700ms", "b_mu", 3, 4},
-      {"Fig. 5(c)", "response time vs inter-arrival delay (ms)",
-       "data=10MB, K=70, MU=1000", "c_inter_arrival", 7, 4},
-      {"Fig. 5(d)", "response time vs number of files to prefetch",
-       "data=10MB, MU=1000, inter-arrival=700ms", "d_prefetch_count", 11, 4},
-  };
-  for (const auto& panel : panels) {
-    bench::banner(panel.title, panel.what, panel.fixed);
-    print_header();
-    for (std::size_t j = 0; j < panel.count; ++j) {
-      const std::size_t idx = panel.first + j;
-      print_point(*out, panel.panel, points[idx], results[idx]);
-    }
-  }
-
+  // Panel (a) lists three paper values: the 50 MB point is not run.
+  bench::run_table2_figure(
+      {{{"Fig. 5(a)", "response time vs data size (MB)",
+         "MU=1000, K=70, inter-arrival=700ms; paper omits 50MB",
+         {"121%", "~40%", "4%"}},
+        {"Fig. 5(b)", "response time vs popularity rate (MU)",
+         "data=10MB, K=70, inter-arrival=700ms",
+         {"~0%", "~0%", "~0%", "~13%"}},
+        {"Fig. 5(c)", "response time vs inter-arrival delay (ms)",
+         "data=10MB, K=70, MU=1000", {"31%", "~25%", "37% (anomaly)", "16%"}},
+        {"Fig. 5(d)", "response time vs number of files to prefetch",
+         "data=10MB, MU=1000, inter-arrival=700ms",
+         {"large (447 trans)", "~30%", "~35%", "~20%"}}}},
+      print_header, std::bind_front(print_point, std::ref(*out)));
   out->finish();
   return 0;
 }

@@ -104,6 +104,69 @@ std::vector<core::PfNpfComparison> run_sweep(
 }
 
 namespace {
+
+/// One Table II sweep: its CSV panel name, its values, and the cluster
+/// and workload at a value (the other parameters at their defaults).
+struct Table2Axis {
+  const char* panel;
+  std::array<double, 4> values;
+  core::ClusterConfig (*config)(double);
+  workload::Workload (*workload)(double);
+};
+
+const std::array<Table2Axis, 4> kTable2Axes = {{
+    {"a_data_size", {1, 10, 25, 50}, [](double) { return paper_config(); },
+     [](double mb) { return paper_workload(mb); }},
+    {"b_mu", {1, 10, 100, 1000}, [](double) { return paper_config(); },
+     [](double mu) { return paper_workload(Defaults::kDataMb, mu); }},
+    {"c_inter_arrival", {0, 350, 700, 1000},
+     [](double) { return paper_config(); },
+     [](double ms) {
+       return paper_workload(Defaults::kDataMb, Defaults::kMu, ms);
+     }},
+    {"d_prefetch_count", {10, 40, 70, 100},
+     [](double k) { return paper_config(static_cast<std::size_t>(k)); },
+     [](double) { return paper_workload(); }},
+}};
+
+}  // namespace
+
+std::vector<SweepPoint> table2_points(const std::array<PanelText, 4>& panels) {
+  std::vector<SweepPoint> points;
+  for (std::size_t p = 0; p < panels.size(); ++p) {
+    const Table2Axis& axis = kTable2Axes[p];
+    const std::vector<const char*>& paper = panels[p].paper;
+    if (paper.size() > axis.values.size()) {
+      throw std::invalid_argument(
+          format("table2_points: panel %s has %zu paper values for %zu "
+                 "points",
+                 axis.panel, paper.size(), axis.values.size()));
+    }
+    for (std::size_t j = 0; j < paper.size(); ++j) {
+      const double v = axis.values[j];
+      points.push_back({std::to_string(static_cast<int>(v)), axis.config(v),
+                        axis.workload(v), paper[j]});
+    }
+  }
+  return points;
+}
+
+void run_table2_figure(const std::array<PanelText, 4>& panels,
+                       const std::function<void()>& header,
+                       const PointPrinter& print) {
+  const std::vector<SweepPoint> points = table2_points(panels);
+  const std::vector<core::PfNpfComparison> results = run_sweep(points);
+  std::size_t idx = 0;
+  for (std::size_t p = 0; p < panels.size(); ++p) {
+    banner(panels[p].title, panels[p].what, panels[p].fixed);
+    header();
+    for (std::size_t j = 0; j < panels[p].paper.size(); ++j, ++idx) {
+      print(kTable2Axes[p].panel, points[idx], results[idx]);
+    }
+  }
+}
+
+namespace {
 std::string results_path(const std::string& file) {
   std::filesystem::create_directories("bench_results");
   return "bench_results/" + file;

@@ -7,7 +7,9 @@
 // re-plotting.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -168,5 +170,34 @@ auto run_cells(std::size_t n, Fn&& fn)
 /// identical to a serial run.
 std::vector<core::PfNpfComparison> run_sweep(
     const std::vector<SweepPoint>& points);
+
+/// The text of one panel of Figs. 3–5: its banner lines and the paper's
+/// value at each point, in axis order.  A panel with fewer values than
+/// its axis has points stops early (Fig. 5(a) omits 50 MB).
+struct PanelText {
+  const char* title;
+  const char* what;
+  const char* fixed;
+  std::vector<const char*> paper;
+};
+
+/// The points of Figs. 3–5's four Table II sweeps, each parameter varied
+/// with the others at their defaults: (a) data size 1, 10, 25, 50 MB,
+/// (b) MU 1, 10, 100, 1000, (c) inter-arrival delay 0, 350, 700,
+/// 1000 ms, (d) K 10, 40, 70, 100.  Each point carries its panel's paper
+/// value; throws std::invalid_argument for a panel with more than four.
+std::vector<SweepPoint> table2_points(const std::array<PanelText, 4>& panels);
+
+/// Prints one point of a figure: `panel` is its CSV panel name
+/// (a_data_size, b_mu, c_inter_arrival or d_prefetch_count).
+using PointPrinter =
+    std::function<void(const std::string& panel, const SweepPoint& point,
+                       const core::PfNpfComparison& cmp)>;
+
+/// Runs table2_points(panels) through run_sweep, then prints each panel:
+/// its banner, `header()`, and `print` for each of its points.
+void run_table2_figure(const std::array<PanelText, 4>& panels,
+                       const std::function<void()>& header,
+                       const PointPrinter& print);
 
 }  // namespace eevfs::bench

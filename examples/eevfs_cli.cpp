@@ -12,9 +12,9 @@
 // Systems: eevfs_pf, eevfs_npf, maid, pdc, drpm, always_on, oracle.
 //
 // Observability (docs/observability.md): --trace-out <prefix> records the
-// event timeline and writes <prefix>.trace.jsonl (grep), <prefix>.trace.json
-// (load in https://ui.perfetto.dev), and <prefix>.trace.bin (tooling);
-// --report <path> writes the schema-versioned run report.
+// event timeline and writes <prefix>.trace.jsonl (grep) and
+// <prefix>.trace.json (load in https://ui.perfetto.dev); --report <path>
+// writes the schema-versioned run report.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   cli.add_flag("chaos-crashes", "crash count with --chaos-seed", "2");
   cli.add_flag("chaos-downtime", "seconds down with --chaos-seed", "30");
   cli.add_flag("chaos-plan", "fault schedule file (overrides --chaos-seed)");
-  cli.add_flag("trace-out", "record events; write <prefix>.trace.{jsonl,json,bin}");
+  cli.add_flag("trace-out", "record events; write <prefix>.trace.{jsonl,json}");
   cli.add_flag("trace-cats", "trace category filter (e.g. disk,power)", "all");
   cli.add_flag("report", "write a run_report.json to this path");
 
@@ -282,8 +282,7 @@ int main(int argc, char** argv) {
         const char* suffix;
         void (obs::Tracer::*write)(std::ostream&) const;
       } sinks[] = {{".trace.jsonl", &obs::Tracer::write_jsonl},
-                   {".trace.json", &obs::Tracer::write_chrome_trace},
-                   {".trace.bin", &obs::Tracer::write_binary}};
+                   {".trace.json", &obs::Tracer::write_chrome_trace}};
       for (const auto& sink : sinks) {
         const std::string path = *trace_out + sink.suffix;
         std::ofstream out(path, std::ios::binary);
@@ -293,7 +292,7 @@ int main(int argc, char** argv) {
         }
         (tracer.*sink.write)(out);
       }
-      std::printf("\ntrace: %s.trace.{jsonl,json,bin} — %zu events "
+      std::printf("\ntrace: %s.trace.{jsonl,json} — %zu events "
                   "(%llu dropped); open the .json in ui.perfetto.dev\n",
                   trace_out->c_str(), tracer.recorded(),
                   static_cast<unsigned long long>(tracer.dropped()));

@@ -28,10 +28,20 @@ BufferManager::InsertResult BufferManager::insert(trace::FileId f,
     erase(victim);
   }
   lru_.push_front(f);
-  entries_.emplace(f, Entry{bytes, lru_.begin()});
+  entries_.emplace(f, Entry{bytes, lru_.begin(), /*landed=*/false});
   cached_bytes_ += bytes;
   result.inserted = true;
   return result;
+}
+
+bool BufferManager::landed(trace::FileId f) const {
+  const auto it = entries_.find(f);
+  return it != entries_.end() && it->second.landed;
+}
+
+void BufferManager::mark_landed(trace::FileId f) {
+  const auto it = entries_.find(f);
+  if (it != entries_.end()) it->second.landed = true;
 }
 
 void BufferManager::touch(trace::FileId f) {
@@ -47,6 +57,19 @@ void BufferManager::erase(trace::FileId f) {
   cached_bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru_pos);
   entries_.erase(it);
+}
+
+std::size_t BufferManager::erase_landed_outside(
+    const std::set<trace::FileId>& keep) {
+  std::size_t erased = 0;
+  for (auto pos = lru_.begin(); pos != lru_.end();) {
+    const trace::FileId f = *pos++;  // erase(f) unlinks the node just left
+    if (!keep.contains(f) && landed(f)) {
+      erase(f);
+      ++erased;
+    }
+  }
+  return erased;
 }
 
 bool BufferManager::reserve_write(Bytes bytes) {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "trace/trace.hpp"
-#include "util/logging.hpp"
 #include "util/string_util.hpp"
 
 namespace eevfs::core {
@@ -334,8 +333,6 @@ void Cluster::start_attempt(std::size_t client_idx,
       return;
     }
     cm.failed.add();
-    EEVFS_DEBUG() << "request for file " << r.file << " failed: "
-                  << to_string(st);
     complete_request(client_idx, replay_start);
   };
 
@@ -445,7 +442,6 @@ void Cluster::finish_run() {
   m.wakeups_on_demand = m.count("power.wakeups_on_demand.count");
   m.bytes_served = m.count("node.bytes_served.bytes");
   m.bytes_prefetched = m.count("prefetch.bytes_prefetched.bytes");
-  EEVFS_INFO() << "run finished: " << metrics_.summary();
 }
 
 void Cluster::snapshot_counters() {

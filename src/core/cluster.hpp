@@ -88,8 +88,8 @@ class Cluster {
 
   /// The run's event tracer (configured from config.trace; empty, its
   /// string table included, when tracing was disabled).  Valid after
-  /// run(); use its write_jsonl / write_chrome_trace / write_binary
-  /// sinks to export the timeline.
+  /// run(); use its write_jsonl / write_chrome_trace sinks to export
+  /// the timeline.
   const obs::Tracer& tracer() const { return *tracer_; }
   /// The run's metric registry: every component counts into it, and
   /// RunMetrics::counters is its snapshot at the end of the run.

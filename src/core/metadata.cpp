@@ -50,11 +50,7 @@ std::span<const NodeId> ServerMetadata::holders(trace::FileId f) const {
 
 std::optional<ServerFileEntry> ServerMetadata::lookup(
     trace::FileId file) const {
-  ++lookups_;
-  if (file >= files()) {
-    ++misses_;
-    return std::nullopt;
-  }
+  if (file >= files()) return std::nullopt;
   return ServerFileEntry{node_of[file], size_[file], holders(file), erasure(),
                          ec_k_};
 }
@@ -81,7 +77,7 @@ void NodeMetadata::insert(trace::FileId file, LocalFileMeta meta) {
   // A sorted table answers the duplicate check now; once an id arrives
   // out of order, the next lookup's sort does.
   if (sorted_ && !entries_.empty() && file <= entries_.back().file) {
-    if (locate(file) != nullptr) {
+    if (find(file) != nullptr) {
       throw std::invalid_argument("NodeMetadata: duplicate file " +
                                   std::to_string(file));
     }
@@ -103,7 +99,7 @@ void NodeMetadata::sort_entries() const {
   sorted_ = true;
 }
 
-LocalFileMeta* NodeMetadata::locate(trace::FileId file) const {
+const LocalFileMeta* NodeMetadata::find(trace::FileId file) const {
   sort_entries();
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), file,
@@ -111,28 +107,13 @@ LocalFileMeta* NodeMetadata::locate(trace::FileId file) const {
   return it == entries_.end() || it->file != file ? nullptr : &*it;
 }
 
-LocalFileMeta& NodeMetadata::at(trace::FileId file) {
-  return const_cast<LocalFileMeta&>(std::as_const(*this).at(file));
-}
-
 const LocalFileMeta& NodeMetadata::at(trace::FileId file) const {
-  ++lookups_;
-  const LocalFileMeta* meta = locate(file);
+  const LocalFileMeta* meta = find(file);
   if (meta == nullptr) {
     throw std::out_of_range("NodeMetadata: unknown file " +
                             std::to_string(file));
   }
   return *meta;
-}
-
-const LocalFileMeta* NodeMetadata::find(trace::FileId file) const {
-  ++lookups_;
-  return locate(file);
-}
-
-LocalFileMeta* NodeMetadata::find(trace::FileId file) {
-  ++lookups_;
-  return locate(file);
 }
 
 Bytes NodeMetadata::memory_footprint() const {

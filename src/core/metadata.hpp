@@ -3,8 +3,8 @@
 // The burden is split exactly as the paper describes: the storage server
 // keeps only coarse metadata — which *node* owns a file, and its size —
 // while each storage node keeps the local metadata that locates the file
-// on its own disks (stripe set, buffered copy).  The server is never
-// aware of individual disks.
+// on its own disks (its stripe set; the node's buffer index records the
+// buffered copies).  The server is never aware of individual disks.
 //
 // Both tables are dense and own no per-file heap block, so each costs
 // O(files) of small fixed-size entries — the paper's scalability argument
@@ -16,12 +16,11 @@
 //     in one pass over placement's creation order.  place_files builds
 //     it, and it never changes afterwards.
 //   - NodeMetadata is one flat array of 16-byte LocalFileMeta entries
-//     (file id, first stripe disk, buffered flag, size) sorted by FileId.
-//     The stripe width is the node's, the same for every file.
+//     (file id, first stripe disk, size) sorted by FileId.  The stripe
+//     width is the node's, the same for every file.
 //
-// Both count their lookups; the server's also models its probe cost, so
-// the scalability bench can show the routing tier staying thin as nodes
-// are added.
+// The server's table also models its probe cost (lookup_cost), which
+// routing pays on every request.
 #pragma once
 
 #include <cstddef>
@@ -89,10 +88,8 @@ class ServerMetadata {
   bool erasure() const { return ec_k_ > 0; }
   std::size_t ec_k() const { return ec_k_; }
 
-  /// Looks a file up, counting the probe.  nullopt for unknown files.
+  /// Looks a file up.  nullopt for unknown files.
   std::optional<ServerFileEntry> lookup(trace::FileId file) const;
-  std::uint64_t lookups() const { return lookups_; }
-  std::uint64_t misses() const { return misses_; }
 
   /// Resident bytes of the columns: the paper's scalability argument is
   /// that the server holds O(files) tiny entries, not block maps
@@ -117,24 +114,20 @@ class ServerMetadata {
   std::vector<NodeId> holder_arena_;
   std::size_t copies_ = 1;
   std::size_t ec_k_ = 0;
-  mutable std::uint64_t lookups_ = 0;
-  mutable std::uint64_t misses_ = 0;
 };
 
 /// Node-side entry: local placement of one file, 16 bytes.  Trivially
 /// copyable, so the node table is one flat array with no per-file heap
 /// block.  The first stripe disk is a 16-bit index (StorageNode refuses
 /// more data disks than NodeMetadata::kMaxDisks), and the stripe width is
-/// the node's, the same for every file, so the file id, that index, the
-/// buffered flag and the size are the whole entry.
+/// the node's, the same for every file, so the file id, that index and
+/// the size are the whole entry.
 struct LocalFileMeta {
   /// Set by NodeMetadata::insert.
   trace::FileId file = 0;
   /// Stripe set: the node's stripe width in data disks from `first_disk`
   /// on, wrapping around the node's data disks.
   std::uint16_t first_disk = 0;
-  /// A copy of the file is on the node's buffer disk.
-  bool buffered = false;
   Bytes size = 0;
 
   /// Stripe member j on a node with `data_disks` data disks.
@@ -164,27 +157,19 @@ class NodeMetadata {
   void insert(trace::FileId file, LocalFileMeta meta);
   void reserve(std::size_t files) { entries_.reserve(files); }
 
-  /// Mutable access for serving/buffer updates; throws std::out_of_range
-  /// for unknown files (a routing bug, not a client error).
-  LocalFileMeta& at(trace::FileId file);
+  /// Throws std::out_of_range for unknown files (a routing bug, not a
+  /// client error).  Entries never change after insert.
   const LocalFileMeta& at(trace::FileId file) const;
 
-  bool contains(trace::FileId file) const { return locate(file) != nullptr; }
+  bool contains(trace::FileId file) const { return find(file) != nullptr; }
+  /// The entry of `file`, or null.
   const LocalFileMeta* find(trace::FileId file) const;
-  LocalFileMeta* find(trace::FileId file);
 
   std::size_t files() const { return entries_.size(); }
-  std::uint64_t lookups() const { return lookups_; }
   /// Resident bytes of the table.
   Bytes memory_footprint() const;
 
-  /// Iteration in FileId order (buffer reconciliation walks all local
-  /// files).
-  std::vector<Entry>::iterator begin() {
-    sort_entries();
-    return entries_.begin();
-  }
-  std::vector<Entry>::iterator end() { return entries_.end(); }
+  /// Iteration in FileId order.
   std::vector<Entry>::const_iterator begin() const {
     sort_entries();
     return entries_.begin();
@@ -194,14 +179,11 @@ class NodeMetadata {
  private:
   /// Sorts the table by FileId if an insert left it unsorted.
   void sort_entries() const;
-  /// The entry of `file` (sorting first), or null; counts nothing.
-  LocalFileMeta* locate(trace::FileId file) const;
 
   /// Sorting reorders entries without changing the table's contents, so
   /// the const lookups may do it.
   mutable std::vector<Entry> entries_;
   mutable bool sorted_ = true;
-  mutable std::uint64_t lookups_ = 0;
 };
 // 16 bytes per file: the node tables of a 1024-node cell hold one entry
 // per placed file.

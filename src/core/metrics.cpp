@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/string_util.hpp"
-
 namespace eevfs::core {
 
 double RunMetrics::duty_cycles_per_disk_hour(
@@ -64,45 +62,6 @@ double RunMetrics::heartbeat_mttr_sec() const {
              : ticks_to_seconds(static_cast<Tick>(
                    count("server.recovered_dead_time.us"))) /
                    static_cast<double>(episodes);
-}
-
-std::string RunMetrics::summary() const {
-  std::string s = format(
-      "energy=%.3e J (disk %.3e + base %.3e), transitions=%llu "
-      "(up %llu/down %llu), resp mean=%.3f s p95=%.3f s, hit rate=%.1f%%, "
-      "makespan=%.1f s, requests=%llu",
-      total_joules, disk_joules, base_joules,
-      static_cast<unsigned long long>(power_transitions),
-      static_cast<unsigned long long>(spin_ups),
-      static_cast<unsigned long long>(spin_downs),
-      response_time_sec.mean(), response_p95_sec, 100.0 * buffer_hit_rate(),
-      ticks_to_seconds(makespan), static_cast<unsigned long long>(requests));
-  if (counters.empty()) return s;  // not from a run: no snapshot to read
-  const std::uint64_t faults = count("fault.injected.count");
-  const std::uint64_t failed = count("client.failed_requests.count");
-  if (faults > 0 || failed > 0) {
-    s += format(
-        ", faults=%llu avail=%.4f failed=%llu retried=%llu rerouted=%llu",
-        static_cast<unsigned long long>(faults), availability(),
-        static_cast<unsigned long long>(failed),
-        static_cast<unsigned long long>(retried_requests()),
-        static_cast<unsigned long long>(
-            count("server.requests_rerouted.count")));
-  }
-  const std::uint64_t episodes = count("recovery.episodes.count");
-  const std::uint64_t lost = count("fault.lost_acked_writes.count");
-  if (episodes > 0 || lost > 0) {
-    s += format(
-        ", recoveries=%llu mttr=%.3f s replayed=%llu resynced=%llu "
-        "rewarmed=%llu lost_acked=%llu",
-        static_cast<unsigned long long>(episodes), recovery_mttr_sec(),
-        static_cast<unsigned long long>(
-            count("recovery.replayed_writes.count")),
-        static_cast<unsigned long long>(count("recovery.resynced_files.count")),
-        static_cast<unsigned long long>(count("recovery.rewarmed_files.count")),
-        static_cast<unsigned long long>(lost));
-  }
-  return s;
 }
 
 }  // namespace eevfs::core

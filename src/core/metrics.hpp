@@ -158,9 +158,6 @@ struct RunMetrics {
   /// Response-time degradation relative to `baseline` as a fraction:
   /// 0.37 = 37 % slower.
   double response_penalty_vs(const RunMetrics& baseline) const;
-
-  /// One-line human-readable summary.
-  std::string summary() const;
 };
 
 }  // namespace eevfs::core

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace eevfs::core {
 
 namespace {
@@ -237,8 +235,6 @@ bool PowerManager::try_sleep(std::size_t disk) {
     tracer_->instant(sim_.now(), obs::kCatPower, obs::TraceLevel::kInfo,
                      ev_sleep_, disks_[disk].track);
   }
-  EEVFS_DEBUG() << d.label() << ": power manager sleeping disk at t="
-                << ticks_to_seconds(sim_.now());
   return true;
 }
 

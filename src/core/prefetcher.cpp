@@ -4,8 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "util/logging.hpp"
-
 namespace eevfs::core {
 
 Prefetcher::Prefetcher(EnergyPredictionModel data_disk_model,
@@ -145,10 +143,6 @@ PrefetchPlan Prefetcher::plan(std::span<const PrefetchCandidate> candidates,
         }
       }
       out.predicted_benefit += best_benefit;
-      EEVFS_DEBUG() << "prefetch gate: disk set of " << disks.size()
-                    << " accepts " << best_k << "/" << list.size()
-                    << " candidates, predicted benefit " << best_benefit
-                    << " J";
     }
   }
   return out;

@@ -2,7 +2,6 @@
 
 #include "core/metadata.hpp"
 #include "core/metrics.hpp"
-#include "util/logging.hpp"
 
 namespace eevfs::core {
 
@@ -176,11 +175,6 @@ void RecoveryManager::finish_episode(NodeId n, std::size_t rewarmed) {
   metrics_.rewarm_time.record(
       static_cast<std::uint64_t>(sim_.now() - ep.phase_start));
   trace_instant(ev_complete_, n, static_cast<std::int64_t>(mttr));
-  EEVFS_DEBUG() << "node " << n << ": recovery complete at t="
-                << ticks_to_seconds(sim_.now()) << " (mttr="
-                << ticks_to_seconds(mttr) << "s, replayed=" << ep.replayed
-                << ", resynced=" << ep.resynced << ", rewarmed=" << rewarmed
-                << ")";
 }
 
 }  // namespace eevfs::core

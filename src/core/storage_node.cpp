@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/logging.hpp"
 #include "util/string_util.hpp"
 
 namespace eevfs::core {
@@ -228,11 +227,7 @@ void StorageNode::warm_prefetch(std::function<void()> done) {
   std::vector<trace::FileId> warm;
   for (const PrefetchCandidate& c : plan_.ram_pinned) hot.push_back(c.file);
   for (const PrefetchCandidate& c : plan_.accepted) warm.push_back(c.file);
-  warm_tiers(hot, warm, [this, done = std::move(done)](std::size_t) {
-    EEVFS_DEBUG() << "node " << params_.id << ": prefetch done at t="
-                  << ticks_to_seconds(sim_.now());
-    done();
-  });
+  warm_tiers(hot, warm, [done = std::move(done)](std::size_t) { done(); });
 }
 
 void StorageNode::warm_tiers(const std::vector<trace::FileId>& hot,
@@ -260,7 +255,7 @@ void StorageNode::warm_tiers(const std::vector<trace::FileId>& hot,
   }
   for (const trace::FileId f : warm) {
     copy_into_buffer(f, [this, f, ep, arrive] {
-      arrive(ep == epoch_ && meta_.at(f).buffered);
+      arrive(ep == epoch_ && buffer_.landed(f));
     });
   }
 }
@@ -404,7 +399,7 @@ void StorageNode::write_buffer_copy(trace::FileId f, Done done) {
       done(false);
       return;
     }
-    meta_.at(f).buffered = true;
+    buffer_.mark_landed(f);
     done(true);
   };
   buffer_disk_.submit(std::move(write));
@@ -465,13 +460,7 @@ void StorageNode::update_prefetch(const std::vector<trace::FileId>& wanted) {
   const std::set<trace::FileId> target(wanted.begin(), wanted.end());
   // Evict buffered files that fell out of the top set — dropping a cached
   // copy is metadata-only, no I/O.
-  for (LocalFileMeta& meta : meta_) {
-    if (meta.buffered && !target.contains(meta.file)) {
-      buffer_.erase(meta.file);
-      meta.buffered = false;
-      metrics_.evictions.add();
-    }
-  }
+  metrics_.evictions.add(buffer_.erase_landed_outside(target));
   // Copy in newly popular files (rank order), skipping ones already
   // buffered or already on their way: the buffer index holds both.
   for (const trace::FileId f : wanted) {
@@ -513,11 +502,7 @@ void StorageNode::on_data_disk_failed(std::size_t d) {
   auto dropped = std::move(pending_writes_[d]);
   pending_writes_[d].clear();
   for (const PendingWrite& w : dropped) retire_destage(w, /*landed=*/false);
-  if (!dropped.empty()) {
-    EEVFS_DEBUG() << "node " << params_.id << ": disk " << d << " failed, "
-                  << dropped.size() << " destages stranded";
-    notify_flush_waiters();
-  }
+  if (!dropped.empty()) notify_flush_waiters();
 }
 
 Joules StorageNode::degraded_read_energy_estimate(Bytes bytes) const {
@@ -561,11 +546,10 @@ void StorageNode::crash() {
   destage_backlog_ = 0;
   live_lsns_.clear();
   journal_.crash();
-  // The buffer-manager index is RAM: reset it empty and forget every
-  // buffered flag.  The platter bytes survive but are unreachable
-  // without the index — re-warm re-copies what matters.
+  // The buffer-manager index is RAM: reset it empty.  The platter bytes
+  // survive but are unreachable without the index — re-warm re-copies
+  // what matters.
   buffer_ = BufferManager(buffer_.capacity());
-  for (LocalFileMeta& m : meta_) m.buffered = false;
   // The RAM tier dies wholesale.  Clean cached bytes are re-fetchable,
   // but staged write-backs were ACKED and are lost no matter what the
   // journal mode is — the journal only covers bytes that reached the
@@ -585,16 +569,9 @@ void StorageNode::crash() {
   // Data-disk power management keeps running: the crash kills the file
   // service, not the shelf — firmware DPM stays powered.
   notify_flush_waiters();
-  EEVFS_DEBUG() << "node " << params_.id << ": crashed at t="
-                << ticks_to_seconds(sim_.now());
 }
 
-void StorageNode::restart() {
-  if (alive_) return;
-  alive_ = true;
-  EEVFS_DEBUG() << "node " << params_.id << ": restarted at t="
-                << ticks_to_seconds(sim_.now());
-}
+void StorageNode::restart() { alive_ = true; }
 
 void StorageNode::replay_journal(std::function<void(std::size_t)> done) {
   if (!done) done = [](std::size_t) {};
@@ -713,7 +690,7 @@ void StorageNode::serve_read(trace::FileId f, net::EndpointId client,
   }
 
   // Buffer disk next, when it holds a copy.
-  if (meta->buffered && buffer_.contains(f)) {
+  if (buffer_.landed(f)) {
     if (!buffer_disk_.failed()) {
       metrics_.buffer_hits.add();
       if (!stripe_set_alive(*meta)) {
@@ -784,12 +761,8 @@ void StorageNode::read_stripe(const Read& read, bool fallback) {
       // MAID: cache on access.  The insert may evict colder files.
       const auto res = buffer_.insert(read.file, m.size,
                                       /*allow_evict=*/true);
-      for (const trace::FileId victim : res.evicted) {
-        LocalFileMeta* vmeta = meta_.find(victim);
-        if (vmeta != nullptr) vmeta->buffered = false;
-        metrics_.evictions.add();
-      }
-      if (res.inserted && !meta_.at(read.file).buffered) {
+      metrics_.evictions.add(res.evicted.size());
+      if (res.inserted && !buffer_.landed(read.file)) {
         write_buffer_copy(read.file, [](bool) {});
       }
     }
@@ -1134,8 +1107,7 @@ NodeMetrics StorageNode::collect_metrics() {
 }
 
 bool StorageNode::is_buffered(trace::FileId f) const {
-  const LocalFileMeta* meta = meta_.find(f);
-  return meta != nullptr && meta->buffered;
+  return buffer_.landed(f);
 }
 
 std::optional<std::size_t> StorageNode::data_disk_of(trace::FileId f) const {

@@ -1,7 +1,8 @@
 // A storage node (paper §III-A): owns n data disks and one buffer disk
 // (the paper's m = 1, Table I), keeps the node-local metadata (file ->
-// disk, buffered?), executes the prefetch plan, serves reads/writes, and
-// runs the power manager over its data disks.  The storage server never
+// disk) and the buffer index (which copies the buffer disk holds),
+// executes the prefetch plan, serves reads/writes, and runs the power
+// manager over its data disks.  The storage server never
 // learns which disk inside a node holds a file (§IV-D, distributed
 // metadata management).
 //
@@ -232,6 +233,7 @@ class StorageNode {
   NodeMetrics collect_metrics();
 
   // --- introspection (tests, benches) ----------------------------------
+  /// The buffer disk holds a landed copy of `f`.
   bool is_buffered(trace::FileId f) const;
   /// Primary data disk of a file (first stripe member).
   std::optional<std::size_t> data_disk_of(trace::FileId f) const;
@@ -290,7 +292,8 @@ class StorageNode {
   /// area (prefetch, online re-ranking, re-warm).  Faults abort the copy
   /// (the file just stays unbuffered); `done` always fires.
   void copy_into_buffer(trace::FileId f, std::function<void()> done);
-  /// Writes `f`'s copy onto the buffer disk and marks it buffered.  The
+  /// Writes `f`'s copy onto the buffer disk and marks its buffer-index
+  /// entry landed (a no-op when the entry was evicted meanwhile).  The
   /// caller has already inserted `f` into the buffer index; the entry is
   /// dropped again when the disk is dead or the write fails.
   /// `done(landed)` always fires, with false under a stale epoch.

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/placement.hpp"
-#include "util/logging.hpp"
 
 namespace eevfs::core {
 
@@ -313,8 +312,6 @@ void StorageServer::mark_dead(NodeId n) {
     tracer_->instant(sim_.now(), obs::kCatServer, obs::TraceLevel::kInfo,
                      ev_node_dead_, track_, 0, static_cast<std::int64_t>(n));
   }
-  EEVFS_DEBUG() << "server: node " << n << " marked dead at t="
-                << ticks_to_seconds(sim_.now());
 }
 
 void StorageServer::mark_alive(NodeId n) {
@@ -330,8 +327,6 @@ void StorageServer::mark_alive(NodeId n) {
     tracer_->instant(sim_.now(), obs::kCatServer, obs::TraceLevel::kInfo,
                      ev_node_alive_, track_, 0, static_cast<std::int64_t>(n));
   }
-  EEVFS_DEBUG() << "server: node " << n << " recovered at t="
-                << ticks_to_seconds(sim_.now());
 }
 
 void StorageServer::note_holder_failure(trace::FileId f, NodeId n,

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace eevfs::disk {
@@ -84,8 +83,6 @@ bool DiskModel::request_spin_down() {
   if (state_ != PowerState::kIdle || !queue_.empty()) return false;
   enter_state(PowerState::kSpinningDown);
   ++spin_downs_;
-  EEVFS_TRACE() << label_ << ": spinning down at t="
-                << ticks_to_seconds(sim_.now());
   pending_event_ = sim_.schedule_after(profile_.spin_down_time, [this] {
     enter_state(PowerState::kStandby);
     if (wake_when_down_ || !queue_.empty()) {
@@ -115,11 +112,7 @@ void DiskModel::begin_spin_up() {
         static_cast<double>(splitmix64(flake_state_) >> 11) * 0x1.0p-53;
     if (draw < profile_.spin_up_retry_prob) attempts = 2;
   }
-  if (attempts > 1) {
-    spin_up_retries_ += attempts - 1;
-    EEVFS_DEBUG() << label_ << ": spin-up needs " << (attempts - 1)
-                  << " retries at t=" << ticks_to_seconds(sim_.now());
-  }
+  spin_up_retries_ += attempts - 1;
   if (attempts > profile_.max_spin_up_attempts) {
     // The motor never reaches speed: burn the bounded ramp time, then the
     // controller gives up and drops the drive.
@@ -129,8 +122,6 @@ void DiskModel::begin_spin_up() {
     return;
   }
   const Tick ramp = profile_.spin_up_time * static_cast<Tick>(attempts);
-  EEVFS_TRACE() << label_ << ": spinning up at t="
-                << ticks_to_seconds(sim_.now());
   pending_event_ = sim_.schedule_after(ramp, [this] {
     enter_state(PowerState::kIdle);
     if (!queue_.empty()) {
@@ -162,8 +153,6 @@ void DiskModel::complete_current() {
     --pending_read_errors_;
     ++media_errors_;
     status = IoStatus::kMediaError;
-    EEVFS_DEBUG() << label_ << ": media error at t="
-                  << ticks_to_seconds(sim_.now());
   }
   ++requests_completed_;
   if (status == IoStatus::kOk) bytes_transferred_ += req.bytes;
@@ -181,8 +170,6 @@ void DiskModel::complete_current() {
 
 void DiskModel::fail() {
   if (state_ == PowerState::kFailed) return;
-  EEVFS_INFO() << label_ << ": DISK FAILED at t="
-               << ticks_to_seconds(sim_.now());
   pending_event_.cancel();  // abandon in-flight transfer or transition
   wake_when_down_ = false;
   enter_state(PowerState::kFailed);

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace eevfs::fault {
@@ -224,12 +223,6 @@ void FaultInjector::set_observer(obs::Tracer* tracer) {
 }
 
 void FaultInjector::apply(const FaultSpec& spec) {
-  EEVFS_DEBUG() << "fault: " << to_string(spec.kind) << " node=" << spec.node
-                << (spec.kind == FaultKind::kNodeCrash ||
-                            spec.kind == FaultKind::kNodeRestart
-                        ? ""
-                        : (spec.buffer_disk ? " buffer" : " data"))
-                << " at t=" << ticks_to_seconds(sim_.now());
   switch (spec.kind) {
     case FaultKind::kDiskFailure:
     case FaultKind::kSpinUpFlake:

@@ -1,8 +1,6 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -182,116 +180,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   w.end_array();
   w.end_object();
   out << w.str() << '\n';
-}
-
-namespace {
-
-constexpr char kBinaryMagic[8] = {'E', 'E', 'V', 'T', 'R', 'C', '0', '1'};
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out.write(buf, 8);
-}
-
-bool get_u64(std::istream& in, std::uint64_t& v) {
-  char buf[8];
-  if (!in.read(buf, 8)) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  }
-  return true;
-}
-
-}  // namespace
-
-void Tracer::write_binary(std::ostream& out) const {
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  put_u64(out, strings_.size());
-  for (const std::string& s : strings_) {
-    put_u64(out, s.size());
-    out.write(s.data(), static_cast<std::streamsize>(s.size()));
-  }
-  put_u64(out, ring_.size());
-  for (const TraceEvent& ev : ring_) {
-    put_u64(out, static_cast<std::uint64_t>(ev.ts));
-    put_u64(out, static_cast<std::uint64_t>(ev.dur));
-    put_u64(out, ev.category);
-    put_u64(out, static_cast<std::uint64_t>(ev.level));
-    put_u64(out, ev.name);
-    put_u64(out, ev.track);
-    put_u64(out, ev.detail);
-    put_u64(out, static_cast<std::uint64_t>(ev.a0));
-    put_u64(out, static_cast<std::uint64_t>(ev.a1));
-  }
-}
-
-bool Tracer::read_binary(std::istream& in) {
-  char magic[sizeof(kBinaryMagic)];
-  if (!in.read(magic, sizeof(magic))) return false;
-  for (std::size_t i = 0; i < sizeof(magic); ++i) {
-    if (magic[i] != kBinaryMagic[i]) return false;
-  }
-  std::uint64_t nstrings = 0;
-  if (!get_u64(in, nstrings)) return false;
-  // A dump never has more strings than bytes; reject absurd headers
-  // before allocating.
-  if (nstrings == 0 || nstrings > (std::uint64_t{1} << 32)) return false;
-  std::vector<std::string> strings;
-  strings.reserve(static_cast<std::size_t>(nstrings));
-  for (std::uint64_t i = 0; i < nstrings; ++i) {
-    std::uint64_t len = 0;
-    if (!get_u64(in, len)) return false;
-    if (len > (std::uint64_t{1} << 24)) return false;
-    std::string s(static_cast<std::size_t>(len), '\0');
-    if (len != 0 &&
-        !in.read(s.data(), static_cast<std::streamsize>(len))) {
-      return false;
-    }
-    strings.push_back(std::move(s));
-  }
-  if (!strings.empty() && !strings[0].empty()) return false;
-  std::uint64_t nevents = 0;
-  if (!get_u64(in, nevents)) return false;
-  std::deque<TraceEvent> ring;
-  for (std::uint64_t i = 0; i < nevents; ++i) {
-    std::uint64_t ts = 0, dur = 0, cat = 0, level = 0, name = 0, track = 0,
-                  detail = 0, a0 = 0, a1 = 0;
-    if (!get_u64(in, ts) || !get_u64(in, dur) || !get_u64(in, cat) ||
-        !get_u64(in, level) || !get_u64(in, name) || !get_u64(in, track) ||
-        !get_u64(in, detail) || !get_u64(in, a0) || !get_u64(in, a1)) {
-      return false;
-    }
-    if (name >= nstrings || track >= nstrings || detail >= nstrings) {
-      return false;
-    }
-    TraceEvent ev;
-    ev.ts = static_cast<Tick>(ts);
-    ev.dur = static_cast<Tick>(dur);
-    ev.category = static_cast<std::uint32_t>(cat);
-    ev.level = static_cast<TraceLevel>(level);
-    ev.name = static_cast<StringId>(name);
-    ev.track = static_cast<StringId>(track);
-    ev.detail = static_cast<StringId>(detail);
-    ev.a0 = static_cast<std::int64_t>(a0);
-    ev.a1 = static_cast<std::int64_t>(a1);
-    ring.push_back(ev);
-  }
-  strings_ = std::move(strings);
-  by_string_.resize(strings_.size() - 1);
-  std::iota(by_string_.begin(), by_string_.end(), StringId{1});
-  std::stable_sort(by_string_.begin(), by_string_.end(),
-                   [this](StringId a, StringId b) {
-                     return strings_[a] < strings_[b];
-                   });
-  ring_ = std::move(ring);
-  recorded_ = ring_.size();
-  dropped_ = 0;
-  return true;
 }
 
 }  // namespace eevfs::obs

@@ -9,10 +9,8 @@
 // dropped (the end of a run — destage flush, final requests — is what a
 // debugging session usually needs) and `dropped()` counts the loss.
 //
-// Sinks: JSONL (one event object per line, grep-friendly), Chrome trace
-// format (load in chrome://tracing or https://ui.perfetto.dev), and a
-// raw binary dump that round-trips through read_binary for offline
-// tooling.
+// Sinks: JSONL (one event object per line, grep-friendly) and Chrome
+// trace format (load in chrome://tracing or https://ui.perfetto.dev).
 #pragma once
 
 #include <cstdint>
@@ -121,12 +119,6 @@ class Tracer {
   /// rows via thread_name metadata; ts is in µs, which is exactly one
   /// sim tick, so the Perfetto timeline reads in sim time.
   void write_chrome_trace(std::ostream& out) const;
-
-  /// Raw dump: header, string table, then fixed-size records.
-  void write_binary(std::ostream& out) const;
-  /// Loads a write_binary dump into `*this` (events + string table);
-  /// returns false on a malformed stream.
-  bool read_binary(std::istream& in);
 
  private:
   void push(TraceEvent ev);

@@ -1,9 +1,7 @@
 #include "trace/io.hpp"
 
 #include <charconv>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -89,96 +87,9 @@ Trace read_trace(std::istream& in) {
   return trace;
 }
 
-namespace {
-
-template <typename T>
-void put_le(std::ostream& out, T value) {
-  unsigned char buf[sizeof(T)];
-  auto v = static_cast<std::make_unsigned_t<T>>(value);
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-  out.write(reinterpret_cast<const char*>(buf), sizeof(T));
-}
-
-template <typename T>
-T get_le(std::istream& in) {
-  unsigned char buf[sizeof(T)];
-  in.read(reinterpret_cast<char*>(buf), sizeof(T));
-  if (!in) throw std::runtime_error("binary trace: truncated input");
-  // Accumulate in a wide register: |= on a sub-int type would promote to
-  // int and warn on the narrowing assignment under -Wconversion.
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  }
-  return static_cast<T>(static_cast<std::make_unsigned_t<T>>(v));
-}
-
-}  // namespace
-
-void write_trace_binary(std::ostream& out, const Trace& trace) {
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  put_le<std::uint32_t>(out, kBinaryVersion);
-  put_le<std::uint64_t>(out, trace.size());
-  for (const TraceRecord& r : trace.records()) {
-    put_le<std::int64_t>(out, r.arrival);
-    put_le<std::uint32_t>(out, r.file);
-    put_le<std::uint64_t>(out, r.bytes);
-    put_le<std::uint8_t>(out, static_cast<std::uint8_t>(r.op));
-    put_le<std::uint32_t>(out, r.client);
-  }
-}
-
-Trace read_trace_binary(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("binary trace: bad magic");
-  }
-  const auto version = get_le<std::uint32_t>(in);
-  if (version != kBinaryVersion) {
-    throw std::runtime_error("binary trace: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto count = get_le<std::uint64_t>(in);
-  Trace trace;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TraceRecord r;
-    r.arrival = get_le<std::int64_t>(in);
-    r.file = get_le<std::uint32_t>(in);
-    r.bytes = get_le<std::uint64_t>(in);
-    const auto op = get_le<std::uint8_t>(in);
-    if (op > 1) throw std::runtime_error("binary trace: bad op byte");
-    r.op = static_cast<Op>(op);
-    const auto client = get_le<std::uint32_t>(in);
-    if (client > std::numeric_limits<ClientId>::max()) {
-      throw std::runtime_error("binary trace: client id " +
-                               std::to_string(client) + " in record " +
-                               std::to_string(i) + " does not fit 16 bits");
-    }
-    r.client = static_cast<ClientId>(client);
-    trace.append(r);
-  }
-  return trace;
-}
-
-void write_trace_binary_file(const std::string& path, const Trace& trace) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open trace file for write: " + path);
-  write_trace_binary(out, trace);
-}
-
 Trace read_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  in.clear();
-  in.seekg(0);
-  if (std::memcmp(magic, kBinaryMagic, sizeof(magic)) == 0) {
-    return read_trace_binary(in);
-  }
   return read_trace(in);
 }
 

@@ -100,11 +100,15 @@ class CompareCli(unittest.TestCase):
     def test_identical_runs_do_not_differ(self):
         self.assertEqual(self.differing(), [])
 
+    def test_the_files_are_stdout_and_the_two_traces(self):
+        self.assertEqual(bench_vs.CLI_FILES,
+                         ("stdout.txt", "run.trace.jsonl", "run.trace.json"))
+
     def test_a_differing_trace_file_differs(self):
-        write(os.path.join(self.change, "cli", "plan", "run.trace.bin"),
+        write(os.path.join(self.change, "cli", "plan", "run.trace.json"),
               "other\n")
         self.assertEqual(self.differing(),
-                         [os.path.join("cli", "plan", "run.trace.bin")])
+                         [os.path.join("cli", "plan", "run.trace.json")])
 
     def test_a_missing_trace_file_differs(self):
         os.remove(os.path.join(self.base, "cli", "plan", "run.trace.jsonl"))
@@ -125,9 +129,14 @@ class CliCases(unittest.TestCase):
         cases = dict(bench_vs.cli_cases())
         self.assertEqual(list(cases), [
             "defaults", "maid", "ec_chaos", "replicated_chaos", "plan",
-            "plan_ec", "plan_replicated_maid", "plan_web"])
+            "plan_ec", "plan_replicated_maid", "plan_web", "trace_file"])
         plan = os.path.join(ROOT, "examples", "chaos_plan.txt")
         self.assertTrue(os.path.exists(plan))
+        # The trace-file case replays this checkout's sample trace alone:
+        # the trace sets the request count.
+        trace = os.path.join(ROOT, "examples", "sample.trace")
+        self.assertTrue(os.path.exists(trace))
+        self.assertEqual(cases.pop("trace_file"), ["--trace", trace])
         for name, args in cases.items():
             # Every case sets its request count once; only the web case
             # changes it.
@@ -145,11 +154,11 @@ class CliCases(unittest.TestCase):
     def test_each_case_traces_to_run_in_its_own_directory(self):
         with tempfile.TemporaryDirectory() as tmp:
             exe = os.path.join(tmp, "build", "examples", "eevfs_cli")
-            # Writes the three traces under the --trace-out prefix (the
+            # Writes the two traces under the --trace-out prefix (the
             # last argument) and echoes its arguments.
             write(exe, '#!/bin/sh\necho "$@"\n'
                        'for last; do :; done\n'
-                       'for s in jsonl json bin; do '
+                       'for s in jsonl json; do '
                        'echo t > "$last.trace.$s"; done\n')
             os.chmod(exe, os.stat(exe).st_mode | stat.S_IXUSR)
             out = os.path.join(tmp, "out")

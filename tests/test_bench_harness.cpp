@@ -1,10 +1,14 @@
 // bench::with_writes, the write mix of the write-path benches and of the
-// repository benchmark's ec_write_crash workload.
+// repository benchmark's ec_write_crash workload, and bench::table2_points,
+// the sweeps of Figs. 3-5.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "harness.hpp"
 #include "trace/record.hpp"
@@ -64,6 +68,53 @@ TEST(WithWrites, RejectsFractionsOutsideZeroToOne) {
     EXPECT_THROW((void)with_writes(base_workload(), f), std::invalid_argument)
         << f;
   }
+}
+
+/// Panels whose paper values name their point ("b2" is MU = 10), with
+/// `per_panel[p]` values in panel p.
+std::array<PanelText, 4> panels(const std::array<std::size_t, 4>& per_panel) {
+  static const char* const kNames[4][4] = {{"a1", "a2", "a3", "a4"},
+                                           {"b1", "b2", "b3", "b4"},
+                                           {"c1", "c2", "c3", "c4"},
+                                           {"d1", "d2", "d3", "d4"}};
+  std::array<PanelText, 4> out{};
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    out[p] = {"", "", "", {kNames[p], kNames[p] + per_panel[p]}};
+  }
+  return out;
+}
+
+TEST(Table2Points, EachPanelSweepsOneParameter) {
+  const std::vector<SweepPoint> points = table2_points(panels({4, 4, 4, 4}));
+  std::vector<std::string> xs;
+  for (const SweepPoint& point : points) xs.push_back(point.x);
+  EXPECT_EQ(xs, (std::vector<std::string>{
+                    "1", "10", "25", "50",          // data size, MB
+                    "1", "10", "100", "1000",       // MU
+                    "0", "350", "700", "1000",      // inter-arrival, ms
+                    "10", "40", "70", "100"}));     // K
+  EXPECT_STREQ(points[5].paper_note, "b2");
+  EXPECT_EQ(points[0].workload.name,
+            "synthetic[size=1MB mu=1000 ia=700ms n=1000]");
+  EXPECT_EQ(points[5].workload.name,
+            "synthetic[size=10MB mu=10 ia=700ms n=1000]");
+  EXPECT_EQ(points[9].workload.name,
+            "synthetic[size=10MB mu=1000 ia=350ms n=1000]");
+  // K changes the cluster only.
+  EXPECT_EQ(points[13].workload.name, paper_workload().name);
+  EXPECT_EQ(points[13].config.prefetch_file_count, 40u);
+  EXPECT_EQ(points[9].config.prefetch_file_count, Defaults::kPrefetch);
+}
+
+TEST(Table2Points, APanelWithFewerPaperValuesStopsEarly) {
+  // Fig. 5(a) omits the 50 MB point.
+  const std::vector<SweepPoint> points = table2_points(panels({3, 4, 4, 4}));
+  ASSERT_EQ(points.size(), 15u);
+  EXPECT_EQ(points[2].x, "25");
+  EXPECT_STREQ(points[3].paper_note, "b1");
+  std::array<PanelText, 4> too_many = panels({4, 4, 4, 4});
+  too_many[2].paper.push_back("c5");
+  EXPECT_THROW((void)table2_points(too_many), std::invalid_argument);
 }
 
 }  // namespace

@@ -30,6 +30,35 @@ TEST(BufferManager, ReinsertIsTouch) {
   EXPECT_EQ(bm.cached_bytes(), 40u);  // not double counted
 }
 
+TEST(BufferManager, LandedMarkBelongsToTheEntry) {
+  BufferManager bm(100);
+  bm.insert(1, 40, false);
+  EXPECT_FALSE(bm.landed(1));  // the copy is on its way
+  bm.mark_landed(1);
+  EXPECT_TRUE(bm.landed(1));
+  bm.erase(1);
+  EXPECT_FALSE(bm.landed(1));
+  // A copy that lands after its entry went marks nothing.
+  bm.mark_landed(1);
+  EXPECT_FALSE(bm.contains(1));
+  bm.insert(1, 40, false);
+  EXPECT_FALSE(bm.landed(1));
+}
+
+TEST(BufferManager, EraseLandedOutsideKeepsCopiesInFlight) {
+  BufferManager bm(100);
+  for (const trace::FileId f : {1u, 2u, 3u, 4u}) bm.insert(f, 10, false);
+  bm.mark_landed(1);
+  bm.mark_landed(2);
+  bm.mark_landed(4);
+  EXPECT_EQ(bm.erase_landed_outside({2}), 2u);  // 1 and 4
+  EXPECT_FALSE(bm.contains(1));
+  EXPECT_TRUE(bm.landed(2));
+  EXPECT_TRUE(bm.contains(3));  // still on its way
+  EXPECT_FALSE(bm.contains(4));
+  EXPECT_EQ(bm.cached_bytes(), 20u);
+}
+
 TEST(BufferManager, FailsWithoutEvictionWhenFull) {
   BufferManager bm(100);
   bm.insert(1, 60, false);

@@ -29,14 +29,11 @@ TEST(ServerMetadata, InsertAndLookup) {
   EXPECT_EQ(e->holders[0], 3u);
   EXPECT_FALSE(e->erasure);
   EXPECT_EQ(m.files(), 2u);
-  EXPECT_EQ(m.lookups(), 1u);
-  EXPECT_EQ(m.misses(), 0u);
 }
 
 TEST(ServerMetadata, MissIsCountedNotFatal) {
   const ServerMetadata m;
   EXPECT_FALSE(m.lookup(42).has_value());
-  EXPECT_EQ(m.misses(), 1u);
   EXPECT_THROW(m.holders(42), std::out_of_range);
 }
 
@@ -92,10 +89,7 @@ TEST(NodeMetadata, InsertFindUpdate) {
   EXPECT_EQ(m.at(5).size, 4 * kMB);
   EXPECT_EQ(m.at(5).disk(1, 3), 2u);
   EXPECT_EQ(m.at(5).disk(1, 2), 0u);  // the stripe set wraps around
-  m.at(5).buffered = true;
-  EXPECT_TRUE(m.at(5).buffered);
   EXPECT_EQ(m.find(99), nullptr);
-  EXPECT_GE(m.lookups(), 3u);
 }
 
 TEST(NodeMetadata, DuplicateInsertThrows) {
@@ -130,24 +124,6 @@ TEST(NodeMetadata, IterationCoversAllFiles) {
   EXPECT_EQ(expected, 10u);
 }
 
-TEST(NodeMetadata, BufferDiskSentinelMarksTheBufferedCopy) {
-  // A node has one buffer disk, so the entry's flag says all there is
-  // about the buffered copy; setting and clearing it leaves the rest of
-  // the entry alone.
-  NodeMetadata m;
-  m.insert(2, LocalFileMeta{.first_disk = 1, .size = kMB});
-  LocalFileMeta& meta = m.at(2);
-  EXPECT_FALSE(meta.buffered);
-  meta.buffered = true;
-  EXPECT_TRUE(m.at(2).buffered);
-  EXPECT_EQ(m.at(2).first_disk, 1u);
-  EXPECT_EQ(m.at(2).size, kMB);
-  EXPECT_EQ(m.at(2).file, 2u);
-  meta.buffered = false;
-  EXPECT_FALSE(m.at(2).buffered);
-  EXPECT_EQ(m.at(2).first_disk, 1u);
-}
-
 TEST(NodeMetadata, InsertStoresTheFileIdInTheEntry) {
   // The entry carries its own id: insert overwrites whatever id the
   // caller's entry held, and lookups and iteration find it there.
@@ -174,8 +150,6 @@ TEST(MetadataIntegration, ServerKnowsNodesButNotDisks) {
   (void)m;
   const ServerMetadata& server_meta = c.server().metadata();
   EXPECT_EQ(server_meta.files(), wcfg.num_files);
-  EXPECT_GE(server_meta.lookups(), 300u);  // one per routed request
-  EXPECT_EQ(server_meta.misses(), 0u);
   // Node metadata holds each node's share.
   std::size_t local_total = 0;
   for (std::size_t n = 0; n < c.num_nodes(); ++n) {

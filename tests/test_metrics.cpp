@@ -37,17 +37,6 @@ TEST(RunMetrics, BufferHitRate) {
   EXPECT_DOUBLE_EQ(m.buffer_hit_rate(), 0.75);
 }
 
-TEST(RunMetrics, SummaryMentionsKeyNumbers) {
-  RunMetrics m;
-  m.total_joules = 4.4e5;
-  m.power_transitions = 42;
-  m.requests = 1000;
-  const std::string s = m.summary();
-  EXPECT_NE(s.find("4.4"), std::string::npos);
-  EXPECT_NE(s.find("42"), std::string::npos);
-  EXPECT_NE(s.find("1000"), std::string::npos);
-}
-
 TEST(NodeMetrics, TotalsCombineDiskAndBase) {
   NodeMetrics nm;
   nm.disk_joules = 10.0;

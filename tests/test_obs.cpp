@@ -226,13 +226,6 @@ TEST(Tracer, InternIsStableAndZeroIsEmpty) {
     EXPECT_EQ(u.intern(names[i]), static_cast<StringId>(i + 1));
     EXPECT_EQ(u.lookup(static_cast<StringId>(i + 1)), names[i]);
   }
-  // A loaded dump interns against its own table.
-  std::stringstream dump;
-  u.write_binary(dump);
-  Tracer back;
-  ASSERT_TRUE(back.read_binary(dump));
-  EXPECT_EQ(back.intern(names[4321]), 4322u);
-  EXPECT_EQ(back.intern("fresh"), 5001u);
 }
 
 TEST(Tracer, JsonlGoldenOutput) {
@@ -273,37 +266,6 @@ TEST(Tracer, ChromeTraceShape) {
   EXPECT_NE(s.find("\"ts\":10"), std::string::npos);
   EXPECT_NE(s.find("\"dur\":5"), std::string::npos);
   EXPECT_NE(s.find("node0"), std::string::npos);
-}
-
-TEST(Tracer, BinaryRoundTrips) {
-  Tracer t(small_ring(16));
-  t.instant(1, kCatFault, TraceLevel::kInfo, t.intern("fault.inject"),
-            t.intern("node2"), t.intern("disk_transient"), -5, 99);
-  t.complete(2, 3, kCatNet, TraceLevel::kDebug, t.intern("net.send"),
-             t.intern("server"), 0, 1234);
-  std::ostringstream out;
-  t.write_binary(out);
-
-  Tracer back;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(back.read_binary(in));
-  ASSERT_EQ(back.events().size(), 2u);
-  const TraceEvent& e0 = back.events()[0];
-  EXPECT_EQ(e0.ts, 1);
-  EXPECT_EQ(e0.category, static_cast<std::uint32_t>(kCatFault));
-  EXPECT_EQ(back.lookup(e0.name), "fault.inject");
-  EXPECT_EQ(back.lookup(e0.track), "node2");
-  EXPECT_EQ(back.lookup(e0.detail), "disk_transient");
-  EXPECT_EQ(e0.a0, -5);
-  EXPECT_EQ(e0.a1, 99);
-  const TraceEvent& e1 = back.events()[1];
-  EXPECT_EQ(e1.dur, 3);
-  EXPECT_EQ(e1.level, TraceLevel::kDebug);
-  EXPECT_EQ(back.lookup(e1.name), "net.send");
-
-  std::istringstream garbage("not a trace");
-  Tracer reject;
-  EXPECT_FALSE(reject.read_binary(garbage));
 }
 
 TEST(CategoryMask, ParsesListsAndAll) {

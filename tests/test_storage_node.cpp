@@ -235,6 +235,33 @@ TEST_F(StorageNodeTest, MaidCopiesOnMissAndHitsAfterwards) {
   EXPECT_EQ(node->data_disk(0).requests_completed(), before);
 }
 
+TEST_F(StorageNodeTest, MaidCopyEvictedWhileInFlightIsNotBuffered) {
+  // A 15 MB buffer disk holds one of two 10 MB files.  Both are read in
+  // the same tick, so file 1's insert evicts file 0 while file 0's copy
+  // is still being written: that copy lands for an entry the buffer
+  // index no longer holds.
+  auto p = params();
+  p.cache_policy = CachePolicy::kLruOnMiss;
+  p.disk_profile.capacity = 15 * kMB;
+  auto node = make_node(p);
+  setup_files(*node, 2, 10 * kMB, seconds_to_ticks(600));
+  node->start_prefetch({}, [] {});
+  sim.run();
+  node->serve_read(0, client_ep, nullptr);
+  node->serve_read(1, client_ep, nullptr);
+  sim.run();
+  EXPECT_EQ(node->buffer_disk().requests_completed(), 2u);  // both copies
+  EXPECT_FALSE(node->is_buffered(0));
+  EXPECT_TRUE(node->is_buffered(1));
+  // The re-read misses the buffer disk and writes a third copy, which
+  // evicts file 1's.
+  node->serve_read(0, client_ep, nullptr);
+  sim.run();
+  EXPECT_EQ(node->buffer_disk().requests_completed(), 3u);
+  EXPECT_TRUE(node->is_buffered(0));
+  EXPECT_FALSE(node->is_buffered(1));
+}
+
 TEST_F(StorageNodeTest, WriteGoesToBufferLogAndDestagesOnRead) {
   auto node = make_node(params());
   setup_files(*node, 2, 10 * kMB, seconds_to_ticks(600));

@@ -5,7 +5,7 @@ Every bench that bench/CMakeLists.txt declares with eevfs_bench() runs
 once in each tree, each in a fresh directory.  Its stdout and its
 bench_results/<bench>.csv must be byte-identical between the two trees.
 So must each case of cli_cases(): eevfs_cli runs it with --trace-out run
-in a fresh directory, and its stdout and its run.trace.{jsonl,json,bin}
+in a fresh directory, and its stdout and its run.trace.{jsonl,json}
 files are compared:
 
     python3 tools/bench_vs.py --base-build ../base/build [--build build]
@@ -34,8 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_NOTE = re.compile(r"\(schema v\d+, ")
 
 # What each CLI case leaves in its directory, and compares.
-CLI_FILES = ("stdout.txt", "run.trace.jsonl", "run.trace.json",
-             "run.trace.bin")
+CLI_FILES = ("stdout.txt", "run.trace.jsonl", "run.trace.json")
 
 
 def bench_names(root=ROOT):
@@ -47,8 +46,10 @@ def bench_names(root=ROOT):
 def cli_cases(root=ROOT):
     """The traced eevfs_cli cases, (name, arguments).  Both trees read
     this checkout's chaos plan, whose cases reach the buffer-disk
-    fallback and the settlement of a crashed node's serves.  A case runs
-    --requests 1000 unless it sets --requests."""
+    fallback and the settlement of a crashed node's serves, and its
+    sample trace, which the trace_file case replays through the text
+    loader.  A case runs --requests 1000 unless it sets --requests or
+    replays a --trace."""
     plan = ["--chaos-plan", os.path.join(root, "examples", "chaos_plan.txt")]
     lossy = plan + ["--journal", "off", "--request-timeout", "3"]
     cases = [
@@ -64,8 +65,10 @@ def cli_cases(root=ROOT):
          lossy + ["--replication", "2", "--system", "maid"]),
         ("plan_web", ["--workload", "web", "--requests", "2000"] + plan +
          ["--request-timeout", "3", "--replication", "2"]),
+        ("trace_file",
+         ["--trace", os.path.join(root, "examples", "sample.trace")]),
     ]
-    return [(name, args if "--requests" in args
+    return [(name, args if "--requests" in args or "--trace" in args
              else ["--requests", "1000"] + args) for name, args in cases]
 
 
