@@ -2,6 +2,11 @@
 // event queue, workload generation, popularity analysis, placement, the
 // prefetch planner, and a full end-to-end cluster run per second.
 //
+// The generator kernels at perfbench scale (BM_SyntheticGenerate/100000,
+// BM_WebTraceGenerate/100000, BM_SyntheticStreamSizes/128000) run in
+// every build's ctest with the six scenarios below, so the samplers run
+// at that scale under the sanitizers too.
+//
 // Six scenarios report executed simulator events as items/s: two engine
 // churns (BM_EngineChurn, BM_DatacenterChurn) and four whole-cluster runs
 // (BM_ClusterScenario/*).  Each also reports its event count per run as
@@ -15,6 +20,7 @@
 #include "fault/fault_injector.hpp"
 #include "harness.hpp"
 #include "sim/engine.hpp"
+#include "workload/stream.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/webtrace.hpp"
 
@@ -69,6 +75,25 @@ void BM_WebTraceGenerate(benchmark::State& state) {
   state.SetItemsProcessed(state.range(0) * state.iterations());
 }
 BENCHMARK(BM_WebTraceGenerate)->Arg(1000)->Arg(100000);
+
+// make_synthetic_stream's eager part, its lognormal file sizes, at the
+// 1024-node cell of perfbench's dc_stream_1024 (125 files per node): all
+// of that workload's set-up.
+void BM_SyntheticStreamSizes(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1024;
+  workload::SyntheticConfig cfg;
+  cfg.num_files = static_cast<std::size_t>(state.range(0));
+  cfg.num_requests = kNodes * 200;
+  cfg.size_sigma = 0.02;
+  cfg.mu = 1000.0 * (kNodes / 8) + 1.0;
+  cfg.inter_arrival_ms = 700.0 / (kNodes / 8);
+  cfg.num_clients = kNodes / 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload::make_synthetic_stream(cfg));
+  }
+  state.SetItemsProcessed(state.range(0) * state.iterations());
+}
+BENCHMARK(BM_SyntheticStreamSizes)->Arg(128000);
 
 void BM_PopularityAnalyzer(benchmark::State& state) {
   workload::SyntheticConfig cfg;

@@ -31,6 +31,7 @@ BufferManager::InsertResult BufferManager::insert(trace::FileId f,
   entries_.emplace(f, Entry{bytes, lru_.begin(), /*landed=*/false});
   cached_bytes_ += bytes;
   result.inserted = true;
+  result.created = true;
   return result;
 }
 

@@ -38,13 +38,15 @@ class BufferManager {
   Bytes capacity() const { return capacity_; }
 
   struct InsertResult {
-    bool inserted = false;
+    bool inserted = false;  // `f` has an entry now
+    bool created = false;   // ... made by this call: its copy is to be written
     std::vector<trace::FileId> evicted;
   };
 
   /// Caches a file, its copy not yet landed.  If space is short and
   /// `allow_evict`, evicts LRU entries (never the file itself); otherwise
-  /// fails.  A file larger than the whole capacity is never cached.
+  /// fails.  A file larger than the whole capacity is never cached.  A
+  /// file that already has an entry, landed or on its way, is touched.
   InsertResult insert(trace::FileId f, Bytes bytes, bool allow_evict);
 
   /// Records that `f`'s copy landed; a no-op when `f` has no entry (it

@@ -758,13 +758,12 @@ void StorageNode::read_stripe(const Read& read, bool fallback) {
       maybe_flush(m.disk(j, data_disks_.size()));
     }
     if (params_.cache_policy == CachePolicy::kLruOnMiss) {
-      // MAID: cache on access.  The insert may evict colder files.
+      // MAID: cache on access.  The insert may evict colder files.  A
+      // file whose copy landed or is still on its way is only touched.
       const auto res = buffer_.insert(read.file, m.size,
                                       /*allow_evict=*/true);
       metrics_.evictions.add(res.evicted.size());
-      if (res.inserted && !buffer_.landed(read.file)) {
-        write_buffer_copy(read.file, [](bool) {});
-      }
+      if (res.created) write_buffer_copy(read.file, [](bool) {});
     }
   });
 }

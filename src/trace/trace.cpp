@@ -8,12 +8,8 @@
 
 namespace eevfs::trace {
 
-void Trace::append(TraceRecord r) {
-  if (!records_.empty() && r.arrival < records_.back().arrival) {
-    throw std::invalid_argument("Trace::append: arrivals must be sorted");
-  }
-  total_bytes_ += r.bytes;
-  records_.push_back(r);
+void Trace::throw_unsorted() {
+  throw std::invalid_argument("Trace::append: arrivals must be sorted");
 }
 
 std::size_t Trace::unique_files() const {

@@ -15,8 +15,17 @@ namespace eevfs::trace {
 /// it keeps no per-file state; per-file figures are computed on demand.
 class Trace {
  public:
-  /// Appends a record; arrival times must be non-decreasing.
-  void append(TraceRecord r);
+  /// Appends a record; arrival times must be non-decreasing.  Inline:
+  /// a generator appends one record per draw.
+  void append(TraceRecord r) {
+    if (!records_.empty() && r.arrival < records_.back().arrival) {
+      throw_unsorted();
+    }
+    total_bytes_ += r.bytes;
+    // Not push_back: GCC 12 at -O3 misreads an inlined push_back of a
+    // fresh vector as a write past its end (-Wstringop-overflow).
+    records_.emplace_back(r);
+  }
   /// Room for `n` records in all, for builders that know the final size.
   void reserve(std::size_t n) { records_.reserve(n); }
   /// Makes record `i` an `op` request in place; arrival order and the
@@ -35,6 +44,8 @@ class Trace {
   std::size_t unique_files() const;
 
  private:
+  [[noreturn]] static void throw_unsorted();
+
   std::vector<TraceRecord> records_;
   Bytes total_bytes_ = 0;
 };

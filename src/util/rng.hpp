@@ -4,10 +4,12 @@
 // sequences are implementation-defined for some distributions; EEVFS runs
 // must be bit-reproducible across standard libraries because tests assert
 // on exact metric values.  We therefore ship a small xoshiro256**
-// generator and hand-rolled samplers.
+// generator and hand-rolled samplers, whose first draws at a fixed seed
+// tests/test_rng.cpp pins value for value.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +31,8 @@ class Rng {
   double next_double();
 
   /// Uniform integer in [0, bound), bound > 0: a modulo that rejects the
-  /// few draws that would bias it.
+  /// few draws that would bias it.  A power-of-two bound divides 2^64, so
+  /// its first draw is always kept and the modulo is a mask.
   std::uint64_t next_below(std::uint64_t bound);
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -41,17 +44,12 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Poisson with mean `mu` (> 0).  Knuth's method below 30, PTRS
-  /// (Hörmann) transformed rejection above — exact enough and fast for
-  /// the MU=1000 workloads in the paper.
-  std::int64_t poisson(double mu);
-
   /// Standard normal via Box-Muller (no cached spare: reproducibility
   /// beats the saved cosine).
   double normal(double mean, double stddev);
 
-  /// Log-normal parameterised by the *target* mean and the sigma of the
-  /// underlying normal; used for file-size dispersion.
+  /// One LognormalDistribution(mean, sigma) draw; a sampler drawing many
+  /// values with the same parameters should hold the distribution.
   double lognormal_with_mean(double mean, double sigma);
 
   /// Creates an independent stream for a child entity; deterministic
@@ -63,19 +61,71 @@ class Rng {
   std::uint64_t seed_;  // retained so fork() is a pure function of (seed, id)
 };
 
+/// The samplers below do their parameter-only work once, when they are
+/// built; a draw takes the same uniforms in the same order and evaluates
+/// the same expressions as a sampler that recomputed it per call, so it
+/// returns the same value.
+
+/// Poisson with mean `mu` (finite, > 0).  Knuth's method below 30, PTRS
+/// (Hörmann) transformed rejection above — exact enough and fast for the
+/// MU=1000 workloads in the paper.
+class PoissonDistribution {
+ public:
+  /// Throws std::invalid_argument unless `mu` is finite and positive.
+  explicit PoissonDistribution(double mu);
+
+  std::int64_t operator()(Rng& rng) const;
+
+ private:
+  double mu_;
+  double exp_neg_mu_ = 0.0;  // Knuth's product limit, exp(-mu)
+  // PTRS constants (mu >= 30).
+  double b_ = 0.0;
+  double a_ = 0.0;
+  double inv_alpha_ = 0.0;
+  double v_r_ = 0.0;
+  double log_mu_ = 0.0;
+};
+
+/// Log-normal parameterised by the *target* mean and the sigma of the
+/// underlying normal; used for file-size dispersion.
+class LognormalDistribution {
+ public:
+  /// Throws std::invalid_argument unless `mean` is finite and positive
+  /// and `sigma` finite.
+  LognormalDistribution(double mean, double sigma);
+
+  double operator()(Rng& rng) const;
+
+ private:
+  double mu_ = 0.0;  // of the underlying normal: log(mean) - sigma^2 / 2
+  double sigma_;
+};
+
 /// Zipf sampler over ranks [0, n): P(k) proportional to 1/(k+1)^alpha.
-/// Precomputes the CDF once; sampling is a binary search.
+/// Precomputes the CDF and a guide table once; a draw is a table lookup
+/// and a short forward scan of the CDF.
 class ZipfDistribution {
  public:
+  /// Throws std::invalid_argument for n == 0, a non-finite alpha, or
+  /// weights whose sum is not finite.
   ZipfDistribution(std::size_t n, double alpha);
 
-  std::size_t operator()(Rng& rng) const;
+  std::size_t operator()(Rng& rng) const { return rank_of(rng.next_double()); }
+
+  /// The inverse CDF: the first rank whose CDF is at least `u`, for `u`
+  /// in [0, 1].
+  std::size_t rank_of(double u) const;
 
   std::size_t size() const { return cdf_.size(); }
   double alpha() const { return alpha_; }
 
  private:
   std::vector<double> cdf_;
+  /// bit_ceil(n) entries; entry j is rank_of(j / guide_.size()).  The
+  /// size is a power of two, so u * guide_.size() is exact and bucket
+  /// floor(u * size) starts at or before rank_of(u).
+  std::vector<std::size_t> guide_;
   double alpha_;
 };
 

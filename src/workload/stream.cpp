@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "workload/param_check.hpp"
+
 namespace eevfs::workload {
 
 SyntheticStream::SyntheticStream(
@@ -11,6 +13,7 @@ SyntheticStream::SyntheticStream(
     std::shared_ptr<const std::vector<Bytes>> file_sizes)
     : config_(config),
       file_sizes_(std::move(file_sizes)),
+      popularity_(config.mu),
       pop_rng_(Rng(config.seed).fork(2)),
       arrival_rng_(Rng(config.seed).fork(3)),
       client_rng_(Rng(config.seed).fork(4)) {}
@@ -19,7 +22,7 @@ bool SyntheticStream::next(trace::TraceRecord* out) {
   if (produced_ >= config_.num_requests) return false;
   trace::TraceRecord r;
   r.arrival = arrival_;
-  const auto draw = static_cast<std::uint64_t>(pop_rng_.poisson(config_.mu));
+  const auto draw = static_cast<std::uint64_t>(popularity_(pop_rng_));
   r.file = static_cast<trace::FileId>(draw % config_.num_files);
   r.bytes = (*file_sizes_)[r.file];
   r.op = trace::Op::kRead;
@@ -47,10 +50,18 @@ StreamingWorkload make_synthetic_stream(const SyntheticConfig& config) {
       config.num_clients == 0) {
     throw std::invalid_argument("make_synthetic_stream: empty configuration");
   }
-  if (config.mean_data_size_mb <= 0.0 || config.mu <= 0.0 ||
-      config.inter_arrival_ms < 0.0) {
-    throw std::invalid_argument("make_synthetic_stream: invalid parameters");
-  }
+  constexpr const char* kWho = "make_synthetic_stream";
+  require_param(kWho, "mean_data_size_mb", config.mean_data_size_mb,
+                config.mean_data_size_mb > 0.0, "positive");
+  require_param(kWho, "size_sigma", config.size_sigma,
+                config.size_sigma >= 0.0, "non-negative");
+  require_param(kWho, "mu", config.mu, config.mu > 0.0, "positive");
+  require_param(kWho, "inter_arrival_ms", config.inter_arrival_ms,
+                config.inter_arrival_ms >= 0.0, "non-negative");
+  require_param(kWho, "inter_arrival_jitter", config.inter_arrival_jitter,
+                config.inter_arrival_jitter >= 0.0 &&
+                    config.inter_arrival_jitter <= 1.0,
+                "in [0, 1]");
   if (config.num_clients > trace::kMaxClients) {
     throw std::invalid_argument(
         "make_synthetic_stream: more clients than 16-bit client ids can name");
@@ -60,13 +71,11 @@ StreamingWorkload make_synthetic_stream(const SyntheticConfig& config) {
   // eevfs-lint: allow(U2) fractional mean of the size model, not a count
   const double mean_bytes =
       config.mean_data_size_mb * static_cast<double>(kMB);
-  auto sizes = std::make_shared<std::vector<Bytes>>(config.num_files);
-  for (auto& s : *sizes) {
-    const double bytes =
-        config.size_sigma > 0.0
-            ? size_rng.lognormal_with_mean(mean_bytes, config.size_sigma)
-            : mean_bytes;
-    s = static_cast<Bytes>(std::max(1.0, bytes));
+  auto sizes = std::make_shared<std::vector<Bytes>>(
+      config.num_files, static_cast<Bytes>(std::max(1.0, mean_bytes)));
+  if (config.size_sigma > 0.0) {
+    const LognormalDistribution size(mean_bytes, config.size_sigma);
+    for (auto& s : *sizes) s = static_cast<Bytes>(std::max(1.0, size(size_rng)));
   }
 
   StreamingWorkload w;

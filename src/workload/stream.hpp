@@ -90,6 +90,7 @@ class SyntheticStream : public RequestStream {
  private:
   SyntheticConfig config_;
   std::shared_ptr<const std::vector<Bytes>> file_sizes_;
+  PoissonDistribution popularity_;
   Rng pop_rng_;
   Rng arrival_rng_;
   Rng client_rng_;
@@ -98,7 +99,9 @@ class SyntheticStream : public RequestStream {
 };
 
 /// Draws the per-file sizes (the only eagerly-materialized piece, shared
-/// by every pass) and wraps the config as a StreamingWorkload.
+/// by every pass) and wraps the config as a StreamingWorkload.  Throws
+/// std::invalid_argument, naming the field, for an empty or out-of-range
+/// configuration (a non-finite parameter included).
 StreamingWorkload make_synthetic_stream(const SyntheticConfig& config);
 
 }  // namespace eevfs::workload

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/string_util.hpp"
+#include "workload/param_check.hpp"
 
 namespace eevfs::workload {
 
@@ -17,9 +18,16 @@ Workload generate_webtrace(const WebTraceConfig& config) {
   if (config.working_set == 0 || config.working_set > config.num_files) {
     throw std::invalid_argument("generate_webtrace: bad working set");
   }
-  if (config.burstiness < 0.0 || config.burstiness >= 1.0) {
-    throw std::invalid_argument("generate_webtrace: burstiness in [0,1)");
-  }
+  constexpr const char* kWho = "generate_webtrace";
+  require_param(kWho, "data_size_mb", config.data_size_mb,
+                config.data_size_mb > 0.0, "positive");
+  require_param(kWho, "inter_arrival_ms", config.inter_arrival_ms,
+                config.inter_arrival_ms >= 0.0, "non-negative");
+  require_param(kWho, "zipf_alpha", config.zipf_alpha,
+                config.zipf_alpha >= 0.0, "non-negative");
+  require_param(kWho, "burstiness", config.burstiness,
+                config.burstiness >= 0.0 && config.burstiness < 1.0,
+                "in [0, 1)");
   if (config.num_clients == 0) {
     throw std::invalid_argument("generate_webtrace: no clients");
   }

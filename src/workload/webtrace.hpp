@@ -32,6 +32,8 @@ struct WebTraceConfig {
   std::string label() const;
 };
 
+/// Throws std::invalid_argument, naming the field, for an out-of-range
+/// configuration (a non-finite parameter included).
 Workload generate_webtrace(const WebTraceConfig& config);
 
 }  // namespace eevfs::workload

@@ -16,6 +16,7 @@ TEST(BufferManager, InsertAndContains) {
   EXPECT_FALSE(bm.contains(1));
   const auto r = bm.insert(1, 40, false);
   EXPECT_TRUE(r.inserted);
+  EXPECT_TRUE(r.created);
   EXPECT_TRUE(r.evicted.empty());
   EXPECT_TRUE(bm.contains(1));
   EXPECT_EQ(bm.cached_bytes(), 40u);
@@ -27,6 +28,7 @@ TEST(BufferManager, ReinsertIsTouch) {
   bm.insert(1, 40, false);
   const auto r = bm.insert(1, 40, false);
   EXPECT_TRUE(r.inserted);
+  EXPECT_FALSE(r.created);  // the entry's copy is already written or on its way
   EXPECT_EQ(bm.cached_bytes(), 40u);  // not double counted
 }
 

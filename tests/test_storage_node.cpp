@@ -262,6 +262,31 @@ TEST_F(StorageNodeTest, MaidCopyEvictedWhileInFlightIsNotBuffered) {
   EXPECT_FALSE(node->is_buffered(1));
 }
 
+TEST_F(StorageNodeTest, MaidReadDuringInFlightCopyWritesOneCopy) {
+  // Two reads of file 2 queue on its data disk.  When the first lands its
+  // copy is queued on the buffer disk behind three reads of the buffered
+  // file 1, so the second read completes while that copy is on its way:
+  // it must touch the entry, not write the same bytes again.
+  auto p = params();
+  p.cache_policy = CachePolicy::kLruOnMiss;
+  p.power.policy = PowerPolicy::kNone;  // no spin-up reorders the disks
+  auto node = make_node(p);
+  setup_files(*node, 4, 10 * kMB, seconds_to_ticks(600));
+  node->start_prefetch({}, [] {});
+  sim.run();
+  node->serve_read(1, client_ep, nullptr);  // miss: file 1 is copied
+  sim.run();
+  ASSERT_TRUE(node->is_buffered(1));
+  const auto before = node->buffer_disk().requests_completed();
+  for (int i = 0; i < 3; ++i) node->serve_read(1, client_ep, nullptr);
+  node->serve_read(2, client_ep, nullptr);
+  node->serve_read(2, client_ep, nullptr);
+  sim.run();
+  // Three buffer hits and one copy of file 2.
+  EXPECT_EQ(node->buffer_disk().requests_completed() - before, 4u);
+  EXPECT_TRUE(node->is_buffered(2));
+}
+
 TEST_F(StorageNodeTest, WriteGoesToBufferLogAndDestagesOnRead) {
   auto node = make_node(params());
   setup_files(*node, 2, 10 * kMB, seconds_to_ticks(600));

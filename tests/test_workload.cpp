@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "trace/trace.hpp"
 #include "workload/stream.hpp"
@@ -9,6 +11,22 @@
 
 namespace eevfs::workload {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Expects `make` to throw std::invalid_argument whose message names
+/// `field`.
+template <typename Make>
+void expect_refused(Make make, const std::string& field, double value) {
+  try {
+    (void)make();
+    ADD_FAILURE() << field << " = " << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << field << " = " << value << ": " << e.what();
+  }
+}
 
 TEST(Synthetic, DeterministicForSameSeed) {
   SyntheticConfig cfg;
@@ -145,6 +163,30 @@ TEST(Synthetic, RejectsInvalidConfigs) {
   EXPECT_THROW(generate_synthetic(cfg), std::invalid_argument);
 }
 
+// A NaN passes a `<= 0` test and an infinity passes a lower bound, so
+// each would reach the samplers: a NaN MU loops in the Poisson sampler, a
+// NaN delay breaks the arrival order.  Only make_synthetic_stream is
+// called, and no stream is drained.
+TEST(Synthetic, RejectsNonFiniteParameters) {
+  const auto refused = [](const char* field, double SyntheticConfig::*member,
+                          double value) {
+    SyntheticConfig cfg;
+    cfg.*member = value;
+    expect_refused([&] { return make_synthetic_stream(cfg); }, field, value);
+  };
+  for (const double v : {kNan, kInf, -kInf}) {
+    refused("mean_data_size_mb", &SyntheticConfig::mean_data_size_mb, v);
+    refused("size_sigma", &SyntheticConfig::size_sigma, v);
+    refused("mu", &SyntheticConfig::mu, v);
+    refused("inter_arrival_ms", &SyntheticConfig::inter_arrival_ms, v);
+    refused("inter_arrival_jitter", &SyntheticConfig::inter_arrival_jitter,
+            v);
+  }
+  // Jitter above 1 makes the fixed part of a gap negative.
+  refused("inter_arrival_jitter", &SyntheticConfig::inter_arrival_jitter,
+          1.5);
+}
+
 // Client ids are drawn below num_clients, so zero clients is refused up
 // front instead of dividing by zero on the first record.
 TEST(Synthetic, RejectsZeroClients) {
@@ -239,6 +281,27 @@ TEST(WebTrace, RejectsInvalidConfigs) {
   cfg = {};
   cfg.burstiness = 1.0;
   EXPECT_THROW(generate_webtrace(cfg), std::invalid_argument);
+}
+
+// A NaN data size or delay reached an integer cast out of range (the
+// CLI's web run then died scheduling an event in the past).
+TEST(WebTrace, RejectsNonFiniteParameters) {
+  const auto refused = [](const char* field, double WebTraceConfig::*member,
+                          double value) {
+    WebTraceConfig cfg;
+    cfg.num_requests = 10;
+    cfg.*member = value;
+    expect_refused([&] { return generate_webtrace(cfg); }, field, value);
+  };
+  for (const double v : {kNan, kInf, -kInf}) {
+    refused("data_size_mb", &WebTraceConfig::data_size_mb, v);
+    refused("inter_arrival_ms", &WebTraceConfig::inter_arrival_ms, v);
+    refused("zipf_alpha", &WebTraceConfig::zipf_alpha, v);
+    refused("burstiness", &WebTraceConfig::burstiness, v);
+  }
+  refused("data_size_mb", &WebTraceConfig::data_size_mb, 0.0);
+  refused("inter_arrival_ms", &WebTraceConfig::inter_arrival_ms, -1.0);
+  refused("zipf_alpha", &WebTraceConfig::zipf_alpha, -0.5);
 }
 
 TEST(WebTrace, RejectsZeroClients) {
