@@ -111,15 +111,17 @@ workload::Workload paper_workload(double mu = 1000.0,
 
 /// Runs the scenario and checks the digest hash; on mismatch dumps the
 /// digest text so it can be diffed against the pre-rework engine.
-void expect_golden(const char* name, const ClusterConfig& cfg,
-                   const workload::Workload& w, std::uint64_t expected) {
+/// Returns the run's metrics for checks of its own.
+RunMetrics expect_golden(const char* name, const ClusterConfig& cfg,
+                         const workload::Workload& w, std::uint64_t expected) {
   Cluster cluster(cfg);
-  const RunMetrics m = cluster.run(w);
+  RunMetrics m = cluster.run(w);
   const std::string text = digest_text(m);
   const std::uint64_t h = fnv1a(text);
   EXPECT_EQ(h, expected) << name << ": RunMetrics digest changed.\n"
                          << "actual hash: " << h << "ull\n--- digest ---\n"
                          << text;
+  return m;
 }
 
 TEST(EngineGolden, PaperDefaultsPf) {
@@ -191,6 +193,22 @@ TEST(EngineGolden, MaidBaseline) {
   cfg.cache_policy = CachePolicy::kLruOnMiss;
   cfg.power_policy = PowerPolicy::kIdleTimer;
   expect_golden("maid", cfg, paper_workload(), 1319794970228591451ull);
+}
+
+TEST(EngineGolden, MaidEvictingBuffer) {
+  // MAID on 100 MB disks: the cache-on-miss copies overflow the buffer
+  // disk, so its LRU order picks victims (80 GB disks never fill).  Pins
+  // the buffer tier's eviction path, which no other scenario reaches.
+  ClusterConfig cfg;
+  cfg.cache_policy = CachePolicy::kLruOnMiss;
+  cfg.power_policy = PowerPolicy::kIdleTimer;
+  disk::DiskProfile small = disk::DiskProfile::ata133_fast();
+  small.capacity = 100 * kMB;
+  cfg.disk_profile_override = small;
+  const RunMetrics m =
+      expect_golden("maid/evicting", cfg, paper_workload(),
+                    7108738543869862749ull);
+  EXPECT_GT(m.count("prefetch.evictions.count"), 0u);
 }
 
 TEST(EngineGolden, CrashRecovery) {
