@@ -10,7 +10,7 @@
 #include <optional>
 #include <string>
 
-#include "core/ram_cache.hpp"
+#include "core/cache_index.hpp"
 #include "disk/disk_profile.hpp"
 #include "disk/write_journal.hpp"
 #include "fault/fault_injector.hpp"

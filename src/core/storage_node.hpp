@@ -18,8 +18,9 @@
 // process dying, not the shelf losing power.  Every open serve settles
 // with a typed kNodeUnavailable (connection reset); in-flight disk and
 // network completions are dropped by an epoch guard; RAM-held state —
-// the buffer-manager index, the destage queue, journal destage marks —
-// is lost; platter contents (and the disks' power machinery) survive.
+// the buffer index, the RAM tier, the destage queue, journal destage
+// marks — is lost; platter contents (and the disks' power machinery)
+// survive.
 // Acked buffered writes whose destage had not landed are counted as lost
 // (fault.lost_acked_writes.count) unless the write journal
 // (disk/write_journal) can rebuild the destage queue on restart:
@@ -40,13 +41,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/buffer_manager.hpp"
+#include "core/cache_index.hpp"
 #include "core/config.hpp"
 #include "core/metadata.hpp"
 #include "core/metrics.hpp"
 #include "core/power_manager.hpp"
 #include "core/prefetcher.hpp"
-#include "core/ram_cache.hpp"
 #include "disk/disk_model.hpp"
 #include "disk/disk_profile.hpp"
 #include "disk/write_journal.hpp"
@@ -256,7 +256,7 @@ class StorageNode {
   std::uint64_t undestaged_acked() const { return undestaged_acked_; }
   const disk::WriteJournal& journal() const { return journal_; }
   /// Null when the RAM tier is disabled.
-  const RamCache* ram_cache() const { return ram_.get(); }
+  const CacheIndex* ram_cache() const { return ram_.get(); }
 
  private:
   struct PendingWrite {
@@ -407,10 +407,8 @@ class StorageNode {
     std::size_t data_disk = 0;
   };
   /// Popularity weight for RAM admission: the file's access count in the
-  /// node's pattern slice (0 before plan_prefetch).
-  std::uint64_t ram_weight(trace::FileId f) const;
-  /// Offers a freshly read file to the RAM tier (no-op when disabled).
-  void ram_admit(trace::FileId f, Bytes bytes);
+  /// node's pattern slice (0 before plan_prefetch), saturating at 2^32 - 1.
+  std::uint32_t ram_weight(trace::FileId f) const;
   /// Reads `f`'s stripe set into RAM and pins it (prefetch hot set).
   void pin_into_ram(trace::FileId f, std::function<void()> done);
   /// Arms the interval flush timer if not already armed.
@@ -426,7 +424,7 @@ class StorageNode {
   std::vector<std::unique_ptr<disk::DiskModel>> data_disks_;
   disk::DiskModel buffer_disk_;
   /// The buffer disk's contents: cached files and the write-buffer region.
-  BufferManager buffer_;
+  CacheIndex buffer_;
   std::unique_ptr<PowerManager> power_;
   disk::WriteJournal journal_;
 
@@ -444,7 +442,6 @@ class StorageNode {
   Tick horizon_ = 0;
   PrefetchPlan plan_;
   bool plan_ready_ = false;
-  Tick replay_start_ = 0;
   bool alive_ = true;
   /// Bumped at every crash; disk/net completions capture the epoch they
   /// were issued under and drop their state effects when it is stale.
@@ -463,7 +460,7 @@ class StorageNode {
   std::vector<std::function<void()>> flush_waiters_;
 
   // RAM cache tier (null/empty when params_.ram_cache_bytes == 0)
-  std::unique_ptr<RamCache> ram_;
+  std::unique_ptr<CacheIndex> ram_;
   std::vector<RamStagedWrite> ram_staged_;
   std::size_t ram_flushes_in_flight_ = 0;
   sim::EventHandle ram_flush_timer_;

@@ -41,8 +41,11 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Exponential with the given mean (> 0).
+  /// Exponential with the given mean (> 0); never more than
+  /// kExponentialMaxFactor times the mean.
   double exponential(double mean);
+  /// -log(DBL_MIN) rounded up: the draw for the smallest uniform.
+  static constexpr double kExponentialMaxFactor = 709.0;
 
   /// Standard normal via Box-Muller (no cached spare: reproducibility
   /// beats the saved cosine).

@@ -432,7 +432,7 @@ TEST_F(StorageNodeTest, PopularityRamTierWeighsFilesByHintCount) {
   node->start_prefetch({}, [] {});
   sim.run();
   node->begin_replay(sim.now());
-  const RamCache& ram = *node->ram_cache();
+  const CacheIndex& ram = *node->ram_cache();
 
   node->serve_read(once, client_ep, nullptr);
   sim.run();
